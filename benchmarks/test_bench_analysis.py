@@ -1,25 +1,19 @@
-"""Bench: the structure-of-arrays analysis core against its scalar twin.
+"""Bench: incremental exact-RTA admission against rebuild-and-test.
 
-Two speedup *ratio* gates (enforced by ``tools/check_bench.py`` on the
+One speedup *ratio* gate (enforced by ``tools/check_bench.py`` on the
 current run, machine-independently, since both sides come from the same
-process):
+process): a fig2-style utilisation sweep partitioned through the
+incremental :class:`~repro.analysis.admission.ExactAdmissionCore` path
+is **≥ 2×** the rebuild-and-test callable path.
 
-* **grid RTA ≥ 10× scalar** — :func:`repro.analysis.rta.
-  response_times_grid` over a whole sweep's worth of cores versus the
-  pre-refactor per-set loop (``rta_schedulable`` on each task set);
-* **fast admission sweep ≥ 2× generic** — a fig2-style utilisation
-  sweep partitioned through the incremental
-  :class:`~repro.analysis.admission.ExactAdmissionCore` path versus the
-  rebuild-and-test callable path.
-
-The fast sides are also pinned against the committed baseline like the
-other hot paths, so they cannot silently regress even while the ratio
+The fast side is also pinned against the committed baseline like the
+other hot paths, so it cannot silently regress even while the ratio
 still clears.
 
-The workloads sit in the regime the paper's sweeps live in: many small
-cores near the schedulability cliff (high per-core utilisation — lots
-of fixed-point iterations, frequent rejections), where both the
-vectorised kernel and the incremental admission state earn their keep.
+The workload sits in the regime the paper's sweeps live in: cores near
+the schedulability cliff (high per-core utilisation — lots of
+fixed-point iterations, frequent rejections), where the incremental
+admission state earns its keep.
 """
 
 from __future__ import annotations
@@ -27,63 +21,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.arrays import TaskArrays, pad_task_grid
-from repro.analysis.rta import core_response_times, response_times_grid
 from repro.analysis.schedulability import rta_test
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
 from repro.partition.heuristics import try_partition_tasks
 from repro.taskgen.synthetic import generate_workload
 
-#: Grid workload: 1600 independent cores, 5–24 tasks each, per-core
-#: utilisation drawn near the schedulability cliff.  The count is
-#: deliberately large: it amortises the grid solver's per-iteration
-#: dispatch overhead (raising the true speedup) and lengthens each
-#: benchmark round, which steadies the per-round minima the ratio gate
-#: compares.
-_GRID_SETS = 1600
-_GRID_TASKS = (5, 25)
-_GRID_UTIL = (0.75, 1.02)
-
 #: Fig2-style sweep: best-fit partitioning on M=4 at the saturation end
 #: of the utilisation axis, where acceptance starts dropping.
 _SWEEP_PLATFORM = Platform(4)
 _SWEEP_UTILS = (2.8, 3.2, 3.4)
 _SWEEP_TRIALS = 20
-
-
-def _grid_task_sets() -> list[list[RealTimeTask]]:
-    rng = np.random.default_rng(42)
-    sets = []
-    for s in range(_GRID_SETS):
-        n = int(rng.integers(*_GRID_TASKS))
-        periods = np.sort(rng.uniform(5.0, 1000.0, n))
-        shares = rng.dirichlet(np.ones(n))
-        util = rng.uniform(*_GRID_UTIL)
-        wcets = np.minimum(shares * util * periods, 0.98 * periods)
-        sets.append(
-            [
-                RealTimeTask(
-                    name=f"t{s:03d}_{i:03d}",
-                    wcet=float(wcets[i]),
-                    period=float(periods[i]),
-                )
-                for i in range(n)
-            ]
-        )
-    return sets
-
-
-@pytest.fixture(scope="module")
-def grid_sets() -> list[list[RealTimeTask]]:
-    return _grid_task_sets()
-
-
-@pytest.fixture(scope="module")
-def grid_arrays(grid_sets):
-    return pad_task_grid(
-        [TaskArrays.from_tasks(s).rm_sorted() for s in grid_sets]
-    )
 
 
 @pytest.fixture(scope="module")
@@ -95,44 +43,6 @@ def sweep_sets() -> list[list[RealTimeTask]]:
             workload = generate_workload(_SWEEP_PLATFORM, u, rng)
             sets.append(list(workload.rt_tasks))
     return sets
-
-
-@pytest.mark.benchmark(min_rounds=60)
-def test_rta_grid_sweep(benchmark, grid_arrays):
-    """Pinned + ratio-gated: one grid solve for a whole sweep's cores."""
-    wcets, periods, deadlines, valid = grid_arrays
-
-    def verdicts() -> np.ndarray:
-        responses = response_times_grid(wcets, periods, deadlines, valid)
-        ok = np.where(valid, responses <= deadlines + 1e-9, True)
-        return ok.all(axis=1)
-
-    accepted = benchmark(verdicts)
-    assert accepted.shape == (_GRID_SETS,)
-    assert 0 < int(accepted.sum()) < _GRID_SETS
-
-
-@pytest.mark.benchmark(min_rounds=20)
-def test_rta_scalar_sweep(benchmark, grid_sets, grid_arrays):
-    """Reference loop the grid ratio is measured against: the scalar
-    path solves every task's fixed point, like the grid does (the
-    early-exiting ``rta_schedulable`` answers a cheaper question).
-
-    The explicit ``min_rounds`` on this pair (and the sweep pair
-    below) matter: ``check_bench.py`` gates the *ratio of per-round
-    medians*, which is only steady when both sides collect enough
-    long rounds for sustained machine load to cancel out."""
-    solved = benchmark(
-        lambda: [core_response_times(tasks) for tasks in grid_sets]
-    )
-    verdicts = [
-        all(rs[t.name] <= t.deadline + 1e-9 for t in tasks)
-        for rs, tasks in zip(solved, grid_sets)
-    ]
-    wcets, periods, deadlines, valid = grid_arrays
-    responses = response_times_grid(wcets, periods, deadlines, valid)
-    grid_ok = np.where(valid, responses <= deadlines + 1e-9, True).all(axis=1)
-    assert verdicts == list(grid_ok)
 
 
 @pytest.mark.benchmark(min_rounds=15)

@@ -55,8 +55,8 @@ def test_exact_rta(benchmark, env):
 
 
 def test_rta_batch(benchmark):
-    """The vectorised whole-core RTA — the admission test's fast path
-    on large cores, pinned by the CI benchmark gate."""
+    """The vectorised whole-core RTA behind the ``rta-batch`` admission
+    test, pinned by the CI benchmark gate."""
     rng = np.random.default_rng(7)
     n = 64
     periods = np.sort(rng.uniform(10.0, 2000.0, size=n))

@@ -1,38 +1,32 @@
 """Schedulability analysis substrate (paper Sec. II–III).
 
-* :mod:`repro.analysis.arrays` — :class:`TaskArrays`, the
-  structure-of-arrays task-set representation the batched kernels
-  consume (see ``docs/analysis.md`` for the layer's API reference).
+``docs/analysis.md`` is the layer's API reference.
+
 * :mod:`repro.analysis.dbf` — demand bound function and the Eq. (1)
-  necessary feasibility condition (scalar + array forms).
+  necessary feasibility condition.
 * :mod:`repro.analysis.interference` — the linearised interference bound
   of Eq. (5) and the aggregate :class:`InterferenceEnv`.
-* :mod:`repro.analysis.rta` — exact response-time analysis: scalar,
-  whole-core batched, and whole-sweep grid solvers.
+* :mod:`repro.analysis.rta` — exact response-time analysis: the scalar
+  solver behind every exact verdict, plus the numpy solver behind the
+  ``rta-batch`` admission test.
 * :mod:`repro.analysis.admission` — incremental exact-RTA admission
-  state for the partitioning inner loop.
+  state for the partitioning inner loop, verdict-identical to
+  ``rta_test``.
 * :mod:`repro.analysis.schedulability` — utilisation bounds, admission
   tests and whole-partition checks.
 * :mod:`repro.analysis.slack` — per-core idle-capacity accounting.
 """
 
 from repro.analysis.admission import ExactAdmissionCore
-from repro.analysis.arrays import TaskArrays, pad_task_grid
 from repro.analysis.blocking import (
     max_tolerable_blocking,
-    max_tolerable_blocking_arrays,
     rt_schedulable_with_blocking,
-    rt_schedulable_with_blocking_arrays,
 )
 from repro.analysis.dbf import (
     dbf_check_points,
-    dbf_step_points_arrays,
     demand_bound,
-    demand_bound_arrays,
     necessary_condition,
-    necessary_condition_arrays,
     total_demand,
-    total_demand_arrays,
 )
 from repro.analysis.hyperperiod import hyperperiod, recommended_horizon
 from repro.analysis.interference import (
@@ -40,21 +34,15 @@ from repro.analysis.interference import (
     Interferer,
     linear_bound_met,
     linear_interference,
-    linear_interference_arrays,
     min_feasible_period,
-    min_feasible_periods_arrays,
 )
 from repro.analysis.rta import (
     core_response_times,
-    core_response_times_batch,
     response_time,
     response_time_env,
-    response_times_arrays,
     response_times_batch,
-    response_times_grid,
     rta_schedulable,
     rta_schedulable_batch,
-    rta_schedulable_sets,
 )
 from repro.analysis.schedulability import (
     AdmissionTest,
@@ -71,36 +59,22 @@ from repro.analysis.schedulability import (
 from repro.analysis.slack import CoreSlack, core_slack, partition_slack
 
 __all__ = [
-    "TaskArrays",
-    "pad_task_grid",
     "ExactAdmissionCore",
     "demand_bound",
     "total_demand",
     "dbf_check_points",
     "necessary_condition",
-    "demand_bound_arrays",
-    "total_demand_arrays",
-    "dbf_step_points_arrays",
-    "necessary_condition_arrays",
     "Interferer",
     "InterferenceEnv",
     "linear_interference",
     "linear_bound_met",
     "min_feasible_period",
-    "linear_interference_arrays",
-    "min_feasible_periods_arrays",
     "response_time",
     "response_time_env",
     "core_response_times",
-    "core_response_times_batch",
-    "response_times_arrays",
     "response_times_batch",
-    "response_times_grid",
     "rta_schedulable",
     "rta_schedulable_batch",
-    "rta_schedulable_sets",
-    "rt_schedulable_with_blocking_arrays",
-    "max_tolerable_blocking_arrays",
     "AdmissionTest",
     "liu_layland_bound",
     "liu_layland_test",

@@ -30,22 +30,19 @@ probe only pays for what the candidate can actually change:
 
 All three properties are decision-preserving, so the verdict is
 identical to calling :func:`repro.analysis.schedulability.rta_test` on
-the rebuilt task list (the batched dispatch at
-:data:`~repro.analysis.schedulability._RTA_BATCH_MIN_TASKS` tasks is
-mirrored exactly) — pinned by an equivalence property suite and the
-golden fixtures.
+the rebuilt task list at every core size — pinned by an equivalence
+property suite (including deadlines within an ulp of the response
+time) and the golden fixtures.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable
 
-import numpy as np
-
-from repro.analysis.rta import _MAX_ITERATIONS, response_times_batch
-from repro.analysis.schedulability import _RTA_BATCH_MIN_TASKS
+from repro.analysis.rta import _MAX_ITERATIONS
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
@@ -64,6 +61,15 @@ def _rm_key(task: RealTimeTask) -> tuple[float, float, str]:
     :func:`repro.model.priority.rate_monotonic_order` exactly so probes
     see the same priority order the from-scratch test would build."""
     return (task.period, -task.wcet, task.name)
+
+
+def _insertion_point(
+    entries: list[tuple], key: tuple[float, float, str]
+) -> int:
+    """Where a task with RM ``key`` joins the RM-sorted ``entries``:
+    after every resident with an equal key, as the stable sort in
+    ``rate_monotonic_order`` places a task appended to the residents."""
+    return bisect_right(entries, key, key=itemgetter(0))
 
 
 def _fixed_point(
@@ -185,7 +191,7 @@ class ExactAdmissionCore:
     def add(self, task: RealTimeTask) -> None:
         """Commit ``task`` to the core (no admission check)."""
         key = _rm_key(task)
-        pos = bisect_left(self._entries, (key,))
+        pos = _insertion_point(self._entries, key)
         if self._pending is not None and self._pending[0] == (
             key,
             task.deadline,
@@ -194,9 +200,7 @@ class ExactAdmissionCore:
             # probe just verified — reuse that probe's responses.
             responses = self._pending[1]
         else:
-            responses = self._solve_with_inserted(
-                pos, task.wcet, task.period, task.deadline
-            )
+            responses = self._solve_with_inserted(pos, task)
         self._entries.insert(
             pos, (key, (task.wcet, task.period), task.deadline)
         )
@@ -209,30 +213,33 @@ class ExactAdmissionCore:
         )
 
     def _solve_with_inserted(
-        self, pos: int, wcet: float, period: float, deadline: float
-    ) -> list[float]:
-        """Response times of all current residents plus a task of
-        ``(wcet, period, deadline)`` inserted at ``pos`` — computed
-        against the *pre-insert* ``_entries``/``_responses`` state."""
+        self, pos: int, task: RealTimeTask, stop_at_miss: bool = False
+    ) -> list[float] | None:
+        """Response times of all current residents plus ``task``
+        inserted at ``pos`` — computed against the *pre-insert*
+        ``_entries``/``_responses`` state.
+
+        Residents above ``pos`` keep their cached responses; residents
+        below re-solve with ``task`` as an extra interferer,
+        warm-started from their cached responses, and the interferer
+        list grows in RM order so each fixed point matches the
+        from-scratch evaluation.  With ``stop_at_miss`` the solve
+        returns ``None`` at the first task past its deadline.
+        """
         entries = self._entries
-        if len(entries) + 1 >= _RTA_BATCH_MIN_TASKS:
-            wcets = [entry[1][0] for entry in entries]
-            periods = [entry[1][1] for entry in entries]
-            deadlines = [entry[2] for entry in entries]
-            wcets.insert(pos, wcet)
-            periods.insert(pos, period)
-            deadlines.insert(pos, deadline)
-            return list(response_times_batch(wcets, periods, deadlines))
         hp_pairs = [entry[1] for entry in entries[:pos]]
-        cand = _fixed_point(wcet, hp_pairs, deadline)
+        cand = _fixed_point(task.wcet, hp_pairs, task.deadline)
+        if stop_at_miss and not cand <= task.deadline + 1e-9:
+            return None
         responses = self._responses[:pos] + [cand]
-        hp_pairs.append((wcet, period))
+        hp_pairs.append((task.wcet, task.period))
         for idx in range(pos, len(entries)):
-            _, pair, entry_deadline = entries[idx]
+            _, pair, deadline = entries[idx]
             r = _fixed_point(
-                pair[0], hp_pairs, entry_deadline,
-                start=self._responses[idx],
+                pair[0], hp_pairs, deadline, start=self._responses[idx]
             )
+            if stop_at_miss and not r <= deadline + 1e-9:
+                return None
             responses.append(r)
             hp_pairs.append(pair)
         return responses
@@ -240,9 +247,8 @@ class ExactAdmissionCore:
     def admits(self, task: RealTimeTask) -> bool:
         """Would the core stay RM-schedulable with ``task`` added?
 
-        Identical verdict to
-        ``rta_test([*placed_tasks, task])`` — including the batched
-        dispatch on large cores — at a fraction of the work.
+        Identical verdict to ``rta_test([*placed_tasks, task])`` at a
+        fraction of the work.
         """
         self._pending = None
         if not self._feasible:
@@ -251,7 +257,7 @@ class ExactAdmissionCore:
             # same failing resident.
             return False
         key = _rm_key(task)
-        pos = bisect_left(self._entries, (key,))
+        pos = _insertion_point(self._entries, key)
         # O(1) divergence cut-off: the lowest-priority task after
         # insertion sees every other task as higher priority.  If that
         # higher-priority utilisation reaches 1 its fixed point
@@ -272,47 +278,8 @@ class ExactAdmissionCore:
             >= 1.0 + _UTILIZATION_MARGIN
         ):
             return False
-        if len(self._entries) + 1 >= _RTA_BATCH_MIN_TASKS:
-            return self._admits_batched(task, key, pos)
-
-        hp_pairs = [entry[1] for entry in self._entries[:pos]]
-        cand = _fixed_point(task.wcet, hp_pairs, task.deadline)
-        if not cand <= task.deadline + 1e-9:
+        responses = self._solve_with_inserted(pos, task, stop_at_miss=True)
+        if responses is None:
             return False
-        # Residents below the candidate re-solve with it as an extra
-        # interferer, warm-started from their cached response times;
-        # the interferer list grows in RM order so each fixed point
-        # matches the from-scratch evaluation.
-        responses = self._responses[:pos] + [cand]
-        hp_pairs.append((task.wcet, task.period))
-        for idx in range(pos, len(self._entries)):
-            _, pair, deadline = self._entries[idx]
-            r = _fixed_point(
-                pair[0], hp_pairs, deadline, start=self._responses[idx]
-            )
-            if not r <= deadline + 1e-9:
-                return False
-            responses.append(r)
-            hp_pairs.append(pair)
         self._pending = ((key, task.deadline), responses)
         return True
-
-    def _admits_batched(
-        self,
-        task: RealTimeTask,
-        key: tuple[float, float, str],
-        pos: int,
-    ) -> bool:
-        """Mirror of ``rta_schedulable_batch`` for large cores (same
-        inputs in the same order ⇒ same verdict bit for bit)."""
-        wcets = [entry[1][0] for entry in self._entries]
-        periods = [entry[1][1] for entry in self._entries]
-        deadlines = [entry[2] for entry in self._entries]
-        wcets.insert(pos, task.wcet)
-        periods.insert(pos, task.period)
-        deadlines.insert(pos, task.deadline)
-        responses = response_times_batch(wcets, periods, deadlines)
-        verdict = bool(np.all(responses <= np.asarray(deadlines) + 1e-9))
-        if verdict:
-            self._pending = ((key, task.deadline), list(responses))
-        return verdict

@@ -33,19 +33,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.analysis.arrays import TaskArrays
-from repro.analysis.interference import Interferer
-from repro.analysis.rta import response_time, response_times_batch
-from repro.model.priority import rate_monotonic_order
+from repro.analysis.rta import _schedulable_with_blocking
 from repro.model.task import RealTimeTask
 
 __all__ = [
     "rt_schedulable_with_blocking",
     "max_tolerable_blocking",
-    "rt_schedulable_with_blocking_arrays",
-    "max_tolerable_blocking_arrays",
 ]
 
 
@@ -57,15 +50,7 @@ def rt_schedulable_with_blocking(
     non-preemptive lower-priority job?"""
     if blocking < 0:
         raise ValueError(f"blocking must be ≥ 0, got {blocking}")
-    higher: list[Interferer] = []
-    for task in rate_monotonic_order(rt_tasks):
-        r = response_time(
-            task.wcet, higher, limit=task.deadline, blocking=blocking
-        )
-        if not r <= task.deadline + 1e-9:
-            return False
-        higher.append(Interferer.from_rt(task))
-    return True
+    return _schedulable_with_blocking(rt_tasks, blocking)
 
 
 def max_tolerable_blocking(
@@ -93,58 +78,6 @@ def max_tolerable_blocking(
     while high - low > tolerance:
         mid = (low + high) / 2.0
         if rt_schedulable_with_blocking(tasks, mid):
-            low = mid
-        else:
-            high = mid
-    return low
-
-
-def rt_schedulable_with_blocking_arrays(
-    arrays: TaskArrays, blocking: float
-) -> bool:
-    """Array-program form of :func:`rt_schedulable_with_blocking`.
-
-    One batched RTA solve over the whole core (the blocking term rides
-    the same vectorised recurrence) instead of a per-task scalar loop;
-    decision-equivalent to the scalar path (pinned by a hypothesis
-    agreement suite).  ``arrays`` may be in any order — it is sorted
-    into rate-monotonic priority order internally.
-    """
-    if blocking < 0:
-        raise ValueError(f"blocking must be ≥ 0, got {blocking}")
-    if len(arrays) == 0:
-        return True
-    ordered = arrays.rm_sorted()
-    responses = response_times_batch(
-        ordered.wcets, ordered.periods, ordered.deadlines, blocking=blocking
-    )
-    return bool(np.all(responses <= ordered.deadlines + 1e-9))
-
-
-def max_tolerable_blocking_arrays(
-    arrays: TaskArrays, tolerance: float = 1e-6
-) -> float:
-    """Largest absorbable blocking term, computed over a
-    :class:`TaskArrays` core.
-
-    Same bisection contract as :func:`max_tolerable_blocking` — the
-    predicate is monotone in the blocking term — but every probe is a
-    single batched solve, so the whole search touches no Python task
-    objects.  Agrees with the scalar result to within ``tolerance``
-    (both bisect the same monotone predicate over the same bracket).
-    """
-    if len(arrays) == 0:
-        return math.inf
-    ordered = arrays.rm_sorted()
-    if not rt_schedulable_with_blocking_arrays(ordered, 0.0):
-        return 0.0
-    high = float(np.min(ordered.deadlines))
-    if rt_schedulable_with_blocking_arrays(ordered, high):
-        return high
-    low = 0.0
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if rt_schedulable_with_blocking_arrays(ordered, mid):
             low = mid
         else:
             high = mid

@@ -16,11 +16,9 @@ deadline form so the analysis substrate is complete.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from repro.analysis.arrays import TaskArrays
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
 
@@ -29,10 +27,6 @@ __all__ = [
     "total_demand",
     "dbf_check_points",
     "necessary_condition",
-    "demand_bound_arrays",
-    "total_demand_arrays",
-    "dbf_step_points_arrays",
-    "necessary_condition_arrays",
 ]
 
 
@@ -72,26 +66,46 @@ def dbf_check_points(
     yield from sorted(points)
 
 
-def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
-    """A finite horizon beyond which Eq. (1) cannot newly fail.
+#: Most check points :func:`necessary_condition` visits: past this the
+#: horizon is cut short and a ``True`` verdict only covers the points
+#: checked.  Only constrained-deadline sets whose utilisation sits next
+#: to the capacity and whose periods share no small hyperperiod get here.
+_MAX_CHECK_POINTS = 100_000
 
-    Uses the standard bound: ``DBF(τ, t) ≤ U·t + U·(T − D)`` hence
-    ``Σ DBF(t) − capacity·t ≤ Σ U_i (T_i − D_i) − (capacity − U)·t``,
-    which is non-positive for
-    ``t ≥ Σ U_i (T_i − D_i) / (capacity − U)``.
+
+def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
+    """A finite horizon beyond which Eq. (1) cannot newly fail, for a
+    non-empty task set with utilisation ``U ≤ capacity``.
+
+    Two bounds hold and the smaller is used:
+
+    * ``DBF(τ, t) ≤ U·t + U·(T − D)``, hence
+      ``Σ DBF(t) − capacity·t ≤ Σ U_i (T_i − D_i) − (capacity − U)·t``,
+      which is non-positive for
+      ``t ≥ Σ U_i (T_i − D_i) / (capacity − U)`` — a bound that runs
+      off to infinity as ``U`` reaches the capacity;
+    * the hyperperiod ``L`` (the exact least common multiple of the
+      periods): ``DBF(τ, t + L) ≤ DBF(τ, t) + U·L``, so any violation
+      past ``L`` repeats one inside it, also at ``U = capacity``.
+
+    The result is capped at about :data:`_MAX_CHECK_POINTS` check points.
     """
     total_u = sum(task.utilization for task in tasks)
-    if total_u >= capacity:
-        # Utilisation alone exceeds the capacity: the condition fails in
-        # the limit, so any horizon covering one hyper-step is enough for
-        # the caller to detect it; we simply return the largest deadline.
-        return max((task.deadline for task in tasks), default=0.0)
-    slack_sum = sum(
-        task.utilization * (task.period - task.deadline) for task in tasks
+    largest_deadline = max(task.deadline for task in tasks)
+    periods = [Fraction(task.period) for task in tasks]
+    horizon = Fraction(
+        math.lcm(*(p.numerator for p in periods)),
+        math.gcd(*(p.denominator for p in periods)),
     )
-    bound = slack_sum / (capacity - total_u)
-    largest_deadline = max((task.deadline for task in tasks), default=0.0)
-    return max(bound, largest_deadline)
+    if total_u < capacity:
+        slack_sum = sum(
+            task.utilization * (task.period - task.deadline) for task in tasks
+        )
+        bound = slack_sum / (capacity - total_u)
+        horizon = min(horizon, Fraction(max(bound, largest_deadline)))
+    rate = sum(1.0 / task.period for task in tasks)
+    cap = largest_deadline + _MAX_CHECK_POINTS / rate
+    return float(min(horizon, Fraction(cap)))
 
 
 def necessary_condition(
@@ -101,7 +115,8 @@ def necessary_condition(
     """Evaluate the paper's Eq. (1) necessary feasibility condition.
 
     Returns ``True`` when the demand of ``tasks`` never exceeds the
-    platform capacity ``M·t``; a ``False`` result proves the task set
+    platform capacity ``M·t`` (checked up to the horizon of
+    :func:`_necessary_horizon`); a ``False`` result proves the task set
     unfeasible on any partitioning (the paper discards such synthetic
     task sets up front).
     """
@@ -121,95 +136,3 @@ def necessary_condition(
         if total_demand(task_list, t) > capacity * t + 1e-9:
             return False
     return True
-
-
-def demand_bound_arrays(
-    arrays: TaskArrays, t: float | np.ndarray
-) -> np.ndarray:
-    """Vectorised ``DBF(τ_i, t)`` for every task of ``arrays`` at once.
-
-    ``t`` may be a scalar (result shape ``(n,)``) or a vector of ``k``
-    horizons (result shape ``(k, n)`` — one row per horizon).  Matches
-    :func:`demand_bound` task for task: ``max(0, ⌊(t − D)/T⌋ + 1) · C``
-    with non-positive horizons contributing zero demand.
-    """
-    horizons = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    jobs = np.floor((horizons - arrays.deadlines) / arrays.periods) + 1.0
-    demand = np.where(
-        (horizons > 0) & (jobs > 0), jobs * arrays.wcets, 0.0
-    )
-    return demand[0] if np.isscalar(t) or np.ndim(t) == 0 else demand
-
-
-def total_demand_arrays(
-    arrays: TaskArrays, t: float | np.ndarray
-) -> float | np.ndarray:
-    """Σ DBF over ``arrays`` at one horizon (float) or many (vector)."""
-    demand = demand_bound_arrays(arrays, t)
-    if demand.ndim == 1:
-        return float(np.sum(demand))
-    return np.sum(demand, axis=1)
-
-
-def dbf_step_points_arrays(
-    arrays: TaskArrays, horizon: float
-) -> np.ndarray:
-    """All DBF step points ``k·T + D ≤ horizon``, sorted ascending.
-
-    The array counterpart of :func:`dbf_check_points`: every absolute
-    deadline of every task inside the horizon, deduplicated, as one
-    float vector built without a Python-level loop per job.
-    """
-    if len(arrays) == 0 or horizon <= 0:
-        return np.zeros(0)
-    counts = np.floor((horizon - arrays.deadlines) / arrays.periods) + 1.0
-    counts = np.maximum(counts, 0.0).astype(np.int64)
-    if not counts.any():
-        return np.zeros(0)
-    task_index = np.repeat(np.arange(len(arrays)), counts)
-    job_index = np.concatenate([np.arange(c) for c in counts])
-    points = (
-        arrays.deadlines[task_index]
-        + job_index * arrays.periods[task_index]
-    )
-    return np.unique(points)
-
-
-def necessary_condition_arrays(
-    arrays: TaskArrays, platform: Platform | int
-) -> bool:
-    """Array-program evaluation of the Eq. (1) necessary condition.
-
-    Decision-equivalent to :func:`necessary_condition` (pinned by a
-    hypothesis agreement suite) but runs the whole step-point scan as
-    one ``(points × tasks)`` demand matrix instead of a nested Python
-    loop — the form batched sweep callers use once the task set is
-    already in :class:`TaskArrays` shape.
-    """
-    capacity = float(
-        platform.num_cores if isinstance(platform, Platform) else platform
-    )
-    if len(arrays) == 0:
-        return True
-    total_u = arrays.total_utilization
-    if total_u > capacity + 1e-12:
-        return False
-    if np.all(arrays.deadlines == arrays.periods):
-        # Implicit deadlines: the utilisation check above is exact.
-        return True
-    if total_u >= capacity:
-        horizon = float(np.max(arrays.deadlines))
-    else:
-        slack_sum = float(
-            np.sum(
-                arrays.utilizations * (arrays.periods - arrays.deadlines)
-            )
-        )
-        horizon = max(
-            slack_sum / (capacity - total_u), float(np.max(arrays.deadlines))
-        )
-    points = dbf_step_points_arrays(arrays, horizon)
-    if points.size == 0:
-        return True
-    demand = total_demand_arrays(arrays, points)
-    return bool(np.all(demand <= capacity * points + 1e-9))

@@ -24,15 +24,10 @@ which drives both the closed-form period optimiser
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask, SecurityTask
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.arrays import TaskArrays
 
 __all__ = [
     "Interferer",
@@ -40,8 +35,6 @@ __all__ = [
     "linear_interference",
     "linear_bound_met",
     "min_feasible_period",
-    "linear_interference_arrays",
-    "min_feasible_periods_arrays",
 ]
 
 
@@ -108,15 +101,6 @@ class InterferenceEnv:
         )
         return cls(interferers)
 
-    @classmethod
-    def from_arrays(cls, arrays: "TaskArrays") -> "InterferenceEnv":
-        """Build the environment straight from a :class:`TaskArrays`
-        set (every task becomes one ``(C, T)`` interferer)."""
-        return cls(
-            Interferer(float(c), float(t))
-            for c, t in zip(arrays.wcets, arrays.periods)
-        )
-
     @property
     def interferers(self) -> tuple[Interferer, ...]:
         """The ``(C, T)`` pairs this environment aggregates."""
@@ -143,20 +127,6 @@ class InterferenceEnv:
             raise ValidationError(f"window length must be positive: {period!r}")
         return self._total_wcet + self._utilization * period
 
-    def interference_batch(
-        self, periods: np.ndarray | Sequence[float]
-    ) -> np.ndarray:
-        """Eq. (5) evaluated at many candidate periods at once.
-
-        Element ``i`` equals ``self.interference(periods[i])`` — the
-        bound is linear in the window length, so a whole candidate-
-        period grid is one fused multiply-add.
-        """
-        period_vec = np.asarray(periods, dtype=float)
-        if period_vec.size and np.any(period_vec <= 0):
-            raise ValidationError("window lengths must be positive")
-        return self._total_wcet + self._utilization * period_vec
-
     def __len__(self) -> int:
         return len(self._interferers)
 
@@ -181,40 +151,6 @@ def linear_bound_met(
 ) -> bool:
     """Check Eq. (6): ``Cs + I_s^m ≤ Ts`` at the candidate ``period``."""
     return task.wcet + env.interference(period) <= period + 1e-9
-
-
-def linear_interference_arrays(
-    periods: np.ndarray | Sequence[float], arrays: "TaskArrays"
-) -> np.ndarray:
-    """Eq. (5) over a candidate-period vector against a
-    :class:`TaskArrays` interferer set.
-
-    The pure array form of :func:`linear_interference`:
-    ``K' + U · T`` with ``K' = Σ C`` and ``U = Σ C/T`` reduced from the
-    arrays directly — no :class:`Interferer` objects are built.
-    """
-    period_vec = np.asarray(periods, dtype=float)
-    if period_vec.size and np.any(period_vec <= 0):
-        raise ValidationError("window lengths must be positive")
-    total_wcet = float(np.sum(arrays.wcets))
-    utilization = float(np.sum(arrays.wcets / arrays.periods))
-    return total_wcet + utilization * period_vec
-
-
-def min_feasible_periods_arrays(
-    wcets: np.ndarray | Sequence[float], env: InterferenceEnv
-) -> np.ndarray:
-    """Smallest Eq. (6)-feasible period for many security WCETs at once.
-
-    Element ``i`` equals ``min_feasible_period`` of a task with WCET
-    ``wcets[i]`` against ``env`` — ``(C_i + K')/(1 − U)``, or ``inf``
-    for every element when the interferer utilisation ``U ≥ 1``.
-    """
-    wcet_vec = np.asarray(wcets, dtype=float)
-    spare = 1.0 - env.utilization
-    if spare <= 0.0:
-        return np.full(wcet_vec.shape, np.inf)
-    return (wcet_vec + env.total_wcet) / spare
 
 
 def min_feasible_period(task: SecurityTask, env: InterferenceEnv) -> float:

@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.analysis.arrays import TaskArrays, pad_task_grid
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.errors import ValidationError
+from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
 __all__ = [
@@ -36,11 +36,7 @@ __all__ = [
     "rta_schedulable",
     "core_response_times",
     "response_times_batch",
-    "response_times_arrays",
-    "response_times_grid",
-    "core_response_times_batch",
     "rta_schedulable_batch",
-    "rta_schedulable_sets",
 ]
 
 #: Safety cap on fixed-point iterations; the recurrence is monotone and
@@ -128,8 +124,6 @@ def core_response_times(
     name → response-time mapping with ``inf`` marking unschedulable
     tasks.
     """
-    from repro.model.priority import rate_monotonic_order
-
     ordered = rate_monotonic_order(tasks)
     results: dict[str, float] = {}
     higher: list[Interferer] = []
@@ -155,9 +149,12 @@ def response_times_batch(
     numpy — one ``O(n²)`` matrix iteration instead of ``n`` scalar
     fixed-point loops — and returns the response-time vector with
     ``inf`` marking tasks whose fixed point exceeds their deadline (or
-    diverges).  Semantics match :func:`response_time` exactly: same
+    diverges).  It follows :func:`response_time`'s rules (same
     initialisation, same ``1e-12`` ceiling guard, same divergence
-    precheck on the interferer utilisation.
+    precheck on the interferer utilisation), but numpy's row sum adds
+    the interference terms in a different order, so a response time
+    can differ from the scalar one by a few ulp — enough to flip a
+    verdict whose deadline lies that close to the response time.
 
     ``deadlines`` defaults to no limit (``inf`` everywhere); pass the
     deadline vector to reproduce the ``limit`` behaviour of the scalar
@@ -245,271 +242,51 @@ def response_times_batch(
     return result
 
 
-def response_times_arrays(
-    arrays: TaskArrays, blocking: float = 0.0
-) -> np.ndarray:
-    """Whole-core RTA over a :class:`TaskArrays` set, in set order.
-
-    Sorts the set into rate-monotonic priority order, solves every
-    task's recurrence in one call to :func:`response_times_batch`, and
-    scatters the responses back to the input order (element ``i`` of
-    the result is the response time of ``arrays.names[i]``).  ``inf``
-    marks tasks whose fixed point exceeds their deadline or diverges.
-    """
-    order = arrays.rm_order()
-    responses = response_times_batch(
-        arrays.wcets[order],
-        arrays.periods[order],
-        arrays.deadlines[order],
-        blocking=blocking,
-    )
-    out = np.empty(len(arrays))
-    out[order] = responses
-    return out
-
-
-def core_response_times_batch(
-    tasks: Sequence[RealTimeTask],
-) -> dict[str, float]:
-    """Batched equivalent of :func:`core_response_times`.
-
-    Same RM ordering, same name → response-time mapping with ``inf``
-    for unschedulable tasks; agrees with the scalar path to floating-
-    point round-off (tested to 1e-9).
-    """
-    arrays = TaskArrays.from_tasks(tasks).rm_sorted()
-    responses = response_times_batch(
-        arrays.wcets, arrays.periods, arrays.deadlines
-    )
-    return {name: float(r) for name, r in zip(arrays.names, responses)}
-
-
 def rta_schedulable_batch(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability via the batched RTA fast path.
+    """Exact RM schedulability via :func:`response_times_batch`.
 
-    Decision-equivalent to :func:`rta_schedulable`; preferred on the
-    hot admission path once the core holds enough tasks to amortise the
-    numpy setup cost.
+    Agrees with :func:`rta_schedulable` except when a response time
+    lies within a few ulp of its deadline (see
+    :func:`response_times_batch`).  Backs the registered ``rta-batch``
+    admission test.
     """
     if not len(tasks):
         return True
-    arrays = TaskArrays.from_tasks(tasks).rm_sorted()
+    ordered = rate_monotonic_order(tasks)
+    deadlines = np.array([task.deadline for task in ordered])
     responses = response_times_batch(
-        arrays.wcets, arrays.periods, arrays.deadlines
+        [task.wcet for task in ordered],
+        [task.period for task in ordered],
+        deadlines,
     )
-    return bool(np.all(responses <= arrays.deadlines + 1e-9))
-
-
-def response_times_grid(
-    wcets: np.ndarray,
-    periods: np.ndarray,
-    deadlines: np.ndarray | None = None,
-    valid: np.ndarray | None = None,
-    blocking: float = 0.0,
-) -> np.ndarray:
-    """RTA over a whole *grid* of task sets at once.
-
-    The 2-D generalisation of :func:`response_times_batch`: each row of
-    the ``(S, N)`` inputs is one core/placement candidate in priority
-    order (highest first), and all ``S·N`` fixed points are iterated
-    simultaneously — one array program for an entire utilisation
-    sweep's admission tests instead of ``S`` separate solves.  Rows
-    may hold fewer than ``N`` tasks; ``valid`` masks the occupied
-    slots (padding must carry ``wcet = 0`` and ``period = deadline =
-    inf``, which is what :func:`repro.analysis.arrays.pad_task_grid`
-    produces — a padded slot contributes zero interference and its own
-    response time is reported as ``0.0``).
-
-    Row semantics match :func:`response_times_batch` exactly: same
-    initialisation, same ``1e-12`` ceiling guard and convergence
-    tolerance, same divergence precheck on the higher-priority
-    utilisation, ``inf`` once an iterate passes the row's deadline.
-    """
-    wcets = np.asarray(wcets, dtype=float)
-    periods = np.asarray(periods, dtype=float)
-    if wcets.ndim != 2 or wcets.shape != periods.shape:
-        raise ValidationError(
-            "grid RTA needs 2-D wcets/periods of identical shape"
-        )
-    count, width = wcets.shape
-    if valid is None:
-        valid = np.ones((count, width), dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != wcets.shape:
-            raise ValidationError("valid mask must match the grid shape")
-    if deadlines is None:
-        deadlines = np.full((count, width), math.inf)
-    else:
-        deadlines = np.asarray(deadlines, dtype=float)
-        if deadlines.shape != wcets.shape:
-            raise ValidationError("deadlines must match the grid shape")
-    if blocking < 0:
-        raise ValidationError(f"blocking must be non-negative: {blocking!r}")
-    if np.any(wcets[valid] <= 0) or np.any(periods[valid] <= 0):
-        raise ValidationError("grid RTA needs positive wcets/periods")
-    if width == 0 or count == 0:
-        return np.zeros((count, width))
-
-    utilization = np.where(valid, wcets / periods, 0.0)
-    hp_utilization = np.concatenate(
-        (np.zeros((count, 1)), np.cumsum(utilization, axis=1)[:, :-1]),
-        axis=1,
-    )
-    diverged = valid & (hp_utilization >= 1.0)
-
-    result = np.zeros((count, width))
-    result[valid] = np.nan
-    result[diverged] = math.inf
-
-    # The grid is S·N *independent* fixed points (a slot's update reads
-    # only its own iterate plus its row's constant period/WCET vectors),
-    # so the iteration runs over a flattened task axis with per-task
-    # compaction: each task is sliced out of the working arrays the
-    # moment it settles, making total work track the sum of per-task
-    # iteration counts — like the scalar loop — instead of grid size ×
-    # the slowest task.  The flattened tasks are further *bucketed by
-    # priority slot*: a task at slot ``k`` reads only columns
-    # ``[0, k)`` of its interference row — every later column is
-    # identically zero — so rows are grouped into doubling width
-    # classes and each bucket iterates over truncated working
-    # matrices.  Dropping exact-zero tail columns leaves every partial
-    # sum bit-identical; the kernel is memory-bound, so skipping the
-    # zero tail (~half of a typical grid) is a near-proportional win.
-    res_flat = result.reshape(-1)
-    live = np.flatnonzero((valid & ~diverged).reshape(-1))
-    set_idx_all = live // width
-    slot_idx_all = live % width
-    # tri[i, j] = 1 iff slot j interferes with slot i (strictly higher
-    # priority); padded slots have zero WCET so they drop out of the
-    # interference sum.  Working matrices are built per live task
-    # directly — the (S, N, N) intermediate would mostly be sliced away.
-    tri = np.tri(width, k=-1)
-    bucket_widths = []
-    next_width = 4
-    while next_width < width:
-        bucket_widths.append(next_width)
-        next_width *= 2
-    bucket_widths.append(width)
-    lower = 0
-    for bucket_width in bucket_widths:
-        in_bucket = (slot_idx_all >= lower) & (slot_idx_all < bucket_width)
-        lower = bucket_width
-        rows = live[in_bucket]
-        if rows.size == 0:
-            continue
-        set_idx = set_idx_all[in_bucket]
-        slot_idx = slot_idx_all[in_bucket]
-        # Slice columns first (a view), then gather rows — gathering
-        # the full width only to slice it would copy twice the bytes.
-        mw = tri[:, :bucket_width][slot_idx] * wcets[:, :bucket_width][set_idx]
-        pv = periods[:, :bucket_width][set_idx]
-        w = wcets.reshape(-1)[rows]
-        d = deadlines.reshape(-1)[rows]
-        cur = w + blocking + mw.sum(axis=1)
-        buf = np.empty_like(mw)
-        # Rows whose result is already written (settled, or past their
-        # deadline → inf).  They keep riding the update harmlessly —
-        # every live fixed point is finite (divergence was prechecked),
-        # a settled iterate is exactly stable, and an over-deadline
-        # iterate just keeps climbing its own staircase — so the
-        # working arrays are compacted only when retired rows reach a
-        # quarter of the bucket, instead of copying every matrix on
-        # every iteration.
-        retired = np.zeros(rows.size, dtype=bool)
-        n_retired = 0
-        converged = False
-        for _ in range(_MAX_ITERATIONS):
-            # The recurrence is monotone: once the iterate exceeds the
-            # deadline the fixed point does too, so those tasks are inf.
-            over = (cur > d) & ~retired
-            if over.any():
-                res_flat[rows[over]] = math.inf
-                retired |= over
-                n_retired += int(over.sum())
-                if n_retired == rows.size:
-                    converged = True
-                    break
-            # One preallocated (L, N) buffer reused in place across the
-            # elementwise chain, then a fused rowwise dot for the
-            # interference sum — one pass instead of a multiply
-            # write-back plus a reduction.  The dot's accumulation
-            # order can differ from ``(terms * mw).sum(axis=1)`` by a
-            # few ulp, which the grid's decision-level contract absorbs
-            # (verdicts are checked against a 1e-9 deadline slack, not
-            # bitwise).
-            terms = buf[: rows.size]
-            np.divide(cur[:, None], pv, out=terms)
-            terms -= 1e-12
-            np.ceil(terms, out=terms)
-            nxt = np.einsum("ij,ij->i", terms, mw)
-            nxt += w
-            nxt += blocking
-            settled = (nxt <= cur + 1e-12) & ~retired
-            if settled.any():
-                res_flat[rows[settled]] = cur[settled]
-                retired |= settled
-                n_retired += int(settled.sum())
-            cur = nxt
-            if n_retired == rows.size:
-                converged = True
-                break
-            if n_retired * 4 >= rows.size:
-                keep = ~retired
-                rows = rows[keep]
-                cur = cur[keep]
-                w = w[keep]
-                d = d[keep]
-                mw = mw[keep]
-                pv = pv[keep]
-                buf = buf[: rows.size]
-                retired = np.zeros(rows.size, dtype=bool)
-                n_retired = 0
-        if not converged:
-            raise ValidationError(
-                "grid response-time iteration failed to converge; input "
-                "parameters are likely degenerate"
-            )
-    return result
-
-
-def rta_schedulable_sets(
-    task_sets: Sequence[Sequence[RealTimeTask] | TaskArrays],
-) -> np.ndarray:
-    """Exact RM schedulability of many independent task sets at once.
-
-    The sweep-level entry point: accepts whole cores — each element a
-    sequence of :class:`RealTimeTask` or a prebuilt
-    :class:`TaskArrays` — pads them into one rectangular grid and
-    answers every admission question with a single
-    :func:`response_times_grid` solve.  Returns a boolean vector
-    (``True`` = every task of that set meets its deadline), decision-
-    equivalent per set to :func:`rta_schedulable` /
-    :func:`rta_schedulable_batch`.
-    """
-    if not len(task_sets):
-        return np.zeros(0, dtype=bool)
-    ordered = [
-        (
-            ts if isinstance(ts, TaskArrays) else TaskArrays.from_tasks(ts)
-        ).rm_sorted()
-        for ts in task_sets
-    ]
-    wcets, periods, deadlines, valid = pad_task_grid(ordered)
-    responses = response_times_grid(wcets, periods, deadlines, valid)
-    return np.all(responses <= deadlines + 1e-9, axis=1)
+    return bool(np.all(responses <= deadlines + 1e-9))
 
 
 def rta_schedulable(tasks: Sequence[RealTimeTask]) -> bool:
     """Exact schedulability of one core's real-time tasks under RM.
 
-    True iff every task's response time is at most its deadline.  This is
+    True iff every task's response time is at most its own deadline;
+    stops at the first task (in priority order) that misses.  This is
     the admission test used by the partitioning heuristics (the paper
     assumes "real-time tasks are schedulable and assigned to the cores
     using existing multicore task partitioning algorithms").
     """
-    by_name = {task.name: task for task in tasks}
-    return all(
-        response <= by_name[name].deadline + 1e-9
-        for name, response in core_response_times(tasks).items()
-    )
+    return _schedulable_with_blocking(tasks, 0.0)
+
+
+def _schedulable_with_blocking(
+    tasks: Sequence[RealTimeTask], blocking: float
+) -> bool:
+    """Walk ``tasks`` in RM order and check each one's response time,
+    with ``blocking`` added once, against its own deadline; stop at the
+    first miss.  Shared by :func:`rta_schedulable` and
+    :func:`repro.analysis.blocking.rt_schedulable_with_blocking`."""
+    higher: list[Interferer] = []
+    for task in rate_monotonic_order(tasks):
+        response = response_time(
+            task.wcet, higher, limit=task.deadline, blocking=blocking
+        )
+        if not response <= task.deadline + 1e-9:
+            return False
+        higher.append(Interferer.from_rt(task))
+    return True

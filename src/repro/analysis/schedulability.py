@@ -81,28 +81,18 @@ def utilization_test(tasks: Sequence[RealTimeTask]) -> bool:
     return sum(task.utilization for task in tasks) <= 1.0 + 1e-12
 
 
-#: Core sizes from which the vectorised RTA beats the scalar loop
-#: (numpy setup overhead amortises over the per-task fixed points;
-#: measured crossover ≈ 15 tasks on CPython 3.11 / numpy 1.26+).
-_RTA_BATCH_MIN_TASKS = 16
-
-
 def rta_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability via response-time analysis (default).
-
-    Dispatches to the vectorised batch solver
-    (:func:`repro.analysis.rta.rta_schedulable_batch`) once the core
-    holds :data:`_RTA_BATCH_MIN_TASKS` tasks; both paths are
-    decision-equivalent (tested), the batch one is just faster on the
-    partitioning heuristics' hot admission loop.
-    """
-    if len(tasks) >= _RTA_BATCH_MIN_TASKS:
-        return rta_schedulable_batch(tasks)
+    """Exact RM schedulability via scalar response-time analysis
+    (:func:`repro.analysis.rta.rta_schedulable`), the default test at
+    every core size."""
     return rta_schedulable(tasks)
 
 
 def rta_batch_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability, always via the batched solver."""
+    """Exact RM schedulability via the numpy solver
+    (:func:`repro.analysis.rta.rta_schedulable_batch`); agrees with
+    :func:`rta_test` except when a response time lies within a few ulp
+    of its deadline."""
     return rta_schedulable_batch(tasks)
 
 

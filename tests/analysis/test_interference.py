@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.interference import (
     Interferer,
@@ -123,3 +125,66 @@ class TestLinearHelpers:
         task = sec(wcet=4.0)
         t_min = min_feasible_period(task, env)
         assert task.wcet + env.interference(t_min) == pytest.approx(t_min)
+
+
+# ------------------------------------------------------------ properties
+
+
+@st.composite
+def rt_cores(draw):
+    """0-6 real-time tasks, each with ``C/T`` in ``[0.01, 0.4]``, so the
+    core's utilisation lands on both sides of 1."""
+    tasks = []
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        period = draw(st.floats(min_value=1.0, max_value=1000.0))
+        share = draw(st.floats(min_value=0.01, max_value=0.4))
+        tasks.append(rt(period * share, period, name=f"r{i}"))
+    return tasks
+
+
+@st.composite
+def hp_security(draw):
+    """0-3 ``(security task, assigned period)`` pairs."""
+    pairs = []
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        wcet = draw(st.floats(min_value=0.1, max_value=50.0))
+        period = wcet * draw(st.floats(min_value=1.0, max_value=100.0))
+        pairs.append((sec(wcet=wcet, tdes=period, tmax=period, name=f"s{i}"),
+                      period))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rt_tasks=rt_cores(),
+    security=hp_security(),
+    window=st.floats(min_value=1.0, max_value=1e4),
+)
+def test_linear_interference_is_the_eq5_sum(rt_tasks, security, window):
+    """``I = Σ_r (1 + Ts/Tr)·Cr + Σ_h (1 + Ts/Th)·Ch`` term by term."""
+    expected = math.fsum(
+        [(1 + window / t.period) * t.wcet for t in rt_tasks]
+        + [(1 + window / period) * s.wcet for s, period in security]
+    )
+    assert math.isclose(
+        linear_interference(window, rt_tasks, security),
+        expected,
+        rel_tol=1e-12,
+        abs_tol=1e-9,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rt_tasks=rt_cores(), wcet=st.floats(min_value=0.1, max_value=100.0))
+def test_min_feasible_period_is_the_root_of_eq6(rt_tasks, wcet):
+    """Finite exactly when the interferers leave spare capacity, and then
+    the period where ``Cs + I(Ts) = Ts``: the left side grows with slope
+    ``U < 1``, so no shorter period meets Eq. (6)."""
+    env = InterferenceEnv.on_core(rt_tasks)
+    period = min_feasible_period(sec(wcet=wcet, tdes=1e6, tmax=1e7), env)
+    if env.utilization >= 1.0:
+        assert period == math.inf
+    else:
+        assert math.isclose(
+            wcet + env.interference(period), period, rel_tol=1e-9
+        )

@@ -6,12 +6,15 @@ import math
 
 import pytest
 
+from repro.analysis.admission import ExactAdmissionCore
+from repro.analysis.blocking import rt_schedulable_with_blocking
 from repro.analysis.interference import Interferer
 from repro.analysis.rta import (
     core_response_times,
     response_time,
     rta_schedulable,
 )
+from repro.analysis.schedulability import rta_test
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
@@ -117,3 +120,15 @@ class TestRtaSchedulable:
 
     def test_empty(self):
         assert rta_schedulable([])
+
+    def test_same_named_tasks_each_meet_their_own_deadline(self):
+        # "a" responds at 3 behind "h" but must finish by 2; a second,
+        # lower-priority "a" with a lax deadline must not mask the miss.
+        h = rt("h", 2, 4)
+        a = RealTimeTask(name="a", wcet=1.0, period=5.0, deadline=2.0)
+        a2 = rt("a", 1, 100)
+        tasks = [h, a, a2]
+        assert not rta_schedulable(tasks)
+        assert not rta_test(tasks)
+        assert not rt_schedulable_with_blocking(tasks, 0.0)
+        assert not ExactAdmissionCore([h, a]).admits(a2)

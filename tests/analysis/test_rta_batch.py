@@ -1,10 +1,10 @@
 """Equivalence suite: batched RTA vs the scalar fixed-point solver.
 
-The batched solver is the fast path on the partitioning heuristics'
-admission loop, so it must be *decision-identical* to the scalar one —
-including unschedulable (``inf``) verdicts.  The random-core sweep
-below covers 200 generated cores spanning schedulable, overloaded and
-exactly-critical utilisations.
+The batched solver backs the registered ``rta-batch`` admission test,
+so it must agree with the scalar one — including unschedulable
+(``inf``) verdicts — up to a few ulp of round-off.  The random-core
+sweep below covers 200 generated cores spanning schedulable, overloaded
+and exactly-critical utilisations.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import pytest
 
 from repro.analysis.rta import (
     core_response_times,
-    core_response_times_batch,
     response_time,
     response_times_batch,
     rta_schedulable,
     rta_schedulable_batch,
 )
+from repro.analysis.schedulability import get_admission_test
 from repro.errors import ValidationError
+from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
 
@@ -41,6 +42,18 @@ def _random_core(rng: np.random.Generator) -> list[RealTimeTask]:
     return tasks
 
 
+def _batch_response_times(tasks: list[RealTimeTask]) -> dict[str, float]:
+    """Name → response time from one :func:`response_times_batch` solve
+    over ``tasks`` in rate-monotonic order."""
+    ordered = rate_monotonic_order(tasks)
+    responses = response_times_batch(
+        [t.wcet for t in ordered],
+        [t.period for t in ordered],
+        [t.deadline for t in ordered],
+    )
+    return {t.name: float(r) for t, r in zip(ordered, responses)}
+
+
 class TestRandomCoreEquivalence:
     def test_batch_matches_scalar_on_200_random_cores(self):
         rng = np.random.default_rng(20180319)
@@ -48,7 +61,7 @@ class TestRandomCoreEquivalence:
         for _ in range(200):
             tasks = _random_core(rng)
             scalar = core_response_times(tasks)
-            batch = core_response_times_batch(tasks)
+            batch = _batch_response_times(tasks)
             assert scalar.keys() == batch.keys()
             for name in scalar:
                 s, b = scalar[name], batch[name]
@@ -117,21 +130,15 @@ class TestLowLevelBatch:
             response_times_batch([1.0], [10.0], deadlines=[5.0, 6.0])
 
 
-class TestAdmissionDispatch:
-    def test_rta_test_agrees_with_both_paths_across_sizes(self):
-        from repro.analysis.schedulability import rta_batch_test, rta_test
-
+class TestRegisteredTests:
+    def test_rta_and_rta_batch_agree_on_random_cores(self):
+        rta = get_admission_test("rta")
+        rta_batch = get_admission_test("rta-batch")
         rng = np.random.default_rng(99)
         for _ in range(40):
             tasks = _random_core(rng)
-            assert (
-                rta_test(tasks)
-                == rta_batch_test(tasks)
-                == rta_schedulable(tasks)
-            )
+            assert rta(tasks) == rta_batch(tasks)
 
     def test_rta_batch_registered_as_admission_test(self):
-        from repro.analysis.schedulability import get_admission_test
-
         test = get_admission_test("rta-batch")
         assert test([RealTimeTask(name="a", wcet=1.0, period=10.0)])

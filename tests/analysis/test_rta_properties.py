@@ -1,6 +1,6 @@
 """Property-based tests for the exact RTA module (hypothesis).
 
-Structural facts the allocators and the batched fast path rely on:
+Structural facts the allocators and the batched solver rely on:
 
 * the fixed point is **monotone** in the analysed task's WCET and in
   the blocking term (more work never responds sooner);
@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.rta import (
     core_response_times,
-    core_response_times_batch,
     response_time,
+    response_times_batch,
 )
+from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
 # Interferer sets are drawn with bounded per-task utilisation so most
@@ -118,8 +119,6 @@ def test_lowest_priority_entry_matches_direct_response_time(data):
         RealTimeTask(name=f"t{i:02d}", wcet=c, period=t)
         for i, (c, t) in enumerate(data)
     ]
-    from repro.model.priority import rate_monotonic_order
-
     ordered = rate_monotonic_order(tasks)
     lowest = ordered[-1]
     per_core = core_response_times(tasks)
@@ -151,9 +150,14 @@ def test_batch_agrees_with_scalar_everywhere(data):
         for i, (c, t) in enumerate(data)
     ]
     scalar = core_response_times(tasks)
-    batch = core_response_times_batch(tasks)
-    for name in scalar:
-        if math.isinf(scalar[name]):
-            assert math.isinf(batch[name])
+    ordered = rate_monotonic_order(tasks)
+    batch = response_times_batch(
+        [t.wcet for t in ordered],
+        [t.period for t in ordered],
+        [t.deadline for t in ordered],
+    )
+    for task, b in zip(ordered, batch):
+        if math.isinf(scalar[task.name]):
+            assert math.isinf(b)
         else:
-            assert abs(scalar[name] - batch[name]) <= 1e-9
+            assert abs(scalar[task.name] - b) <= 1e-9
