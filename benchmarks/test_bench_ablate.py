@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.ablate import AblationExperiment, parse_ablation, run_id, run_set
 from repro.experiments.parallel import SweepEngine
-from repro.experiments.store import ExperimentStore
+from repro.experiments.store import ResultStore
 
 #: The full five-axis study over the paper's design point.
 _FULL_DOC = {
@@ -50,12 +50,12 @@ def test_ablate_runset(benchmark, scale):
 def test_ablate_cached_rescore(benchmark, scale, tmp_path):
     """Pinned: warm-cache rerun of a study (store reads + scoring)."""
     experiment = AblationExperiment(parse_ablation(_RESCORE_DOC))
-    store = ExperimentStore(tmp_path / "cache")
+    store = ResultStore(tmp_path / "cache")
     cold = experiment.run(scale, SweepEngine(cache=store))
 
     def rescore():
         return experiment.run(
-            scale, SweepEngine(cache=ExperimentStore(tmp_path / "cache"))
+            scale, SweepEngine(cache=ResultStore(tmp_path / "cache"))
         )
 
     warm = benchmark(rescore)

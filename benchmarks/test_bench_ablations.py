@@ -11,23 +11,21 @@
 from __future__ import annotations
 
 from repro.experiments.ablations import (
-    core_choice_ablation,
     extension_ablation,
-    format_allocator_comparison,
     format_extension_ablation,
     format_search_ablation,
-    partitioning_ablation,
     search_ablation,
-    solver_ablation,
 )
+from repro.experiments.registry import get_experiment
 
 
 def test_solver_ablation(benchmark, scale):
+    experiment = get_experiment("ablation-solver")
     comparison = benchmark.pedantic(
-        solver_ablation, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
     print()
-    print(format_allocator_comparison(comparison, "Ablation: period solver"))
+    print(experiment.render_domain(comparison))
 
     closed = comparison.series("hydra")
     exact = comparison.series("hydra[exact-rta]")
@@ -43,15 +41,12 @@ def test_solver_ablation(benchmark, scale):
 
 
 def test_core_choice_ablation(benchmark, scale):
+    experiment = get_experiment("ablation-core-choice")
     comparison = benchmark.pedantic(
-        core_choice_ablation, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
     print()
-    print(
-        format_allocator_comparison(
-            comparison, "Ablation: core-selection rule"
-        )
-    )
+    print(experiment.render_domain(comparison))
 
     hydra = comparison.series("hydra")
     first = comparison.series("first-feasible")
@@ -83,15 +78,12 @@ def test_search_ablation(benchmark, scale):
 
 
 def test_partitioning_ablation(benchmark, scale):
+    experiment = get_experiment("ablation-partitioning")
     comparison = benchmark.pedantic(
-        partitioning_ablation, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
     print()
-    print(
-        format_allocator_comparison(
-            comparison, "Ablation: real-time partitioning heuristic"
-        )
-    )
+    print(experiment.render_domain(comparison))
 
     schemes = comparison.schemes()
     assert set(schemes) == {"best-fit", "worst-fit", "first-fit"}

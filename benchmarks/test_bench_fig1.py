@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.fig1 import format_fig1, run_fig1
+from repro.experiments.registry import get_experiment
 
 #: The paper's reported mean-detection improvements, for the printout.
 PAPER_SPEEDUPS = {2: 19.81, 4: 27.23, 8: 29.75}
 
 
 def test_fig1_regeneration(benchmark, scale):
+    experiment = get_experiment("fig1")
     result = benchmark.pedantic(
-        run_fig1, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()
-    print(format_fig1(result))
+    print(experiment.render_domain(result))
 
     assert len(result.points) == len(
         [c for c in scale.core_counts if c >= 2]

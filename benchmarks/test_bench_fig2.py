@@ -9,16 +9,17 @@ saturates first).
 
 from __future__ import annotations
 
-from repro.experiments.fig2 import format_fig2, run_fig2
+from repro.experiments.registry import get_experiment
 
 
 def test_fig2_regeneration(benchmark, scale):
+    experiment = get_experiment("fig2")
     result = benchmark.pedantic(
-        run_fig2, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()
-    print(format_fig2(result))
+    print(experiment.render_domain(result))
 
     for cores in result.core_counts:
         panel = result.panel(cores)

@@ -8,16 +8,17 @@ at high utilisation, with degradation "no more than 22 %".
 
 from __future__ import annotations
 
-from repro.experiments.fig3 import format_fig3, run_fig3
+from repro.experiments.registry import get_experiment
 
 
 def test_fig3_regeneration(benchmark, scale):
+    experiment = get_experiment("fig3")
     result = benchmark.pedantic(
-        run_fig3, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()
-    print(format_fig3(result))
+    print(experiment.render_domain(result))
 
     points = [p for p in result.points if p.compared > 0]
     assert points, "no comparable task sets generated"

@@ -27,10 +27,11 @@ import time
 
 import pytest
 
-from repro.experiments.cache import ResultCache
+from repro.executors import PoolExecutor
 from repro.experiments.fig2 import fig2_sweep_spec
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.pool import WorkerPool
+from repro.experiments.store import ResultStore
 
 #: Workers for the parallel leg (capped by the visible CPU count so
 #: single-core CI boxes measure overhead honestly, not oversubscription).
@@ -81,7 +82,8 @@ def test_parallel_sweep_pooled(benchmark, scale, serial_bytes):
     workers, spawned and warmed by one untimed run."""
     spec = _mini_spec(scale)
     with WorkerPool(_WORKERS) as pool:
-        engine = SweepEngine(pool=pool)
+        executor = PoolExecutor(pool=pool)
+        engine = SweepEngine(executor=executor)
         warm = engine.run(spec)
         result = benchmark.pedantic(
             engine.run, args=(spec,), rounds=_SPEEDUP_ROUNDS, iterations=1
@@ -119,13 +121,16 @@ def _run_with_fork_per_sweep(specs) -> list:
     results = []
     for spec in specs:
         with WorkerPool(_FANOUT_WORKERS) as pool:
-            results.append(SweepEngine(pool=pool).run(spec))
+            executor = PoolExecutor(pool=pool)
+            results.append(SweepEngine(executor=executor).run(spec))
     return results
 
 
 def _run_with_persistent_pool(specs) -> list:
     with WorkerPool(_FANOUT_WORKERS) as pool:
-        return [SweepEngine(pool=pool).run(spec) for spec in specs]
+        executor = PoolExecutor(pool=pool)
+        engine = SweepEngine(executor=executor)
+        return [engine.run(spec) for spec in specs]
 
 
 def test_persistent_pool_fanout(benchmark):
@@ -168,12 +173,12 @@ def test_persistent_pool_fanout(benchmark):
 def test_cache_hit_latency(scale, tmp_path):
     spec = _mini_spec(scale)
 
-    cold_engine = SweepEngine(workers=1, cache=ResultCache(tmp_path))
+    cold_engine = SweepEngine(workers=1, cache=ResultStore(tmp_path))
     start = time.perf_counter()
     cold = cold_engine.run(spec)
     cold_s = time.perf_counter() - start
 
-    warm_engine = SweepEngine(workers=1, cache=ResultCache(tmp_path))
+    warm_engine = SweepEngine(workers=1, cache=ResultStore(tmp_path))
     start = time.perf_counter()
     warm = warm_engine.run(spec)
     warm_s = time.perf_counter() - start

@@ -7,16 +7,17 @@ monitoring it achieves is looser (longer periods → slower detection).
 
 from __future__ import annotations
 
-from repro.experiments.quality import format_quality, run_quality
+from repro.experiments.registry import get_experiment
 
 
 def test_quality_regeneration(benchmark, scale):
+    experiment = get_experiment("quality")
     result = benchmark.pedantic(
-        run_quality, args=(scale,), rounds=1, iterations=1
+        experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()
-    print(format_quality(result))
+    print(experiment.render_domain(result))
 
     usable = [p for p in result.points if p.both_accepted > 0]
     assert usable, "no commonly-accepted task sets"

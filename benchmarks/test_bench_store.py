@@ -1,13 +1,11 @@
-"""Bench: the sharded result store vs the v1 JSON-per-point layout.
+"""Bench: the sharded result store's two hot paths.
 
 Two properties are pinned:
 
 * **warm read** — serving a whole sweep's worth of entries from a
-  shard (one index load + seek/read pairs) is fast in absolute terms
-  and beats reading the same entries from a v1 directory of individual
-  JSON files;
+  shard (one index load + seek/read pairs);
 * **batched write** — ``put_many`` appends a sweep's results through
-  one file handle, beating one-file-per-point creation.
+  one file handle.
 
 Entry payloads mimic an acceptance point (a few hundred bytes of JSON)
 and the entry count mimics a mid-sized design-space sweep.
@@ -15,9 +13,7 @@ and the entry count mimics a mid-sized design-space sweep.
 
 from __future__ import annotations
 
-import time
-
-from repro.experiments.store import ResultStore, cache_key, write_v1_entry
+from repro.experiments.store import ResultStore
 
 #: Entries per benchmark round — a mid-sized sweep panel.
 _ENTRIES = 400
@@ -72,68 +68,3 @@ def test_store_put_many(benchmark, tmp_path):
 
     written = benchmark(write_batch)
     assert written == _ENTRIES
-
-
-def test_store_beats_v1_layout(tmp_path):
-    """The reason the store exists: at sweep scale, one shard beats
-    thousands of per-point files on both write and warm read."""
-    entries = _entries()
-
-    start = time.perf_counter()
-    for key, payload in entries:
-        write_v1_entry(tmp_path / "v1", "bench", key, payload)
-    v1_write_s = time.perf_counter() - start
-
-    store = ResultStore(tmp_path / "v2")
-    start = time.perf_counter()
-    store.put_many("bench", entries)
-    v2_write_s = time.perf_counter() - start
-
-    # v1 warm read = the old ResultCache.get loop: open every file.
-    import json
-
-    keys = [key for key, _ in entries]
-    v1_dir = tmp_path / "v1" / "bench"
-    start = time.perf_counter()
-    v1_read = [
-        json.loads((v1_dir / f"{cache_key(key)}.json").read_text())["payload"]
-        for key in keys
-    ]
-    v1_read_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    v2_read = ResultStore(tmp_path / "v2").get_many("bench", keys)
-    v2_read_s = time.perf_counter() - start
-
-    print()
-    print(
-        f"{_ENTRIES} entries: write v1 {v1_write_s*1000:.0f}ms vs v2 "
-        f"{v2_write_s*1000:.0f}ms (×{v1_write_s / v2_write_s:.1f}); "
-        f"warm read v1 {v1_read_s*1000:.0f}ms vs v2 "
-        f"{v2_read_s*1000:.0f}ms (×{v1_read_s / v2_read_s:.1f})"
-    )
-
-    assert v1_read == v2_read
-    # Writes are where per-point files hurt most (one create+rename
-    # each): the batched append must win outright.  Warm reads at this
-    # size are JSON-parse-dominated for both layouts, so the store only
-    # has to avoid regressing (its structural win — no per-entry
-    # open/stat — compounds with entry count, not payload size).
-    assert v2_write_s < v1_write_s
-    assert v2_read_s < v1_read_s * 1.25
-
-
-def test_migration_throughput(tmp_path):
-    """One-shot v1 ingestion stays cheap even for mid-sized caches."""
-    for key, payload in _entries():
-        write_v1_entry(tmp_path, "bench", key, payload)
-
-    start = time.perf_counter()
-    store = ResultStore(tmp_path)  # migrates on open
-    migrate_s = time.perf_counter() - start
-
-    print()
-    print(f"migrated {_ENTRIES} v1 entries in {migrate_s*1000:.0f}ms")
-    assert len(store) == _ENTRIES
-    assert store.pending_v1_entries() == 0
-    assert migrate_s < 30.0  # generous: CI boxes can be slow

@@ -7,14 +7,15 @@ parameters and the per-scheme allocation on the UAV platform.
 
 from __future__ import annotations
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.registry import get_experiment
 
 
 def test_table1_regeneration(benchmark):
-    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    experiment = get_experiment("table1")
+    rows = benchmark.pedantic(experiment.run_domain, rounds=1, iterations=1)
 
     print()
-    print(format_table1(rows))
+    print(experiment.render_domain(rows))
 
     # Shape assertions mirroring the paper's table.
     assert len(rows) == 6

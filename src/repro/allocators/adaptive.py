@@ -36,8 +36,9 @@ from __future__ import annotations
 import math
 
 from repro.analysis.interference import Interferer, InterferenceEnv
-from repro.core.allocator import Allocation, Allocator, SecurityAssignment
+from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.system import SystemModel
 from repro.model.task import SecurityTask
 

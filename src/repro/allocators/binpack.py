@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.allocator import Allocation
 from repro.core.hydra import PERIOD_SOLVERS
 from repro.core.variants import _GreedyCoreAllocator
 from repro.errors import ConfigError
+from repro.model.allocation import Allocation
 from repro.model.system import SystemModel
 
 __all__ = ["BIN_PACKING_RULES", "BinPackingAllocator"]

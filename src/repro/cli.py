@@ -33,14 +33,12 @@ invocation forks at most one worker pool: every selected experiment's
 sweeps reuse the shared :class:`repro.experiments.pool.WorkerPool`,
 which is shut down when the run finishes (set ``REPRO_LOG=info`` to
 watch the spawn happen exactly once).  Caches are sharded v2 stores
-(:mod:`repro.experiments.store`); pointing ``--cache-dir`` at an old
-v1 JSON-per-point directory migrates it in place, and::
+(:mod:`repro.experiments.store`), and::
 
-    repro-hydra cache stats   [--cache-dir DIR]
-    repro-hydra cache migrate [--cache-dir DIR]
-    repro-hydra cache gc      [--cache-dir DIR]
+    repro-hydra cache stats [--cache-dir DIR]
+    repro-hydra cache gc    [--cache-dir DIR]
 
-inspects, migrates, or compacts a store without running anything, and::
+inspects or compacts a store without running anything, and::
 
     repro-hydra serve [--host H] [--port P] [--cache-dir DIR]
 
@@ -191,15 +189,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         default=None,
         help="write the output to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
-        help=(
-            "additionally export each selected experiment's tabular view "
-            "as <DIR>/<name>.csv (legacy; prefer --format csv --output)"
-        ),
     )
 
 
@@ -407,18 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = subparsers.add_parser(
         "cache",
-        help="inspect, migrate, or compact an on-disk result store",
+        help="inspect or compact an on-disk result store",
         description=(
             "Maintain a sweep result store: 'stats' reports shards, "
             "entry counts and bytes (without mutating anything), "
-            "'migrate' ingests a v1 JSON-per-point directory into the "
-            "sharded v2 layout, 'gc' compacts shards by dropping "
-            "superseded and torn records."
+            "'gc' compacts shards by dropping superseded and torn "
+            "records and merges per-writer segments."
         ),
     )
     cache.add_argument(
         "action",
-        choices=("stats", "migrate", "gc"),
+        choices=("stats", "gc"),
         help="what to do with the store",
     )
     cache.add_argument(
@@ -691,13 +679,12 @@ def _run_cache(args) -> int:
 
     directory = args.cache_dir
     if args.action == "stats":
-        # Genuinely read-only: no root creation, no migration, no
+        # Genuinely read-only: no root creation, no marker, no
         # index-rebuild persisting — a typoed directory reads as empty
         # instead of being silently created.
         stats = ResultStore(directory, readonly=True).stats()
-        fmt = "v2" if stats["migrated"] else "v1/unmigrated"
         print(
-            f"store {stats['directory']} ({fmt}): "
+            f"store {stats['directory']} (v{stats['format']}): "
             f"{stats['entries']} entries, {stats['data_bytes']} data bytes, "
             f"{len(stats['shards'])} shard(s)"
         )
@@ -717,30 +704,15 @@ def _run_cache(args) -> int:
                 f"{stats['segment_bytes']} bytes — run 'repro-hydra "
                 f"cache gc' to merge them into the primary log"
             )
-        if stats["pending_v1_entries"]:
-            print(
-                f"  {stats['pending_v1_entries']} v1 entr"
-                f"{'y' if stats['pending_v1_entries'] == 1 else 'ies'} "
-                f"pending migration (run 'repro-hydra cache migrate')"
-            )
         return 0
-    # The mutating verbs refuse to conjure a store out of thin air — a
-    # typoed --cache-dir must error, not report success on a fresh
-    # empty directory (stats above is read-only and needs no guard).
+    # gc refuses to conjure a store out of thin air — a typoed
+    # --cache-dir must error, not report success on a fresh empty
+    # directory (stats above is read-only and needs no guard).
     if not Path(directory).is_dir():
         raise ValidationError(
             f"no cache directory at {directory!r}; nothing to "
             f"{args.action}"
         )
-    if args.action == "migrate":
-        store = ResultStore(directory, migrate=False)
-        migrated = store.migrate()
-        print(
-            f"migrated {migrated} v1 entr"
-            f"{'y' if migrated == 1 else 'ies'} into {directory} "
-            f"({len(store)} entries total)"
-        )
-        return 0
     summary = ResultStore(directory).gc()
     if summary["merged_segments"]:
         print(
@@ -886,7 +858,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if fmt == "csv" and len(experiments) != 1:
         parser.error(
             f"--format csv needs a single experiment (got "
-            f"{len(experiments)}); use --csv DIR for per-experiment files"
+            f"{len(experiments)})"
         )
 
     results = []
@@ -910,14 +882,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.experiments.pool import shutdown_shared_pool
 
         shutdown_shared_pool()
-
-    if args.csv:
-        target = Path(args.csv)
-        target.mkdir(parents=True, exist_ok=True)
-        for experiment, result in results:
-            if result.columns:
-                name = result.experiment.replace(":", "-").replace("/", "-")
-                (target / f"{name}.csv").write_text(result.to_csv())
 
     if fmt == "json":
         if len(results) == 1:

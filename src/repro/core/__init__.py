@@ -14,13 +14,7 @@ from repro.core.advice import (
     diagnose,
     max_security_scale,
 )
-from repro.core.allocator import (
-    Allocation,
-    AllocationResult,
-    Allocator,
-    SecurityAssignment,
-    as_allocation,
-)
+from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS, HydraAllocator
 from repro.core.nonpreemptive import NonPreemptiveHydraAllocator
 from repro.core.optimal import OptimalAllocator
@@ -34,6 +28,12 @@ from repro.core.variants import (
     FirstFeasibleAllocator,
     LpRefinedHydraAllocator,
     SlackiestCoreAllocator,
+)
+from repro.model.allocation import (
+    Allocation,
+    AllocationResult,
+    SecurityAssignment,
+    as_allocation,
 )
 
 __all__ = [

@@ -1,37 +1,23 @@
 """Common allocator interface.
 
-The result types (:class:`~repro.model.allocation.SecurityAssignment`,
-:class:`~repro.model.allocation.Allocation`,
-:class:`~repro.model.allocation.AllocationResult`) live in
-:mod:`repro.model.allocation` — they are pure data shared by every
-layer; this module keeps re-exporting them so pre-existing imports
-(``from repro.core.allocator import Allocation``) stay valid.
-
-What lives *here* is the behavioural contract: the :class:`Allocator`
-ABC every allocation scheme in the paper (HYDRA, SingleCore, OPT), every
+The :class:`Allocator` ABC is the behavioural contract every
+allocation scheme in the paper (HYDRA, SingleCore, OPT), every
 ablation variant, and every registered strategy
-(:mod:`repro.allocators`) implements.
+(:mod:`repro.allocators`) implements.  The result types it produces
+(:class:`~repro.model.allocation.Allocation` and friends) live in
+:mod:`repro.model.allocation`.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
-from repro.model.allocation import (  # noqa: F401 - compat re-exports
-    Allocation,
-    AllocationResult,
-    SecurityAssignment,
-    as_allocation,
-)
-from repro.model.system import SystemModel
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.allocation import Allocation
+    from repro.model.system import SystemModel
 
-__all__ = [
-    "SecurityAssignment",
-    "Allocation",
-    "AllocationResult",
-    "Allocator",
-    "as_allocation",
-]
+__all__ = ["Allocator"]
 
 
 class Allocator(abc.ABC):

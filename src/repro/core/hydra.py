@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.analysis.interference import InterferenceEnv
-from repro.core.allocator import Allocation, Allocator, SecurityAssignment
+from repro.core.allocator import Allocator
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
 from repro.model.task import SecurityTask

@@ -9,7 +9,8 @@ the cumulative weighted tightness exactly (DESIGN §2.2).
 
 from __future__ import annotations
 
-from repro.core.allocator import Allocation, Allocator, as_allocation
+from repro.core.allocator import Allocator
+from repro.model.allocation import Allocation, as_allocation
 from repro.model.system import SystemModel
 from repro.opt.branch_bound import branch_bound_optimal
 from repro.opt.exhaustive import exhaustive_optimal

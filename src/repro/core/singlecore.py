@@ -21,8 +21,9 @@ from typing import Iterable
 
 from repro.analysis.interference import InterferenceEnv
 from repro.analysis.schedulability import AdmissionTest
-from repro.core.allocator import Allocation, Allocator, SecurityAssignment
+from repro.core.allocator import Allocator
 from repro.errors import AllocationError
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.platform import Platform
 from repro.model.priority import security_priority_order
 from repro.model.system import Partition, SystemModel

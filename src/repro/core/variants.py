@@ -18,8 +18,9 @@ of those choices so the ablation benches can attribute HYDRA's behaviour:
 from __future__ import annotations
 
 from repro.analysis.interference import InterferenceEnv
-from repro.core.allocator import Allocation, Allocator, SecurityAssignment
+from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS, HydraAllocator
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
 from repro.model.task import SecurityTask

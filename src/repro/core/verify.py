@@ -1,7 +1,7 @@
 """Independent verification of allocations.
 
 Allocators are trusted nowhere in this package: this module re-derives,
-from first principles, whether an :class:`~repro.core.allocator.Allocation`
+from first principles, whether an :class:`~repro.model.allocation.Allocation`
 is actually valid for a system — coverage, period bounds, and the
 schedulability constraint (linearised Eq. (6) by default, exact RTA on
 request) for every security task given everything above it on its core.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.analysis.blocking import rt_schedulable_with_blocking
 from repro.analysis.interference import InterferenceEnv
 from repro.analysis.rta import response_time
-from repro.core.allocator import Allocation
+from repro.model.allocation import Allocation
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
 

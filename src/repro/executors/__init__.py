@@ -19,7 +19,8 @@ Built-ins:
     In-process, in-order — the golden reference.
 ``pool``
     The process-wide persistent :class:`~repro.experiments.pool.
-    WorkerPool` (the engine's historic ``workers=N`` path).
+    WorkerPool` — what a ``workers=N`` engine uses when no executor
+    is named.
 ``subprocess-workers``
     Long-lived worker subprocesses speaking newline-delimited JSON,
     with heartbeats, per-task timeouts, and bounded retry of points

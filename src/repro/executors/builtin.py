@@ -1,10 +1,9 @@
 """The in-process execution backends: ``serial`` and ``pool``.
 
 ``serial`` computes points on the calling thread — the golden
-reference every other backend is pinned against.  ``pool`` wraps the
-existing process-wide :class:`~repro.experiments.pool.WorkerPool`
-(or an injected one), so choosing it is exactly the engine's historic
-``workers=N`` behaviour, now addressable by name.
+reference every other backend is pinned against.  ``pool`` fans points
+over the process-wide :class:`~repro.experiments.pool.WorkerPool` (or
+an injected one); a ``workers > 1`` engine with no executor uses it.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ class SerialExecutor(Executor):
 class PoolExecutor(Executor):
     """Fan points over a persistent :class:`WorkerPool`.
 
-    Without an injected pool this lazily attaches to the process-wide
-    shared pool (:func:`repro.experiments.pool.get_shared_pool`) on
-    the first batch — the engine's historic parallel path.  The pool's
-    owner keeps its lifecycle: :meth:`close` never shuts down the
-    shared pool (the CLI/atexit hook reaps it) nor an injected one.
+    Without an injected pool this fetches the process-wide shared pool
+    (:func:`repro.experiments.pool.get_shared_pool`) afresh for each
+    multi-point batch, so a pool grown or shut down between sweeps is
+    never revived as an orphan.  The pool's owner keeps its lifecycle:
+    :meth:`close` never shuts down the shared pool (the CLI/atexit hook
+    reaps it) nor an injected one.
     """
 
     name = "pool"
@@ -75,8 +75,10 @@ class PoolExecutor(Executor):
             execute_point,
         )
 
-        pool = self._pool()
-        if pool.max_workers == 1 or len(indices) == 1:
+        # A one-point batch runs inline without asking for the shared
+        # pool, which would replace a warm pool smaller than requested.
+        pool = None if len(indices) == 1 else self._pool()
+        if pool is None or pool.max_workers == 1:
             return [(i, execute_point(spec, i)) for i in indices]
         computed = pool.map(
             _execute_point_job, repeat(spec.to_dict()), indices,

@@ -22,30 +22,20 @@
 * :mod:`repro.experiments.pool` — the persistent :class:`WorkerPool`
   shared across sweeps (one fork per CLI invocation/pytest session).
 * :mod:`repro.experiments.store` — the sharded, append-only
-  :class:`ResultStore` (cache format v2; migrates v1 automatically).
-* :mod:`repro.experiments.cache` — compatibility wrapper over the
-  store (the deprecated ``ResultCache`` name).
+  :class:`ResultStore` (cache format v2).
 
-The ``run_X``/``format_X`` module functions remain as thin deprecated
-shims over the corresponding :class:`Experiment` classes.
+Run an experiment with ``get_experiment(name).run(scale, engine)``
+(the typed :class:`ExperimentResult`) or ``.run_domain(scale, engine)``
+(the driver's domain object, e.g. ``Fig2Result``); ``render_domain``
+formats the latter as the report text the CLI prints.
 """
 
 from repro.experiments.ablations import (
-    AllocatorComparison,
     CoreChoiceAblationExperiment,
     ExtensionAblationExperiment,
     PartitioningAblationExperiment,
     SearchAblationExperiment,
-    SearchAblationResult,
     SolverAblationExperiment,
-    core_choice_ablation,
-    extension_ablation,
-    format_allocator_comparison,
-    format_extension_ablation,
-    format_search_ablation,
-    partitioning_ablation,
-    search_ablation,
-    solver_ablation,
 )
 from repro.experiments.api import (
     Experiment,
@@ -55,28 +45,11 @@ from repro.experiments.api import (
     Point,
     RawRun,
 )
-from repro.experiments.cache import ResultCache
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.store import ResultStore
-from repro.experiments.fig1 import (
-    Fig1Experiment,
-    Fig1Result,
-    build_uav_systems,
-    format_fig1,
-    run_fig1,
-)
-from repro.experiments.fig2 import (
-    Fig2Experiment,
-    Fig2Result,
-    format_fig2,
-    run_fig2,
-)
-from repro.experiments.fig3 import (
-    Fig3Experiment,
-    Fig3Result,
-    format_fig3,
-    run_fig3,
-)
+from repro.experiments.fig1 import Fig1Experiment
+from repro.experiments.fig2 import Fig2Experiment
+from repro.experiments.fig3 import Fig3Experiment
 from repro.experiments.parallel import (
     SweepEngine,
     SweepResult,
@@ -88,12 +61,7 @@ from repro.experiments.pool import (
     get_shared_pool,
     shutdown_shared_pool,
 )
-from repro.experiments.quality import (
-    QualityExperiment,
-    QualityResult,
-    format_quality,
-    run_quality,
-)
+from repro.experiments.quality import QualityExperiment
 from repro.experiments.registry import (
     UnknownExperimentError,
     experiment_names,
@@ -108,11 +76,7 @@ from repro.experiments.scenario import (
     load_scenario,
     parse_scenario,
 )
-from repro.experiments.table1 import (
-    Table1Experiment,
-    format_table1,
-    run_table1,
-)
+from repro.experiments.table1 import Table1Experiment
 
 __all__ = [
     # unified API + registry
@@ -131,7 +95,6 @@ __all__ = [
     "ExperimentScale",
     "SCALES",
     "get_scale",
-    "ResultCache",
     "ResultStore",
     "SweepEngine",
     "SweepResult",
@@ -156,30 +119,4 @@ __all__ = [
     "ScenarioResult",
     "load_scenario",
     "parse_scenario",
-    # deprecated shims (kept for downstream callers)
-    "run_table1",
-    "format_table1",
-    "run_fig1",
-    "format_fig1",
-    "build_uav_systems",
-    "Fig1Result",
-    "run_fig2",
-    "format_fig2",
-    "Fig2Result",
-    "run_fig3",
-    "format_fig3",
-    "Fig3Result",
-    "run_quality",
-    "format_quality",
-    "QualityResult",
-    "solver_ablation",
-    "core_choice_ablation",
-    "search_ablation",
-    "extension_ablation",
-    "partitioning_ablation",
-    "AllocatorComparison",
-    "SearchAblationResult",
-    "format_allocator_comparison",
-    "format_search_ablation",
-    "format_extension_ablation",
 ]

@@ -3,11 +3,13 @@
 These go beyond the paper's three figures and quantify *why* HYDRA is
 built the way it is:
 
-* :func:`solver_ablation` — the cost of the GP-compatible linearised
-  interference bound versus exact RTA, and what joint LP period
-  refinement adds on top of greedy periods.
-* :func:`core_choice_ablation` — HYDRA's argmax-tightness core rule
-  versus cheaper rules (first feasible core, most-slack core).
+* :class:`SolverAblationExperiment` — the cost of the GP-compatible
+  linearised interference bound versus exact RTA, and what joint LP
+  period refinement adds on top of greedy periods.
+* :class:`CoreChoiceAblationExperiment` — HYDRA's argmax-tightness core
+  rule versus cheaper rules (first feasible core, most-slack core).
+* :class:`PartitioningAblationExperiment` — how the real-time
+  partitioning heuristic (best/worst/first-fit) shapes HYDRA's room.
 * :func:`search_ablation` — branch-and-bound versus exhaustive
   enumeration for the OPT baseline (same optimum, fewer LP solves).
 * :func:`extension_ablation` — detection-time impact of the paper's §V
@@ -39,19 +41,15 @@ from repro.taskgen.synthetic import SyntheticConfig, generate_workload, \
     utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "AllocatorCell",
     "AllocatorComparison",
-    "solver_ablation",
-    "core_choice_ablation",
     "SearchAblationResult",
     "search_ablation",
     "ExtensionCell",
     "extension_ablation",
-    "partitioning_ablation",
     "format_allocator_comparison",
     "format_search_ablation",
     "format_extension_ablation",
@@ -151,40 +149,6 @@ def _allocator_sweep_spec(
                 else None
             ),
         },
-    )
-
-
-def solver_ablation(
-    scale: ExperimentScale | None = None,
-    cores: int = 2,
-    config: SyntheticConfig | None = None,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> AllocatorComparison:
-    """Linearised Eq. (5) vs exact RTA vs LP-refined periods.
-
-    .. deprecated::
-        Thin shim over ``SolverAblationExperiment``.
-    """
-    return SolverAblationExperiment(cores=cores, config=config).run_domain(
-        scale, engine, pool
-    )
-
-
-def core_choice_ablation(
-    scale: ExperimentScale | None = None,
-    cores: int = 4,
-    config: SyntheticConfig | None = None,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> AllocatorComparison:
-    """HYDRA's argmax-tightness rule vs cheaper core-selection rules.
-
-    .. deprecated::
-        Thin shim over ``CoreChoiceAblationExperiment``.
-    """
-    return CoreChoiceAblationExperiment(cores=cores, config=config).run_domain(
-        scale, engine, pool
     )
 
 
@@ -327,32 +291,6 @@ def extension_ablation(
             )
         )
     return cells
-
-
-def partitioning_ablation(
-    scale: ExperimentScale | None = None,
-    cores: int = 4,
-    config: SyntheticConfig | None = None,
-    heuristics: tuple[str, ...] = ("best-fit", "worst-fit", "first-fit"),
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> AllocatorComparison:
-    """How the *real-time* partitioning heuristic shapes HYDRA's room.
-
-    The paper fixes best-fit (Sec. IV-B) and treats the partition as
-    given; this ablation varies it.  Intuition both ways: best-fit packs
-    real-time tasks tightly, leaving some cores nearly empty for
-    security (good for tightness); worst-fit balances load, leaving
-    moderate slack everywhere (good when many security tasks must
-    spread).  Reported per heuristic: HYDRA acceptance and mean
-    tightness, with the heuristic name used as the scheme label.
-
-    .. deprecated::
-        Thin shim over ``PartitioningAblationExperiment``.
-    """
-    return PartitioningAblationExperiment(
-        cores=cores, config=config, heuristics=heuristics
-    ).run_domain(scale, engine, pool)
 
 
 def _partitioning_sweep_spec(

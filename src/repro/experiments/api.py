@@ -51,8 +51,6 @@ from repro.experiments.parallel import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.experiments.pool import WorkerPool
-
 __all__ = [
     "RESULT_FORMAT",
     "ExperimentSpec",
@@ -391,37 +389,32 @@ class Experiment(ABC):
         self.check_result(result)
         return self.render_domain(self.decode_data(result.data))
 
+    def _run_sweeps(
+        self, scale: ExperimentScale | None, engine: SweepEngine | None
+    ) -> RawRun:
+        scale = scale or get_scale()
+        engine = engine or SweepEngine()
+        results = tuple(engine.run(spec) for spec in self.sweeps(scale))
+        return RawRun(sweeps=results, scale=scale)
+
     def run_domain(
         self,
         scale: ExperimentScale | None = None,
         engine: SweepEngine | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> Any:
         """Run the experiment and return the *domain* result object
-        (what the deprecated ``run_X`` shims hand back)."""
-        scale = scale or get_scale()
-        engine = engine or SweepEngine(pool=pool)
-        results = tuple(engine.run(spec) for spec in self.sweeps(scale))
-        return self.aggregate_domain(RawRun(sweeps=results, scale=scale))
+        (``Fig2Result``, ``AllocatorComparison``, …) that
+        :meth:`render_domain` formats."""
+        return self.aggregate_domain(self._run_sweeps(scale, engine))
 
     def run(
         self,
         scale: ExperimentScale | None = None,
         engine: SweepEngine | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> ExperimentResult:
-        """Run the experiment end to end at ``scale`` through ``engine``.
-
-        ``pool`` is a convenience for the engine-less call form: a
-        :class:`~repro.experiments.pool.WorkerPool` to fan sweeps over
-        (its creator keeps ownership — the experiment never shuts it
-        down).  Ignored when ``engine`` is given, since an engine
-        already carries its execution strategy.
-        """
-        scale = scale or get_scale()
-        engine = engine or SweepEngine(pool=pool)
-        results = tuple(engine.run(spec) for spec in self.sweeps(scale))
-        return self.aggregate(RawRun(sweeps=results, scale=scale))
+        """Run the experiment end to end at ``scale`` through ``engine``
+        (default: a serial, uncached :class:`SweepEngine`)."""
+        return self.aggregate(self._run_sweeps(scale, engine))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.allocators import get_allocator
-from repro.core.allocator import Allocation
 from repro.core.singlecore import build_singlecore_system
 from repro.errors import AllocationError
 from repro.experiments.api import Experiment, GoldenFixture, RawRun
@@ -37,6 +36,7 @@ from repro.experiments.registry import register_experiment
 from repro.experiments.reporting import format_table, percent
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.improvement import detection_speedup
+from repro.model.allocation import Allocation
 from repro.model.platform import Platform
 from repro.model.system import SystemModel
 from repro.partition.heuristics import try_partition_tasks
@@ -51,15 +51,13 @@ from repro.taskgen.security_apps import table1_security_tasks
 from repro.taskgen.uav import uav_rt_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "Fig1SchemeResult",
     "Fig1Point",
     "Fig1Result",
     "Fig1Experiment",
-    "run_fig1",
     "fig1_sweep_spec",
     "format_fig1",
     "build_uav_systems",
@@ -340,29 +338,6 @@ class Fig1Experiment(Experiment):
             build_spec=fig1_mini_spec,
             summarize=fig1_mini_aggregate,
         )
-
-
-def run_fig1(
-    scale: ExperimentScale | None = None,
-    policy: str = "release-after",
-    release_jitter: float = 0.0,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> Fig1Result:
-    """Run the case study at the given scale.
-
-    .. deprecated::
-        Thin shim over ``Fig1Experiment`` kept for downstream callers;
-        prefer ``get_experiment("fig1").run(scale, engine)``.
-
-    ``engine`` selects the execution strategy (workers, cache); the
-    default is a serial, uncached :class:`SweepEngine`, optionally
-    fanning out over an injected ``pool``.  Results are
-    engine-independent.
-    """
-    return Fig1Experiment(
-        policy=policy, release_jitter=release_jitter
-    ).run_domain(scale, engine, pool)
 
 
 def format_fig1(result: Fig1Result, grid_points: int = 12) -> str:

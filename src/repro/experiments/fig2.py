@@ -23,14 +23,12 @@ from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig, utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "Fig2Point",
     "Fig2Result",
     "Fig2Experiment",
-    "run_fig2",
     "fig2_sweep_spec",
     "format_fig2",
 ]
@@ -205,26 +203,6 @@ class Fig2Experiment(Experiment):
             build_spec=fig2_mini_spec,
             summarize=fig2_mini_aggregate,
         )
-
-
-def run_fig2(
-    scale: ExperimentScale | None = None,
-    config: SyntheticConfig | None = None,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> Fig2Result:
-    """Run the full Fig. 2 sweep at the given scale.
-
-    .. deprecated::
-        Thin shim over ``Fig2Experiment`` kept for downstream callers;
-        prefer ``get_experiment("fig2").run(scale, engine)``.
-
-    ``engine`` selects the execution strategy (workers, cache); the
-    default is a serial, uncached :class:`SweepEngine`, optionally
-    fanning out over an injected ``pool``.  Results are
-    engine-independent.
-    """
-    return Fig2Experiment(config=config).run_domain(scale, engine, pool)
 
 
 def format_fig2(result: Fig2Result) -> str:

@@ -25,14 +25,12 @@ from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig, utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "Fig3Point",
     "Fig3Result",
     "Fig3Experiment",
-    "run_fig3",
     "fig3_sweep_spec",
     "format_fig3",
 ]
@@ -193,28 +191,6 @@ class Fig3Experiment(Experiment):
             build_spec=fig3_mini_spec,
             summarize=fig3_mini_aggregate,
         )
-
-
-def run_fig3(
-    scale: ExperimentScale | None = None,
-    search: str = "branch-bound",
-    config: SyntheticConfig | None = None,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> Fig3Result:
-    """Run the Fig. 3 comparison at the given scale.
-
-    .. deprecated::
-        Thin shim over ``Fig3Experiment`` kept for downstream callers;
-        prefer ``get_experiment("fig3").run(scale, engine)``.
-
-    ``search`` selects the optimal-search implementation; both return
-    identical optima (tested), branch-and-bound is simply faster.
-    ``engine`` selects the execution strategy (workers, cache).
-    """
-    return Fig3Experiment(search=search, config=config).run_domain(
-        scale, engine, pool
-    )
 
 
 def format_fig3(result: Fig3Result) -> str:

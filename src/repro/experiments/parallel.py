@@ -23,25 +23,24 @@ Experiment kinds are *registered point runners* — top-level functions
 JSON payload.  The figure drivers build :class:`SweepSpec` objects and
 feed them through a shared :class:`SweepEngine`.
 
-The engine owns neither executors nor storage: parallel points fan out
-over a reusable :class:`~repro.experiments.pool.WorkerPool` (by
-default the process-wide shared pool, spawned lazily once and reused
-across every sweep of a CLI invocation or pytest session), and cached
-points are read/written in batches through the sharded
-:class:`~repro.experiments.store.ResultStore`.
+The engine owns neither executors nor storage: a serial engine runs
+points inline, a parallel one hands them to an execution backend from
+:mod:`repro.executors` (by default the ``pool`` backend over the
+process-wide :class:`~repro.experiments.pool.WorkerPool`, spawned
+lazily once and reused across every sweep of a CLI invocation or
+pytest session), and cached points are read/written in batches through
+the sharded :class:`~repro.experiments.store.ResultStore`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import SweepCancelled, ValidationError
-from repro.experiments.pool import WorkerPool, get_shared_pool
 from repro.experiments.runner import TrialOutcome, run_acceptance_trial
 from repro.experiments.store import CACHE_FORMAT, ResultStore
 from repro.io import allocation_from_dict, allocation_to_dict
@@ -63,7 +62,6 @@ __all__ = [
     "outcome_from_dict",
     "synthetic_config_to_dict",
     "synthetic_config_from_dict",
-    "build_allocator",
 ]
 
 
@@ -121,22 +119,6 @@ def synthetic_config_from_dict(data: Mapping[str, Any]) -> SyntheticConfig:
 def _config_from_params(params: Mapping[str, Any]) -> SyntheticConfig | None:
     raw = params.get("config")
     return synthetic_config_from_dict(raw) if raw is not None else None
-
-
-# -- allocator lookup --------------------------------------------------------
-
-
-def build_allocator(spec: str):
-    """Instantiate an allocation scheme from its spec string.
-
-    .. deprecated::
-        Thin shim over :func:`repro.allocators.get_allocator`, the
-        process-wide allocator registry (every registered strategy is
-        accepted, not just the original five ablation specs).
-    """
-    from repro.allocators import get_allocator
-
-    return get_allocator(spec)
 
 
 # -- sweep specification -----------------------------------------------------
@@ -451,12 +433,13 @@ def run_allocator_comparison_point(
 ) -> dict[str, Any]:
     """Acceptance/tightness of several allocators on shared task sets
     at one utilisation (solver and core-choice ablations)."""
+    from repro.allocators import get_allocator
     from repro.experiments.runner import build_hydra_system
     from repro.taskgen.synthetic import generate_workload
 
     platform = Platform(int(params["cores"]))
     config = _config_from_params(params)
-    allocators = [build_allocator(s) for s in params["allocators"]]
+    allocators = [get_allocator(s) for s in params["allocators"]]
     cells = {
         a.name: {"accepted": 0, "total": 0, "tightness_sum": 0.0}
         for a in allocators
@@ -544,17 +527,18 @@ class SweepResult:
 
 
 class SweepEngine:
-    """Runs :class:`SweepSpec` sweeps — serially or over a worker pool,
-    optionally backed by an on-disk :class:`ResultStore`.
+    """Runs :class:`SweepSpec` sweeps — serially or through an execution
+    backend, optionally backed by an on-disk :class:`ResultStore`.
 
-    The engine does not own an executor: parallel points go through a
-    :class:`~repro.experiments.pool.WorkerPool` that outlives any one
-    sweep.  Pass one explicitly to control its lifetime; otherwise a
-    ``workers > 1`` engine lazily attaches to the process-wide shared
-    pool (:func:`~repro.experiments.pool.get_shared_pool`), so chained
+    The engine does not own an executor.  A serial engine computes
+    points inline (it never imports :mod:`repro.executors`); a
+    ``workers > 1`` engine without an explicit executor uses the
+    registered ``pool`` backend, which attaches to the process-wide
+    shared :class:`~repro.experiments.pool.WorkerPool`, so chained
     sweeps — all panels of ``repro-hydra all``, a whole pytest session
     — fan out over the *same* processes instead of re-forking per
-    sweep.
+    sweep.  To control a pool's lifetime, pass
+    ``executor=PoolExecutor(pool=pool)``.
 
     Parameters
     ----------
@@ -563,21 +547,14 @@ class SweepEngine:
         fan points over ``n`` pooled workers.  Results are identical
         either way (per-point SeedSequence streams).
     cache:
-        A :class:`ResultStore` (or the deprecated ``ResultCache``
-        alias), a directory path, or ``None`` to disable caching.
-        Paths open a sharded v2 store, migrating any v1 entries found
-        there.  Lookups and writes are batched per sweep
+        A :class:`ResultStore`, a directory path, or ``None`` to
+        disable caching.  Lookups and writes are batched per sweep
         (``get_many``/``put_many``).
     on_point_computed:
         Optional hook called (in the parent process) with the point
         index after each point is *computed* — cache hits do not fire
         it.  The determinism tests use it to prove warm runs recompute
         nothing.
-    pool:
-        A :class:`~repro.experiments.pool.WorkerPool` to fan out over.
-        The engine never shuts it down — the creator owns its
-        lifecycle.  When given, it also defaults ``workers`` to the
-        pool's size.
     should_cancel:
         Optional cooperative-cancellation hook (the
         :class:`~repro.jobs.JobRunner` sets it).  When given, missing
@@ -590,16 +567,15 @@ class SweepEngine:
     executor:
         An execution backend — an :class:`~repro.executors.Executor`
         instance or a registry name (``"serial"``, ``"pool"``,
-        ``"subprocess-workers"``, any plugin) — that replaces the
-        engine's built-in serial/pool dispatch for every computed
-        point.  ``None`` (the default) keeps the historic behaviour
-        exactly: serial for ``workers <= 1``, the shared pool
-        otherwise.  Backends are payload-identical by contract, so
-        the choice never changes a result byte (and is therefore not
-        part of any cache key).  The engine never closes an executor
-        it was handed — the creator owns its lifecycle (a name is
-        resolved once, and the instance is cleaned up at interpreter
-        exit if nothing closes it earlier).
+        ``"subprocess-workers"``, any plugin) — that computes every
+        missing point.  ``None`` (the default) means inline for
+        ``workers <= 1`` and the ``pool`` backend otherwise.  Backends
+        are payload-identical by contract, so the choice never changes
+        a result byte (and is therefore not part of any cache key).
+        The engine never closes an executor it was handed — the
+        creator owns its lifecycle (a name is resolved once, and the
+        instance is cleaned up at interpreter exit if nothing closes
+        it earlier).
     """
 
     def __init__(
@@ -607,36 +583,29 @@ class SweepEngine:
         workers: int | None = None,
         cache: ResultStore | str | None = None,
         on_point_computed: Callable[[int], None] | None = None,
-        pool: WorkerPool | None = None,
         should_cancel: Callable[[], bool] | None = None,
         executor: "Executor | str | None" = None,
     ) -> None:
         if workers is not None and workers < 0:
             raise ValidationError(f"workers must be >= 0, got {workers}")
+        if executor is None and workers is not None and workers > 1:
+            executor = "pool"
         if isinstance(executor, str):
+            # Imported only here: a serial engine stays clear of the
+            # executors package, whose import would land in every run.
             from repro.executors import get_executor
 
             executor = get_executor(executor, workers=workers)
-        self.executor = executor
         if workers is None and executor is not None:
             self.workers = max(1, executor.workers)
-        elif workers is None and pool is not None:
-            self.workers = pool.max_workers
         else:
             self.workers = max(1, int(workers or 1))
+        self.executor = executor
         if cache is not None and not isinstance(cache, ResultStore):
             cache = ResultStore(cache)
         self.cache = cache
         self.on_point_computed = on_point_computed
         self.should_cancel = should_cancel
-        self._injected_pool = pool
-        self._attached_pool: WorkerPool | None = None
-
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The pool this engine fans out over (``None`` until a
-        parallel engine first needs one)."""
-        return self._injected_pool or self._attached_pool
 
     def run(self, spec: SweepSpec) -> SweepResult:
         """Execute ``spec``, returning per-point payloads in order."""
@@ -708,37 +677,6 @@ class SweepEngine:
     def _compute(
         self, spec: SweepSpec, indices: Sequence[int]
     ) -> list[tuple[int, dict[str, Any]]]:
-        if self.executor is not None:
-            return self.executor.run_points(spec, list(indices))
-        pool = self._resolve_pool(len(indices))
-        if pool is None:
+        if self.executor is None:
             return [(i, execute_point(spec, i)) for i in indices]
-        spec_dict = spec.to_dict()
-        # One utilisation point per task keeps the pool busy even
-        # though per-point cost grows steeply with utilisation; the
-        # limit keeps a wider shared pool to this engine's requested
-        # parallelism.
-        computed = pool.map(
-            _execute_point_job, repeat(spec_dict), indices,
-            limit=self.workers,
-        )
-        return list(zip(indices, computed))
-
-    def _resolve_pool(self, pending: int) -> WorkerPool | None:
-        """The pool to fan ``pending`` points over (``None`` → serial).
-
-        An injected pool is used as-is (its own size 1 already means
-        serial).  A pool-less parallel engine asks for the *current*
-        shared pool on every compute — deliberately not cached, so a
-        shared pool that was grown or shut down between sweeps is never
-        revived as an orphan — which means merely *constructing*
-        engines never touches process machinery.
-        """
-        if pending == 1:
-            return None
-        pool = self._injected_pool
-        if pool is None and self.workers > 1:
-            pool = self._attached_pool = get_shared_pool(self.workers)
-        if pool is None or pool.max_workers == 1:
-            return None
-        return pool
+        return self.executor.run_points(spec, list(indices))

@@ -26,15 +26,13 @@ from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig, utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "QualityPoint",
     "QualityResult",
     "QualityExperiment",
     "quality_sweep_spec",
-    "run_quality",
     "format_quality",
 ]
 
@@ -199,27 +197,6 @@ class QualityExperiment(Experiment):
              p.mean_tightness_hydra, p.mean_tightness_single)
             for p in domain.points
         ]
-
-
-def run_quality(
-    scale: ExperimentScale | None = None,
-    cores: int = 8,
-    config: SyntheticConfig | None = None,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> QualityResult:
-    """Run the tightness-quality sweep on a ``cores``-core platform.
-
-    .. deprecated::
-        Thin shim over ``QualityExperiment`` kept for downstream
-        callers; prefer ``get_experiment("quality").run(scale, engine)``.
-
-    ``engine`` selects the execution strategy (workers, cache); this
-    sweep shares the ``acceptance`` cache namespace with Fig. 2.
-    """
-    return QualityExperiment(cores=cores, config=config).run_domain(
-        scale, engine, pool
-    )
 
 
 def format_quality(result: QualityResult) -> str:

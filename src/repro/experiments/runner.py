@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.allocators import get_allocator
 from repro.analysis.dbf import necessary_condition
-from repro.core.allocator import Allocation, Allocator
+from repro.core.allocator import Allocator
 from repro.core.singlecore import build_singlecore_system
+from repro.model.allocation import Allocation
 from repro.model.platform import Platform
 from repro.model.system import SystemModel
 from repro.partition.heuristics import try_partition_tasks

@@ -1,13 +1,11 @@
 """Sharded, append-only columnar result store (cache format v2).
 
-The v1 :class:`~repro.experiments.cache.ResultCache` wrote **one JSON
-file per sweep point**.  That is perfectly auditable but falls over at
-paper scale: a 10⁴–10⁵-point design-space sweep turns every warm run
-into 10⁵ ``open``/``stat`` calls and directory scans start dominating
-the actual maths.  This store keeps the same *keys* (the engine's
+Every sweep point is content-addressed: the engine's
 :meth:`~repro.experiments.parallel.SweepSpec.key_payload` hashed by
-:func:`cache_key` — entries are content-addressed exactly as before)
-but packs the *values* into per-experiment shards::
+:func:`cache_key`.  The *values* are packed into per-experiment shards
+rather than one file per point, so a 10⁴–10⁵-point design-space sweep
+costs one index load and a run of ``seek``/``read`` pairs instead of
+10⁵ ``open``/``stat`` calls::
 
     <root>/store.json              # format marker ({"format": 2})
     <root>/<kind>/data.jsonl       # append-only record log (primary)
@@ -17,8 +15,8 @@ but packs the *values* into per-experiment shards::
 
 Each ``data.jsonl`` record is the canonical JSON
 ``{"key": <key payload>, "payload": <result>}`` on one line — the
-stored key keeps entries auditable and guards against hash collisions,
-exactly like v1.  ``index.jsonl`` holds one compact line per record
+stored key keeps entries auditable and guards against hash collisions.
+``index.jsonl`` holds one compact line per record
 (``{"h": sha256, "o": offset, "n": length}``); loading a shard reads
 only the index, and :meth:`ResultStore.get_many` then serves any
 subset of a sweep with one file handle and ``seek``/``read`` pairs.
@@ -42,11 +40,12 @@ entries are content-addressed, so merge order is irrelevant — and
 (deduplicating by digest) and deletes them.  Readers are unrestricted
 throughout.
 
-Migration from v1 is automatic and one-shot: opening a root that has
-no format marker ingests any ``<kind>/<sha256>.json`` entries into the
-shards, deletes the v1 files, and writes the marker so the scan never
-runs again.  ``repro-hydra cache stats|migrate|gc`` exposes the same
-machinery on the command line.
+A writable open stamps the format marker when the root has none, so
+a later build with a different layout refuses the directory instead
+of misreading it.  Files of the retired JSON-per-point layout
+(``<kind>/<sha256>.json``) are neither read nor deleted.
+``repro-hydra cache stats|gc`` inspects and compacts a store from the
+command line.
 """
 
 from __future__ import annotations
@@ -63,28 +62,20 @@ from repro.errors import CacheError, ValidationError
 __all__ = [
     "CACHE_FORMAT",
     "STORE_FORMAT",
-    "ExperimentStore",
     "ResultStore",
     "cache_key",
-    "write_v1_entry",
 ]
 
-#: Key-payload format version (part of every key payload).  Unchanged
-#: from v1 — the *storage layout* changed, the keys did not, which is
-#: what makes v1 entries migratable and golden runs byte-identical.
+#: Key-payload format version (part of every key payload).  Bumping it
+#: changes every key, so it stays fixed while results are unchanged.
 CACHE_FORMAT = 1
 
-#: On-disk layout version of this module (the v1 layout never wrote a
-#: marker, so its absence is what triggers migration).
+#: On-disk layout version of this module, stamped into ``store.json``.
 STORE_FORMAT = 2
 
 _MARKER_NAME = "store.json"
 _DATA_NAME = "data.jsonl"
 _INDEX_NAME = "index.jsonl"
-
-#: v1 entry filenames were ``<sha256 hex>.json``.
-_V1_STEM_LEN = 64
-_HEX_DIGITS = set("0123456789abcdef")
 
 #: A ``*.tmp`` atomic-write temporary older than this is an orphan
 #: from a crashed writer and safe to reap; anything younger may be
@@ -101,15 +92,6 @@ def _canonical(payload: Any) -> str:
 def cache_key(payload: Mapping[str, Any]) -> str:
     """Content hash of a key payload: sha256 over its canonical JSON."""
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
-
-
-def _is_v1_entry(path: Path) -> bool:
-    stem = path.stem
-    return (
-        path.suffix == ".json"
-        and len(stem) == _V1_STEM_LEN
-        and set(stem) <= _HEX_DIGITS
-    )
 
 
 class _Segment:
@@ -457,11 +439,6 @@ class _Shard:
         single-writer shard exposed exactly this)."""
         return self._write_segment.index
 
-    @property
-    def data_path(self) -> Path:
-        """The write segment's data log (compat surface)."""
-        return self._write_segment.data_path
-
     def writer_ids(self) -> list[str]:
         """Writer segments present on disk or opened in memory."""
         ids = {writer for writer in self._segments if writer is not None}
@@ -586,24 +563,21 @@ class _Shard:
 class ResultStore:
     """Directory-backed, sharded store of per-point sweep results.
 
-    Drop-in successor of the v1 ``ResultCache``: same constructor, same
-    ``get``/``put``/``hits``/``misses``/``clear`` surface, same content
-    hashing — plus the batched :meth:`get_many`/:meth:`put_many` the
-    engine uses and the :meth:`migrate`/:meth:`gc`/:meth:`stats`
-    maintenance verbs behind ``repro-hydra cache``.
+    Surface: ``get``/``put`` and their batched :meth:`get_many`/
+    :meth:`put_many` forms (what the engine uses), ``hits``/``misses``
+    counters, and the :meth:`gc`/:meth:`stats` maintenance verbs behind
+    ``repro-hydra cache``.
 
     Parameters
     ----------
     directory:
-        Store root; created immediately.  An unusable location raises
+        Store root; created immediately, and its format marker stamped
+        if absent.  An unusable location raises
         :class:`repro.errors.CacheError` before any point computes.
-    migrate:
-        Ingest a pre-existing v1 layout on open (default).  Pass
-        ``False`` to open without triggering the one-shot migration.
     readonly:
         Open for inspection only (``cache stats`` and the job
         service's result-fetch path do): nothing is created or
-        written — no root mkdir, no migration, no stale-tmp cleanup,
+        written — no root mkdir, no marker, no stale-tmp cleanup,
         and writes raise :class:`CacheError`.  A missing root reads as
         an empty store.  Readonly stores **never persist rebuilt
         indexes**: a missing or stale ``index.jsonl`` is rebuilt
@@ -625,7 +599,6 @@ class ResultStore:
         self,
         directory: str | Path,
         *,
-        migrate: bool = True,
         readonly: bool = False,
         writer_id: str | None = None,
     ) -> None:
@@ -653,8 +626,8 @@ class ResultStore:
         self.misses = 0
         self._shards: dict[str, _Shard] = {}
         self._check_marker()
-        if migrate and not readonly and not self._marker_path.exists():
-            self.migrate()
+        if not readonly and not self._marker_path.exists():
+            self._write_marker()
 
     # -- format marker ---------------------------------------------------
 
@@ -783,53 +756,6 @@ class ResultStore:
             ) from exc
         return len(batch)
 
-    # -- migration -----------------------------------------------------------
-
-    def _v1_entries(self) -> list[Path]:
-        if not self.directory.is_dir():
-            return []
-        return [
-            path
-            for child in sorted(self.directory.iterdir())
-            if child.is_dir()
-            for path in sorted(child.glob("*.json"))
-            if _is_v1_entry(path)
-        ]
-
-    def pending_v1_entries(self) -> int:
-        """How many v1 JSON-per-point files await migration."""
-        return len(self._v1_entries())
-
-    def migrate(self) -> int:
-        """Ingest every v1 entry into the shards, delete the v1 files,
-        and stamp the format marker.  Idempotent; returns the number of
-        entries migrated."""
-        self._require_writable("migrate")
-        migrated = 0
-        by_kind: dict[str, list[tuple[Mapping, Mapping]]] = {}
-        ingested: list[Path] = []
-        for path in self._v1_entries():
-            try:
-                entry = json.loads(path.read_text())
-                key_payload, payload = entry["key"], entry["payload"]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                continue  # corrupt v1 entry: was a miss then, is now
-            if not isinstance(key_payload, Mapping):
-                continue
-            by_kind.setdefault(path.parent.name, []).append(
-                (key_payload, payload)
-            )
-            ingested.append(path)
-        for kind, entries in by_kind.items():
-            migrated += self.put_many(kind, entries)
-        for path in ingested:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self._write_marker()
-        return migrated
-
     # -- maintenance -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -909,10 +835,8 @@ class ResultStore:
         return {
             "directory": str(self.directory),
             "format": STORE_FORMAT,
-            "migrated": self._marker_path.exists(),
             "entries": sum(s["entries"] for s in shards.values()),
             "data_bytes": sum(s["data_bytes"] for s in shards.values()),
-            "pending_v1_entries": self.pending_v1_entries(),
             "segment_files": segment_files,
             "segment_bytes": segment_bytes,
             "shards": shards,
@@ -923,36 +847,3 @@ class ResultStore:
             f"ResultStore({str(self.directory)!r}, entries={len(self)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
-
-
-#: Forward-looking alias: the job/service layer talks about "the
-#: experiment store"; the class predates that name.
-ExperimentStore = ResultStore
-
-
-# -- v1 compatibility ---------------------------------------------------------
-
-
-def write_v1_entry(
-    directory: str | Path,
-    kind: str,
-    key_payload: Mapping[str, Any],
-    payload: Mapping[str, Any],
-) -> Path:
-    """Write one entry in the v1 JSON-per-point layout.
-
-    Kept (in this module, not behind the deprecated wrapper) so the
-    migration tests and CI fixtures can fabricate genuine v1 cache
-    directories without resurrecting the old implementation.
-    """
-    root = Path(directory) / kind
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{cache_key(key_payload)}.json"
-    entry = {
-        "key": json.loads(_canonical(key_payload)),
-        "payload": payload,
-    }
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(entry, sort_keys=True))
-    os.replace(tmp, path)
-    return path

@@ -24,13 +24,11 @@ from repro.experiments.reporting import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentScale
-    from repro.experiments.parallel import SweepEngine, SweepSpec
-    from repro.experiments.pool import WorkerPool
+    from repro.experiments.parallel import SweepSpec
 
 __all__ = [
     "Table1Row",
     "Table1Experiment",
-    "run_table1",
     "table1_sweep_spec",
     "format_table1",
 ]
@@ -162,20 +160,6 @@ class Table1Experiment(Experiment):
             build_spec=table1_mini_spec,
             summarize=table1_mini_aggregate,
         )
-
-
-def run_table1(
-    cores: int = 2,
-    engine: "SweepEngine | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> list[Table1Row]:
-    """Build the extended Table I on a ``cores``-core UAV platform.
-
-    .. deprecated::
-        Thin shim over ``Table1Experiment`` kept for downstream
-        callers; prefer ``get_experiment("table1").run(engine=engine)``.
-    """
-    return Table1Experiment(cores=cores).run_domain(engine=engine, pool=pool)
 
 
 def format_table1(rows: list[Table1Row], cores: int = 2) -> str:

@@ -17,8 +17,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.allocator import Allocation, SecurityAssignment
 from repro.errors import ValidationError
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.platform import Platform
 from repro.model.system import Partition, SystemModel
 from repro.model.task import RealTimeTask, SecurityTask, TaskSet

@@ -16,7 +16,7 @@ module provides that path:
   (total/computed/cached) and structured error capture.
 * :class:`JobRunner` — owns the shared execution stack (the process
   -wide :class:`~repro.experiments.pool.WorkerPool` via the engine,
-  one sharded :class:`~repro.experiments.store.ExperimentStore`) and
+  one sharded :class:`~repro.experiments.store.ResultStore`) and
   executes jobs either asynchronously (:meth:`~JobRunner.submit`, a
   single background worker thread drains the queue — the *pool*
   provides the parallelism) or synchronously
@@ -64,7 +64,7 @@ from repro.errors import (
 from repro.experiments.api import Experiment, ExperimentResult, RawRun
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.parallel import SweepEngine
-from repro.experiments.store import ExperimentStore, cache_key
+from repro.experiments.store import ResultStore, cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executors.api import Executor
@@ -397,7 +397,7 @@ class JobRunner:
     Parameters
     ----------
     cache_dir:
-        Root of the sharded :class:`ExperimentStore` job results are
+        Root of the sharded :class:`ResultStore` job results are
         content-addressed into.  ``None`` disables persistence (jobs
         still run; idempotent resubmission then only helps within this
         runner's lifetime).
@@ -412,11 +412,11 @@ class JobRunner:
     executor:
         Default execution backend — a registry name or an
         :class:`~repro.executors.Executor` instance — for jobs that
-        do not name one themselves.  ``None`` keeps the engine's
-        historic serial/pool dispatch.  Name-resolved backends are
-        instantiated once per runner, reused across jobs, and closed
-        by :meth:`close`; an injected instance stays the caller's to
-        close.
+        do not name one themselves.  ``None`` leaves it to the
+        engine: inline when serial, ``pool`` otherwise.  Name-resolved
+        backends are instantiated once per runner, reused across jobs,
+        and closed by :meth:`close`; an injected instance stays the
+        caller's to close.
     store_writer:
         ``writer_id`` for the runner's store: pass one whenever
         another process may write the same ``cache_dir`` concurrently
@@ -441,7 +441,7 @@ class JobRunner:
         # Fails fast (typed CacheError) on an unusable root, before
         # any job is accepted.
         self._store = (
-            ExperimentStore(self.cache_dir, writer_id=store_writer)
+            ResultStore(self.cache_dir, writer_id=store_writer)
             if self.cache_dir is not None
             else None
         )
@@ -587,7 +587,7 @@ class JobRunner:
         if self._store is None:
             assert job.result is not None  # DONE implies a result
             return job.result
-        store = ExperimentStore(self.cache_dir, readonly=True)
+        store = ResultStore(self.cache_dir, readonly=True)
         engine = SweepEngine(workers=1, cache=store)
         try:
             return job._experiment.run(job._scale, engine)

@@ -2,7 +2,7 @@
 
 ``η_s = T_des_s / T_s`` measures how close a security task's achieved
 period is to the desired one; the system objective is the (weighted)
-cumulative tightness ``Σ ω_s η_s``.  :class:`~repro.core.allocator.Allocation`
+cumulative tightness ``Σ ω_s η_s``.  :class:`~repro.model.allocation.Allocation`
 exposes the same quantities for allocation objects; the free functions
 here work on plain period mappings, which the optimisation layer and
 the experiment harness produce.

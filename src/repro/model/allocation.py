@@ -15,7 +15,6 @@ These types live in :mod:`repro.model` (not :mod:`repro.core`) because
 they are pure data: strategies in any layer — bin-packing heuristics,
 LP/GP solvers, exhaustive searches — produce them, and consumers
 (experiments, simulator, CLI) read them without importing any solver.
-:mod:`repro.core.allocator` re-exports them for compatibility.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class SecurityTask:
 
     The *actual* period is an output of the allocation algorithms, so it is
     deliberately **not** stored here; see
-    :class:`repro.core.allocator.SecurityAssignment`.
+    :class:`repro.model.allocation.SecurityAssignment`.
 
     Parameters
     ----------

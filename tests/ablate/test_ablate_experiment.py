@@ -10,7 +10,7 @@ from repro.ablate import AblationExperiment, parse_ablation
 from repro.experiments.api import ExperimentResult
 from repro.experiments.config import get_scale
 from repro.experiments.parallel import SweepEngine
-from repro.experiments.store import ExperimentStore
+from repro.experiments.store import ResultStore
 from repro.jobs import JobRequest, JobRunner
 from repro.server import JobServiceApp
 
@@ -85,7 +85,7 @@ class TestExecutionEquivalence:
         experiment = AblationExperiment(_config())
         pooled = experiment.run(scale, SweepEngine(workers=2))
         assert pooled == result
-        store = ExperimentStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         cold = experiment.run(scale, SweepEngine(cache=store))
         warm_engine = SweepEngine(cache=store)
         warm = experiment.run(scale, warm_engine)
@@ -195,7 +195,7 @@ class TestJobsAndServer:
         assert status == 200
         direct = AblationExperiment(
             parse_ablation(doc)
-        ).run(scale, SweepEngine(cache=ExperimentStore(tmp_path / "cache")))
+        ).run(scale, SweepEngine(cache=ResultStore(tmp_path / "cache")))
         assert json.dumps(served, sort_keys=True) == json.dumps(
             direct.to_dict(), sort_keys=True
         )

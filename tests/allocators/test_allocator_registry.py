@@ -18,8 +18,8 @@ from repro.allocators import (
     run_allocator,
     unregister_allocator,
 )
-from repro.core.allocator import Allocation
 from repro.errors import ConfigError, ReproError
+from repro.model.allocation import Allocation
 
 
 class TestRegistry:

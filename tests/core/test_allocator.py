@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.allocator import (
+from repro.model.allocation import (
     Allocation,
     SecurityAssignment,
     as_allocation,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.allocator import Allocation, SecurityAssignment
 from repro.core.hydra import HydraAllocator
 from repro.core.nonpreemptive import NonPreemptiveHydraAllocator
 from repro.core.optimal import OptimalAllocator
@@ -15,6 +14,7 @@ from repro.core.variants import (
     SlackiestCoreAllocator,
 )
 from repro.core.verify import verify_allocation
+from repro.model.allocation import Allocation, SecurityAssignment
 
 
 class TestVerifierAcceptsAllAllocators:

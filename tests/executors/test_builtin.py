@@ -6,7 +6,11 @@ import pytest
 
 from repro.executors import PoolExecutor, SerialExecutor, get_executor
 from repro.experiments.parallel import SweepEngine, SweepSpec, execute_point
-from repro.experiments.pool import WorkerPool
+from repro.experiments.pool import (
+    WorkerPool,
+    get_shared_pool,
+    shutdown_shared_pool,
+)
 
 
 def _spec(n: int = 6, seed: int = 2024) -> SweepSpec:
@@ -55,6 +59,21 @@ class TestPoolExecutor:
             executor = PoolExecutor(pool=pool)
             executor.run_points(_spec(), [2])
             assert pool.spawn_count == 0  # serial shortcut: no fork
+
+    def test_single_point_batch_keeps_a_warm_shared_pool(self):
+        """A one-point batch runs inline, so asking for more workers
+        than the live shared pool has must not replace (and shut down)
+        that pool."""
+        shutdown_shared_pool()
+        try:
+            warm = get_shared_pool(2)
+            warm.map(abs, [-1, -2])  # spawn it
+            assert warm.active
+            get_executor("pool", workers=4).run_points(_spec(), [0])
+            assert warm.active
+            assert get_shared_pool(1) is warm
+        finally:
+            shutdown_shared_pool()
 
     def test_injected_pool_is_not_shut_down(self):
         with WorkerPool(2) as pool:

@@ -14,7 +14,6 @@ from repro.experiments import (
     experiment_names,
     get_experiment,
     iter_experiments,
-    run_fig2,
 )
 from repro.experiments.api import RESULT_FORMAT, Experiment, RawRun
 from repro.experiments.config import SCALES
@@ -117,8 +116,8 @@ class TestProtocol:
 
     def test_shim_equals_protocol_run(self):
         via_protocol = Fig2Experiment().run_domain(SMOKE)
-        via_shim = run_fig2(SMOKE)
-        assert via_protocol == via_shim
+        via_registry = get_experiment("fig2").run_domain(SMOKE)
+        assert via_protocol == via_registry
 
     def test_render_rejects_foreign_result(self):
         result = Table1Experiment().run(SMOKE)

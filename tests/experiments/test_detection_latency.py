@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments import ExperimentResult
-from repro.experiments.cache import ResultCache
 from repro.experiments.config import SCALES
 from repro.experiments.detection import (
     DetectionLatencyExperiment,
@@ -31,6 +30,7 @@ from repro.experiments.scenario import (
     combo_label,
     parse_scenario,
 )
+from repro.experiments.store import ResultStore
 
 SMOKE = SCALES["smoke"]
 
@@ -155,12 +155,12 @@ class TestDeterminism:
             == json.dumps(parallel.payloads, sort_keys=True)
         )
 
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cold = SweepEngine(cache=cache).run(spec)
         assert cold.payloads == serial.payloads
         computed: list[int] = []
         warm = SweepEngine(
-            cache=ResultCache(tmp_path), on_point_computed=computed.append
+            cache=ResultStore(tmp_path), on_point_computed=computed.append
         ).run(spec)
         assert warm.payloads == serial.payloads
         assert computed == []  # warm run came entirely from the cache

@@ -7,19 +7,16 @@ import math
 import pytest
 
 from repro.experiments.ablations import (
-    core_choice_ablation,
+    PartitioningAblationExperiment,
     extension_ablation,
-    format_allocator_comparison,
     format_extension_ablation,
     format_search_ablation,
     search_ablation,
-    solver_ablation,
 )
 from repro.experiments.config import SCALES
-from repro.experiments.fig1 import build_uav_systems, format_fig1, run_fig1
-from repro.experiments.fig2 import format_fig2, run_fig2
-from repro.experiments.fig3 import format_fig3, run_fig3
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.fig1 import Fig1Experiment, build_uav_systems
+from repro.experiments.fig3 import Fig3Experiment
+from repro.experiments.registry import get_experiment
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +26,20 @@ def smoke():
 
 class TestTable1:
     def test_rows_cover_table1(self):
-        rows = run_table1()
+        rows = get_experiment("table1").run_domain()
         assert len(rows) == 6
         apps = [r.application for r in rows]
         assert apps.count("tripwire") == 5
         assert apps.count("bro") == 1
 
     def test_periods_within_bounds(self):
-        for row in run_table1():
+        for row in get_experiment("table1").run_domain():
             assert row.period_des <= row.hydra_period <= row.period_max
             assert row.period_des <= row.single_period <= row.period_max
 
     def test_formatting(self):
-        text = format_table1(run_table1())
+        table1 = get_experiment("table1")
+        text = table1.render_domain(table1.run_domain())
         assert "Table I" in text
         assert "tw_own_binary" in text
         assert "bro_network" in text
@@ -65,7 +63,7 @@ class TestUavSystems:
 
 class TestFig1:
     def test_smoke_run(self, smoke):
-        result = run_fig1(smoke)
+        result = get_experiment("fig1").run_domain(smoke)
         assert len(result.points) == len(smoke.core_counts)
         point = result.points[0]
         assert point.hydra.cdf.sample_size == smoke.sim_trials
@@ -74,31 +72,34 @@ class TestFig1:
     def test_hydra_detects_faster_at_default_seedset(self, smoke):
         # Use a slightly larger observation count for a stable sign.
         scale = smoke.with_overrides(sim_trials=40, sim_duration=60_000.0)
-        result = run_fig1(scale)
+        result = get_experiment("fig1").run_domain(scale)
         for point in result.points:
             assert point.speedup > 0.0
 
     def test_all_attacks_detected(self, smoke):
-        result = run_fig1(smoke)
+        result = get_experiment("fig1").run_domain(smoke)
         for point in result.points:
             assert point.hydra.cdf.undetected == 0
             assert point.single.cdf.undetected == 0
 
     def test_formatting(self, smoke):
-        text = format_fig1(run_fig1(smoke))
+        fig1 = get_experiment("fig1")
+        text = fig1.render_domain(fig1.run_domain(smoke))
         assert "Fig. 1" in text
         assert "mean detection" in text
 
     def test_sporadic_release_mode(self, smoke):
-        result = run_fig1(smoke, release_jitter=0.3)
+        result = Fig1Experiment(release_jitter=0.3).run_domain(smoke)
         for point in result.points:
             assert point.hydra.cdf.sample_size == smoke.sim_trials
 
     def test_start_after_policy_no_slower(self, smoke):
         # A check that started after the attack detects no later than
         # one that additionally had to be *released* after it.
-        release_after = run_fig1(smoke, policy="release-after")
-        start_after = run_fig1(smoke, policy="start-after")
+        release_after = Fig1Experiment(policy="release-after").run_domain(
+            smoke
+        )
+        start_after = Fig1Experiment(policy="start-after").run_domain(smoke)
         for ra, sa in zip(release_after.points, start_after.points):
             assert sa.hydra.mean <= ra.hydra.mean + 1e-9
             assert sa.single.mean <= ra.single.mean + 1e-9
@@ -106,7 +107,7 @@ class TestFig1:
 
 class TestFig2:
     def test_smoke_run_structure(self, smoke):
-        result = run_fig2(smoke)
+        result = get_experiment("fig2").run_domain(smoke)
         assert result.core_counts == [2]
         panel = result.panel(2)
         assert len(panel) == 3  # smoke grid: 0.25, 0.5, 0.75 of M
@@ -115,49 +116,52 @@ class TestFig2:
             assert 0.0 <= point.ratio_single <= 1.0
 
     def test_low_utilization_parity(self, smoke):
-        result = run_fig2(smoke)
+        result = get_experiment("fig2").run_domain(smoke)
         first = result.panel(2)[0]
         assert first.ratio_hydra == 1.0
         assert first.ratio_single == 1.0
         assert first.improvement == 0.0
 
     def test_hydra_never_below_singlecore(self, smoke):
-        for point in run_fig2(smoke).points:
+        for point in get_experiment("fig2").run_domain(smoke).points:
             assert point.ratio_hydra >= point.ratio_single - 1e-9
 
     def test_formatting(self, smoke):
-        text = format_fig2(run_fig2(smoke))
+        fig2 = get_experiment("fig2")
+        text = fig2.render_domain(fig2.run_domain(smoke))
         assert "Fig. 2" in text
         assert "improvement" in text
 
 
 class TestFig3:
     def test_smoke_run(self, smoke):
-        result = run_fig3(smoke)
+        result = get_experiment("fig3").run_domain(smoke)
         assert len(result.points) == 3
         for point in result.points:
             assert point.mean_gap >= 0.0
             assert point.max_gap >= point.mean_gap - 1e-9
 
     def test_gap_zero_at_low_utilization(self, smoke):
-        result = run_fig3(smoke)
+        result = get_experiment("fig3").run_domain(smoke)
         assert result.points[0].mean_gap == pytest.approx(0.0, abs=1e-6)
 
     def test_exhaustive_and_bnb_agree(self, smoke):
-        bnb = run_fig3(smoke, search="branch-bound")
-        exhaustive = run_fig3(smoke, search="exhaustive")
+        bnb = Fig3Experiment(search="branch-bound").run_domain(smoke)
+        exhaustive = Fig3Experiment(search="exhaustive").run_domain(smoke)
         for a, b in zip(bnb.points, exhaustive.points):
             assert a.mean_gap == pytest.approx(b.mean_gap, abs=1e-6)
 
     def test_formatting(self, smoke):
-        text = format_fig3(run_fig3(smoke))
+        fig3 = get_experiment("fig3")
+        text = fig3.render_domain(fig3.run_domain(smoke))
         assert "Fig. 3" in text
         assert "worst observed" in text
 
 
 class TestAblations:
     def test_solver_ablation(self, smoke):
-        comparison = solver_ablation(smoke)
+        solver = get_experiment("ablation-solver")
+        comparison = solver.run_domain(smoke)
         schemes = comparison.schemes()
         assert "hydra" in schemes
         assert "hydra[exact-rta]" in schemes
@@ -166,11 +170,11 @@ class TestAblations:
             comparison.series("hydra"), comparison.series("hydra[exact-rta]")
         ):
             assert cell_exact.acceptance >= cell_closed.acceptance - 1e-9
-        text = format_allocator_comparison(comparison, "solver")
+        text = solver.render_domain(comparison)
         assert "acceptance" in text
 
     def test_core_choice_ablation(self, smoke):
-        comparison = core_choice_ablation(smoke)
+        comparison = get_experiment("ablation-core-choice").run_domain(smoke)
         assert "first-feasible" in comparison.schemes()
         for cell_hydra, cell_first in zip(
             comparison.series("hydra"), comparison.series("first-feasible")
@@ -181,9 +185,7 @@ class TestAblations:
                 )
 
     def test_partitioning_ablation(self, smoke):
-        from repro.experiments.ablations import partitioning_ablation
-
-        comparison = partitioning_ablation(smoke, cores=2)
+        comparison = PartitioningAblationExperiment(cores=2).run_domain(smoke)
         assert set(comparison.schemes()) == {
             "best-fit", "worst-fit", "first-fit",
         }

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import ResultCache
+from repro.executors import PoolExecutor
 from repro.experiments.golden import golden_fixtures, golden_summary
 from repro.experiments.parallel import SweepEngine
 from repro.experiments.pool import WorkerPool
-from repro.experiments.store import ResultStore, write_v1_entry
+from repro.experiments.store import ResultStore, cache_key
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -50,13 +50,13 @@ def test_parallel_engine_reproduces_fixture(name):
 
 def test_cached_rerun_reproduces_fixture(tmp_path):
     name = "fig2_mini"
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     cold = golden_summary(name, SweepEngine(cache=cache))
     assert cold == _fixture(name)
 
     computed: list[int] = []
     warm_engine = SweepEngine(
-        cache=ResultCache(tmp_path), on_point_computed=computed.append
+        cache=ResultStore(tmp_path), on_point_computed=computed.append
     )
     assert golden_summary(name, warm_engine) == _fixture(name)
     assert computed == []  # second run came entirely from the cache
@@ -66,7 +66,8 @@ def test_shared_persistent_pool_reproduces_fixture():
     """One injected pool across several fixtures: reuse (a single
     spawn) must not disturb a single byte."""
     with WorkerPool(2) as pool:
-        engine = SweepEngine(pool=pool)
+        executor = PoolExecutor(pool=pool)
+        engine = SweepEngine(executor=executor)
         for name in _NAMES:
             assert golden_summary(name, engine) == _fixture(name)
         # fig2/fig3 minis are multi-point, so the pool really was used —
@@ -86,23 +87,26 @@ def test_subprocess_executor_reproduces_fixture():
         assert golden_summary(name, engine) == _fixture(name)
 
 
-def test_v1_migrated_cache_reproduces_fixture(tmp_path):
-    """A PR-1-era JSON-per-point cache directory, migrated on open,
-    must serve a warm run byte-identically with zero recomputes."""
+def test_v1_leftovers_never_reach_a_fixture(tmp_path):
+    """A root still holding files of the retired JSON-per-point layout
+    — every payload poisoned here — serves none of them: each point is
+    recomputed and the fixture reproduces byte for byte."""
     name = "fig2_mini"
     spec = golden_fixtures()[name].build_spec()
-    cold = SweepEngine().run(spec)
-    for index, payload in enumerate(cold.payloads):
-        write_v1_entry(
-            tmp_path, spec.kind, spec.key_payload(index), payload
+    for index in range(len(spec.points)):
+        key = spec.key_payload(index)
+        path = tmp_path / spec.kind / f"{cache_key(key)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps({"key": key, "payload": {"poisoned": index}})
         )
 
-    store = ResultStore(tmp_path)  # one-shot migration happens here
-    assert store.pending_v1_entries() == 0
     computed: list[int] = []
-    engine = SweepEngine(cache=store, on_point_computed=computed.append)
+    engine = SweepEngine(
+        cache=ResultStore(tmp_path), on_point_computed=computed.append
+    )
     assert golden_summary(name, engine) == _fixture(name)
-    assert computed == []  # every point came from the migrated store
+    assert sorted(computed) == list(range(len(spec.points)))
 
 
 def test_fixture_files_match_registry():

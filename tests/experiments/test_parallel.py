@@ -9,18 +9,21 @@ single point.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.allocators import get_allocator
 from repro.errors import ValidationError
-from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.store import ResultStore
 from repro.experiments.config import SCALES
-from repro.experiments.fig2 import fig2_sweep_spec, run_fig2
+from repro.experiments.fig2 import fig2_sweep_spec
 from repro.experiments.parallel import (
     SweepEngine,
     SweepSpec,
-    build_allocator,
     execute_point,
     outcome_from_dict,
     outcome_to_dict,
@@ -28,7 +31,9 @@ from repro.experiments.parallel import (
     synthetic_config_from_dict,
     synthetic_config_to_dict,
 )
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import run_acceptance_trial, spawn_streams
+from repro.experiments.store import ResultStore, cache_key
 from repro.taskgen.synthetic import SyntheticConfig
 
 
@@ -76,8 +81,9 @@ class TestDeterminism:
 
     def test_fig2_identical_across_worker_counts(self):
         smoke = SCALES["smoke"]
-        serial = run_fig2(smoke, engine=SweepEngine(workers=1))
-        parallel = run_fig2(smoke, engine=SweepEngine(workers=4))
+        fig2 = get_experiment("fig2")
+        serial = fig2.run_domain(smoke, SweepEngine(workers=1))
+        parallel = fig2.run_domain(smoke, SweepEngine(workers=4))
         assert serial == parallel
 
 
@@ -86,7 +92,7 @@ class TestCache:
         spec = _mini_spec()
         computed: list[int] = []
         engine = SweepEngine(
-            cache=ResultCache(tmp_path), on_point_computed=computed.append
+            cache=ResultStore(tmp_path), on_point_computed=computed.append
         )
         cold = engine.run(spec)
         assert sorted(computed) == list(range(len(spec.points)))
@@ -101,8 +107,8 @@ class TestCache:
 
     def test_parallel_run_reuses_serial_cache(self, tmp_path):
         spec = _mini_spec()
-        cold = SweepEngine(workers=1, cache=ResultCache(tmp_path)).run(spec)
-        warm_cache = ResultCache(tmp_path)
+        cold = SweepEngine(workers=1, cache=ResultStore(tmp_path)).run(spec)
+        warm_cache = ResultStore(tmp_path)
         warm = SweepEngine(workers=4, cache=warm_cache).run(spec)
         assert warm.stats.cached_points == len(spec.points)
         assert warm_cache.hits == len(spec.points)
@@ -113,7 +119,7 @@ class TestCache:
         extended = _mini_spec(points=3)
         assert extended.points[:2] == short.points
 
-        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine = SweepEngine(cache=ResultStore(tmp_path))
         engine.run(short)
         result = engine.run(extended)
         assert result.stats.cached_points == 2
@@ -127,7 +133,7 @@ class TestCache:
             points=spec.points,
             params=spec.params,
         )
-        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine = SweepEngine(cache=ResultStore(tmp_path))
         engine.run(spec)
         result = engine.run(other)
         assert result.stats.computed_points == len(other.points)
@@ -141,17 +147,17 @@ class TestCache:
         """Scribbling over the shard's record log downgrades the entry
         to a miss (recomputed), never to a wrong payload."""
         spec = _mini_spec(points=1)
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         engine = SweepEngine(cache=cache)
         engine.run(spec)
         data = tmp_path / spec.kind / "data.jsonl"
         data.write_text(corruption)
-        rerun = SweepEngine(cache=ResultCache(tmp_path)).run(spec)
+        rerun = SweepEngine(cache=ResultStore(tmp_path)).run(spec)
         assert rerun.stats.computed_points == 1
 
     def test_clear_and_len(self, tmp_path):
         spec = _mini_spec(points=2)
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         SweepEngine(cache=cache).run(spec)
         assert len(cache) == 2
         assert cache.clear() == 2
@@ -210,18 +216,21 @@ class TestSerialisationHelpers:
         )
         assert rebuilt == config
 
-    def test_build_allocator_known_specs(self):
+    def test_comparison_allocator_specs_resolve(self):
+        """Every spec the solver and core-choice ablations sweep
+        resolves through the registry the allocator-comparison runner
+        uses."""
         for spec in (
             "hydra", "hydra[exact-rta]", "hydra+lp", "first-feasible",
             "slackiest-core",
         ):
-            assert build_allocator(spec).name == spec
+            assert get_allocator(spec).name == spec
 
-    def test_build_allocator_unknown_spec(self):
+    def test_unknown_allocator_spec_raises(self):
         from repro.allocators import UnknownAllocatorError
 
         with pytest.raises(UnknownAllocatorError, match="known allocators"):
-            build_allocator("magic")
+            get_allocator("magic")
 
 
 class TestEngineConfig:
@@ -237,8 +246,29 @@ class TestEngineConfig:
         engine = SweepEngine(cache=str(tmp_path / "c"))
         assert isinstance(engine.cache, ResultStore)
 
+    def test_serial_engine_never_imports_executors(self):
+        """The serial default runs points inline: importing the
+        executors package would add its import time to every serial
+        CLI run and job."""
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.experiments.parallel import SweepEngine, SweepSpec\n"
+            "repro.cli.build_parser()\n"
+            "SweepEngine().run(SweepSpec(kind='calibration', seed=1,\n"
+            "                            points=({'i': 0}, {'i': 1})))\n"
+            "print('repro.executors' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
     def test_legacy_cache_instance_accepted(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         assert SweepEngine(cache=cache).cache is cache
 
 
@@ -246,8 +276,6 @@ class TestFig1Degenerate:
     def test_single_core_only_scale_returns_empty_result(self):
         """core_counts=(1,) has no SingleCore-comparable panel; the
         pre-engine loop returned an empty result rather than raising."""
-        from repro.experiments.fig1 import run_fig1
-
         scale = SCALES["smoke"].with_overrides(core_counts=(1,))
-        result = run_fig1(scale)
+        result = get_experiment("fig1").run_domain(scale)
         assert result.points == ()

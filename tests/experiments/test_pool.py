@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.executors import PoolExecutor
 from repro.experiments import pool as pool_module
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.pool import (
@@ -143,7 +144,6 @@ class TestEnginePlumbing:
             engine.run(_calibration_spec(seed=8))
         shared = get_shared_pool(2)
         assert shared.spawn_count == 1
-        assert all(engine.pool is shared for engine in engines)
 
     def test_serial_engine_never_touches_the_pool(self):
         SweepEngine(workers=1).run(_calibration_spec())
@@ -155,7 +155,8 @@ class TestEnginePlumbing:
 
     def test_explicit_pool_is_used_and_not_shut_down(self):
         with WorkerPool(2) as pool:
-            engine = SweepEngine(pool=pool)
+            executor = PoolExecutor(pool=pool)
+            engine = SweepEngine(executor=executor)
             assert engine.workers == 2
             engine.run(_calibration_spec())
             assert pool.spawn_count == 1
@@ -164,14 +165,16 @@ class TestEnginePlumbing:
 
     def test_explicit_serial_pool_runs_inline(self):
         pool = WorkerPool(1)
-        SweepEngine(pool=pool).run(_calibration_spec())
+        executor = PoolExecutor(pool=pool)
+        SweepEngine(executor=executor).run(_calibration_spec())
         assert pool.spawn_count == 0
 
     def test_pooled_run_is_byte_identical_to_serial(self):
         spec = _calibration_spec(points=6)
         serial = SweepEngine(workers=1).run(spec)
         with WorkerPool(2) as pool:
-            pooled = SweepEngine(pool=pool).run(spec)
+            executor = PoolExecutor(pool=pool)
+            pooled = SweepEngine(executor=executor).run(spec)
         assert _bytes(serial) == _bytes(pooled)
 
     def test_grown_shared_pool_is_not_revived_as_an_orphan(self):
@@ -184,26 +187,34 @@ class TestEnginePlumbing:
         grown = get_shared_pool(4)
         assert grown is not old and not old.active
         engine.run(_calibration_spec(seed=9))
-        assert engine.pool is grown
+        assert grown.spawn_count == 1  # the replacement served the run
         assert not old.active  # the orphan was never respawned
         assert old.spawn_count == 1
 
-    def test_run_shims_thread_pool_through(self):
-        """The deprecated run_X shims accept pool= and leave its
-        lifecycle to the caller."""
-        from repro.experiments.config import SCALES
-        from repro.experiments.fig2 import run_fig2
-
-        smoke = SCALES["smoke"]
-        pool = WorkerPool(1)
-        assert run_fig2(smoke, pool=pool) == run_fig2(smoke)
-        assert pool.spawn_count == 0  # serial pool: inline, no fork
-
-    def test_pool_property_reflects_lazy_attachment(self):
+    def test_default_parallel_engine_attaches_the_shared_pool_lazily(self):
+        """``workers > 1`` with no executor is the registered ``pool``
+        backend, which fetches the shared pool at the first
+        multi-point batch, not at construction."""
         engine = SweepEngine(workers=2)
-        assert engine.pool is None
+        assert isinstance(engine.executor, PoolExecutor)
+        assert pool_module._shared_pool is None
         engine.run(_calibration_spec())
-        assert engine.pool is get_shared_pool(2)
+        assert get_shared_pool(2).spawn_count == 1
+
+    def test_run_domain_threads_an_injected_pool_through(self):
+        """An experiment run through ``PoolExecutor(pool=...)`` computes
+        on that pool and leaves its lifecycle to the caller."""
+        from repro.experiments import SCALES, get_experiment
+
+        experiment = get_experiment("fig2")
+        with WorkerPool(2) as pool:
+            executor = PoolExecutor(pool=pool)
+            engine = SweepEngine(executor=executor)
+            pooled = experiment.run_domain(SCALES["smoke"], engine=engine)
+            assert pool.spawn_count == 1
+            assert pool.active
+        assert pooled == experiment.run_domain(SCALES["smoke"])
+        assert pool_module._shared_pool is None
 
 
 class TestCalibrationRunner:

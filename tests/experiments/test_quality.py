@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import SCALES
-from repro.experiments.quality import format_quality, run_quality
+from repro.experiments.quality import QualityExperiment, format_quality
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +13,7 @@ def result():
     scale = SCALES["smoke"].with_overrides(
         utilization_start=0.3, utilization_stop=0.8, utilization_step=0.25
     )
-    return run_quality(scale, cores=4)
+    return QualityExperiment(cores=4).run_domain(scale)
 
 
 class TestRunQuality:
@@ -51,6 +51,6 @@ class TestRunQuality:
             utilization_step=0.5,
             tasksets_per_point=2,
         )
-        tight = run_quality(scale, cores=2)
+        tight = QualityExperiment(cores=2).run_domain(scale)
         text = format_quality(tight)
         assert text  # renders without error even with empty cells

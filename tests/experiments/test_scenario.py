@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.experiments.cache import ResultCache
 from repro.experiments.config import SCALES
 from repro.experiments.parallel import SweepEngine
 from repro.experiments.scenario import (
@@ -17,6 +16,7 @@ from repro.experiments.scenario import (
     load_scenario,
     parse_scenario,
 )
+from repro.experiments.store import ResultStore
 
 SMOKE = SCALES["smoke"]
 
@@ -200,12 +200,12 @@ class TestScenarioExperiment:
             == json.dumps(parallel.payloads, sort_keys=True)
         )
 
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cold = SweepEngine(cache=cache).run(spec)
         assert cold.payloads == serial.payloads
         computed: list[int] = []
         warm = SweepEngine(
-            cache=ResultCache(tmp_path), on_point_computed=computed.append
+            cache=ResultStore(tmp_path), on_point_computed=computed.append
         ).run(spec)
         assert warm.payloads == serial.payloads
         assert computed == []  # warm run came entirely from the cache

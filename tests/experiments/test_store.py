@@ -2,8 +2,8 @@
 
 Covers the storage contract the engine leans on — batched get/put,
 byte-exact JSON round trips, crash tolerance (torn lines, lost index),
-the typed fail-fast error on unusable roots — and the v1 migration
-path end to end.
+the typed fail-fast error on unusable roots — and that files left by
+the retired JSON-per-point layout are inert.
 """
 
 from __future__ import annotations
@@ -13,12 +13,8 @@ import json
 import pytest
 
 from repro.errors import CacheError, ReproError, ValidationError
-from repro.experiments.store import (
-    STORE_FORMAT,
-    ResultStore,
-    cache_key,
-    write_v1_entry,
-)
+from repro.experiments.parallel import SweepEngine, SweepSpec
+from repro.experiments.store import STORE_FORMAT, ResultStore, cache_key
 
 
 def _key(i: int) -> dict:
@@ -219,56 +215,85 @@ class TestReadonly:
         with pytest.raises(CacheError):
             store.put("demo", _key(9), _payload(9))
         with pytest.raises(CacheError):
-            store.migrate()
-        with pytest.raises(CacheError):
             store.gc()
         with pytest.raises(CacheError):
             store.clear()
 
 
-class TestMigration:
-    def _v1_dir(self, tmp_path, n: int = 4):
-        for i in range(n):
-            write_v1_entry(tmp_path, "demo", _key(i), _payload(i))
-        return tmp_path
+class TestRetiredLayout:
+    """A root holding ``<kind>/<sha256>.json`` files from the retired
+    JSON-per-point layout and no marker: the files are never read and
+    never deleted."""
 
-    def test_open_migrates_v1_automatically(self, tmp_path):
-        self._v1_dir(tmp_path)
+    def _spec(self) -> SweepSpec:
+        return SweepSpec(
+            kind="calibration",
+            seed=11,
+            points=tuple({"index": i} for i in range(4)),
+        )
+
+    def _leave_files(self, root, spec, payloads) -> list:
+        paths = []
+        for index, payload in enumerate(payloads):
+            key = spec.key_payload(index)
+            path = root / spec.kind / f"{cache_key(key)}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                json.dumps({"key": key, "payload": payload}, sort_keys=True)
+            )
+            paths.append(path)
+        return paths
+
+    def test_writable_open_stamps_marker_and_ignores_the_files(
+        self, tmp_path
+    ):
+        spec = self._spec()
+        uncached = SweepEngine().run(spec)
+        leftovers = self._leave_files(tmp_path, spec, uncached.payloads)
+
         store = ResultStore(tmp_path)
-        assert len(store) == 4
-        assert store.get("demo", _key(2)) == _payload(2)
-        # v1 files consumed, marker written: the scan never reruns.
-        assert store.pending_v1_entries() == 0
         assert (tmp_path / "store.json").exists()
-        assert not list((tmp_path / "demo").glob("*[0-9a-f]*.json"))
+        assert all(path.exists() for path in leftovers)
+        stats = store.stats()
+        assert not [key for key in stats if "v1" in key or "migr" in key]
+        assert stats["entries"] == 0
 
-    def test_migrate_false_leaves_directory_untouched(self, tmp_path):
-        self._v1_dir(tmp_path)
-        store = ResultStore(tmp_path, migrate=False)
-        assert store.pending_v1_entries() == 4
-        assert not (tmp_path / "store.json").exists()
+        computed: list[int] = []
+        cached = SweepEngine(
+            cache=store, on_point_computed=computed.append
+        ).run(spec)
+        assert sorted(computed) == list(range(len(spec.points)))
+        assert store.hits == 0
+        assert json.dumps(cached.payloads, sort_keys=True) == json.dumps(
+            uncached.payloads, sort_keys=True
+        )
+        assert all(path.exists() for path in leftovers)
 
-    def test_explicit_migrate_reports_count(self, tmp_path):
-        self._v1_dir(tmp_path, 3)
-        store = ResultStore(tmp_path, migrate=False)
-        assert store.migrate() == 3
-        assert store.migrate() == 0  # idempotent
+    def test_readonly_open_creates_nothing(self, tmp_path):
+        spec = self._spec()
+        self._leave_files(tmp_path, spec, SweepEngine().run(spec).payloads)
+        snapshot = sorted(p.name for p in tmp_path.rglob("*"))
+        store = ResultStore(tmp_path, readonly=True)
+        assert store.stats()["entries"] == 0
+        assert store.get(spec.kind, spec.key_payload(0)) is None
+        assert sorted(p.name for p in tmp_path.rglob("*")) == snapshot
 
-    def test_corrupt_v1_entries_are_skipped(self, tmp_path):
-        self._v1_dir(tmp_path, 2)
-        bad = tmp_path / "demo" / ("f" * 64 + ".json")
-        bad.write_text("{ torn")
+    def test_gc_and_clear_leave_the_files_in_place(self, tmp_path):
+        spec = self._spec()
+        leftovers = self._leave_files(
+            tmp_path, spec, SweepEngine().run(spec).payloads
+        )
+        torn = tmp_path / spec.kind / ("f" * 64 + ".json")
+        torn.write_text("{ torn")
+        leftovers.append(torn)
+
         store = ResultStore(tmp_path)
-        assert len(store) == 2
-
-    def test_migrated_keys_hit_without_recompute(self, tmp_path):
-        """The migration invariant: v1 keys == v2 keys, so a migrated
-        store serves the exact entries the v1 cache held."""
-        self._v1_dir(tmp_path)
-        store = ResultStore(tmp_path)
-        results = store.get_many("demo", [_key(i) for i in range(4)])
-        assert results == [_payload(i) for i in range(4)]
-        assert store.misses == 0
+        SweepEngine(cache=store).run(spec)
+        assert store.gc()["entries"] == len(spec.points)
+        assert store.clear() == len(spec.points)
+        # The emptied shard is reaped, but not the files beside it.
+        assert store.gc()["entries"] == 0
+        assert all(path.exists() for path in leftovers)
 
 
 class TestMaintenance:
@@ -302,4 +327,3 @@ class TestMaintenance:
         assert stats["entries"] == 3
         assert stats["shards"]["demo"]["entries"] == 3
         assert stats["data_bytes"] > 0
-        assert stats["pending_v1_entries"] == 0

@@ -69,7 +69,7 @@ class TestBuildSimTasks:
         )
 
     def test_unschedulable_allocation_rejected(self, loaded_system):
-        from repro.core.allocator import Allocation
+        from repro.model.allocation import Allocation
 
         bad = Allocation(scheme="x", schedulable=False, failed_task="s0")
         with pytest.raises(ValidationError):

@@ -55,18 +55,22 @@ class TestMain:
         assert "Monitoring quality" in out
 
     def test_csv_export(self, tmp_path, capsys):
+        csv_file = tmp_path / "out" / "fig2.csv"
         assert main(
-            ["fig2", "--scale", "smoke", "--csv", str(tmp_path / "out")]
+            ["fig2", "--scale", "smoke", "--format", "csv",
+             "--output", str(csv_file)]
         ) == 0
         capsys.readouterr()
-        csv_file = tmp_path / "out" / "fig2.csv"
         assert csv_file.exists()
         lines = csv_file.read_text().strip().splitlines()
         assert lines[0].startswith("cores,utilization")
         assert len(lines) > 1
 
     def test_csv_export_table1(self, tmp_path, capsys):
-        assert main(["table1", "--csv", str(tmp_path)]) == 0
+        assert main(
+            ["table1", "--format", "csv",
+             "--output", str(tmp_path / "table1.csv")]
+        ) == 0
         capsys.readouterr()
         lines = (tmp_path / "table1.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + six security tasks
@@ -302,16 +306,6 @@ class TestAblateCommand:
 
 
 class TestCacheCommand:
-    def _fill_v1(self, directory, n=2):
-        from repro.experiments.store import write_v1_entry
-
-        for i in range(n):
-            write_v1_entry(
-                directory, "demo",
-                {"format": 1, "kind": "demo", "index": i},
-                {"value": i},
-            )
-
     def test_stats_on_fresh_store(self, tmp_path, capsys):
         assert main(
             ["cache", "stats", "--cache-dir", str(tmp_path / "c")]
@@ -319,23 +313,21 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "0 entries" in out
 
-    def test_stats_reports_pending_v1_without_migrating(
-        self, tmp_path, capsys
-    ):
-        self._fill_v1(tmp_path)
+    def test_stats_ignores_v1_leftovers(self, tmp_path, capsys):
+        """A file of the retired JSON-per-point layout is not counted,
+        not reported and not touched, and stats stays read-only."""
+        leftover = tmp_path / "demo" / ("0" * 64 + ".json")
+        leftover.parent.mkdir()
+        leftover.write_text(
+            json.dumps({"key": {"index": 0}, "payload": {"value": 0}})
+        )
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "2 v1 entries pending migration" in out
-        assert not (tmp_path / "store.json").exists()  # stats is read-only
-
-    def test_migrate_ingests_v1(self, tmp_path, capsys):
-        self._fill_v1(tmp_path, 3)
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 3 v1 entries" in out
-        assert (tmp_path / "store.json").exists()
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0" in capsys.readouterr().out
+        assert out.splitlines() == [
+            f"store {tmp_path} (v2): 0 entries, 0 data bytes, 0 shard(s)"
+        ]
+        assert leftover.exists()
+        assert not (tmp_path / "store.json").exists()
 
     def test_gc_reports_summary(self, tmp_path, capsys):
         from repro.experiments.store import ResultStore
@@ -360,15 +352,26 @@ class TestCacheCommand:
         """A typoed --cache-dir must error, not report success on a
         silently created empty store."""
         target = tmp_path / "typoed-cahce"
-        for action in ("migrate", "gc"):
-            with pytest.raises(SystemExit):
-                main(["cache", action, "--cache-dir", str(target)])
-            assert "no cache directory" in capsys.readouterr().err
-            assert not target.exists()
+        with pytest.raises(SystemExit):
+            main(["cache", "gc", "--cache-dir", str(target)])
+        assert "no cache directory" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "prune"])
+
+    def test_retired_surfaces_are_usage_errors(self, tmp_path, capsys):
+        """``cache migrate`` and ``--csv DIR`` are gone: argparse
+        rejects both with its usage exit code."""
+        for argv in (
+            ["cache", "migrate", "--cache-dir", str(tmp_path)],
+            ["table1", f"--csv={tmp_path}"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_cached_run_writes_v2_store(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -106,7 +106,7 @@ class TestAllocationRoundTrip:
         )
 
     def test_unschedulable_allocation(self):
-        from repro.core.allocator import Allocation
+        from repro.model.allocation import Allocation
 
         failed = Allocation(scheme="x", schedulable=False, failed_task="s")
         restored = allocation_from_dict(allocation_to_dict(failed))
@@ -114,7 +114,7 @@ class TestAllocationRoundTrip:
         assert restored.failed_task == "s"
 
     def test_info_survives_with_stringly_fallback(self, loaded_system):
-        from repro.core.allocator import Allocation, SecurityAssignment
+        from repro.model.allocation import Allocation, SecurityAssignment
 
         allocation = Allocation(
             scheme="x",
@@ -159,9 +159,9 @@ class TestFiles:
 
     def test_csv_of_fig2_panel(self, tmp_path):
         from repro.experiments.config import SCALES
-        from repro.experiments.fig2 import run_fig2
+        from repro.experiments.registry import get_experiment
 
-        result = run_fig2(SCALES["smoke"])
+        result = get_experiment("fig2").run_domain(SCALES["smoke"])
         panel = result.panel(2)
         path = rows_to_csv(
             ["utilization", "hydra", "single"],

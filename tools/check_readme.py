@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Audit README fenced commands against the live CLI (stdlib only).
+"""Audit README fenced commands and code against this checkout (stdlib only).
 
 Usage::
 
@@ -21,12 +21,23 @@ page under ``docs/``):
   like ``spec.toml`` are deliberately exempt, repo-relative paths like
   ``examples/custom_sweep.toml`` are not.
 
+Fenced ``python`` blocks get the same treatment at the API level:
+
+* every ``from repro… import name`` must resolve;
+* every keyword argument in a call to a name imported that way must be
+  a parameter of its ``inspect.signature`` (a class's ``__init__``),
+  unless the callable takes ``**kwargs``.
+
 Help output is fetched once per subcommand chain through a subprocess
-with ``PYTHONPATH=src``, so the audit runs against *this* checkout.
+with ``PYTHONPATH=src``, and ``src`` is put first on ``sys.path`` for
+the imports, so the audit runs against *this* checkout.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import os
 import re
 import shlex
@@ -38,6 +49,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _FENCE = re.compile(r"^```bash\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+_PY_FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
 #: Commands the audit does not own (tooling, not this package's CLI).
 _SKIP_PREFIXES = (
@@ -142,9 +154,86 @@ def _check_paths(tokens: list[str]) -> list[str]:
     return problems
 
 
+def _resolve(module_name: str, name: str) -> object:
+    """What ``from module_name import name`` binds (raises ImportError)."""
+    src = str(REPO_ROOT / "src")
+    if sys.path[:1] != [src]:
+        sys.path.insert(0, src)
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    return importlib.import_module(f"{module_name}.{name}")
+
+
+def _accepted_keywords(target: object) -> set[str] | None:
+    """Keyword names ``target(...)`` accepts (a class: its ``__init__``);
+    None when it takes ``**kwargs`` or has no signature."""
+    if isinstance(target, type):
+        target = target.__init__
+    try:
+        params = inspect.signature(target).parameters.values()
+    except (TypeError, ValueError):
+        return None
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return None
+    return {
+        p.name for p in params
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+
+
+def check_python_block(source: str) -> list[str]:
+    """Audit one fenced ``python`` block's repro imports and keywords."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [f"python block does not parse: {exc.msg} (line {exc.lineno})"]
+    problems: list[str] = []
+    imported: dict[str, object] = {}
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module is not None
+            and node.module.split(".")[0] == "repro"
+        ):
+            continue
+        for alias in node.names:
+            try:
+                imported[alias.asname or alias.name] = _resolve(
+                    node.module, alias.name
+                )
+            except ImportError:
+                problems.append(
+                    f"cannot import {alias.name!r} from {node.module!r}"
+                )
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in imported
+        ):
+            continue
+        accepted = _accepted_keywords(imported[node.func.id])
+        if accepted is None:
+            continue
+        for keyword in node.keywords:
+            if keyword.arg is not None and keyword.arg not in accepted:
+                problems.append(
+                    f"{node.func.id}() takes no keyword {keyword.arg!r}"
+                )
+    return problems
+
+
 def check_file(path: Path) -> list[str]:
     problems: list[str] = []
     text = path.read_text(encoding="utf-8")
+    for fence in _PY_FENCE.finditer(text):
+        lineno = text.count("\n", 0, fence.start()) + 1
+        problems += [
+            f"{path}: python block at line {lineno}: {p}"
+            for p in check_python_block(fence.group(1))
+        ]
     for fence in _FENCE.finditer(text):
         for line in _command_lines(fence.group(1)):
             where = f"{path}: `{line}`"
@@ -186,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"check_readme: FAIL — {len(problems)} drifted command(s)")
+        print(f"check_readme: FAIL — {len(problems)} drifted example(s)")
         return 1
     print(f"check_readme: OK — {len(files)} file(s) audited")
     return 0
