@@ -5,7 +5,12 @@
   recovers;
 * core-choice ablation — HYDRA's argmax-tightness rule vs cheaper rules;
 * search ablation — branch-and-bound vs exhaustive enumeration;
+* partitioning ablation — best/worst/first-fit real-time placement;
 * extension ablation — §V variants in the simulator.
+
+The solver, core-choice and partitioning ablations are registered
+scenario grids: each result holds one panel whose cells carry full
+combo labels (``allocator|heuristic/ordering/admission``).
 """
 
 from __future__ import annotations
@@ -19,17 +24,29 @@ from repro.experiments.ablations import (
 from repro.experiments.registry import get_experiment
 
 
-def test_solver_ablation(benchmark, scale):
-    experiment = get_experiment("ablation-solver")
-    comparison = benchmark.pedantic(
+#: The paper's real-time design point, as a combo-label suffix.
+_PAPER_POINT = "best-fit/utilization/rta"
+
+
+def _run_grid(benchmark, name, scale):
+    """Run one registered grid ablation once; print it; return its one
+    panel's comparison."""
+    experiment = get_experiment(name)
+    result = benchmark.pedantic(
         experiment.run_domain, args=(scale,), rounds=1, iterations=1
     )
     print()
-    print(experiment.render_domain(comparison))
+    print(experiment.render_domain(result))
+    (panel,) = result.panels
+    return panel.comparison
 
-    closed = comparison.series("hydra")
-    exact = comparison.series("hydra[exact-rta]")
-    refined = comparison.series("hydra+lp")
+
+def test_solver_ablation(benchmark, scale):
+    comparison = _run_grid(benchmark, "ablation-solver", scale)
+
+    closed = comparison.series(f"hydra|{_PAPER_POINT}")
+    exact = comparison.series(f"hydra[exact-rta]|{_PAPER_POINT}")
+    refined = comparison.series(f"hydra+lp|{_PAPER_POINT}")
     for c, e, r in zip(closed, exact, refined):
         # Exact RTA is strictly more permissive than the linear bound.
         assert e.acceptance >= c.acceptance - 1e-9
@@ -41,15 +58,10 @@ def test_solver_ablation(benchmark, scale):
 
 
 def test_core_choice_ablation(benchmark, scale):
-    experiment = get_experiment("ablation-core-choice")
-    comparison = benchmark.pedantic(
-        experiment.run_domain, args=(scale,), rounds=1, iterations=1
-    )
-    print()
-    print(experiment.render_domain(comparison))
+    comparison = _run_grid(benchmark, "ablation-core-choice", scale)
 
-    hydra = comparison.series("hydra")
-    first = comparison.series("first-feasible")
+    hydra = comparison.series(f"hydra|{_PAPER_POINT}")
+    first = comparison.series(f"first-feasible|{_PAPER_POINT}")
     assert hydra and first
     # Where both schedule everything, HYDRA's rule yields tighter
     # monitoring than blindly taking the first feasible core.
@@ -78,15 +90,14 @@ def test_search_ablation(benchmark, scale):
 
 
 def test_partitioning_ablation(benchmark, scale):
-    experiment = get_experiment("ablation-partitioning")
-    comparison = benchmark.pedantic(
-        experiment.run_domain, args=(scale,), rounds=1, iterations=1
-    )
-    print()
-    print(experiment.render_domain(comparison))
+    comparison = _run_grid(benchmark, "ablation-partitioning", scale)
 
     schemes = comparison.schemes()
-    assert set(schemes) == {"best-fit", "worst-fit", "first-fit"}
+    assert set(schemes) == {
+        "best-fit/utilization/rta",
+        "worst-fit/utilization/rta",
+        "first-fit/utilization/rta",
+    }
     # At low utilisation the heuristic is irrelevant: everything fits
     # at the desired periods regardless of packing.
     first_util = comparison.cells[0].utilization

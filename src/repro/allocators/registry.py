@@ -12,8 +12,8 @@ with :func:`register_allocator` ::
         name = "my-strategy"
         def allocate(self, system): ...
 
-and every consumer — TOML scenario grids (``[grid] allocator = [...]``),
-the ``allocator-comparison`` sweeps, ``repro-hydra allocators``, the
+and every consumer — TOML scenario grids (``[grid] allocator = [...]``)
+and the registered grid ablations, ``repro-hydra allocators``, the
 ``--allocator`` CLI override — resolves strategies through this table
 instead of importing solver modules directly.  Anything registered
 before :func:`repro.cli.main` runs is sweepable with no driver code.

@@ -11,10 +11,12 @@
 * :mod:`repro.experiments.fig2` — acceptance-ratio improvement sweep.
 * :mod:`repro.experiments.fig3` — HYDRA vs optimal tightness gap.
 * :mod:`repro.experiments.quality` — tightness on commonly-accepted sets.
-* :mod:`repro.experiments.ablations` — solver / core-choice / search /
-  extension / partitioning ablations.
-* :mod:`repro.experiments.scenario` — user-defined TOML scenario sweeps
-  (``repro-hydra sweep --config``).
+* :mod:`repro.experiments.ablations` — the solver / core-choice /
+  partitioning ablations (registered scenario grids) and the search /
+  extension ablations (computed inline).
+* :mod:`repro.experiments.scenario` — TOML scenario sweeps (``repro-hydra
+  sweep --config``) and the one acceptance-comparison point runner
+  behind them and the grid ablations.
 * :mod:`repro.experiments.config` — ``smoke`` / ``default`` / ``paper``
   scaling presets (env var ``REPRO_SCALE``).
 * :mod:`repro.experiments.parallel` — the parallel/cached/resumable

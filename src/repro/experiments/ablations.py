@@ -1,7 +1,12 @@
 """Ablation studies for the design choices DESIGN §7 calls out.
 
 These go beyond the paper's three figures and quantify *why* HYDRA is
-built the way it is:
+built the way it is.  Three of them are fixed scenario grids — the
+paper's design space is exactly the allocator × heuristic grid that
+:mod:`repro.experiments.scenario` sweeps on shared task sets — so each
+is a registered :class:`~repro.experiments.scenario.ScenarioExperiment`
+whose ``grid`` is the ``[grid]`` table of the equivalent ``sweep
+--config`` document:
 
 * :class:`SolverAblationExperiment` — the cost of the GP-compatible
   linearised interference bound versus exact RTA, and what joint LP
@@ -10,6 +15,9 @@ built the way it is:
   rule versus cheaper rules (first feasible core, most-slack core).
 * :class:`PartitioningAblationExperiment` — how the real-time
   partitioning heuristic (best/worst/first-fit) shapes HYDRA's room.
+
+Two compute inline, because they measure what a grid cannot:
+
 * :func:`search_ablation` — branch-and-bound versus exhaustive
   enumeration for the OPT baseline (same optimum, fewer LP solves).
 * :func:`extension_ablation` — detection-time impact of the paper's §V
@@ -29,6 +37,7 @@ from repro.experiments.fig1 import build_uav_systems
 from repro.experiments.registry import register_experiment
 from repro.experiments.reporting import format_table, percent
 from repro.experiments.runner import build_hydra_system
+from repro.experiments.scenario import ScenarioExperiment, parse_scenario
 from repro.metrics.cdf import EmpiricalCDF
 from repro.model.platform import Platform
 from repro.opt.branch_bound import branch_bound_optimal
@@ -37,20 +46,16 @@ from repro.sim.attacks import sample_attacks, surfaces_of
 from repro.sim.detection import detection_times
 from repro.sim.runner import simulate_allocation
 from repro.taskgen.security_apps import TRIPWIRE_PRECEDENCE
-from repro.taskgen.synthetic import SyntheticConfig, generate_workload, \
-    utilization_sweep
+from repro.taskgen.synthetic import SyntheticConfig, generate_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
 
 __all__ = [
-    "AllocatorCell",
-    "AllocatorComparison",
     "SearchAblationResult",
     "search_ablation",
     "ExtensionCell",
     "extension_ablation",
-    "format_allocator_comparison",
     "format_search_ablation",
     "format_extension_ablation",
     "SolverAblationExperiment",
@@ -61,95 +66,92 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AllocatorCell:
-    """One (allocator, utilisation) cell of an allocator comparison."""
-
-    scheme: str
-    utilization: float
-    acceptance: float
-    mean_tightness: float  # mean over schedulable task sets (ω = 1)
+# -- the comparison ablations: fixed scenario grids ------------------------
 
 
-@dataclass(frozen=True)
-class AllocatorComparison:
-    cells: tuple[AllocatorCell, ...]
-    cores: int
-    tasksets_per_point: int
+class _GridAblation(ScenarioExperiment):
+    """An ablation that is one fixed scenario grid.
 
-    def schemes(self) -> list[str]:
-        seen: list[str] = []
-        for cell in self.cells:
-            if cell.scheme not in seen:
-                seen.append(cell.scheme)
-        return seen
+    ``grid`` is the ``[grid]`` table of the equivalent ``sweep
+    --config`` document; the seed, task sets per point and utilisation
+    range come from the scale, so the registered name and that document
+    run the same sweeps and share cache entries.
+    """
 
-    def series(self, scheme: str) -> list[AllocatorCell]:
-        return [c for c in self.cells if c.scheme == scheme]
+    version = 2
+    tags = ("ablation",)
+    grid: Mapping[str, list]
 
-
-def _sweep_utilizations(scale: ExperimentScale, cores: int) -> list[float]:
-    return list(
-        utilization_sweep(
-            Platform(cores),
-            step_fraction=scale.utilization_step,
-            start_fraction=scale.utilization_start,
-            stop_fraction=scale.utilization_stop,
-        )
-    )
-
-
-def _cells_from_payloads(
-    spec: "SweepSpec",
-    payloads,
-    schemes: list[str],
-) -> tuple[AllocatorCell, ...]:
-    """Decode per-point ``{"cells": {scheme: tallies}}`` payloads."""
-    cells: list[AllocatorCell] = []
-    for point, payload in zip(spec.points, payloads):
-        for scheme in schemes:
-            tally = payload["cells"][scheme]
-            accepted = int(tally["accepted"])
-            cells.append(
-                AllocatorCell(
-                    scheme=scheme,
-                    utilization=float(point["utilization"]),
-                    acceptance=(
-                        accepted / tally["total"] if tally["total"] else 0.0
-                    ),
-                    mean_tightness=(
-                        tally["tightness_sum"] / accepted if accepted else 0.0
-                    ),
-                )
+    def __init__(self) -> None:
+        super().__init__(
+            parse_scenario(
+                {
+                    "sweep": {
+                        "name": self.name,
+                        "title": self.title,
+                        "description": self.description,
+                    },
+                    "grid": dict(self.grid),
+                }
             )
-    return tuple(cells)
+        )
+        self.name = self.config.name
 
 
-def _allocator_sweep_spec(
-    allocator_specs: list[str],
-    scale: ExperimentScale,
-    cores: int,
-    config: SyntheticConfig | None,
-    seed_offset: int,
-) -> "SweepSpec":
-    from repro.experiments.parallel import SweepSpec, synthetic_config_to_dict
-
-    return SweepSpec(
-        kind="allocator-comparison",
-        seed=scale.seed + seed_offset,
-        points=tuple(
-            {"utilization": u} for u in _sweep_utilizations(scale, cores)
-        ),
-        params={
-            "cores": cores,
-            "tasksets_per_point": scale.tasksets_per_point,
-            "allocators": list(allocator_specs),
-            "config": (
-                synthetic_config_to_dict(config) if config is not None
-                else None
-            ),
-        },
+@register_experiment("ablation-solver")
+class SolverAblationExperiment(_GridAblation):
+    name = "ablation-solver"
+    title = "Ablation: period solver (linearised vs exact RTA vs +LP)"
+    description = (
+        "Cost of the GP-compatible linearised interference bound versus "
+        "exact RTA, and what joint LP period refinement adds."
     )
+    order = 60
+    grid = {
+        "cores": [2],
+        "allocator": ["hydra", "hydra[exact-rta]", "hydra+lp"],
+        "heuristic": ["best-fit"],
+        "ordering": ["utilization"],
+        "admission": ["rta"],
+    }
+
+
+@register_experiment("ablation-core-choice")
+class CoreChoiceAblationExperiment(_GridAblation):
+    name = "ablation-core-choice"
+    title = "Ablation: core-selection rule"
+    description = (
+        "HYDRA's argmax-tightness core rule versus cheaper rules "
+        "(first feasible core, most-slack core)."
+    )
+    order = 70
+    grid = {
+        "cores": [4],
+        "allocator": ["hydra", "first-feasible", "slackiest-core"],
+        "heuristic": ["best-fit"],
+        "ordering": ["utilization"],
+        "admission": ["rta"],
+    }
+
+
+@register_experiment("ablation-partitioning")
+class PartitioningAblationExperiment(_GridAblation):
+    name = "ablation-partitioning"
+    title = "Ablation: real-time partitioning heuristic"
+    description = (
+        "How the real-time partitioning heuristic (best/worst/first-fit) "
+        "shapes HYDRA's room for security tasks."
+    )
+    order = 100
+    grid = {
+        "cores": [4],
+        "heuristic": ["best-fit", "worst-fit", "first-fit"],
+        "ordering": ["utilization"],
+        "admission": ["rta"],
+    }
+
+
+# -- the inline ablations ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -293,54 +295,7 @@ def extension_ablation(
     return cells
 
 
-def _partitioning_sweep_spec(
-    scale: ExperimentScale,
-    cores: int,
-    config: SyntheticConfig | None,
-    heuristics: tuple[str, ...],
-) -> "SweepSpec":
-    from repro.experiments.parallel import SweepSpec, synthetic_config_to_dict
-
-    return SweepSpec(
-        kind="partitioning",
-        seed=scale.seed + 97,
-        points=tuple(
-            {"utilization": u} for u in _sweep_utilizations(scale, cores)
-        ),
-        params={
-            "cores": cores,
-            "tasksets_per_point": scale.tasksets_per_point,
-            "heuristics": list(heuristics),
-            "config": (
-                synthetic_config_to_dict(config) if config is not None
-                else None
-            ),
-        },
-    )
-
-
 # -- formatting --------------------------------------------------------------
-
-
-def format_allocator_comparison(
-    comparison: AllocatorComparison, title: str
-) -> str:
-    rows = []
-    for cell in comparison.cells:
-        rows.append(
-            (
-                f"{cell.utilization:.3f}",
-                cell.scheme,
-                f"{cell.acceptance:.3f}",
-                f"{cell.mean_tightness:.3f}",
-            )
-        )
-    return format_table(
-        ["U_total", "scheme", "acceptance", "mean tightness"],
-        rows,
-        title=f"{title} ({comparison.cores} cores, "
-              f"{comparison.tasksets_per_point} task sets/point)",
-    )
 
 
 def format_search_ablation(result: SearchAblationResult) -> str:
@@ -362,133 +317,6 @@ def format_search_ablation(result: SearchAblationResult) -> str:
 
 
 # -- experiment-protocol ports ------------------------------------------------
-
-
-def _comparison_to_data(domain: AllocatorComparison) -> dict[str, Any]:
-    return {
-        "cores": domain.cores,
-        "tasksets_per_point": domain.tasksets_per_point,
-        "cells": [
-            {
-                "scheme": c.scheme,
-                "utilization": c.utilization,
-                "acceptance": c.acceptance,
-                "mean_tightness": c.mean_tightness,
-            }
-            for c in domain.cells
-        ],
-    }
-
-
-def _comparison_from_data(data: Mapping[str, Any]) -> AllocatorComparison:
-    return AllocatorComparison(
-        cells=tuple(
-            AllocatorCell(
-                scheme=str(c["scheme"]),
-                utilization=float(c["utilization"]),
-                acceptance=float(c["acceptance"]),
-                mean_tightness=float(c["mean_tightness"]),
-            )
-            for c in data["cells"]
-        ),
-        cores=int(data["cores"]),
-        tasksets_per_point=int(data["tasksets_per_point"]),
-    )
-
-
-class _ComparisonAblationExperiment(Experiment):
-    """Shared machinery for ablations reporting an
-    :class:`AllocatorComparison` (solver, core-choice, partitioning)."""
-
-    version = 1
-    tags = ("ablation",)
-    columns = ("utilization", "scheme", "acceptance", "mean_tightness")
-    #: Table title passed to :func:`format_allocator_comparison`.
-    comparison_title: str = ""
-    #: Scheme labels, in report order.
-    schemes: tuple[str, ...] = ()
-    #: Default platform size (subclasses override).
-    cores: int = 2
-
-    def __init__(
-        self,
-        cores: int | None = None,
-        config: SyntheticConfig | None = None,
-    ) -> None:
-        if cores is not None:
-            self.cores = cores
-        self.config = config
-
-    def aggregate_domain(self, raw: RawRun) -> AllocatorComparison:
-        (result,) = raw.sweeps
-        return AllocatorComparison(
-            cells=_cells_from_payloads(
-                result.spec, result.payloads, list(self.schemes)
-            ),
-            cores=int(result.spec.params["cores"]),
-            tasksets_per_point=raw.scale.tasksets_per_point,
-        )
-
-    def encode_data(self, domain: AllocatorComparison) -> dict[str, Any]:
-        return _comparison_to_data(domain)
-
-    def decode_data(self, data: Mapping[str, Any]) -> AllocatorComparison:
-        return _comparison_from_data(data)
-
-    def render_domain(self, domain: AllocatorComparison) -> str:
-        return format_allocator_comparison(domain, self.comparison_title)
-
-    def table_rows(
-        self, domain: AllocatorComparison
-    ) -> list[Sequence[Any]]:
-        return [
-            (c.utilization, c.scheme, c.acceptance, c.mean_tightness)
-            for c in domain.cells
-        ]
-
-
-@register_experiment("ablation-solver")
-class SolverAblationExperiment(_ComparisonAblationExperiment):
-    name = "ablation-solver"
-    title = "Ablation: period solver (linearised vs exact RTA vs +LP)"
-    description = (
-        "Cost of the GP-compatible linearised interference bound versus "
-        "exact RTA, and what joint LP period refinement adds."
-    )
-    comparison_title = "Ablation: period solver"
-    schemes = ("hydra", "hydra[exact-rta]", "hydra+lp")
-    cores = 2
-    order = 60
-
-    def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [
-            _allocator_sweep_spec(
-                list(self.schemes), scale, self.cores, self.config,
-                seed_offset=53,
-            )
-        ]
-
-
-@register_experiment("ablation-core-choice")
-class CoreChoiceAblationExperiment(_ComparisonAblationExperiment):
-    name = "ablation-core-choice"
-    title = "Ablation: core-selection rule"
-    description = (
-        "HYDRA's argmax-tightness core rule versus cheaper rules "
-        "(first feasible core, most-slack core)."
-    )
-    comparison_title = "Ablation: core-selection rule"
-    schemes = ("hydra", "first-feasible", "slackiest-core")
-    cores = 4
-    order = 70
-
-    def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [
-            _allocator_sweep_spec(
-                list(self.schemes), scale, self.cores, self.config,
-                seed_offset=67,
-            )
-        ]
 
 
 @register_experiment("ablation-search")
@@ -602,37 +430,6 @@ class ExtensionAblationExperiment(Experiment):
         return [
             (c.mode, c.mean_detection, c.p90_detection, c.missed_deadlines)
             for c in domain
-        ]
-
-
-@register_experiment("ablation-partitioning")
-class PartitioningAblationExperiment(_ComparisonAblationExperiment):
-    name = "ablation-partitioning"
-    title = "Ablation: real-time partitioning heuristic"
-    description = (
-        "How the real-time partitioning heuristic (best/worst/first-fit) "
-        "shapes HYDRA's room for security tasks."
-    )
-    comparison_title = "Ablation: real-time partitioning heuristic"
-    schemes = ("best-fit", "worst-fit", "first-fit")
-    cores = 4
-    order = 100
-
-    def __init__(
-        self,
-        cores: int | None = None,
-        config: SyntheticConfig | None = None,
-        heuristics: tuple[str, ...] | None = None,
-    ) -> None:
-        super().__init__(cores, config)
-        if heuristics is not None:
-            self.schemes = tuple(heuristics)
-
-    def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [
-            _partitioning_sweep_spec(
-                scale, self.cores, self.config, tuple(self.schemes)
-            )
         ]
 
 

@@ -296,7 +296,7 @@ class Experiment(ABC):
     @abstractmethod
     def aggregate_domain(self, raw: RawRun) -> Any:
         """Fold the raw per-point payloads into the experiment's domain
-        result object (``Fig2Result``, ``AllocatorComparison``, …)."""
+        result object (``Fig2Result``, ``ScenarioResult``, …)."""
 
     @abstractmethod
     def encode_data(self, domain: Any) -> dict[str, Any]:
@@ -403,7 +403,7 @@ class Experiment(ABC):
         engine: SweepEngine | None = None,
     ) -> Any:
         """Run the experiment and return the *domain* result object
-        (``Fig2Result``, ``AllocatorComparison``, …) that
+        (``Fig2Result``, ``ScenarioResult``, …) that
         :meth:`render_domain` formats."""
         return self.aggregate_domain(self._run_sweeps(scale, engine))
 

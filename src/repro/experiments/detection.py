@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.experiments.api import Experiment, GoldenFixture, RawRun
+from repro.experiments.api import GoldenFixture, RawRun
 from repro.experiments.config import SCALES, ExperimentScale
 from repro.experiments.parallel import register_point_runner
 from repro.experiments.registry import register_experiment
@@ -46,10 +46,11 @@ from repro.experiments.scenario import (
     ScenarioConfig,
     ScenarioExperiment,
     combo_label,
+    combo_system,
 )
 from repro.metrics.cdf import EmpiricalCDF
 from repro.model.platform import Platform
-from repro.model.task import SecurityTask, TaskSet
+from repro.model.task import TaskSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
@@ -107,9 +108,6 @@ def run_detection_point(
     byte-identical across worker counts.
     """
     from repro.allocators import get_allocator
-    from repro.core.singlecore import build_singlecore_system
-    from repro.model.system import SystemModel
-    from repro.partition.heuristics import try_partition_tasks
     from repro.sim.attacks import sample_attacks, surfaces_of
     from repro.sim.detection import (
         DetectionIndex,
@@ -170,41 +168,17 @@ def run_detection_point(
             surface_map = build_surface_map(monitors)
             surfaces = surfaces_of(monitors)
             attacks = sample_attacks(sim_trials, window, surfaces, rng)
+            systems: dict[tuple, Any] = {}
             for key, group in groups.items():
                 if key[0] != wl_spec:
                     continue
                 group_cells = [cells[combo_label(**c)] for c in group]
                 for cell in group_cells:
                     cell["total"] += 1
-                combo = group[0]
-                spec = key[1]
-                if spec == "singlecore":
-                    system = build_singlecore_system(
-                        platform,
-                        workload.rt_tasks,
-                        workload.security_tasks,
-                        heuristic=combo["heuristic"],
-                        admission=combo["admission"],
-                        ordering=combo["ordering"],
-                    )
-                    if system is None:
-                        continue
-                else:
-                    partition = try_partition_tasks(
-                        workload.rt_tasks,
-                        platform,
-                        heuristic=combo["heuristic"],
-                        admission=combo["admission"],
-                        ordering=combo["ordering"],
-                    )
-                    if partition is None:
-                        continue
-                    system = SystemModel(
-                        platform=platform,
-                        rt_partition=partition,
-                        security_tasks=workload.security_tasks,
-                    )
-                allocation = allocators[spec].allocate(system)
+                system = combo_system(platform, workload, group[0], systems)
+                if system is None:
+                    continue
+                allocation = allocators[key[1]].allocate(system)
                 if not allocation.schedulable:
                     continue
                 for cell in group_cells:

@@ -425,80 +425,6 @@ def run_table1_point(
     return {"rows": rows}
 
 
-@register_point_runner("allocator-comparison")
-def run_allocator_comparison_point(
-    point: Mapping[str, Any],
-    params: Mapping[str, Any],
-    rng: np.random.Generator,
-) -> dict[str, Any]:
-    """Acceptance/tightness of several allocators on shared task sets
-    at one utilisation (solver and core-choice ablations)."""
-    from repro.allocators import get_allocator
-    from repro.experiments.runner import build_hydra_system
-    from repro.taskgen.synthetic import generate_workload
-
-    platform = Platform(int(params["cores"]))
-    config = _config_from_params(params)
-    allocators = [get_allocator(s) for s in params["allocators"]]
-    cells = {
-        a.name: {"accepted": 0, "total": 0, "tightness_sum": 0.0}
-        for a in allocators
-    }
-    for _ in range(int(params["tasksets_per_point"])):
-        workload = generate_workload(
-            platform, float(point["utilization"]), rng, config
-        )
-        system = build_hydra_system(workload)
-        for allocator in allocators:
-            cell = cells[allocator.name]
-            cell["total"] += 1
-            if system is None:
-                continue
-            allocation = allocator.allocate(system)
-            if allocation.schedulable:
-                cell["accepted"] += 1
-                cell["tightness_sum"] += allocation.mean_tightness()
-    return {"cells": cells}
-
-
-@register_point_runner("partitioning")
-def run_partitioning_point(
-    point: Mapping[str, Any],
-    params: Mapping[str, Any],
-    rng: np.random.Generator,
-) -> dict[str, Any]:
-    """HYDRA acceptance/tightness under different real-time
-    partitioning heuristics on shared task sets (partitioning
-    ablation)."""
-    from repro.allocators import get_allocator
-    from repro.experiments.runner import build_hydra_system
-    from repro.taskgen.synthetic import generate_workload
-
-    platform = Platform(int(params["cores"]))
-    config = _config_from_params(params)
-    heuristics = list(params["heuristics"])
-    allocator = get_allocator(params.get("allocator", "hydra"))
-    cells = {
-        h: {"accepted": 0, "total": 0, "tightness_sum": 0.0}
-        for h in heuristics
-    }
-    for _ in range(int(params["tasksets_per_point"])):
-        workload = generate_workload(
-            platform, float(point["utilization"]), rng, config
-        )
-        for heuristic in heuristics:
-            cell = cells[heuristic]
-            cell["total"] += 1
-            system = build_hydra_system(workload, heuristic=heuristic)
-            if system is None:
-                continue
-            allocation = allocator.allocate(system)
-            if allocation.schedulable:
-                cell["accepted"] += 1
-                cell["tightness_sum"] += allocation.mean_tightness()
-    return {"cells": cells}
-
-
 # -- the engine --------------------------------------------------------------
 
 

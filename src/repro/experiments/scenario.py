@@ -66,24 +66,23 @@ import numpy as np
 
 from repro.analysis.schedulability import ADMISSION_TESTS as _ADMISSIONS
 from repro.errors import ValidationError
-from repro.experiments.ablations import (
-    AllocatorComparison,
-    _cells_from_payloads,
-    _comparison_from_data,
-    _comparison_to_data,
-    format_allocator_comparison,
-)
 from repro.experiments.api import Experiment, RawRun
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import register_point_runner
+from repro.experiments.reporting import format_table
 from repro.model.platform import Platform
 from repro.partition.heuristics import HEURISTICS, ORDERINGS
 from repro.taskgen.synthetic import utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
+    from repro.model.system import SystemModel
+    from repro.taskgen.synthetic import SyntheticWorkload
 
 __all__ = [
+    "AllocatorCell",
+    "AllocatorComparison",
+    "format_allocator_comparison",
     "ScenarioConfig",
     "ScenarioPanel",
     "ScenarioResult",
@@ -93,6 +92,7 @@ __all__ = [
     "parse_scenario",
     "build_scenario_experiment",
     "combo_label",
+    "combo_system",
 ]
 
 #: Result families a TOML scenario can request via ``[sweep] kind``.
@@ -275,6 +275,16 @@ def _require(
         raise ValidationError(f"invalid scenario config: {message}")
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (TOML/JSON ``true`` is an ``int``
+    to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     """Validate a parsed TOML document into a :class:`ScenarioConfig`.
 
@@ -335,14 +345,13 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     )
     sim_trials = sweep.get("sim_trials")
     _require(
-        sim_trials is None
-        or (isinstance(sim_trials, int) and sim_trials >= 1),
+        sim_trials is None or (_is_int(sim_trials) and sim_trials >= 1),
         "[sweep] sim_trials must be an integer >= 1",
     )
     sim_duration = sweep.get("sim_duration")
     _require(
         sim_duration is None
-        or (isinstance(sim_duration, (int, float)) and sim_duration > 0),
+        or (_is_number(sim_duration) and sim_duration > 0),
         "[sweep] sim_duration must be a positive number (milliseconds)",
     )
 
@@ -371,7 +380,7 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
         "[grid] cores must be a non-empty list of core counts",
     )
     _require(
-        all(isinstance(c, int) and c >= 1 for c in cores_values),
+        all(_is_int(c) and c >= 1 for c in cores_values),
         "[grid] cores entries must be integers >= 1",
     )
     _require(
@@ -386,12 +395,12 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     )
     seed = sweep.get("seed")
     _require(
-        seed is None or isinstance(seed, int),
+        seed is None or _is_int(seed),
         "[sweep] seed must be an integer",
     )
     tasksets = sweep.get("tasksets_per_point")
     _require(
-        tasksets is None or (isinstance(tasksets, int) and tasksets >= 1),
+        tasksets is None or (_is_int(tasksets) and tasksets >= 1),
         "[sweep] tasksets_per_point must be an integer >= 1",
     )
 
@@ -409,9 +418,7 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     for key in ("start", "stop", "step"):
         value = util.get(key)
         _require(
-            value is None or (
-                isinstance(value, (int, float)) and 0 < float(value) <= 1
-            ),
+            value is None or (_is_number(value) and 0 < float(value) <= 1),
             f"[sweep] utilization {key} must lie in (0, 1]",
         )
     if util.get("start") is not None and util.get("stop") is not None:
@@ -496,6 +503,59 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # -- point runner ------------------------------------------------------------
 
 
+def combo_system(
+    platform: Platform,
+    workload: "SyntheticWorkload",
+    combo: Mapping[str, str],
+    systems: dict[tuple, "SystemModel | None"],
+) -> "SystemModel | None":
+    """The system ``combo``'s allocator runs on for one task set.
+
+    The ``singlecore`` strategy implies its own system shape — real-time
+    tasks packed onto ``M−1`` cores, the last core dedicated to security
+    (:func:`~repro.core.singlecore.build_singlecore_system`); every
+    other strategy gets the all-cores partition.  Either is built with
+    the combo's heuristic/ordering/admission and memoised in
+    ``systems`` (one dict per task set) under ``(singlecore?,
+    heuristic, ordering, admission)``, so combos differing only in the
+    allocator share one partition.  ``None`` when the real-time tasks
+    do not fit.
+    """
+    key = (
+        combo.get("allocator", "hydra") == "singlecore",
+        combo["heuristic"], combo["ordering"], combo["admission"],
+    )
+    if key not in systems:
+        from repro.core.singlecore import build_singlecore_system
+        from repro.model.system import SystemModel
+        from repro.partition.heuristics import try_partition_tasks
+
+        singlecore, heuristic, ordering, admission = key
+        if singlecore:
+            systems[key] = build_singlecore_system(
+                platform,
+                workload.rt_tasks,
+                workload.security_tasks,
+                heuristic=heuristic,
+                admission=admission,
+                ordering=ordering,
+            )
+        else:
+            partition = try_partition_tasks(
+                workload.rt_tasks,
+                platform,
+                heuristic=heuristic,
+                admission=admission,
+                ordering=ordering,
+            )
+            systems[key] = None if partition is None else SystemModel(
+                platform=platform,
+                rt_partition=partition,
+                security_tasks=workload.security_tasks,
+            )
+    return systems[key]
+
+
 @register_point_runner("scenario")
 def run_scenario_point(
     point: Mapping[str, Any],
@@ -512,25 +572,18 @@ def run_scenario_point(
     :mod:`repro.workloads` registry (``"paper-synthetic"`` — the
     legacy recipe, byte-identical — when the sweep has no workload
     axis).  Every combo sharing a workload family evaluates the *same*
-    generated task sets.  With a workload axis, each family generates
-    its whole point batch in one vectorised
+    generated task sets, and every combo sharing a system shape the
+    same system (:func:`combo_system`).  With a workload axis, each
+    family generates its whole point batch in one vectorised
     :meth:`~repro.workloads.api.WorkloadGenerator.generate_batch`
     call, families in grid order from the point's single stream —
     *appending* a family to the axis therefore never perturbs the
     earlier families' task sets (mirroring how appending utilisation
     points keeps earlier streams valid).  Without the axis the runner
     keeps the legacy per-instance loop, byte-identical to the
-    pre-workload-axis payloads.  The ``singlecore`` strategy
-    implies its own system shape — real-time tasks packed onto ``M−1``
-    cores, the last core dedicated to security — so it is prepared via
-    :func:`~repro.core.singlecore.build_singlecore_system` with the
-    combo's heuristic/ordering/admission; every other strategy runs on
-    the all-cores partition.
+    pre-workload-axis payloads.
     """
     from repro.allocators import get_allocator
-    from repro.core.singlecore import build_singlecore_system
-    from repro.model.system import SystemModel
-    from repro.partition.heuristics import try_partition_tasks
     from repro.workloads import get_workload
 
     platform = Platform(int(params["cores"]))
@@ -567,43 +620,133 @@ def run_scenario_point(
                 workload = generators[wl_spec].generate(
                     platform, utilization, rng
                 )
+            systems: dict[tuple, SystemModel | None] = {}
             for combo in combos:
                 if combo.get("workload", "paper-synthetic") != wl_spec:
                     continue
                 cell = cells[combo_label(**combo)]
                 cell["total"] += 1
+                system = combo_system(platform, workload, combo, systems)
+                if system is None:
+                    continue
                 spec = combo.get("allocator", "hydra")
-                if spec == "singlecore":
-                    system = build_singlecore_system(
-                        platform,
-                        workload.rt_tasks,
-                        workload.security_tasks,
-                        heuristic=combo["heuristic"],
-                        admission=combo["admission"],
-                        ordering=combo["ordering"],
-                    )
-                    if system is None:
-                        continue
-                else:
-                    partition = try_partition_tasks(
-                        workload.rt_tasks,
-                        platform,
-                        heuristic=combo["heuristic"],
-                        admission=combo["admission"],
-                        ordering=combo["ordering"],
-                    )
-                    if partition is None:
-                        continue
-                    system = SystemModel(
-                        platform=platform,
-                        rt_partition=partition,
-                        security_tasks=workload.security_tasks,
-                    )
                 allocation = allocators[spec].allocate(system)
                 if allocation.schedulable:
                     cell["accepted"] += 1
                     cell["tightness_sum"] += allocation.mean_tightness()
     return {"cells": cells}
+
+
+# -- comparison results ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AllocatorCell:
+    """One (scheme, utilisation) cell of an acceptance comparison."""
+
+    scheme: str
+    utilization: float
+    acceptance: float
+    mean_tightness: float  # mean over schedulable task sets (ω = 1)
+
+
+@dataclass(frozen=True)
+class AllocatorComparison:
+    """Acceptance and mean tightness of every scheme at every
+    utilisation point of one platform size."""
+
+    cells: tuple[AllocatorCell, ...]
+    cores: int
+    tasksets_per_point: int
+
+    def schemes(self) -> list[str]:
+        seen: list[str] = []
+        for cell in self.cells:
+            if cell.scheme not in seen:
+                seen.append(cell.scheme)
+        return seen
+
+    def series(self, scheme: str) -> list[AllocatorCell]:
+        return [c for c in self.cells if c.scheme == scheme]
+
+
+def _cells_from_payloads(
+    spec: "SweepSpec",
+    payloads,
+    schemes: list[str],
+) -> tuple[AllocatorCell, ...]:
+    """Decode per-point ``{"cells": {scheme: tallies}}`` payloads."""
+    cells: list[AllocatorCell] = []
+    for point, payload in zip(spec.points, payloads):
+        for scheme in schemes:
+            tally = payload["cells"][scheme]
+            accepted = int(tally["accepted"])
+            cells.append(
+                AllocatorCell(
+                    scheme=scheme,
+                    utilization=float(point["utilization"]),
+                    acceptance=(
+                        accepted / tally["total"] if tally["total"] else 0.0
+                    ),
+                    mean_tightness=(
+                        tally["tightness_sum"] / accepted if accepted else 0.0
+                    ),
+                )
+            )
+    return tuple(cells)
+
+
+def _comparison_to_data(domain: AllocatorComparison) -> dict[str, Any]:
+    return {
+        "cores": domain.cores,
+        "tasksets_per_point": domain.tasksets_per_point,
+        "cells": [
+            {
+                "scheme": c.scheme,
+                "utilization": c.utilization,
+                "acceptance": c.acceptance,
+                "mean_tightness": c.mean_tightness,
+            }
+            for c in domain.cells
+        ],
+    }
+
+
+def _comparison_from_data(data: Mapping[str, Any]) -> AllocatorComparison:
+    return AllocatorComparison(
+        cells=tuple(
+            AllocatorCell(
+                scheme=str(c["scheme"]),
+                utilization=float(c["utilization"]),
+                acceptance=float(c["acceptance"]),
+                mean_tightness=float(c["mean_tightness"]),
+            )
+            for c in data["cells"]
+        ),
+        cores=int(data["cores"]),
+        tasksets_per_point=int(data["tasksets_per_point"]),
+    )
+
+
+def format_allocator_comparison(
+    comparison: AllocatorComparison, title: str
+) -> str:
+    rows = []
+    for cell in comparison.cells:
+        rows.append(
+            (
+                f"{cell.utilization:.3f}",
+                cell.scheme,
+                f"{cell.acceptance:.3f}",
+                f"{cell.mean_tightness:.3f}",
+            )
+        )
+    return format_table(
+        ["U_total", "scheme", "acceptance", "mean tightness"],
+        rows,
+        title=f"{title} ({comparison.cores} cores, "
+              f"{comparison.tasksets_per_point} task sets/point)",
+    )
 
 
 # -- the experiment ----------------------------------------------------------
@@ -631,7 +774,9 @@ class ScenarioExperiment(Experiment):
 
     Not registered by name — the CLI's ``sweep`` subcommand builds one
     from ``--config``; programmatic callers construct it from a
-    :class:`ScenarioConfig` (see :func:`load_scenario`).
+    :class:`ScenarioConfig` (see :func:`load_scenario`).  Fixed grids
+    register as subclasses: the comparison ablations in
+    :mod:`repro.experiments.ablations`.
     """
 
     version = 1

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -79,7 +79,8 @@ __all__ = [
 
 #: Bump when the job-id derivation changes incompatibly (ids are
 #: content-addressed, so this is the only version knob they need).
-JOB_ID_FORMAT = 1
+#: Format 2 hashes the whole scale.
+JOB_ID_FORMAT = 2
 
 
 class JobState:
@@ -100,16 +101,19 @@ def derive_job_id(experiment: Experiment, scale: ExperimentScale) -> str:
 
     Content-addressed over the experiment's ``spec_hash`` — which
     fingerprints the spec and every sweep (and therefore every
-    per-point cache key) — so identical submissions collide on purpose
-    while anything that would change a single result byte (seed,
-    grid, scale, schema version) yields a fresh id.  Execution knobs
+    per-point cache key) — and over every field of the scale, so
+    identical submissions collide on purpose while anything that would
+    change a single result byte (seed, grid, scale, schema version)
+    yields a fresh id.  The scale is hashed whole because experiments
+    that compute inline (the search and extension ablations) run no
+    sweeps: their ``spec_hash`` never sees the seed.  Execution knobs
     that never affect results (worker count) deliberately do not
     participate.
     """
     return cache_key(
         {
             "job_format": JOB_ID_FORMAT,
-            "scale": scale.name,
+            "scale": asdict(scale),
             "spec_hash": experiment.spec_hash(scale),
         }
     )
@@ -211,7 +215,9 @@ class JobRequest:
             return tuple(values)
 
         seed = body.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (
+            not isinstance(seed, int) or isinstance(seed, bool)
+        ):
             raise ValidationError("job request 'seed' must be an integer")
         scale = body.get("scale")
         if scale is not None and not isinstance(scale, str):

@@ -6,13 +6,14 @@ import math
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.experiments.ablations import (
-    PartitioningAblationExperiment,
     extension_ablation,
     format_extension_ablation,
     format_search_ablation,
     search_ablation,
 )
+from repro.experiments.api import ExperimentResult
 from repro.experiments.config import SCALES
 from repro.experiments.fig1 import Fig1Experiment, build_uav_systems
 from repro.experiments.fig3 import Fig3Experiment
@@ -158,26 +159,38 @@ class TestFig3:
         assert "worst observed" in text
 
 
+def _comparison(name, scale):
+    """The one panel of a registered comparison-ablation grid."""
+    (panel,) = get_experiment(name).run_domain(scale).panels
+    return panel.comparison
+
+
 class TestAblations:
     def test_solver_ablation(self, smoke):
         solver = get_experiment("ablation-solver")
-        comparison = solver.run_domain(smoke)
+        result = solver.run_domain(smoke)
+        (panel,) = result.panels
+        comparison = panel.comparison
         schemes = comparison.schemes()
-        assert "hydra" in schemes
-        assert "hydra[exact-rta]" in schemes
+        assert "hydra|best-fit/utilization/rta" in schemes
+        assert "hydra[exact-rta]|best-fit/utilization/rta" in schemes
         # Exact RTA accepts at least as much at every point.
         for cell_closed, cell_exact in zip(
-            comparison.series("hydra"), comparison.series("hydra[exact-rta]")
+            comparison.series("hydra|best-fit/utilization/rta"),
+            comparison.series("hydra[exact-rta]|best-fit/utilization/rta"),
         ):
             assert cell_exact.acceptance >= cell_closed.acceptance - 1e-9
-        text = solver.render_domain(comparison)
+        text = solver.render_domain(result)
         assert "acceptance" in text
 
     def test_core_choice_ablation(self, smoke):
-        comparison = get_experiment("ablation-core-choice").run_domain(smoke)
-        assert "first-feasible" in comparison.schemes()
+        comparison = _comparison("ablation-core-choice", smoke)
+        assert "first-feasible|best-fit/utilization/rta" in (
+            comparison.schemes()
+        )
         for cell_hydra, cell_first in zip(
-            comparison.series("hydra"), comparison.series("first-feasible")
+            comparison.series("hydra|best-fit/utilization/rta"),
+            comparison.series("first-feasible|best-fit/utilization/rta"),
         ):
             if cell_hydra.acceptance == cell_first.acceptance == 1.0:
                 assert cell_hydra.mean_tightness >= (
@@ -185,9 +198,11 @@ class TestAblations:
                 )
 
     def test_partitioning_ablation(self, smoke):
-        comparison = PartitioningAblationExperiment(cores=2).run_domain(smoke)
+        comparison = _comparison("ablation-partitioning", smoke)
         assert set(comparison.schemes()) == {
-            "best-fit", "worst-fit", "first-fit",
+            "best-fit/utilization/rta",
+            "worst-fit/utilization/rta",
+            "first-fit/utilization/rta",
         }
         # Same utilisation grid for every heuristic.
         per_scheme = {
@@ -196,6 +211,50 @@ class TestAblations:
         }
         grids = list(per_scheme.values())
         assert all(g == grids[0] for g in grids)
+
+    def test_four_core_grids_share_their_common_cell(self, smoke):
+        """Core-choice's HYDRA cell and partitioning's best-fit cell are
+        one grid cell — same seed, same task sets — so they agree."""
+
+        def cell_values(comparison, scheme):
+            return [
+                (c.utilization, c.acceptance, c.mean_tightness)
+                for c in comparison.series(scheme)
+            ]
+
+        core_choice = _comparison("ablation-core-choice", smoke)
+        partitioning = _comparison("ablation-partitioning", smoke)
+        shared = cell_values(core_choice, "hydra|best-fit/utilization/rta")
+        assert shared
+        assert shared == cell_values(
+            partitioning, "best-fit/utilization/rta"
+        )
+
+    def test_render_rejects_a_v1_grid_ablation_result(self):
+        """Version 1 stored an allocator comparison keyed by bare
+        allocator names; the grid result is a scenario panel list."""
+        stale = ExperimentResult(
+            experiment="ablation-solver",
+            scale="smoke",
+            spec_hash="0" * 64,
+            columns=("utilization", "scheme", "acceptance", "mean_tightness"),
+            rows=((0.5, "hydra", 1.0, 1.0),),
+            data={
+                "cores": 2,
+                "tasksets_per_point": 6,
+                "cells": [
+                    {
+                        "scheme": "hydra",
+                        "utilization": 0.5,
+                        "acceptance": 1.0,
+                        "mean_tightness": 1.0,
+                    }
+                ],
+            },
+            version=1,
+        )
+        with pytest.raises(ValidationError, match="schema v1"):
+            get_experiment("ablation-solver").render(stale)
 
     def test_search_ablation_full_agreement(self, smoke):
         result = search_ablation(smoke)

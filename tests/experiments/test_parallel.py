@@ -218,8 +218,7 @@ class TestSerialisationHelpers:
 
     def test_comparison_allocator_specs_resolve(self):
         """Every spec the solver and core-choice ablations sweep
-        resolves through the registry the allocator-comparison runner
-        uses."""
+        resolves through the registry the scenario runner uses."""
         for spec in (
             "hydra", "hydra[exact-rta]", "hydra+lp", "first-feasible",
             "slackiest-core",

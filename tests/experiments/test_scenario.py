@@ -4,6 +4,8 @@ experiment itself, and engine determinism (serial ≡ parallel ≡ cached)."""
 from __future__ import annotations
 
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -96,10 +98,35 @@ class TestParsing:
         with pytest.raises(ValidationError, match="non-empty"):
             parse_scenario(document)
 
-    def test_bad_cores_rejected(self):
+    @pytest.mark.parametrize(
+        ("section", "key", "value", "message"),
+        [
+            ("grid", "cores", [0, 2], "cores"),
+            # TOML/JSON ``true`` is an int to Python: never a count.
+            ("grid", "cores", [True], "cores"),
+            ("sweep", "seed", True, "seed"),
+            ("sweep", "tasksets_per_point", True, "tasksets_per_point"),
+            ("utilization", "start", True, "utilization start"),
+            ("utilization", "stop", True, "utilization stop"),
+            ("detection", "sim_trials", True, "sim_trials"),
+            ("detection", "sim_duration", True, "sim_duration"),
+        ],
+        ids=[
+            "zero-cores", "bool-cores", "bool-seed", "bool-tasksets",
+            "bool-start", "bool-stop", "bool-sim-trials",
+            "bool-sim-duration",
+        ],
+    )
+    def test_bad_cores_rejected(self, section, key, value, message):
         document = _good_document()
-        document["grid"]["cores"] = [0, 2]
-        with pytest.raises(ValidationError, match="cores"):
+        if section == "utilization":
+            document["sweep"]["utilization"] = {key: value}
+        elif section == "detection":
+            document["sweep"]["kind"] = "detection-latency"
+            document["sweep"][key] = value
+        else:
+            document[section][key] = value
+        with pytest.raises(ValidationError, match=message):
             parse_scenario(document)
 
     def test_unknown_sweep_key_rejected(self):
@@ -344,6 +371,100 @@ class TestAllocatorAxis:
         config = parse_scenario(_good_document())
         with pytest.raises(ValidationError, match="more than once"):
             config.with_allocators(["hydra", "hydra"])
+
+    def test_each_system_shape_partitions_once_per_task_set(
+        self, monkeypatch
+    ):
+        """Combos differing only in the allocator share one system:
+        ``hydra`` and ``binpack-best-fit`` one all-cores partition,
+        ``singlecore`` one M−1-core pack."""
+        import repro.core.singlecore as singlecore
+        import repro.partition.heuristics as heuristics
+
+        cores_per_call: list[int] = []
+        partition = heuristics.try_partition_tasks
+
+        def counting(tasks, platform, *args, **kwargs):
+            cores_per_call.append(platform.num_cores)
+            return partition(tasks, platform, *args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "try_partition_tasks", counting)
+        monkeypatch.setattr(singlecore, "try_partition_tasks", counting)
+        document = _good_document()
+        document["grid"] = {
+            "cores": [2],
+            "allocator": ["hydra", "binpack-best-fit", "singlecore"],
+            "heuristic": ["best-fit"],
+            "ordering": ["utilization"],
+            "admission": ["rta"],
+        }
+        document["sweep"]["utilization"] = {
+            "start": 0.25, "stop": 0.5, "step": 0.25,
+        }
+        experiment = ScenarioExperiment(parse_scenario(document))
+        experiment.run_domain(SMOKE)
+        tasksets = 3 * 2  # tasksets_per_point × utilisation points
+        assert sorted(cores_per_call) == [1] * tasksets + [2] * tasksets
+
+
+#: The ``sweep --config`` twins of the registered comparison ablations
+#: (the README shows the first one).
+GRID_TWINS = {
+    "ablation-solver": """
+[sweep]
+name = "ablation-solver"
+
+[grid]
+cores = [2]
+allocator = ["hydra", "hydra[exact-rta]", "hydra+lp"]
+heuristic = ["best-fit"]
+ordering = ["utilization"]
+admission = ["rta"]
+""",
+    "ablation-core-choice": """
+[sweep]
+name = "ablation-core-choice"
+
+[grid]
+cores = [4]
+allocator = ["hydra", "first-feasible", "slackiest-core"]
+heuristic = ["best-fit"]
+ordering = ["utilization"]
+admission = ["rta"]
+""",
+    "ablation-partitioning": """
+[sweep]
+name = "ablation-partitioning"
+
+[grid]
+cores = [4]
+heuristic = ["best-fit", "worst-fit", "first-fit"]
+ordering = ["utilization"]
+admission = ["rta"]
+""",
+}
+
+
+class TestRegisteredGrids:
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    @pytest.mark.parametrize("name", sorted(GRID_TWINS))
+    def test_registered_grid_runs_its_toml_twin_sweeps(self, name, scale):
+        """Same sweeps — hence the same per-point cache entries — under
+        the registered name and ``sweep --config``."""
+        from repro.experiments.registry import get_experiment
+
+        twin = ScenarioExperiment(
+            parse_scenario(tomllib.loads(GRID_TWINS[name]))
+        )
+        registered = get_experiment(name)
+        assert registered.config.combos == twin.config.combos
+        assert registered.sweeps(SCALES[scale]) == twin.sweeps(
+            SCALES[scale]
+        )
+
+    def test_readme_shows_the_solver_twin(self):
+        readme = Path(__file__).parents[2] / "README.md"
+        assert GRID_TWINS["ablation-solver"].strip() in readme.read_text()
 
 
 class TestWorkloadAxis:

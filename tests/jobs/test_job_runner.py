@@ -75,6 +75,8 @@ class TestJobRequest:
     def test_rejects_bad_types(self):
         with pytest.raises(ValidationError, match="seed"):
             JobRequest.from_dict({"experiment": "table1", "seed": "7"})
+        with pytest.raises(ValidationError, match="seed"):
+            JobRequest.from_dict({"experiment": "table1", "seed": True})
         with pytest.raises(ValidationError, match="scale"):
             JobRequest.from_dict({"experiment": "table1", "scale": 3})
         with pytest.raises(ValidationError, match="allocator"):
@@ -101,12 +103,27 @@ class TestJobIds:
         b = mini_request().build()
         assert derive_job_id(*a) == derive_job_id(*b)
 
-    def test_seed_and_scale_change_the_id(self):
-        base = derive_job_id(*mini_request().build())
-        assert derive_job_id(*mini_request(seed=1).build()) != base
-        assert (
-            derive_job_id(*mini_request(scale="default").build()) != base
-        )
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"spec": MINI_SPEC},
+            # These run no sweeps: the seed reaches their id only
+            # through the scale, never through the spec hash.
+            {"experiment": "ablation-search"},
+            {"experiment": "ablation-extension"},
+        ],
+        ids=["spec", "ablation-search", "ablation-extension"],
+    )
+    def test_seed_and_scale_change_the_id(self, body):
+        def job_id(**overrides) -> str:
+            request = JobRequest.from_dict(
+                {"scale": "smoke", **body, **overrides}
+            )
+            return derive_job_id(*request.build())
+
+        base = job_id()
+        assert job_id(seed=1) != base
+        assert job_id(scale="default") != base
 
     def test_worker_count_never_changes_the_id(self):
         experiment, scale = mini_request().build()
