@@ -1,9 +1,19 @@
-"""Bench: detection scoring over a simulated schedule.
+"""Bench: simulating a schedule and scoring detections over it.
 
-A detection-latency sweep scores every sampled attack against every
-simulated schedule, so the per-attack query is a hot path.  Two
-benchmarks measure the same workload — one long UAV-style simulation,
-a few hundred attacks — through the two implementations:
+A detection-latency sweep simulates every allocated system, then scores
+every sampled attack against the schedule.  Two benchmarks measure the
+simulation of the 2-core UAV system over 60 s:
+
+* ``test_simulate_kernel`` — ``Simulator.run()``, which takes the
+  per-core kernel for this input;
+* ``test_simulate_reference`` — the reference event loop
+  (``Simulator.run_reference()``), the in-run yardstick for the
+  kernel's ``check_bench.py`` speedup floor.
+
+The kernel is asserted bit-identical to the reference run on each
+core's tasks alone.  The per-attack query is the other hot path.  Two
+more benchmarks measure it on the same workload — one long UAV-style
+simulation, a few hundred attacks — through the two implementations:
 
 * ``test_detection_scoring`` — the indexed path (one
   :class:`~repro.sim.detection.DetectionIndex` build, then a bisect
@@ -29,10 +39,46 @@ from repro.sim.detection import (
     detection_time,
     detection_times,
 )
-from repro.sim.runner import simulate_allocation
+from repro.sim.engine import Simulator
+from repro.sim.runner import build_sim_tasks, simulate_allocation
 
 _DURATION = 60_000.0
 _ATTACKS = 512
+
+
+@pytest.fixture(scope="module")
+def uav_sim_tasks():
+    """The 2-core UAV system as simulator tasks."""
+    system, allocation, _, _ = build_uav_systems(2)
+    return build_sim_tasks(system, allocation)
+
+
+def test_simulate_reference(benchmark, uav_sim_tasks):
+    """The global event loop the kernel is measured against."""
+    result = benchmark(
+        lambda: Simulator(
+            uav_sim_tasks, num_cores=2, duration=_DURATION
+        ).run_reference()
+    )
+    assert result.jobs and not result.misses
+
+
+def test_simulate_kernel(benchmark, uav_sim_tasks):
+    """``Simulator.run()``: the per-core kernel."""
+    result = benchmark(
+        lambda: Simulator(uav_sim_tasks, num_cores=2, duration=_DURATION).run()
+    )
+    for core in range(2):
+        alone = [task for task in uav_sim_tasks if task.core == core]
+        names = {task.name for task in alone}
+        reference = Simulator(
+            alone, num_cores=2, duration=_DURATION
+        ).run_reference()
+        assert [job for job in result.jobs if job.task in names] == (
+            reference.jobs
+        )
+        assert result.busy_time[core] == reference.busy_time[core]
+    assert not result.misses
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ Select globally with the ``REPRO_SCALE`` environment variable (e.g.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -65,7 +66,9 @@ class ExperimentScale:
             raise ValidationError("need at least one task set per point")
         if not (0 < self.utilization_step <= 1):
             raise ValidationError("utilization_step must lie in (0, 1]")
-        if self.sim_trials < 1 or self.sim_duration <= 0:
+        if self.sim_trials < 1 or not (
+            math.isfinite(self.sim_duration) and self.sim_duration > 0
+        ):
             raise ValidationError("invalid simulation scale")
         if not self.core_counts:
             raise ValidationError("need at least one core count")

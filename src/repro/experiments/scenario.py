@@ -57,6 +57,7 @@ extended axis by axis with only the new cells computing.
 from __future__ import annotations
 
 import dataclasses
+import math
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -282,7 +283,14 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite number that is not a bool.  TOML reads ``1e400`` as
+    ``inf``, and an int too large for a float is no number either."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:

@@ -68,7 +68,9 @@ __all__ = [
 
 #: Key-payload format version (part of every key payload).  Bumping it
 #: changes every key, so it stays fixed while results are unchanged.
-CACHE_FORMAT = 1
+#: 2: the per-core simulation kernel moves some detection times by ulps,
+#: so a store written before it never serves pre-kernel points.
+CACHE_FORMAT = 2
 
 #: On-disk layout version of this module, stamped into ``store.json``.
 STORE_FORMAT = 2

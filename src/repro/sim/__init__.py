@@ -1,6 +1,12 @@
 """Discrete-event scheduling simulator (the Fig. 1 substrate).
 
 * :mod:`repro.sim.engine` — the multicore fixed-priority engine.
+  ``Simulator.run`` takes a per-core kernel when every task is bound to
+  a core, preemptible, strictly periodic, runs its full WCET and has no
+  predecessors (and slices are off); any other input runs the
+  reference event loop, ``Simulator.run_reference``.  The kernel is
+  pinned bit for bit to the reference run on each core's tasks alone,
+  and keeps finished jobs as per-task columns (``SimResult.track``).
 * :mod:`repro.sim.runner` — system+allocation → simulation bridge.
 * :mod:`repro.sim.attacks` / :mod:`repro.sim.detection` — attack
   injection and detection-time measurement.
@@ -17,7 +23,7 @@ from repro.sim.detection import (
     undetected_breakdown,
 )
 from repro.sim.engine import SimResult, SimTask, Simulator
-from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord
+from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord, JobTrack
 from repro.sim.runner import build_sim_tasks, simulate_allocation
 from repro.sim.stats import (
     ResponseStats,
@@ -33,6 +39,7 @@ __all__ = [
     "Simulator",
     "SimResult",
     "JobRecord",
+    "JobTrack",
     "ExecutionSlice",
     "DeadlineMiss",
     "build_sim_tasks",

@@ -22,8 +22,10 @@ two so reports never have to print a bare ``inf``.
 
 Scoring many attacks against one run uses :class:`DetectionIndex`: a
 per-monitor anchor-sorted array with a suffix-minimum over completion
-times, built once per :func:`detection_times` call, turning the naive
-O(jobs × attacks) rescan into O(jobs·log jobs + attacks·log jobs).
+times, turning the naive O(jobs × attacks) rescan into
+O(jobs·log jobs + attacks·log jobs).  It indexes a task on its first
+query, from that task's columns alone (``SimResult.track``), so tasks
+no attack asks about cost nothing.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ class DetectionIndex:
     anchored at or after *t*" with one bisection.  Queries are therefore
     exactly the reference :func:`detection_time` semantics (same anchor
     tolerance, same minimum-completion tie handling) without rescanning
-    the job list per attack.
+    the job list per attack.  A task is indexed on its first query.
     """
 
-    __slots__ = ("policy", "_anchors", "_earliest")
+    __slots__ = ("policy", "_result", "_anchors", "_earliest")
 
     def __init__(self, result: SimResult, policy: str = "release-after"):
         if policy not in DETECTION_POLICIES:
@@ -115,32 +117,35 @@ class DetectionIndex:
                 f"{DETECTION_POLICIES}"
             )
         self.policy = policy
-        grouped: dict[str, list[tuple[float, float]]] = {}
-        use_release = policy == "release-after"
-        for job in result.jobs:
-            if job.completion is None:
-                continue
-            anchor = job.release if use_release else job.start
-            if anchor is None:
-                continue
-            grouped.setdefault(job.task, []).append((anchor, job.completion))
+        self._result = result
         self._anchors: dict[str, list[float]] = {}
         self._earliest: dict[str, list[float]] = {}
-        for task, pairs in grouped.items():
-            pairs.sort()
-            anchors = [anchor for anchor, _ in pairs]
-            earliest = [math.inf] * len(pairs)
-            running = math.inf
-            for i in range(len(pairs) - 1, -1, -1):
-                running = min(running, pairs[i][1])
-                earliest[i] = running
-            self._anchors[task] = anchors
-            self._earliest[task] = earliest
+
+    def _index(self, task: str) -> list[float]:
+        track = self._result.track(task)
+        anchors = (
+            track.release if self.policy == "release-after" else track.start
+        )
+        pairs = sorted(
+            (anchor, completion)
+            for anchor, completion in zip(anchors, track.completion)
+            if anchor is not None
+        )
+        earliest = [math.inf] * len(pairs)
+        running = math.inf
+        for i in range(len(pairs) - 1, -1, -1):
+            running = min(running, pairs[i][1])
+            earliest[i] = running
+        self._anchors[task] = [anchor for anchor, _ in pairs]
+        self._earliest[task] = earliest
+        return self._anchors[task]
 
     def earliest_completion(self, task: str, after: float) -> float:
         """Earliest completion of a ``task`` job anchored ≥ ``after``
         (up to the anchor tolerance), or ``inf``."""
         anchors = self._anchors.get(task)
+        if anchors is None:
+            anchors = self._index(task)
         if not anchors:
             return math.inf
         i = bisect_left(anchors, after - _ANCHOR_TOL)
@@ -171,7 +176,7 @@ def detection_times(
 ) -> list[float]:
     """Detection time of every attack against one simulation run.
 
-    Builds a :class:`DetectionIndex` once and queries it per attack;
+    Scores every attack through one :class:`DetectionIndex`;
     result-identical to calling :func:`detection_time` per attack.
     """
     surface_map = build_surface_map(security_tasks)

@@ -17,28 +17,58 @@ measures.  Supported features:
 * optional **migrating** tasks (``core=None``) scheduled globally on any
   idle core (paper §V's global-scheduling direction).
 
-The engine advances from event to event (releases and completions); in
-between, each core runs the highest-priority eligible job.  Output is a
-list of :class:`~repro.sim.events.JobRecord` plus optional execution
-slices and per-core busy-time accounting, which the tests use to check
-conservation laws.
+:meth:`Simulator.run_reference` is the reference event loop: it
+advances the whole platform from event to event (releases and
+completions); in between, each core runs the highest-priority eligible
+job.  Output is a list of :class:`~repro.sim.events.JobRecord` plus
+optional execution slices and per-core busy-time accounting, which the
+tests use to check conservation laws.
+
+:meth:`Simulator.run` takes a per-core kernel instead when the input is
+the paper's model: every task bound to a core, preemptible, strictly
+periodic (``release_jitter == 0``), always running its full WCET
+(``execution_factor == 1``) and free of predecessors, with
+``collect_slices`` off.  Cores then never interact, so the kernel runs
+each core's tasks alone on a ready heap.  It is the reference loop
+restricted to one core, step for step — the same ``_EPS`` release
+window, completion test and nudge, ``(priority, seq)`` ties, event
+budget and deadline-miss rules — so its output on each core is bit for
+bit what :meth:`Simulator.run_reference` gives for that core's tasks
+alone (the oracle the tests hold it to).  Against the reference on the
+whole platform it can differ by ulps, because the global loop also
+splits a running job's remaining time at other cores' events.  Any
+other input (the §V extensions) runs the reference loop.  The kernel
+keeps finished jobs as per-task columns (:meth:`SimResult.track`) and
+builds job records only when ``SimResult.jobs`` is read.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord
+from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord, JobTrack
 
 __all__ = ["SimTask", "SimResult", "Simulator"]
 
 _EPS = 1e-9
+
+#: Loop iterations one run (one core, in the kernel) may take.
+_MAX_EVENTS = 4_000_000
+_BUDGET_MESSAGE = (
+    "event budget exceeded; workload far too dense for the simulated horizon"
+)
+
+
+def _positive(value: float) -> bool:
+    """Finite and above zero (``nan`` and ``inf`` fail)."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +100,16 @@ class SimTask:
     execution_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.wcet <= 0 or self.period <= 0:
+        if not (_positive(self.wcet) and _positive(self.period)):
             raise ValidationError(
                 f"sim task {self.name!r}: wcet and period must be positive"
             )
         if self.deadline is None:
             object.__setattr__(self, "deadline", self.period)
+        elif not _positive(self.deadline):
+            raise ValidationError(
+                f"sim task {self.name!r}: deadline must be positive"
+            )
         if self.kind not in ("rt", "security"):
             raise ValidationError(
                 f"sim task {self.name!r}: kind must be 'rt' or 'security'"
@@ -84,7 +118,7 @@ class SimTask:
             raise ValidationError(
                 f"sim task {self.name!r}: release_jitter must be ≥ 0"
             )
-        if self.offset < 0:
+        if not (math.isfinite(self.offset) and self.offset >= 0):
             raise ValidationError(
                 f"sim task {self.name!r}: offset must be ≥ 0"
             )
@@ -115,15 +149,105 @@ class _Job:
         self.seq = seq
 
 
+class _KernelJobs(Sequence):
+    """The job records of a kernel run, built from its per-task columns
+    on the first read that needs a record; ``len`` never builds them."""
+
+    __slots__ = ("tracks", "_tasks", "_unfinished", "_records")
+
+    def __init__(
+        self,
+        tasks: Sequence[SimTask],
+        tracks: dict[str, JobTrack],
+        unfinished: list[JobRecord],
+    ) -> None:
+        self.tracks = tracks
+        self._tasks = tasks
+        self._unfinished = unfinished
+        self._records: list[JobRecord] | None = None
+
+    def _built(self) -> list[JobRecord]:
+        if self._records is None:
+            records = list(self._unfinished)
+            for task in self._tasks:
+                name, deadline, core = task.name, task.deadline, task.core
+                records.extend(
+                    JobRecord(name, release, release + deadline, start,
+                              completion, core)
+                    for release, start, completion in zip(*self.tracks[name])
+                )
+            records.sort(key=lambda job: (job.release, job.task))
+            self._records = records
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._unfinished) + sum(
+            len(track.completion) for track in self.tracks.values()
+        )
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._built() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def _tracks_of(jobs: Sequence[JobRecord]) -> dict[str, JobTrack]:
+    """Per-task columns of the finished jobs in ``jobs``."""
+    if isinstance(jobs, _KernelJobs):
+        return jobs.tracks
+    columns: dict[str, tuple[list, list, list]] = {}
+    for job in jobs:
+        if job.completion is None:
+            continue
+        task = columns.get(job.task)
+        if task is None:
+            task = columns[job.task] = ([], [], [])
+        task[0].append(job.release)
+        task[1].append(job.start)
+        task[2].append(job.completion)
+    return {name: JobTrack(*task) for name, task in columns.items()}
+
+
+_NO_JOBS = JobTrack((), (), ())
+
+
 @dataclass
 class SimResult:
-    """Everything observable about one simulation run."""
+    """Everything observable about one simulation run.
+
+    ``jobs`` holds every job record in ``(release, task)`` order.  A run
+    of the per-core kernel keeps its finished jobs as per-task columns
+    and builds the records only when ``jobs`` is first iterated or
+    indexed; ``len(result.jobs)`` and :meth:`track` answer from the
+    columns.
+    """
 
     duration: float
-    jobs: list[JobRecord]
+    jobs: Sequence[JobRecord]
     misses: list[DeadlineMiss]
     busy_time: dict[int, float]
     slices: list[ExecutionSlice] = field(default_factory=list)
+    _tracks: dict[str, JobTrack] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def track(self, task: str) -> JobTrack:
+        """The finished jobs of ``task`` as release/start/completion
+        columns, in ``jobs`` order (empty for an unknown task)."""
+        if self._tracks is None:
+            self._tracks = _tracks_of(self.jobs)
+        return self._tracks.get(task, _NO_JOBS)
 
     def jobs_of(self, task: str) -> list[JobRecord]:
         """All job records of ``task``, in release order."""
@@ -158,7 +282,7 @@ class Simulator:
         self.tasks: tuple[SimTask, ...] = tuple(tasks)
         if num_cores < 1:
             raise ValidationError("need at least one core")
-        if duration <= 0:
+        if not _positive(duration):
             raise ValidationError("duration must be positive")
         self.num_cores = num_cores
         self.duration = float(duration)
@@ -204,6 +328,42 @@ class Simulator:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimResult:
+        """Simulate the horizon: on the per-core kernel when every task
+        is bound, preemptible, strictly periodic, runs its full WCET and
+        has no predecessors (and slices are off), else on
+        :meth:`run_reference`."""
+        if not self.collect_slices and all(
+            task.core is not None
+            and task.preemptible
+            and task.release_jitter == 0.0
+            and task.execution_factor == 1.0
+            and not task.predecessors
+            for task in self.tasks
+        ):
+            return self._run_kernel()
+        return self.run_reference()
+
+    def _run_kernel(self) -> SimResult:
+        tracks: dict[str, JobTrack] = {}
+        unfinished: list[JobRecord] = []
+        misses: list[DeadlineMiss] = []
+        busy = {m: 0.0 for m in range(self.num_cores)}
+        for m in range(self.num_cores):
+            on_core = [task for task in self.tasks if task.core == m]
+            if on_core:
+                busy[m] = _simulate_core(
+                    on_core, m, self.duration, tracks, unfinished, misses
+                )
+        return SimResult(
+            duration=self.duration,
+            jobs=_KernelJobs(self.tasks, tracks, unfinished),
+            misses=misses,
+            busy_time=busy,
+        )
+
+    def run_reference(self) -> SimResult:
+        """The global event loop: every input, the §V extensions
+        included, and the oracle the per-core kernel is tested against."""
         tasks = self.tasks
         num_cores = self.num_cores
         duration = self.duration
@@ -236,14 +396,10 @@ class Simulator:
 
         now = 0.0
         guard = 0
-        max_iterations = 4_000_000
         while now < duration - _EPS:
             guard += 1
-            if guard > max_iterations:
-                raise SimulationError(
-                    "event budget exceeded; workload far too dense for the "
-                    "simulated horizon"
-                )
+            if guard > _MAX_EVENTS:
+                raise SimulationError(_BUDGET_MESSAGE)
             # 1. releases due now ------------------------------------------
             while release_heap and release_heap[0][0] <= now + _EPS:
                 rel_time, _, i = heapq.heappop(release_heap)
@@ -419,3 +575,101 @@ class Simulator:
             busy_time=busy,
             slices=slices,
         )
+
+
+def _simulate_core(
+    tasks: Sequence[SimTask],
+    core: int,
+    duration: float,
+    tracks: dict[str, JobTrack],
+    unfinished: list[JobRecord],
+    misses: list[DeadlineMiss],
+) -> float:
+    """Run the tasks bound to ``core`` alone: the reference loop
+    restricted to one core, step for step.
+
+    Adds each task's finished-job columns to ``tracks``, its jobs still
+    live at the horizon to ``unfinished``, and its deadline misses to
+    ``misses`` (in completion order, then the live jobs in release
+    order, as the reference loop does); returns the core's busy time.
+    A job is ``[priority, seq, task, release, remaining, start]``:
+    ``(priority, seq)`` is unique, so heap order never looks further.
+    """
+    heappush, heappop = heapq.heappush, heapq.heappop
+    names = [task.name for task in tasks]
+    priority = [task.priority for task in tasks]
+    wcet = [task.wcet for task in tasks]
+    period = [task.period for task in tasks]
+    deadline = [task.deadline for task in tasks]
+    released: list[list[float]] = [[] for _ in tasks]
+    started: list[list[float]] = [[] for _ in tasks]
+    completed: list[list[float]] = [[] for _ in tasks]
+
+    releases = [(task.offset, k, k) for k, task in enumerate(tasks)]
+    heapq.heapify(releases)
+    seq = len(tasks)
+    ready: list[list] = []
+    job: list | None = None
+    busy = 0.0
+    now = 0.0
+    events = 0
+    end = duration - _EPS
+    while now < end:
+        events += 1
+        if events > _MAX_EVENTS:
+            raise SimulationError(_BUDGET_MESSAGE)
+        window = now + _EPS
+        # 1. releases due now
+        while releases and releases[0][0] <= window:
+            release, _, k = heappop(releases)
+            heappush(ready, [priority[k], seq, k, release, wcet[k], None])
+            seq += 1
+            following = release + period[k]
+            if following < duration:
+                heappush(releases, (following, seq, k))
+                seq += 1
+        # 2. the highest-priority ready job takes the core
+        if ready and (job is None or ready[0] < job):
+            job = heappop(ready) if job is None else heapq.heapreplace(
+                ready, job
+            )
+            if job[5] is None:
+                job[5] = now
+        # 3. next event time, with the reference's numerical nudge
+        horizon = duration
+        if releases and releases[0][0] < horizon:
+            horizon = releases[0][0]
+        if job is not None and now + job[4] < horizon:
+            horizon = now + job[4]
+        if horizon <= window:
+            horizon = window
+        # 4. advance
+        if job is not None:
+            dt = horizon - now
+            busy += dt
+            job[4] -= dt
+            if job[4] <= _EPS:
+                k, release = job[2], job[3]
+                released[k].append(release)
+                started[k].append(job[5])
+                completed[k].append(horizon)
+                if horizon > release + deadline[k] + 1e-6:
+                    misses.append(
+                        DeadlineMiss(names[k], release, release + deadline[k])
+                    )
+                job = None
+        now = horizon
+
+    live = ready if job is None else [*ready, job]
+    live.sort(key=lambda entry: entry[1])
+    for _, _, k, release, _, start in live:
+        due = release + deadline[k]
+        unfinished.append(
+            JobRecord(names[k], release, due, start, None,
+                      None if start is None else core)
+        )
+        if due < duration - 1e-6:
+            misses.append(DeadlineMiss(names[k], release, due))
+    for k, name in enumerate(names):
+        tracks[name] = JobTrack(released[k], started[k], completed[k])
+    return busy

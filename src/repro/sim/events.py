@@ -2,14 +2,16 @@
 
 The simulator's observable output is a list of :class:`JobRecord` (one
 per released job) plus, optionally, the fine-grained
-:class:`ExecutionSlice` timeline used by trace tooling and tests.
+:class:`ExecutionSlice` timeline used by trace tooling and tests.  A
+:class:`JobTrack` is the column view of one task's finished jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-__all__ = ["JobRecord", "ExecutionSlice", "DeadlineMiss"]
+__all__ = ["JobRecord", "JobTrack", "ExecutionSlice", "DeadlineMiss"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +46,16 @@ class JobRecord:
         return self.completion is not None and (
             self.completion <= self.deadline + 1e-9
         )
+
+
+class JobTrack(NamedTuple):
+    """The finished jobs of one task as columns: ``release[i]``,
+    ``start[i]`` and ``completion[i]`` describe one job, in the order
+    the jobs appear in ``SimResult.jobs``."""
+
+    release: Sequence[float]
+    start: Sequence[float | None]
+    completion: Sequence[float]
 
 
 @dataclass(frozen=True, slots=True)

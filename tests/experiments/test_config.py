@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ValidationError
@@ -62,3 +64,14 @@ class TestScales:
                 sim_duration=1.0,
                 fig3_tasksets_per_point=1,
             )
+        for duration in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="simulation scale"):
+                ExperimentScale(
+                    name="bad",
+                    tasksets_per_point=1,
+                    utilization_step=0.1,
+                    core_counts=(2,),
+                    sim_trials=1,
+                    sim_duration=duration,
+                    fig3_tasksets_per_point=1,
+                )

@@ -4,6 +4,7 @@ experiment itself, and engine determinism (serial ≡ parallel ≡ cached)."""
 from __future__ import annotations
 
 import json
+import math
 import tomllib
 from pathlib import Path
 
@@ -110,11 +111,15 @@ class TestParsing:
             ("utilization", "stop", True, "utilization stop"),
             ("detection", "sim_trials", True, "sim_trials"),
             ("detection", "sim_duration", True, "sim_duration"),
+            # TOML reads ``1e400`` as inf; neither it nor an int too big
+            # for a float is a horizon.
+            ("detection", "sim_duration", math.inf, "sim_duration"),
+            ("detection", "sim_duration", 10**400, "sim_duration"),
         ],
         ids=[
             "zero-cores", "bool-cores", "bool-seed", "bool-tasksets",
             "bool-start", "bool-stop", "bool-sim-trials",
-            "bool-sim-duration",
+            "bool-sim-duration", "inf-sim-duration", "huge-sim-duration",
         ],
     )
     def test_bad_cores_rejected(self, section, key, value, message):

@@ -5,6 +5,8 @@ Schedules small enough to verify by hand, plus conservation laws.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ValidationError
@@ -266,22 +268,40 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Simulator(tasks, num_cores=1, duration=10.0)
 
-    def test_bad_duration_rejected(self):
+    # nan and inf horizons are rejected too: nan used to simulate 0 jobs,
+    # and inf would run the loop up to its event budget.
+    @pytest.mark.parametrize("duration", [0.0, math.nan, math.inf])
+    def test_bad_duration_rejected(self, duration):
         task = SimTask(name="t", wcet=1.0, period=10.0, priority=0, core=0)
-        with pytest.raises(ValidationError):
-            Simulator([task], num_cores=1, duration=0.0)
+        with pytest.raises(ValidationError, match="duration"):
+            Simulator([task], num_cores=1, duration=duration)
 
-    def test_bad_task_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            SimTask(name="t", wcet=0.0, period=10.0, priority=0, core=0)
-        with pytest.raises(ValidationError):
-            SimTask(
-                name="t", wcet=1.0, period=10.0, priority=0, core=0,
-                release_jitter=-0.1,
-            )
-        with pytest.raises(ValidationError):
-            SimTask(name="t", wcet=1.0, period=10.0, priority=0, core=0,
-                    kind="alien")
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"wcet": 0.0},
+            {"release_jitter": -0.1},
+            {"kind": "alien"},
+            {"wcet": math.inf},
+            {"wcet": math.nan},
+            {"period": math.nan},
+            {"period": math.inf},
+            {"deadline": 0.0},
+            {"deadline": -5.0},
+            {"deadline": math.nan},
+            {"deadline": math.inf},
+            {"offset": math.inf},
+            {"offset": math.nan},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_task_parameters_rejected(self, bad):
+        fields = {
+            "name": "t", "wcet": 1.0, "period": 10.0, "priority": 0,
+            "core": 0, **bad,
+        }
+        with pytest.raises(ValidationError, match="sim task 't'"):
+            SimTask(**fields)
 
 
 class TestConservationLaws:

@@ -280,6 +280,42 @@ class TestAnalysisSimulatorConsistency:
             # the analytical worst case for the first job.
             assert first[0].completion == pytest.approx(expected, rel=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(system=small_systems())
+    def test_first_completion_is_the_rta_fixed_point_on_every_core(
+        self, system
+    ):
+        # The multi-core critical instant: every task of an allocated
+        # system released at 0 finishes its first job at its exact RTA
+        # response time among the higher-priority tasks of its core.
+        from repro.analysis.schedulability import partition_schedulable
+        from repro.core.hydra import HydraAllocator
+        from repro.sim.runner import build_sim_tasks, simulate_allocation
+
+        if not partition_schedulable(system.rt_partition):
+            return
+        allocation = HydraAllocator().allocate(system)
+        if not allocation.schedulable:
+            return
+        tasks = build_sim_tasks(system, allocation)
+        expected = {
+            task.name: response_time(
+                task.wcet,
+                [
+                    (other.wcet, other.period)
+                    for other in tasks
+                    if other.core == task.core
+                    and other.priority < task.priority
+                ],
+            )
+            for task in tasks
+        }
+        horizon = max(expected.values()) + 1.0
+        result = simulate_allocation(system, allocation, duration=horizon)
+        for name, response in expected.items():
+            first = result.track(name).completion[0]
+            assert first == pytest.approx(response, rel=1e-9)
+
     @settings(max_examples=20, deadline=None)
     @given(system=small_systems())
     def test_no_deadline_misses_for_admitted_allocations(self, system):

@@ -34,6 +34,10 @@ pinned benchmarks cover the sweep engine's hot paths:
   reference — is additionally held to a *speedup floor* against its
   in-run reference (:data:`RATIO_GATES`).
 
+:data:`RATIO_GATES` also keeps eligible simulations on the per-core
+kernel: ``Simulator.run()`` (``test_simulate_kernel``) against the
+reference event loop on the same system (``test_simulate_reference``).
+
 :data:`RATIO_GATES` also holds the sweep engine's own speed claims,
 gated here rather than asserted in pytest so tier-1 stays deterministic
 on small or loaded boxes: the pooled engine over the serial one
@@ -106,6 +110,10 @@ RATIO_GATES = (
     # Detection scoring: per-monitor sorted index vs the per-attack
     # scan over every job (O(jobs × attacks)).
     ("test_detection_scan_reference", "test_detection_scoring", 4.0),
+    # Simulation: the per-core kernel Simulator.run() takes on the
+    # 2-core UAV system vs the reference event loop (measured ×8.3–×8.4
+    # on a 2-CPU box).
+    ("test_simulate_reference", "test_simulate_kernel", 3.0),
     # Sweep engine: the mini-sweep over a warm worker pool vs serial.
     ("test_parallel_sweep_serial", "test_parallel_sweep_pooled", 1.1),
     # Store: the mini-sweep served by a warm store vs computed into an
