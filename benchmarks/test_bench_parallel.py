@@ -30,7 +30,7 @@ import os
 import pytest
 
 from repro.executors import PoolExecutor
-from repro.experiments.fig2 import fig2_sweep_spec
+from repro.experiments.fig2 import fig2_grid
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.pool import WorkerPool
 from repro.experiments.store import ResultStore
@@ -52,7 +52,8 @@ def _mini_spec(scale):
         utilization_start=0.1,
         utilization_stop=0.9,
     )
-    return fig2_sweep_spec(2, bench_scale)
+    (spec,) = fig2_grid([2]).sweeps(bench_scale)
+    return spec
 
 
 #: Timed rounds per leg; the ratio gate compares per-round medians.

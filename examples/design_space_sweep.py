@@ -8,42 +8,55 @@ design schedules.  Shows the paper's headline: a dedicated security
 core works at low load but collapses well before HYDRA's opportunistic
 placement does.
 
+The sweep is a scenario grid — the same document ``python -m repro
+sweep --config`` reads — so both designs see the same task sets at
+every utilisation point.
+
 Run:  python examples/design_space_sweep.py
 """
 
-import numpy as np
-
-from repro.experiments.runner import run_acceptance_trial
-from repro.metrics.acceptance import AcceptanceCounter
+from repro.experiments import SCALES, ScenarioExperiment, parse_scenario
 from repro.metrics.improvement import acceptance_improvement
 
 CORES = 2
-TASKSETS_PER_POINT = 25
-UTILIZATION_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.9)
+
+GRID = {
+    "sweep": {
+        "name": "design-space",
+        "seed": 42,
+        "tasksets_per_point": 25,
+        "utilization": {"start": 0.2, "stop": 0.9, "step": 0.1},
+    },
+    "grid": {
+        "cores": [CORES],
+        "allocator": ["hydra", "singlecore"],
+        "heuristic": ["best-fit"],
+        "ordering": ["utilization"],
+        "admission": ["rta"],
+    },
+}
 
 
 def main() -> None:
-    rng = np.random.default_rng(42)
+    experiment = ScenarioExperiment(parse_scenario(GRID))
+    (panel,) = experiment.run_domain(SCALES["smoke"]).panels
+    comparison = panel.comparison
+    hydra_scheme, single_scheme = comparison.schemes()
     print(
         f"Acceptance sweep on {CORES} cores "
-        f"({TASKSETS_PER_POINT} synthetic task sets per point)\n"
+        f"({comparison.tasksets_per_point} synthetic task sets per point)\n"
     )
     print(f"{'U/M':>5} {'U_total':>8} {'HYDRA':>7} {'SingleCore':>11} "
           f"{'improvement':>12}")
-    for fraction in UTILIZATION_FRACTIONS:
-        utilization = fraction * CORES
-        hydra_counter = AcceptanceCounter()
-        single_counter = AcceptanceCounter()
-        for _ in range(TASKSETS_PER_POINT):
-            outcome = run_acceptance_trial(CORES, utilization, rng)
-            hydra_counter.record(outcome.hydra_schedulable)
-            single_counter.record(outcome.single_schedulable)
+    for hydra, single in zip(
+        comparison.series(hydra_scheme), comparison.series(single_scheme)
+    ):
         improvement = acceptance_improvement(
-            hydra_counter.ratio, single_counter.ratio
+            hydra.acceptance, single.acceptance
         )
         print(
-            f"{fraction:>5.2f} {utilization:>8.2f} "
-            f"{hydra_counter.ratio:>7.2f} {single_counter.ratio:>11.2f} "
+            f"{hydra.utilization / CORES:>5.2f} {hydra.utilization:>8.2f} "
+            f"{hydra.acceptance:>7.2f} {single.acceptance:>11.2f} "
             f"{improvement:>11.1f}%"
         )
     print(

@@ -30,6 +30,7 @@ from repro.ablate.config import AblationConfig
 from repro.ablate.runset import AblationRun, SkippedVariant, run_id, run_set
 from repro.experiments.api import Experiment, RawRun
 from repro.experiments.reporting import format_table
+from repro.experiments.scenario import ScenarioExperiment, cell_tallies
 from repro.metrics.importance import (
     ImportanceScore,
     rank_scores,
@@ -124,10 +125,10 @@ def _summarize_run(
     tightness_sum = 0.0
     for result in sweeps:
         for payload in result.payloads:
-            cell = payload["cells"][label]
-            accepted += int(cell["accepted"])
-            total += int(cell["total"])
-            tightness_sum += float(cell["tightness_sum"])
+            (tally,) = cell_tallies(payload, label)
+            accepted += tally.accepted
+            total += tally.total
+            tightness_sum += tally.tightness_sum
     return RunSummary(
         run_id=run_id(run, scale),
         label=label,
@@ -181,8 +182,6 @@ class AblationExperiment(Experiment):
         """Every run's scenario sweeps, baseline first, one spec per
         core count per run — plain concatenation, so the engine and
         job runner need no ablation awareness at all."""
-        from repro.experiments.scenario import ScenarioExperiment
-
         runs, _ = run_set(self.config)
         return [
             spec

@@ -77,7 +77,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import CacheError, ConfigError, ValidationError
 from repro.experiments.config import get_scale
@@ -104,20 +104,30 @@ _META_COMMANDS = (
 _FORMATS = ("text", "json", "csv")
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type for ``--workers``: a worker *count* must be at
-    least 1 (rejected at parse time, before anything runs)."""
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive worker count, got {workers}"
-        )
-    return workers
+def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
+    """Argparse type for an integer >= ``minimum``: anything else is a
+    usage error at parse time, before anything runs."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {value!r}"
+            ) from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be a {what}, got {number}"
+            )
+        return number
+
+    return parse
+
+
+#: ``--workers``: a worker *count* must be at least 1.
+_positive_int = _int_at_least(1, "positive worker count")
+#: ``--seed``: numpy's SeedSequence takes no negative entropy.
+_seed = _int_at_least(0, "non-negative seed")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +140,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         help="override the base RNG seed",
     )

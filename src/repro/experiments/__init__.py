@@ -8,15 +8,17 @@
   registry the CLI, golden machinery, and ``repro-hydra list`` consume.
 * :mod:`repro.experiments.table1` — the security-task catalogue.
 * :mod:`repro.experiments.fig1` — UAV case study detection-time CDFs.
-* :mod:`repro.experiments.fig2` — acceptance-ratio improvement sweep.
+* :mod:`repro.experiments.fig2` — acceptance-ratio improvement sweep
+  (a fixed scenario grid: HYDRA vs SingleCore).
 * :mod:`repro.experiments.fig3` — HYDRA vs optimal tightness gap.
-* :mod:`repro.experiments.quality` — tightness on commonly-accepted sets.
+* :mod:`repro.experiments.quality` — tightness on commonly-accepted sets
+  (a view of Fig. 2's 8-core panel).
 * :mod:`repro.experiments.ablations` — the solver / core-choice /
   partitioning ablations (registered scenario grids) and the search /
   extension ablations (computed inline).
 * :mod:`repro.experiments.scenario` — TOML scenario sweeps (``repro-hydra
   sweep --config``) and the one acceptance-comparison point runner
-  behind them and the grid ablations.
+  behind them, Fig. 2, the quality study and the grid ablations.
 * :mod:`repro.experiments.config` — ``smoke`` / ``default`` / ``paper``
   scaling presets (env var ``REPRO_SCALE``).
 * :mod:`repro.experiments.parallel` — the parallel/cached/resumable
@@ -24,7 +26,7 @@
 * :mod:`repro.experiments.pool` — the persistent :class:`WorkerPool`
   shared across sweeps (one fork per CLI invocation/pytest session).
 * :mod:`repro.experiments.store` — the sharded, append-only
-  :class:`ResultStore` (cache format v2).
+  :class:`ResultStore` (store layout v2, cache key format 3).
 
 Run an experiment with ``get_experiment(name).run(scale, engine)``
 (the typed :class:`ExperimentResult`) or ``.run_domain(scale, engine)``

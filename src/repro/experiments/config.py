@@ -72,6 +72,10 @@ class ExperimentScale:
             raise ValidationError("invalid simulation scale")
         if not self.core_counts:
             raise ValidationError("need at least one core count")
+        # numpy's SeedSequence takes no negative entropy, and the
+        # experiments derive their seeds by adding offsets to this one.
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def with_overrides(self, **kwargs) -> "ExperimentScale":
         """Copy with selected fields replaced."""

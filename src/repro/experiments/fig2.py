@@ -17,10 +17,13 @@ from repro.experiments.api import Experiment, GoldenFixture, RawRun
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import register_experiment
 from repro.experiments.reporting import format_series, format_table, percent
-from repro.metrics.acceptance import AcceptanceCounter
+from repro.experiments.scenario import (
+    ScenarioExperiment,
+    cell_tallies,
+    combo_label,
+    parse_scenario,
+)
 from repro.metrics.improvement import acceptance_improvement
-from repro.model.platform import Platform
-from repro.taskgen.synthetic import SyntheticConfig, utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
@@ -29,7 +32,7 @@ __all__ = [
     "Fig2Point",
     "Fig2Result",
     "Fig2Experiment",
-    "fig2_sweep_spec",
+    "fig2_grid",
     "format_fig2",
 ]
 
@@ -69,38 +72,30 @@ class Fig2Result:
         return sorted({p.cores for p in self.points})
 
 
-def fig2_sweep_spec(
-    cores: int,
-    scale: ExperimentScale,
-    config: SyntheticConfig | None = None,
-) -> "SweepSpec":
-    """One Fig. 2 panel (one core count) as an acceptance sweep.
+def fig2_grid(cores: Sequence[int]) -> ScenarioExperiment:
+    """Fig. 2's scenario grid on ``cores``: HYDRA and SingleCore on
+    shared task sets.
 
-    The seed (``scale.seed + cores``) and per-point SeedSequence
-    streams match what the serial seed code consumed, so engine runs
-    reproduce the historical results bit-for-bit.
+    The document is the ``sweep --config`` twin of Fig. 2 (its
+    ``cores`` axis is the scale's core counts).  Seed (``scale.seed +
+    cores``), task sets per point and utilisation range come from the
+    scale it runs at, so Fig. 2, the quality study (its 8-core panel)
+    and ``sweep --config`` on the twin run the same sweeps and share
+    cache entries.
     """
-    from repro.experiments.parallel import SweepSpec, synthetic_config_to_dict
-
-    platform = Platform(cores)
-    utils = utilization_sweep(
-        platform,
-        step_fraction=scale.utilization_step,
-        start_fraction=scale.utilization_start,
-        stop_fraction=scale.utilization_stop,
-    )
-    return SweepSpec(
-        kind="acceptance",
-        seed=scale.seed + cores,
-        points=tuple({"utilization": u} for u in utils),
-        params={
-            "cores": cores,
-            "tasksets_per_point": scale.tasksets_per_point,
-            "config": (
-                synthetic_config_to_dict(config) if config is not None
-                else None
-            ),
-        },
+    return ScenarioExperiment(
+        parse_scenario(
+            {
+                "sweep": {"name": "fig2"},
+                "grid": {
+                    "cores": list(cores),
+                    "allocator": ["hydra", "singlecore"],
+                    "heuristic": ["best-fit"],
+                    "ordering": ["utilization"],
+                    "admission": ["rta"],
+                },
+            }
+        )
     )
 
 
@@ -122,38 +117,32 @@ class Fig2Experiment(Experiment):
         "improvement_pct",
     )
 
-    def __init__(self, config: SyntheticConfig | None = None) -> None:
-        self.config = config
-
     def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [
-            fig2_sweep_spec(cores, scale, self.config)
-            for cores in scale.core_counts
-        ]
+        # SingleCore dedicates a core to security, so a 1-core platform
+        # has no panel to compare.
+        cores = [c for c in scale.core_counts if c >= 2]
+        return fig2_grid(cores).sweeps(scale) if cores else []
 
     def aggregate_domain(self, raw: RawRun) -> Fig2Result:
-        from repro.experiments.parallel import acceptance_outcomes
-
-        scale = raw.scale
         points: list[Fig2Point] = []
         for result in raw.sweeps:
             cores = int(result.spec.params["cores"])
+            hydra_label, single_label = (
+                combo_label(**c) for c in result.spec.params["combos"]
+            )
             for point, payload in zip(result.spec.points, result.payloads):
-                hydra_counter = AcceptanceCounter()
-                single_counter = AcceptanceCounter()
-                for outcome in acceptance_outcomes(payload):
-                    hydra_counter.record(outcome.hydra_schedulable)
-                    single_counter.record(outcome.single_schedulable)
+                (hydra,) = cell_tallies(payload, hydra_label)
+                (single,) = cell_tallies(payload, single_label)
                 points.append(
                     Fig2Point(
                         cores=cores,
                         utilization=float(point["utilization"]),
-                        ratio_hydra=hydra_counter.ratio,
-                        ratio_single=single_counter.ratio,
-                        tasksets=scale.tasksets_per_point,
+                        ratio_hydra=hydra.acceptance,
+                        ratio_single=single.acceptance,
+                        tasksets=hydra.total,
                     )
                 )
-        return Fig2Result(points=tuple(points), scale=scale.name)
+        return Fig2Result(points=tuple(points), scale=raw.scale.name)
 
     def encode_data(self, domain: Fig2Result) -> dict[str, Any]:
         return {

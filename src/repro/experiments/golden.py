@@ -14,9 +14,9 @@ The summaries pin two layers:
 * aggregate numbers a human can review (acceptance counts per point,
   detection-time samples, tightness gaps, catalogue rows), and
 * a sha256 over the canonical JSON of the *full* per-point payloads —
-  every generated task set's allocation verdict, every assigned
-  period — so even a change that happens to preserve the aggregates
-  fails loudly.
+  every generated task set's verdict and tightness, every assigned
+  period, every detection time — so even a change that happens to
+  preserve the aggregates fails loudly.
 
 Fixtures live in ``tests/experiments/golden/``; regenerate after an
 *intended* behaviour change with::
@@ -32,11 +32,7 @@ from typing import Any
 
 from repro.experiments.api import GoldenFixture
 from repro.experiments.config import SCALES, ExperimentScale
-from repro.experiments.parallel import (
-    SweepEngine,
-    SweepSpec,
-    acceptance_outcomes,
-)
+from repro.experiments.parallel import SweepEngine, SweepSpec
 
 __all__ = [
     "golden_fixtures",
@@ -59,7 +55,7 @@ __all__ = [
 
 def fig2_mini_spec() -> SweepSpec:
     """3 utilisation points × 50 task sets on 2 cores, paper seed."""
-    from repro.experiments.fig2 import fig2_sweep_spec
+    from repro.experiments.fig2 import fig2_grid
 
     scale = ExperimentScale(
         name="golden-mini",
@@ -72,7 +68,8 @@ def fig2_mini_spec() -> SweepSpec:
         sim_duration=30_000.0,
         fig3_tasksets_per_point=3,
     )
-    return fig2_sweep_spec(2, scale)
+    (spec,) = fig2_grid([2]).sweeps(scale)
+    return spec
 
 
 def fig1_mini_spec() -> SweepSpec:
@@ -146,19 +143,21 @@ def _payload_sha256(payloads) -> str:
 
 
 def fig2_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
+    from repro.experiments.scenario import cell_tallies, combo_label
+
+    hydra_label, single_label = (
+        combo_label(**c) for c in spec.params["combos"]
+    )
     points = []
     for point, payload in zip(spec.points, payloads):
-        outcomes = acceptance_outcomes(payload)
+        (hydra,) = cell_tallies(payload, hydra_label)
+        (single,) = cell_tallies(payload, single_label)
         points.append(
             {
                 "utilization": point["utilization"],
-                "tasksets": len(outcomes),
-                "accepted_hydra": sum(
-                    o.hydra_schedulable for o in outcomes
-                ),
-                "accepted_single": sum(
-                    o.single_schedulable for o in outcomes
-                ),
+                "tasksets": hydra.total,
+                "accepted_hydra": hydra.accepted,
+                "accepted_single": single.accepted,
             }
         )
     return points
@@ -194,19 +193,16 @@ def table1_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
 
 
 def workload_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
-    return [
-        {
-            "utilization": point["utilization"],
-            "cells": {
-                label: {
-                    "accepted": cell["accepted"],
-                    "total": cell["total"],
-                }
-                for label, cell in sorted(payload["cells"].items())
-            },
-        }
-        for point, payload in zip(spec.points, payloads)
-    ]
+    from repro.experiments.scenario import cell_tallies
+
+    points = []
+    for point, payload in zip(spec.points, payloads):
+        cells = {}
+        for label in sorted(payload["cells"]):
+            (tally,) = cell_tallies(payload, label)
+            cells[label] = {"accepted": tally.accepted, "total": tally.total}
+        points.append({"utilization": point["utilization"], "cells": cells})
+    return points
 
 
 # -- registry-driven fixture collection --------------------------------------

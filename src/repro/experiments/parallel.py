@@ -10,9 +10,9 @@ Determinism is the design anchor:
 
 * every point ``i`` of a sweep draws its randomness from the
   :class:`numpy.random.SeedSequence` child ``spawn(i)`` of the sweep
-  seed — exactly the streams the serial code used via
+  seed — stream ``i`` of
   :func:`repro.experiments.runner.spawn_streams` — so serial and
-  parallel runs produce **identical** trial sequences;
+  parallel runs produce **identical** task-set sequences;
 * every point's result is a plain-JSON payload, which makes results
   byte-comparable across worker counts and cacheable on disk
   (:class:`repro.experiments.store.ResultStore`): re-runs and extended
@@ -41,9 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SweepCancelled, ValidationError
-from repro.experiments.runner import TrialOutcome, run_acceptance_trial
 from repro.experiments.store import CACHE_FORMAT, ResultStore
-from repro.io import allocation_from_dict, allocation_to_dict
 from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig
 
@@ -58,48 +56,12 @@ __all__ = [
     "register_point_runner",
     "get_point_runner",
     "execute_point",
-    "outcome_to_dict",
-    "outcome_from_dict",
     "synthetic_config_to_dict",
     "synthetic_config_from_dict",
 ]
 
 
 # -- serialisation helpers ---------------------------------------------------
-
-
-def outcome_to_dict(outcome: TrialOutcome) -> dict[str, Any]:
-    """JSON form of one :class:`TrialOutcome` (both schemes' verdicts)."""
-    return {
-        "utilization": outcome.utilization,
-        "hydra": (
-            allocation_to_dict(outcome.hydra)
-            if outcome.hydra is not None
-            else None
-        ),
-        "single": (
-            allocation_to_dict(outcome.single)
-            if outcome.single is not None
-            else None
-        ),
-    }
-
-
-def outcome_from_dict(data: Mapping[str, Any]) -> TrialOutcome:
-    """Inverse of :func:`outcome_to_dict`."""
-    return TrialOutcome(
-        utilization=float(data["utilization"]),
-        hydra=(
-            allocation_from_dict(data["hydra"])
-            if data.get("hydra") is not None
-            else None
-        ),
-        single=(
-            allocation_from_dict(data["single"])
-            if data.get("single") is not None
-            else None
-        ),
-    )
 
 
 def synthetic_config_to_dict(config: SyntheticConfig) -> dict[str, Any]:
@@ -131,7 +93,7 @@ class SweepSpec:
     Attributes
     ----------
     kind:
-        Registered point-runner name (e.g. ``"acceptance"``).
+        Registered point-runner name (e.g. ``"scenario"``).
     seed:
         Sweep seed; point ``i`` uses SeedSequence child ``spawn(i)``.
     points:
@@ -278,35 +240,6 @@ def run_calibration_point(
     runner: the draw comes from the point's SeedSequence stream.
     """
     return {"point": dict(point), "value": float(rng.random())}
-
-
-@register_point_runner("acceptance")
-def run_acceptance_point(
-    point: Mapping[str, Any],
-    params: Mapping[str, Any],
-    rng: np.random.Generator,
-) -> dict[str, Any]:
-    """``tasksets_per_point`` HYDRA-vs-SingleCore trials at one
-    utilisation (the Fig. 2 / quality-sweep workhorse)."""
-    platform = Platform(int(params["cores"]))
-    config = _config_from_params(params)
-    outcomes = []
-    for _ in range(int(params["tasksets_per_point"])):
-        outcome = run_acceptance_trial(
-            platform,
-            float(point["utilization"]),
-            rng,
-            config=config,
-            heuristic=params.get("heuristic", "best-fit"),
-            admission=params.get("admission", "rta"),
-        )
-        outcomes.append(outcome_to_dict(outcome))
-    return {"outcomes": outcomes}
-
-
-def acceptance_outcomes(payload: Mapping[str, Any]) -> list[TrialOutcome]:
-    """Decode an ``acceptance`` payload back into trial outcomes."""
-    return [outcome_from_dict(d) for d in payload["outcomes"]]
 
 
 @register_point_runner("fig3-gap")

@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.experiments.api import Experiment, RawRun
 from repro.experiments.config import ExperimentScale
+from repro.experiments.fig2 import fig2_grid
 from repro.experiments.registry import register_experiment
 from repro.experiments.reporting import format_series, format_table
-from repro.model.platform import Platform
-from repro.taskgen.synthetic import SyntheticConfig, utilization_sweep
+from repro.experiments.scenario import cell_tallies, combo_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
@@ -32,40 +32,8 @@ __all__ = [
     "QualityPoint",
     "QualityResult",
     "QualityExperiment",
-    "quality_sweep_spec",
     "format_quality",
 ]
-
-
-def quality_sweep_spec(
-    scale: ExperimentScale,
-    cores: int = 8,
-    config: SyntheticConfig | None = None,
-) -> "SweepSpec":
-    """The quality sweep as an acceptance sweep (shares Fig. 2's cache
-    namespace; distinct seed offset keeps its streams independent)."""
-    from repro.experiments.parallel import SweepSpec, synthetic_config_to_dict
-
-    platform = Platform(cores)
-    utils = utilization_sweep(
-        platform,
-        step_fraction=scale.utilization_step,
-        start_fraction=scale.utilization_start,
-        stop_fraction=scale.utilization_stop,
-    )
-    return SweepSpec(
-        kind="acceptance",
-        seed=scale.seed + 41,
-        points=tuple({"utilization": u} for u in utils),
-        params={
-            "cores": cores,
-            "tasksets_per_point": scale.tasksets_per_point,
-            "config": (
-                synthetic_config_to_dict(config) if config is not None
-                else None
-            ),
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -96,10 +64,12 @@ class QualityResult:
 class QualityExperiment(Experiment):
     """The monitoring-quality sweep on the unified experiment protocol.
 
-    Defaults to 8 cores: the utilisation band where both schemes accept
-    task sets but achieve different tightness is widest there (on 2
-    cores SingleCore stops accepting anything almost as soon as the
-    quality gap opens).
+    A view of Fig. 2's 8-core panel
+    (:func:`~repro.experiments.fig2.fig2_grid`): the same sweep, so with
+    a store ``repro all`` computes it once.  8 cores because the
+    utilisation band where both schemes accept task sets but achieve
+    different tightness is widest there (on 2 cores SingleCore stops
+    accepting anything almost as soon as the quality gap opens).
     """
 
     name = "quality"
@@ -108,50 +78,37 @@ class QualityExperiment(Experiment):
         "For task sets both schemes accept, compare the mean tightness "
         "(achievable monitoring frequency) HYDRA and SingleCore reach."
     )
-    version = 1
+    # 2: reads Fig. 2's 8-core panel, seeded scale.seed + 8 (was + 41).
+    version = 2
     tags = ("companion",)
     order = 50
     columns = (
         "cores", "utilization", "both_accepted", "mean_tightness_hydra",
         "mean_tightness_single",
     )
-
-    def __init__(
-        self, cores: int = 8, config: SyntheticConfig | None = None
-    ) -> None:
-        self.cores = cores
-        self.config = config
+    cores = 8
 
     def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [quality_sweep_spec(scale, cores=self.cores, config=self.config)]
+        return fig2_grid([self.cores]).sweeps(scale)
 
     def aggregate_domain(self, raw: RawRun) -> QualityResult:
-        from repro.experiments.parallel import acceptance_outcomes
-
         (result,) = raw.sweeps
-        scale = raw.scale
+        labels = [combo_label(**c) for c in result.spec.params["combos"]]
         points: list[QualityPoint] = []
         for point, payload in zip(result.spec.points, result.payloads):
-            utilization = float(point["utilization"])
-            hydra_sum = single_sum = 0.0
-            both = 0
-            for outcome in acceptance_outcomes(payload):
-                if outcome.hydra_schedulable and outcome.single_schedulable:
-                    both += 1
-                    hydra_sum += outcome.hydra.mean_tightness()
-                    single_sum += outcome.single.mean_tightness()
+            hydra, single = cell_tallies(payload, *labels)
             points.append(
                 QualityPoint(
                     cores=self.cores,
-                    utilization=utilization,
-                    both_accepted=both,
-                    tasksets=scale.tasksets_per_point,
-                    mean_tightness_hydra=hydra_sum / both if both else 0.0,
-                    mean_tightness_single=single_sum / both if both else 0.0,
+                    utilization=float(point["utilization"]),
+                    both_accepted=hydra.accepted,
+                    tasksets=hydra.total,
+                    mean_tightness_hydra=hydra.mean_tightness,
+                    mean_tightness_single=single.mean_tightness,
                 )
             )
         return QualityResult(
-            points=tuple(points), scale=scale.name, cores=self.cores
+            points=tuple(points), scale=raw.scale.name, cores=self.cores
         )
 
     def encode_data(self, domain: QualityResult) -> dict[str, Any]:

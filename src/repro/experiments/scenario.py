@@ -94,6 +94,8 @@ __all__ = [
     "build_scenario_experiment",
     "combo_label",
     "combo_system",
+    "CellTally",
+    "cell_tallies",
 ]
 
 #: Result families a TOML scenario can request via ``[sweep] kind``.
@@ -403,8 +405,8 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     )
     seed = sweep.get("seed")
     _require(
-        seed is None or _is_int(seed),
-        "[sweep] seed must be an integer",
+        seed is None or (_is_int(seed) and seed >= 0),
+        "[sweep] seed must be an integer >= 0",
     )
     tasksets = sweep.get("tasksets_per_point")
     _require(
@@ -522,8 +524,9 @@ def combo_system(
     The ``singlecore`` strategy implies its own system shape — real-time
     tasks packed onto ``M−1`` cores, the last core dedicated to security
     (:func:`~repro.core.singlecore.build_singlecore_system`); every
-    other strategy gets the all-cores partition.  Either is built with
-    the combo's heuristic/ordering/admission and memoised in
+    other strategy gets the all-cores partition
+    (:func:`~repro.experiments.runner.build_hydra_system`).  Either is
+    built with the combo's heuristic/ordering/admission and memoised in
     ``systems`` (one dict per task set) under ``(singlecore?,
     heuristic, ordering, admission)``, so combos differing only in the
     allocator share one partition.  ``None`` when the real-time tasks
@@ -535,8 +538,7 @@ def combo_system(
     )
     if key not in systems:
         from repro.core.singlecore import build_singlecore_system
-        from repro.model.system import SystemModel
-        from repro.partition.heuristics import try_partition_tasks
+        from repro.experiments.runner import build_hydra_system
 
         singlecore, heuristic, ordering, admission = key
         if singlecore:
@@ -549,17 +551,11 @@ def combo_system(
                 ordering=ordering,
             )
         else:
-            partition = try_partition_tasks(
-                workload.rt_tasks,
-                platform,
+            systems[key] = build_hydra_system(
+                workload,
                 heuristic=heuristic,
                 admission=admission,
                 ordering=ordering,
-            )
-            systems[key] = None if partition is None else SystemModel(
-                platform=platform,
-                rt_partition=partition,
-                security_tasks=workload.security_tasks,
             )
     return systems[key]
 
@@ -573,6 +569,15 @@ def run_scenario_point(
     """Acceptance/tightness for every grid combo — (allocator,)
     heuristic, ordering, admission — on shared task sets at one
     utilisation point.
+
+    The payload is ``{"cells": {label: [tightness, ...]}}``: per combo
+    label, one entry per task set in generation order — the
+    allocation's mean tightness, or ``None`` when the combo rejects the
+    task set (its real-time tasks do not fit, or its allocator finds no
+    schedulable allocation; security tasks have real-time constraints
+    too, paper footnote 4).  Keeping the task sets apart lets a reader
+    pair schemes on the same task set; :func:`cell_tallies` is the one
+    reader of this format.
 
     The allocation strategy is resolved through the
     :mod:`repro.allocators` registry (``"hydra"`` when the sweep has no
@@ -606,9 +611,8 @@ def run_scenario_point(
         if spec not in workload_specs:
             workload_specs.append(spec)
     generators = {spec: get_workload(spec) for spec in workload_specs}
-    cells = {
-        combo_label(**c): {"accepted": 0, "total": 0, "tightness_sum": 0.0}
-        for c in combos
+    cells: dict[str, list[float | None]] = {
+        combo_label(**c): [] for c in combos
     }
     tasksets = int(params["tasksets_per_point"])
     utilization = float(point["utilization"])
@@ -633,16 +637,62 @@ def run_scenario_point(
                 if combo.get("workload", "paper-synthetic") != wl_spec:
                     continue
                 cell = cells[combo_label(**combo)]
-                cell["total"] += 1
                 system = combo_system(platform, workload, combo, systems)
                 if system is None:
+                    cell.append(None)
                     continue
                 spec = combo.get("allocator", "hydra")
                 allocation = allocators[spec].allocate(system)
-                if allocation.schedulable:
-                    cell["accepted"] += 1
-                    cell["tightness_sum"] += allocation.mean_tightness()
+                cell.append(
+                    allocation.mean_tightness()
+                    if allocation.schedulable else None
+                )
     return {"cells": cells}
+
+
+@dataclass(frozen=True)
+class CellTally:
+    """What one payload cell says about one scheme at one point."""
+
+    accepted: int
+    total: int
+    tightness_sum: float
+
+    @property
+    def acceptance(self) -> float:
+        """Accepted fraction of the task sets (0 when there are none)."""
+        return self.accepted / self.total if self.total else 0.0
+
+    @property
+    def mean_tightness(self) -> float:
+        """Mean tightness over the accepted task sets (0 when none)."""
+        return self.tightness_sum / self.accepted if self.accepted else 0.0
+
+
+def cell_tallies(
+    payload: Mapping[str, Any], *labels: str
+) -> tuple[CellTally, ...]:
+    """The tallies of the ``labels`` cells of one ``scenario`` payload.
+
+    A task set counts as accepted only when every named cell accepts
+    it: one label gives that scheme's own tallies, several give tallies
+    paired on the task sets all of them accept (the quality study's
+    "both schemes accept").  Each sum adds the accepted entries in
+    task-set order with ``+=``, so the tallies do not depend on the
+    Python version: the builtin ``sum`` of floats compensates on
+    Python >= 3.12 and moves the last bits.
+    """
+    columns = [payload["cells"][label] for label in labels]
+    accepted = 0
+    sums = [0.0] * len(columns)
+    for row in zip(*columns):
+        if any(tightness is None for tightness in row):
+            continue
+        accepted += 1
+        for index, tightness in enumerate(row):
+            sums[index] += tightness
+    total = len(columns[0])
+    return tuple(CellTally(accepted, total, s) for s in sums)
 
 
 # -- comparison results ------------------------------------------------------
@@ -683,22 +733,17 @@ def _cells_from_payloads(
     payloads,
     schemes: list[str],
 ) -> tuple[AllocatorCell, ...]:
-    """Decode per-point ``{"cells": {scheme: tallies}}`` payloads."""
+    """Decode per-point ``scenario`` payloads into comparison cells."""
     cells: list[AllocatorCell] = []
     for point, payload in zip(spec.points, payloads):
         for scheme in schemes:
-            tally = payload["cells"][scheme]
-            accepted = int(tally["accepted"])
+            (tally,) = cell_tallies(payload, scheme)
             cells.append(
                 AllocatorCell(
                     scheme=scheme,
                     utilization=float(point["utilization"]),
-                    acceptance=(
-                        accepted / tally["total"] if tally["total"] else 0.0
-                    ),
-                    mean_tightness=(
-                        tally["tightness_sum"] / accepted if accepted else 0.0
-                    ),
+                    acceptance=tally.acceptance,
+                    mean_tightness=tally.mean_tightness,
                 )
             )
     return tuple(cells)
@@ -783,8 +828,9 @@ class ScenarioExperiment(Experiment):
     Not registered by name — the CLI's ``sweep`` subcommand builds one
     from ``--config``; programmatic callers construct it from a
     :class:`ScenarioConfig` (see :func:`load_scenario`).  Fixed grids
-    register as subclasses: the comparison ablations in
-    :mod:`repro.experiments.ablations`.
+    register as subclasses — the comparison ablations in
+    :mod:`repro.experiments.ablations` — or run one per scale, as Fig. 2
+    and the quality study do (:func:`repro.experiments.fig2.fig2_grid`).
     """
 
     version = 1

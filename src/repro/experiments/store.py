@@ -70,7 +70,10 @@ __all__ = [
 #: changes every key, so it stays fixed while results are unchanged.
 #: 2: the per-core simulation kernel moves some detection times by ulps,
 #: so a store written before it never serves pre-kernel points.
-CACHE_FORMAT = 2
+#: 3: ``scenario`` payload cells hold one tightness per task set instead
+#: of accepted/total/tightness-sum tallies, so a store written before
+#: never serves a tally payload to the list reader.
+CACHE_FORMAT = 3
 
 #: On-disk layout version of this module, stamped into ``store.json``.
 STORE_FORMAT = 2

@@ -216,9 +216,11 @@ class JobRequest:
 
         seed = body.get("seed")
         if seed is not None and (
-            not isinstance(seed, int) or isinstance(seed, bool)
+            not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
         ):
-            raise ValidationError("job request 'seed' must be an integer")
+            raise ValidationError(
+                "job request 'seed' must be a non-negative integer"
+            )
         scale = body.get("scale")
         if scale is not None and not isinstance(scale, str):
             raise ValidationError("job request 'scale' must be a string")

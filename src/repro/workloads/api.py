@@ -32,7 +32,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.io import taskset_from_dict, taskset_to_dict
 from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig, SyntheticWorkload
 
@@ -94,6 +93,10 @@ def workload_to_dict(workload: SyntheticWorkload) -> dict[str, Any]:
     the ``workload-sample`` point runner byte-compare; the task content
     round-trips through :mod:`repro.io`.
     """
+    # Imported here: parsing a scenario with a workload axis imports
+    # this module on the request path, and only sampling needs repro.io.
+    from repro.io import taskset_to_dict
+
     return {
         "cores": workload.platform.num_cores,
         "target_utilization": workload.target_utilization,
@@ -104,6 +107,8 @@ def workload_to_dict(workload: SyntheticWorkload) -> dict[str, Any]:
 
 def workload_from_dict(data: Mapping[str, Any]) -> SyntheticWorkload:
     """Inverse of :func:`workload_to_dict` (default recipe config)."""
+    from repro.io import taskset_from_dict
+
     return SyntheticWorkload(
         platform=Platform(int(data["cores"])),
         rt_tasks=taskset_from_dict(data["rt_tasks"]),

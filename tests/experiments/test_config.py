@@ -75,3 +75,5 @@ class TestScales:
                     sim_duration=duration,
                     fig3_tasksets_per_point=1,
                 )
+        with pytest.raises(ValidationError, match="seed"):
+            get_scale("smoke").with_overrides(seed=-5)

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import (
-    build_hydra_system,
-    run_acceptance_trial,
-    spawn_streams,
-)
+from repro.experiments.runner import build_hydra_system, spawn_streams
 from repro.model.platform import Platform
-from repro.taskgen.synthetic import SyntheticConfig, generate_workload
+from repro.taskgen.synthetic import generate_workload
 
 
 class TestSpawnStreams:
@@ -57,37 +53,3 @@ class TestBuildHydraSystem:
             target_utilization=2.1,
         )
         assert build_hydra_system(workload) is None
-
-
-class TestRunAcceptanceTrial:
-    def test_outcome_fields(self, rng):
-        outcome = run_acceptance_trial(2, 1.0, rng)
-        assert outcome.utilization == 1.0
-        assert isinstance(outcome.hydra_schedulable, bool)
-        assert isinstance(outcome.single_schedulable, bool)
-
-    def test_low_utilization_both_accept(self, rng):
-        for _ in range(5):
-            outcome = run_acceptance_trial(2, 0.3, rng)
-            assert outcome.hydra_schedulable
-            assert outcome.single_schedulable
-
-    def test_single_core_platform_skips_singlecore(self, rng):
-        outcome = run_acceptance_trial(1, 0.3, rng)
-        assert outcome.single is None
-        assert not outcome.single_schedulable
-
-    def test_custom_config_respected(self, rng):
-        config = SyntheticConfig(security_task_count=(2, 2))
-        outcome = run_acceptance_trial(2, 0.5, rng, config=config)
-        if outcome.hydra is not None and outcome.hydra.schedulable:
-            assert len(outcome.hydra.assignments) == 2
-
-    def test_custom_allocators_used(self, rng):
-        from repro.core.variants import FirstFeasibleAllocator
-
-        outcome = run_acceptance_trial(
-            2, 0.5, rng, hydra_allocator=FirstFeasibleAllocator()
-        )
-        assert outcome.hydra is not None
-        assert outcome.hydra.scheme == "first-feasible"

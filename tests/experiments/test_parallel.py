@@ -20,19 +20,18 @@ import repro
 from repro.allocators import get_allocator
 from repro.errors import ValidationError
 from repro.experiments.config import SCALES
-from repro.experiments.fig2 import fig2_sweep_spec
+from repro.experiments.fig2 import fig2_grid
 from repro.experiments.parallel import (
     SweepEngine,
     SweepSpec,
     execute_point,
-    outcome_from_dict,
-    outcome_to_dict,
     register_point_runner,
     synthetic_config_from_dict,
     synthetic_config_to_dict,
 )
 from repro.experiments.registry import get_experiment
-from repro.experiments.runner import run_acceptance_trial, spawn_streams
+from repro.experiments.runner import spawn_streams
+from repro.experiments.scenario import run_scenario_point
 from repro.experiments.store import ResultStore, cache_key
 from repro.taskgen.synthetic import SyntheticConfig
 
@@ -40,7 +39,7 @@ from repro.taskgen.synthetic import SyntheticConfig
 def _mini_spec(points: int = 3, trials: int = 4) -> SweepSpec:
     smoke = SCALES["smoke"]
     scale = smoke.with_overrides(tasksets_per_point=trials)
-    spec = fig2_sweep_spec(2, scale)
+    (spec,) = fig2_grid([2]).sweeps(scale)
     return SweepSpec(
         kind=spec.kind,
         seed=spec.seed,
@@ -71,13 +70,11 @@ class TestDeterminism:
         for point, payload, rng in zip(
             spec.points, result.payloads, streams
         ):
-            expected = [
-                outcome_to_dict(
-                    run_acceptance_trial(2, point["utilization"], rng)
-                )
-                for _ in range(3)
-            ]
-            assert payload["outcomes"] == expected
+            expected = run_scenario_point(dict(point), dict(spec.params), rng)
+            assert payload == expected
+            assert all(
+                len(cell) == 3 for cell in payload["cells"].values()
+            )
 
     def test_fig2_identical_across_worker_counts(self):
         smoke = SCALES["smoke"]
@@ -178,7 +175,7 @@ class TestSpec:
 
     def test_rejects_empty_points(self):
         with pytest.raises(ValidationError):
-            SweepSpec(kind="acceptance", seed=1, points=())
+            SweepSpec(kind="scenario", seed=1, points=())
 
     def test_key_payload_excludes_point_count(self):
         short, extended = _mini_spec(points=2), _mini_spec(points=3)
@@ -191,22 +188,10 @@ class TestSpec:
 
     def test_duplicate_runner_registration_raises(self):
         with pytest.raises(ValidationError):
-            register_point_runner("acceptance")(lambda p, q, r: {})
+            register_point_runner("scenario")(lambda p, q, r: {})
 
 
 class TestSerialisationHelpers:
-    def test_outcome_round_trip(self, rng):
-        outcome = run_acceptance_trial(2, 1.0, rng)
-        rebuilt = outcome_from_dict(
-            json.loads(json.dumps(outcome_to_dict(outcome)))
-        )
-        assert rebuilt.utilization == outcome.utilization
-        assert rebuilt.hydra_schedulable == outcome.hydra_schedulable
-        assert rebuilt.single_schedulable == outcome.single_schedulable
-        if outcome.hydra_schedulable:
-            assert rebuilt.hydra.periods() == outcome.hydra.periods()
-            assert rebuilt.hydra.cores() == outcome.hydra.cores()
-
     def test_synthetic_config_round_trip(self):
         config = SyntheticConfig(
             security_task_count=(2, 6), period_granularity=5.0
@@ -278,3 +263,21 @@ class TestFig1Degenerate:
         scale = SCALES["smoke"].with_overrides(core_counts=(1,))
         result = get_experiment("fig1").run_domain(scale)
         assert result.points == ()
+
+
+class TestFig2Degenerate:
+    def test_single_core_panels_are_skipped(self):
+        """SingleCore needs a spare core, so a 1-core platform has no
+        Fig. 2 panel — not one reporting SingleCore at 0 %."""
+        scale = SCALES["smoke"].with_overrides(core_counts=(1, 2))
+        result = get_experiment("fig2").run_domain(scale)
+        assert result.core_counts == [2]
+        assert result.points == get_experiment("fig2").run_domain(
+            SCALES["smoke"]
+        ).points
+
+    def test_single_core_only_scale_returns_empty_result(self):
+        scale = SCALES["smoke"].with_overrides(core_counts=(1,))
+        fig2 = get_experiment("fig2")
+        assert fig2.sweeps(scale) == []
+        assert fig2.run_domain(scale).points == ()

@@ -106,6 +106,8 @@ class TestParsing:
             # TOML/JSON ``true`` is an int to Python: never a count.
             ("grid", "cores", [True], "cores"),
             ("sweep", "seed", True, "seed"),
+            # numpy's SeedSequence takes no negative entropy.
+            ("sweep", "seed", -7, "seed"),
             ("sweep", "tasksets_per_point", True, "tasksets_per_point"),
             ("utilization", "start", True, "utilization start"),
             ("utilization", "stop", True, "utilization stop"),
@@ -117,7 +119,8 @@ class TestParsing:
             ("detection", "sim_duration", 10**400, "sim_duration"),
         ],
         ids=[
-            "zero-cores", "bool-cores", "bool-seed", "bool-tasksets",
+            "zero-cores", "bool-cores", "bool-seed", "negative-seed",
+            "bool-tasksets",
             "bool-start", "bool-stop", "bool-sim-trials",
             "bool-sim-duration", "inf-sim-duration", "huge-sim-duration",
         ],
@@ -384,6 +387,7 @@ class TestAllocatorAxis:
         ``hydra`` and ``binpack-best-fit`` one all-cores partition,
         ``singlecore`` one M−1-core pack."""
         import repro.core.singlecore as singlecore
+        import repro.experiments.runner as runner
         import repro.partition.heuristics as heuristics
 
         cores_per_call: list[int] = []
@@ -393,7 +397,7 @@ class TestAllocatorAxis:
             cores_per_call.append(platform.num_cores)
             return partition(tasks, platform, *args, **kwargs)
 
-        monkeypatch.setattr(heuristics, "try_partition_tasks", counting)
+        monkeypatch.setattr(runner, "try_partition_tasks", counting)
         monkeypatch.setattr(singlecore, "try_partition_tasks", counting)
         document = _good_document()
         document["grid"] = {
@@ -449,6 +453,20 @@ admission = ["rta"]
 """,
 }
 
+#: Fig. 2's twin at ``--scale default``; its ``cores`` axis is the
+#: scale's core counts (``[2]`` at smoke).
+FIG2_TWIN = """
+[sweep]
+name = "fig2"
+
+[grid]
+cores = [2, 4, 8]
+allocator = ["hydra", "singlecore"]
+heuristic = ["best-fit"]
+ordering = ["utilization"]
+admission = ["rta"]
+"""
+
 
 class TestRegisteredGrids:
     @pytest.mark.parametrize("scale", ["smoke", "default"])
@@ -467,9 +485,34 @@ class TestRegisteredGrids:
             SCALES[scale]
         )
 
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_fig2_runs_its_toml_twin_sweeps(self, scale):
+        from repro.experiments.registry import get_experiment
+
+        document = tomllib.loads(FIG2_TWIN)
+        document["grid"]["cores"] = list(SCALES[scale].core_counts)
+        twin = ScenarioExperiment(parse_scenario(document))
+        assert get_experiment("fig2").sweeps(SCALES[scale]) == twin.sweeps(
+            SCALES[scale]
+        )
+
+    def test_quality_runs_the_fig2_twins_8_core_panel(self):
+        from repro.experiments.registry import get_experiment
+
+        twin = ScenarioExperiment(parse_scenario(tomllib.loads(FIG2_TWIN)))
+        default = SCALES["default"]
+        assert get_experiment("quality").sweeps(default) == [
+            spec for spec in twin.sweeps(default)
+            if spec.params["cores"] == 8
+        ]
+
     def test_readme_shows_the_solver_twin(self):
         readme = Path(__file__).parents[2] / "README.md"
         assert GRID_TWINS["ablation-solver"].strip() in readme.read_text()
+
+    def test_readme_shows_the_fig2_twin(self):
+        readme = Path(__file__).parents[2] / "README.md"
+        assert FIG2_TWIN.strip() in readme.read_text()
 
 
 class TestWorkloadAxis:
@@ -534,14 +577,29 @@ class TestWorkloadAxis:
 
     def test_absent_axis_payloads_match_pre_registry_bytes(self):
         """The registry indirection (paper-synthetic) must not change a
-        byte of an axis-less scenario sweep's payloads."""
+        byte of an axis-less scenario sweep's payloads, and the tallies
+        :func:`cell_tallies` derives from them must equal the running
+        tallies the runner used to store, bit for bit."""
         from repro.experiments.parallel import execute_point
-        from repro.experiments.scenario import run_scenario_point
+        from repro.experiments.scenario import (
+            CellTally,
+            cell_tallies,
+            run_scenario_point,
+        )
         from repro.taskgen.synthetic import generate_workload
 
-        experiment = _mini_experiment()
-        (spec,) = experiment.sweeps(SMOKE)
-        payload = execute_point(spec, 1)
+        # the mini sweep accepts everything at tightness 1; a loaded
+        # twin adds rejections and stretched periods to the tallies.
+        loaded = _good_document()
+        loaded["grid"]["cores"] = [2]
+        loaded["grid"]["admission"] = ["rta", "liu-layland"]
+        loaded["sweep"]["utilization"] = {
+            "start": 0.45, "stop": 0.95, "step": 0.25,
+        }
+        specs = [
+            *_mini_experiment().sweeps(SMOKE),
+            *ScenarioExperiment(parse_scenario(loaded)).sweeps(SMOKE),
+        ]
 
         # re-run the PR 4 logic inline: direct generate_workload calls
         def legacy_point(point, params, rng):
@@ -553,7 +611,8 @@ class TestWorkloadAxis:
             platform = Platform(int(params["cores"]))
             combos = [dict(c) for c in params["combos"]]
             hydra = get_allocator("hydra")
-            cells = {
+            cells = {combo_label(**c): [] for c in combos}
+            tallies = {
                 combo_label(**c): {
                     "accepted": 0, "total": 0, "tightness_sum": 0.0,
                 }
@@ -565,7 +624,8 @@ class TestWorkloadAxis:
                 )
                 for combo in combos:
                     cell = cells[combo_label(**combo)]
-                    cell["total"] += 1
+                    tally = tallies[combo_label(**combo)]
+                    tally["total"] += 1
                     partition = try_partition_tasks(
                         workload.rt_tasks,
                         platform,
@@ -574,6 +634,7 @@ class TestWorkloadAxis:
                         ordering=combo["ordering"],
                     )
                     if partition is None:
+                        cell.append(None)
                         continue
                     system = SystemModel(
                         platform=platform,
@@ -582,19 +643,34 @@ class TestWorkloadAxis:
                     )
                     allocation = hydra.allocate(system)
                     if allocation.schedulable:
-                        cell["accepted"] += 1
-                        cell["tightness_sum"] += (
+                        cell.append(allocation.mean_tightness())
+                        tally["accepted"] += 1
+                        tally["tightness_sum"] += (
                             allocation.mean_tightness()
                         )
-            return {"cells": cells}
+                    else:
+                        cell.append(None)
+            return {"cells": cells}, tallies
 
         assert run_scenario_point is not legacy_point
-        expected = legacy_point(
-            dict(spec.points[1]), dict(spec.params), spec.rng_for(1)
-        )
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
+        mixed = 0
+        for spec in specs:
+            for index, point in enumerate(spec.points):
+                payload = execute_point(spec, index)
+                expected, tallies = legacy_point(
+                    dict(point), dict(spec.params), spec.rng_for(index)
+                )
+                assert json.dumps(payload, sort_keys=True) == json.dumps(
+                    expected, sort_keys=True
+                )
+                # round-trip through JSON as a cached payload would
+                cached = json.loads(json.dumps(payload))
+                for label, tally in tallies.items():
+                    assert cell_tallies(cached, label) == (
+                        CellTally(**tally),
+                    )
+                    mixed += 0 < tally["accepted"] < tally["total"]
+        assert mixed  # some cell both accepts and rejects
 
     def test_unknown_workload_named_with_known_list(self):
         document = _good_document()

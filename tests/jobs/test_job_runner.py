@@ -77,6 +77,10 @@ class TestJobRequest:
             JobRequest.from_dict({"experiment": "table1", "seed": "7"})
         with pytest.raises(ValidationError, match="seed"):
             JobRequest.from_dict({"experiment": "table1", "seed": True})
+        with pytest.raises(ValidationError, match="seed"):
+            JobRequest.from_dict(
+                {"experiment": "fig2", "scale": "smoke", "seed": -5}
+            )
         with pytest.raises(ValidationError, match="scale"):
             JobRequest.from_dict({"experiment": "table1", "scale": 3})
         with pytest.raises(ValidationError, match="allocator"):

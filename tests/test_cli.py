@@ -380,7 +380,7 @@ class TestCacheCommand:
         ) == 0
         capsys.readouterr()
         assert (cache_dir / "store.json").exists()
-        assert (cache_dir / "acceptance" / "data.jsonl").exists()
+        assert (cache_dir / "scenario" / "data.jsonl").exists()
 
     def test_unusable_cache_dir_fails_before_compute(
         self, tmp_path, capsys
@@ -650,6 +650,18 @@ class TestTypedErrorsAndWorkersValidation:
             main(["fig2", "--scale", "smoke", "--workers", value])
         assert excinfo.value.code == 2  # argparse usage error
         assert "positive worker count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+    def test_negative_seed_rejected_at_parse_time(
+        self, command, tmp_path, capsys
+    ):
+        argv = [command, "--scale", "smoke", "--seed", "-5"]
+        if command == "sweep":
+            argv += ["--config", self._write_config(tmp_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "non-negative seed" in capsys.readouterr().err
 
     def test_workers_non_integer_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
