@@ -4,7 +4,7 @@ Paper reference: Fig. 1 plots the empirical CDF of intrusion detection
 time for HYDRA vs SingleCore on 2/4/8 cores and reports HYDRA detecting
 on average 19.81 % / 27.23 % / 29.75 % faster.  The reproduction checks
 the same *shape*: HYDRA's CDF dominates, the mean speedup is positive
-everywhere, and it grows from the smallest to the largest platform.
+everywhere, and the largest platform beats the smallest.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.registry import get_experiment
+from repro.metrics.improvement import detection_speedup
 
 #: The paper's reported mean-detection improvements, for the printout.
 PAPER_SPEEDUPS = {2: 19.81, 4: 27.23, 8: 29.75}
@@ -26,29 +27,27 @@ def test_fig1_regeneration(benchmark, scale):
     print()
     print(experiment.render_domain(result))
 
-    assert len(result.points) == len(
-        [c for c in scale.core_counts if c >= 2]
-    )
+    assert [panel.cores for panel in result.panels] == [
+        c for c in scale.core_counts if c >= 2
+    ]
     speedups = {}
-    for point in result.points:
+    for panel in result.panels:
+        hydra, single = panel.cells
         # Every attack must eventually be detected.
-        assert point.hydra.cdf.undetected == 0
-        assert point.single.cdf.undetected == 0
+        assert hydra.detected == hydra.attacks == scale.sim_trials
+        assert single.detected == single.attacks == scale.sim_trials
         # HYDRA detects faster on average (the paper's headline).
-        assert point.speedup > 0.0, (
-            f"{point.cores} cores: HYDRA not faster"
-        )
-        speedups[point.cores] = point.speedup
+        speedup = detection_speedup(hydra.times, single.times)
+        assert speedup > 0.0, f"{panel.cores} cores: HYDRA not faster"
+        speedups[panel.cores] = speedup
         # CDF dominance in aggregate over a common grid.
-        hi = max(
-            point.hydra.cdf.support()[1], point.single.cdf.support()[1]
-        )
+        hi = max(max(hydra.times), max(single.times))
         grid = list(np.linspace(hi / 20.0, hi, 20))
-        assert sum(point.hydra.cdf.series(grid)) >= sum(
-            point.single.cdf.series(grid)
-        )
-    # The gap grows with the core count (19.81 → 27.23 → 29.75 in the
-    # paper); require the largest platform to beat the smallest.
+        assert sum(hydra.cdf.series(grid)) >= sum(single.cdf.series(grid))
+    # The paper's gap grows with the core count (19.81 → 27.23 → 29.75);
+    # the reproduction's is not monotone (38.89 / 44.98 / 43.03 % at
+    # default scale), so require the largest platform to beat the
+    # smallest.
     cores_sorted = sorted(speedups)
     if len(cores_sorted) >= 2:
         assert speedups[cores_sorted[-1]] > speedups[cores_sorted[0]]

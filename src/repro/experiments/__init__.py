@@ -7,7 +7,8 @@
 * :mod:`repro.experiments.registry` — the decorator-based experiment
   registry the CLI, golden machinery, and ``repro-hydra list`` consume.
 * :mod:`repro.experiments.table1` — the security-task catalogue.
-* :mod:`repro.experiments.fig1` — UAV case study detection-time CDFs.
+* :mod:`repro.experiments.fig1` — UAV case study detection-time CDFs
+  (a fixed detection-latency grid: HYDRA vs SingleCore).
 * :mod:`repro.experiments.fig2` — acceptance-ratio improvement sweep
   (a fixed scenario grid: HYDRA vs SingleCore).
 * :mod:`repro.experiments.fig3` — HYDRA vs optimal tightness gap.
@@ -19,6 +20,9 @@
 * :mod:`repro.experiments.scenario` — TOML scenario sweeps (``repro-hydra
   sweep --config``) and the one acceptance-comparison point runner
   behind them, Fig. 2, the quality study and the grid ablations.
+* :mod:`repro.experiments.detection` — ``kind = "detection-latency"``
+  sweeps and the one detection point runner behind them, Fig. 1 and
+  the registered ``detection-latency`` grid.
 * :mod:`repro.experiments.config` — ``smoke`` / ``default`` / ``paper``
   scaling presets (env var ``REPRO_SCALE``).
 * :mod:`repro.experiments.parallel` — the parallel/cached/resumable

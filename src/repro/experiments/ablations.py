@@ -26,6 +26,7 @@ Two compute inline, because they measure what a grid cannot:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -219,11 +220,16 @@ def search_ablation(
 
 @dataclass(frozen=True)
 class ExtensionCell:
-    """Detection statistics for one simulator mode."""
+    """Detection statistics for one simulator mode.
+
+    ``mean_detection`` is ``None`` when no attack was detected, and
+    ``p90_detection`` when fewer than 90 % were (the horizon cut the
+    rest off).
+    """
 
     mode: str
-    mean_detection: float
-    p90_detection: float
+    mean_detection: float | None
+    p90_detection: float | None
     missed_deadlines: int
 
 
@@ -287,12 +293,20 @@ def extension_ablation(
         cells.append(
             ExtensionCell(
                 mode=mode_name,
-                mean_detection=cdf.mean_detected(),
-                p90_detection=cdf.quantile(0.9),
+                mean_detection=_finite(cdf.mean_detected()),
+                p90_detection=_finite(cdf.quantile(0.9)),
                 missed_deadlines=len(rt_misses),
             )
         )
     return cells
+
+
+def _finite(value: float) -> float | None:
+    return None if math.isinf(value) else value
+
+
+def _optional_float(value: Any) -> float | None:
+    return None if value is None else float(value)
 
 
 # -- formatting --------------------------------------------------------------
@@ -416,8 +430,8 @@ class ExtensionAblationExperiment(Experiment):
         return [
             ExtensionCell(
                 mode=str(c["mode"]),
-                mean_detection=float(c["mean_detection"]),
-                p90_detection=float(c["p90_detection"]),
+                mean_detection=_optional_float(c["mean_detection"]),
+                p90_detection=_optional_float(c["p90_detection"]),
                 missed_deadlines=int(c["missed_deadlines"]),
             )
             for c in data["cells"]
@@ -434,13 +448,16 @@ class ExtensionAblationExperiment(Experiment):
 
 
 def format_extension_ablation(cells: list[ExtensionCell]) -> str:
+    def ms(value: float | None) -> str:
+        return "n/a" if value is None else f"{value:.0f}"
+
     return format_table(
         ["mode", "mean detection (ms)", "p90 (ms)", "RT deadline misses"],
         [
             (
                 c.mode,
-                f"{c.mean_detection:.0f}",
-                f"{c.p90_detection:.0f}",
+                ms(c.mean_detection),
+                ms(c.p90_detection),
                 c.missed_deadlines,
             )
             for c in cells

@@ -41,7 +41,8 @@ class ExperimentScale:
     core_counts:
         Platforms to evaluate (paper: 2, 4, 8).
     sim_trials:
-        Attack observations per (scheme, platform) for Fig. 1.
+        Attacks per task set of a detection-latency grid (Fig. 1 has
+        one task set, so this is its attacks per scheme and platform).
     sim_duration:
         Simulated horizon in ms (paper: 500 000).
     fig3_tasksets_per_point:

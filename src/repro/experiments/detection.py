@@ -1,13 +1,14 @@
 """Detection-latency experiments: attack injection as a results family.
 
 The paper's case study (Sec. IV-A, Fig. 1) measures how quickly the
-security tasks notice an intrusion.  :mod:`repro.experiments.fig1`
-reproduces that one fixed workload; this module promotes the same
+security tasks notice an intrusion.  This module holds the one
 observation protocol — simulate the allocated schedule, inject attacks
 at random instants, measure the gap to the first sufficiently-fresh
-monitor completion — to a *sweepable* experiment over the full
+monitor completion — as a *sweepable* experiment over the full
 scenario grid: allocator × workload family × placement heuristic ×
 detection policy, at every utilisation point, on shared task sets.
+Fig. 1 (:mod:`repro.experiments.fig1`) is one fixed grid of it: the
+``uav-case-study`` workload under HYDRA and SingleCore.
 
 A ``[sweep] kind = "detection-latency"`` TOML (see
 ``examples/detection_sweep.toml``) runs through the same
@@ -286,7 +287,8 @@ class DetectionScenarioExperiment(ScenarioExperiment):
     Built by :func:`repro.experiments.scenario.build_scenario_experiment`
     for ``kind = "detection-latency"`` configs; shares the scenario
     grid/axes/utilisation machinery and replaces the acceptance
-    scoring with attack-injection simulation.
+    scoring with attack-injection simulation.  Fixed grids register as
+    subclasses: :class:`DetectionLatencyExperiment` and Fig. 1.
     """
 
     version = 1

@@ -12,7 +12,7 @@ method, with no list here to keep in sync.
 The summaries pin two layers:
 
 * aggregate numbers a human can review (acceptance counts per point,
-  detection-time samples, tightness gaps, catalogue rows), and
+  detected/censored attack counts, tightness gaps, catalogue rows), and
 * a sha256 over the canonical JSON of the *full* per-point payloads —
   every generated task set's verdict and tightness, every assigned
   period, every detection time — so even a change that happens to
@@ -39,8 +39,6 @@ __all__ = [
     "golden_summary",
     "fig2_mini_spec",
     "fig2_mini_aggregate",
-    "fig1_mini_spec",
-    "fig1_mini_aggregate",
     "fig3_mini_spec",
     "fig3_mini_aggregate",
     "table1_mini_spec",
@@ -70,16 +68,6 @@ def fig2_mini_spec() -> SweepSpec:
     )
     (spec,) = fig2_grid([2]).sweeps(scale)
     return spec
-
-
-def fig1_mini_spec() -> SweepSpec:
-    """The 2-core UAV case study with a short simulated horizon."""
-    from repro.experiments.fig1 import fig1_sweep_spec
-
-    scale = SCALES["smoke"].with_overrides(
-        sim_trials=20, core_counts=(2,)
-    )
-    return fig1_sweep_spec(scale)
 
 
 def fig3_mini_spec() -> SweepSpec:
@@ -161,19 +149,6 @@ def fig2_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
             }
         )
     return points
-
-
-def fig1_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
-    return [
-        {
-            "cores": payload["cores"],
-            "hydra_times": payload["hydra_times"],
-            "hydra_censored": payload["hydra_censored"],
-            "single_times": payload["single_times"],
-            "single_censored": payload["single_censored"],
-        }
-        for payload in payloads
-    ]
 
 
 def fig3_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:

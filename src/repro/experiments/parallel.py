@@ -1,10 +1,12 @@
 """Parallel, cached, resumable sweep engine for the experiments.
 
 The paper's evaluation is a Monte-Carlo sweep: thousands of synthetic
-task sets spread over a grid of utilisation points (Figs. 2–3) or a
-handful of platform sizes (Fig. 1, Table I).  The seed code ran every
-trial serially; this module makes the *utilisation point* the unit of
-work and fans points out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+task sets spread over a grid of utilisation points (Figs. 2–3), and
+the fixed UAV case study on a handful of platform sizes (Fig. 1,
+Table I; Fig. 1 is a detection-latency grid with one point per
+platform).  The seed code ran every trial serially; this module makes
+the *utilisation point* the unit of work and fans points out over a
+:class:`concurrent.futures.ProcessPoolExecutor`.
 
 Determinism is the design anchor:
 
@@ -281,49 +283,6 @@ def run_fig3_point(
             continue
         gaps.append(tightness_gap(eta_opt, hydra_alloc.cumulative_tightness()))
     return {"gaps": gaps, "hydra_failures": hydra_failures}
-
-
-@register_point_runner("uav-detection")
-def run_uav_detection_point(
-    point: Mapping[str, Any],
-    params: Mapping[str, Any],
-    rng: np.random.Generator,
-) -> dict[str, Any]:
-    """Simulated attack-detection times for one core count (Fig. 1).
-
-    Ignores the engine-provided stream: Fig. 1's RNG is historically
-    derived as ``default_rng(seed + 100 + cores)`` shared across both
-    schemes, and keeping that derivation preserves the seed results
-    bit-for-bit.
-    """
-    from repro.experiments.fig1 import build_uav_systems, observe_detections
-
-    cores = int(point["cores"])
-    hydra_system, hydra_alloc, single_system, single_alloc = (
-        build_uav_systems(cores)
-    )
-    fig1_rng = np.random.default_rng(int(params["seed"]) + 100 + cores)
-    observe = dict(
-        sim_duration=float(params["sim_duration"]),
-        sim_trials=int(params["sim_trials"]),
-        policy=params.get("policy", "release-after"),
-        release_jitter=float(params.get("release_jitter", 0.0)),
-    )
-    hydra_times, hydra_censored, _ = observe_detections(
-        hydra_system, hydra_alloc, rng=fig1_rng, **observe
-    )
-    single_times, single_censored, _ = observe_detections(
-        single_system, single_alloc, rng=fig1_rng, **observe
-    )
-    # Every Table I surface is monitored, so undetected == censored by
-    # the horizon here; the counts make that explicit in the payload.
-    return {
-        "cores": cores,
-        "hydra_times": list(hydra_times),
-        "hydra_censored": hydra_censored,
-        "single_times": list(single_times),
-        "single_censored": single_censored,
-    }
 
 
 @register_point_runner("table1")

@@ -1,14 +1,12 @@
 """Evaluation metrics (paper Sec. IV).
 
 * :mod:`repro.metrics.tightness` — Eq. (2)/(3).
-* :mod:`repro.metrics.acceptance` — Fig. 2's acceptance ratio.
 * :mod:`repro.metrics.improvement` — scheme-vs-scheme comparisons.
 * :mod:`repro.metrics.cdf` — Fig. 1's empirical CDF.
 * :mod:`repro.metrics.importance` — ablation component-importance
   scoring (Sec. VI design-space study, generalised).
 """
 
-from repro.metrics.acceptance import AcceptanceCounter, acceptance_ratio
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.importance import (
     ImportanceScore,
@@ -29,12 +27,10 @@ from repro.metrics.tightness import (
 
 __all__ = [
     "EmpiricalCDF",
-    "AcceptanceCounter",
     "ImportanceScore",
     "score_swap",
     "swap_verdict",
     "rank_scores",
-    "acceptance_ratio",
     "acceptance_improvement",
     "detection_speedup",
     "tightness_gap",

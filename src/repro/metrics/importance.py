@@ -30,7 +30,7 @@ Sign conventions, fixed here once for every consumer:
   of the ablation literature.
 
 Metrics are "higher is better" throughout (acceptance ratio, mean
-tightness — see :mod:`repro.metrics.acceptance` and
+tightness — see :class:`repro.experiments.scenario.CellTally` and
 :mod:`repro.metrics.tightness`).
 """
 

@@ -3,8 +3,9 @@
 Parsing/validation of ``kind = "detection-latency"`` scenarios, the
 experiment-factory dispatch, engine determinism (serial ≡ parallel ≡
 cached), result round-tripping with no bare ``inf`` in rendered
-output, and the Fig. 1 censoring regression (undetected attacks near
-the horizon are *censored*, not evidence of undetectability).
+output, and censoring on Fig. 1's grid and the §V-extensions ablation
+(undetected attacks near the horizon are *censored*, not evidence of
+undetectability, and never reach the output as ``inf``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -24,6 +24,7 @@ from repro.experiments.detection import (
     monitoring_view,
 )
 from repro.experiments.parallel import SweepEngine
+from repro.experiments.registry import get_experiment
 from repro.experiments.scenario import (
     ScenarioExperiment,
     build_scenario_experiment,
@@ -196,10 +197,11 @@ class TestResult:
         assert labels == {
             combo_label(**combo) for combo in experiment.config.combos
         }
+        sim_trials = experiment.config.sim_trials
         for cell in panel.cells:
-            assert cell.detected + cell.censored + cell.undetectable == (
-                cell.attacks
-            )
+            # every allocated task set is attacked sim_trials times, and
+            # each attack is detected, censored or undetectable
+            assert cell.attacks == sim_trials * cell.allocated
             assert all(math.isfinite(t) for t in cell.times)
 
     def test_render_has_no_bare_inf(self, run_result):
@@ -235,26 +237,54 @@ class TestMonitoringView:
         assert surfaces == {"tagged": "filesystem", "plain": "plain"}
 
 
-class TestFig1Censoring:
-    """Regression: an attack the horizon cuts off is *censored*, not
-    counted as undetectable — the bias satellite of this PR."""
+def _strict_json(text: str):
+    """Parse ``text``, rejecting the non-standard ``Infinity``/``NaN``."""
 
-    def test_observe_detections_accounts_for_every_attack(self):
-        from repro.experiments.fig1 import (
-            build_uav_systems,
-            observe_detections,
-        )
+    def reject(constant: str):
+        raise ValueError(f"non-finite JSON constant {constant}")
 
-        system, allocation, _, _ = build_uav_systems(2)
-        times, censored, undetectable = observe_detections(
-            system, allocation,
-            sim_duration=4_000.0, sim_trials=40,
-            rng=np.random.default_rng(7),
-        )
-        detected = sum(1 for t in times if math.isfinite(t))
-        assert detected + censored + undetectable == 40
-        # Every Table I surface is monitored, so nothing is undetectable.
-        assert undetectable == 0
+    return json.loads(text, parse_constant=reject)
+
+
+class TestCensoring:
+    """An attack the horizon cuts off is *censored*, not counted as
+    undetectable, and no output carries it as ``inf``."""
+
+    def test_fig1_accounts_for_every_attack(self):
+        domain = get_experiment("fig1").run_domain(SMOKE)
+        (panel,) = domain.panels
+        for cell in panel.cells:
+            assert cell.allocated == cell.total == 1
+            assert cell.attacks == SMOKE.sim_trials * cell.allocated
+            # Every Table I surface is monitored: nothing undetectable.
+            assert cell.undetectable == 0
+
+    def test_fig1_json_is_strict_at_a_short_horizon(self):
+        """At 2 s most attacks are censored; the result still parses
+        as standard JSON (no bare ``Infinity``)."""
+        fig1 = get_experiment("fig1")
+        result = fig1.run(SMOKE.with_overrides(sim_duration=2000.0))
+        data = _strict_json(result.to_json())["data"]
+        (panel,) = data["panels"]
+        assert sum(cell["censored"] for cell in panel["cells"]) > 0
+        assert "inf" not in result.to_csv()
+
+    def test_fig1_renders_n_a_when_nothing_is_detected(self):
+        fig1 = get_experiment("fig1")
+        result = fig1.run(SMOKE.with_overrides(sim_duration=50.0))
+        text = fig1.render(result)
+        assert "n/a" in text
+        assert "inf" not in text
+        assert f"{SMOKE.sim_trials} censored by horizon" in text
+
+    def test_extension_ablation_has_no_inf_at_a_short_horizon(self):
+        ablation = get_experiment("ablation-extension")
+        result = ablation.run(SMOKE.with_overrides(sim_duration=500.0))
+        data = _strict_json(result.to_json())["data"]
+        assert any(cell["mean_detection"] is None for cell in data["cells"])
+        text = ablation.render(result)
+        assert "inf" not in text
+        assert "n/a" in text
 
     def test_horizon_cutoff_is_censored_not_undetectable(self):
         """An attack on a monitored surface just before the horizon has
@@ -286,15 +316,3 @@ class TestFig1Censoring:
         times = detection_times(result, attacks, tasks)
         surface_map = build_surface_map(tasks)
         assert undetected_breakdown(times, attacks, surface_map) == (1, 1)
-
-    def test_fig1_result_reports_censored_separately(self):
-        from repro.experiments.fig1 import Fig1SchemeResult
-
-        scheme = Fig1SchemeResult(
-            scheme="hydra",
-            times=(5.0, 7.0, math.inf, math.inf, math.inf),
-            censored=2,
-        )
-        assert scheme.censored == 2
-        assert scheme.undetectable == 1
-        assert scheme.cdf.undetected == 3

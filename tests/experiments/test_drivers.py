@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,9 +16,11 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.api import ExperimentResult
 from repro.experiments.config import SCALES
-from repro.experiments.fig1 import Fig1Experiment, build_uav_systems
+from repro.experiments.detection import DetectionScenarioExperiment
+from repro.experiments.fig1 import FIG1_CONFIG, build_uav_systems
 from repro.experiments.fig3 import Fig3Experiment
 from repro.experiments.registry import get_experiment
+from repro.metrics.improvement import detection_speedup
 
 
 @pytest.fixture(scope="module")
@@ -65,45 +68,67 @@ class TestUavSystems:
 class TestFig1:
     def test_smoke_run(self, smoke):
         result = get_experiment("fig1").run_domain(smoke)
-        assert len(result.points) == len(smoke.core_counts)
-        point = result.points[0]
-        assert point.hydra.cdf.sample_size == smoke.sim_trials
-        assert point.single.cdf.sample_size == smoke.sim_trials
+        assert [panel.cores for panel in result.panels] == [2]
+        (panel,) = result.panels
+        hydra, single = panel.cells
+        assert hydra.scheme == "uav-case-study::hydra|best-fit/utilization/rta"
+        assert single.scheme == (
+            "uav-case-study::singlecore|best-fit/utilization/rta"
+        )
+        assert hydra.cdf.sample_size == smoke.sim_trials
+        assert single.cdf.sample_size == smoke.sim_trials
 
     def test_hydra_detects_faster_at_default_seedset(self, smoke):
         # Use a slightly larger observation count for a stable sign.
         scale = smoke.with_overrides(sim_trials=40, sim_duration=60_000.0)
         result = get_experiment("fig1").run_domain(scale)
-        for point in result.points:
-            assert point.speedup > 0.0
+        for panel in result.panels:
+            hydra, single = panel.cells
+            assert detection_speedup(hydra.times, single.times) > 0.0
 
     def test_all_attacks_detected(self, smoke):
         result = get_experiment("fig1").run_domain(smoke)
-        for point in result.points:
-            assert point.hydra.cdf.undetected == 0
-            assert point.single.cdf.undetected == 0
+        for panel in result.panels:
+            for cell in panel.cells:
+                assert cell.detected == cell.attacks == smoke.sim_trials
 
     def test_formatting(self, smoke):
         fig1 = get_experiment("fig1")
         text = fig1.render_domain(fig1.run_domain(smoke))
         assert "Fig. 1" in text
         assert "mean detection" in text
+        assert "21.39% faster (paper: 19.81% for 2 cores)" in text
 
-    def test_sporadic_release_mode(self, smoke):
-        result = Fig1Experiment(release_jitter=0.3).run_domain(smoke)
-        for point in result.points:
-            assert point.hydra.cdf.sample_size == smoke.sim_trials
+    def test_csv_rows_are_detected_attacks(self, smoke):
+        fig1 = get_experiment("fig1")
+        result = fig1.run(smoke)
+        assert result.columns == ("cores", "scheme", "detection_time_ms")
+        assert [row[:2] for row in result.rows] == (
+            [(2, "hydra")] * smoke.sim_trials
+            + [(2, "singlecore")] * smoke.sim_trials
+        )
 
     def test_start_after_policy_no_slower(self, smoke):
         # A check that started after the attack detects no later than
-        # one that additionally had to be *released* after it.
-        release_after = Fig1Experiment(policy="release-after").run_domain(
-            smoke
+        # one that additionally had to be *released* after it; both
+        # policies score the same attacks on one simulated schedule.
+        config = dataclasses.replace(
+            FIG1_CONFIG,
+            policies=("release-after", "start-after"),
+            policy_axis=True,
         )
-        start_after = Fig1Experiment(policy="start-after").run_domain(smoke)
-        for ra, sa in zip(release_after.points, start_after.points):
-            assert sa.hydra.mean <= ra.hydra.mean + 1e-9
-            assert sa.single.mean <= ra.single.mean + 1e-9
+        domain = DetectionScenarioExperiment(config).run_domain(smoke)
+        for panel in domain.panels:
+            cells = iter(panel.cells)
+            for release_after, start_after in zip(cells, cells):
+                assert release_after.scheme.endswith("@release-after")
+                assert start_after.scheme.endswith("@start-after")
+                assert start_after.detected >= release_after.detected
+                if start_after.detected == release_after.detected == (
+                    release_after.attacks
+                ):
+                    for sa, ra in zip(start_after.times, release_after.times):
+                        assert sa <= ra + 1e-9
 
 
 class TestFig2:

@@ -142,6 +142,10 @@ def test_fixture_sanity():
     assert points[-1]["accepted_hydra"] >= points[-1]["accepted_single"]
 
     fig1 = _fixture("fig1_mini")
-    (panel,) = fig1["points"]
-    assert panel["cores"] == 2
-    assert len(panel["hydra_times"]) == len(panel["single_times"]) == 20
+    assert fig1["kind"] == "detection-latency"
+    (point,) = fig1["points"]
+    assert len(point["cells"]) == 2  # HYDRA and SingleCore
+    for cell in point["cells"].values():
+        assert cell["allocated"] == cell["total"] == 1
+        attacks = cell["detected"] + cell["censored"] + cell["undetectable"]
+        assert attacks == 20

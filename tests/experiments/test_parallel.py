@@ -261,8 +261,17 @@ class TestFig1Degenerate:
         """core_counts=(1,) has no SingleCore-comparable panel; the
         pre-engine loop returned an empty result rather than raising."""
         scale = SCALES["smoke"].with_overrides(core_counts=(1,))
+        fig1 = get_experiment("fig1")
+        assert fig1.sweeps(scale) == []
+        assert fig1.run_domain(scale).panels == ()
+
+    def test_single_core_panels_are_skipped(self):
+        scale = SCALES["smoke"].with_overrides(core_counts=(1, 2))
         result = get_experiment("fig1").run_domain(scale)
-        assert result.points == ()
+        assert [panel.cores for panel in result.panels] == [2]
+        assert result.panels == get_experiment("fig1").run_domain(
+            SCALES["smoke"]
+        ).panels
 
 
 class TestFig2Degenerate:

@@ -467,6 +467,32 @@ ordering = ["utilization"]
 admission = ["rta"]
 """
 
+#: Fig. 1's twin at ``--scale default``; its ``cores`` axis is the
+#: scale's core counts of at least 2 (``[2]`` at smoke).
+FIG1_TWIN = """
+[sweep]
+name = "fig1"
+kind = "detection-latency"
+tasksets_per_point = 1
+utilization = { start = 0.5, stop = 0.5, step = 0.1 }
+
+[grid]
+cores = [2, 4, 8]
+workload = ["uav-case-study"]
+allocator = ["hydra", "singlecore"]
+heuristic = ["best-fit"]
+ordering = ["utilization"]
+admission = ["rta"]
+"""
+
+
+def _fig1_twin(scale):
+    from repro.experiments.detection import DetectionScenarioExperiment
+
+    document = tomllib.loads(FIG1_TWIN)
+    document["grid"]["cores"] = [c for c in scale.core_counts if c >= 2]
+    return DetectionScenarioExperiment(parse_scenario(document))
+
 
 class TestRegisteredGrids:
     @pytest.mark.parametrize("scale", ["smoke", "default"])
@@ -513,6 +539,39 @@ class TestRegisteredGrids:
     def test_readme_shows_the_fig2_twin(self):
         readme = Path(__file__).parents[2] / "README.md"
         assert FIG2_TWIN.strip() in readme.read_text()
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_fig1_runs_its_toml_twin_sweeps(self, scale):
+        from repro.experiments.registry import get_experiment
+
+        twin = _fig1_twin(SCALES[scale])
+        assert get_experiment("fig1").sweeps(SCALES[scale]) == twin.sweeps(
+            SCALES[scale]
+        )
+
+    def test_fig1_data_is_its_twins_data(self):
+        from repro.experiments.registry import get_experiment
+
+        fig1 = get_experiment("fig1").run(SMOKE)
+        assert fig1.data == _fig1_twin(SMOKE).run(SMOKE).data
+
+    def test_fig1_then_its_twin_on_one_store_computes_nothing(self, tmp_path):
+        from repro.experiments.registry import get_experiment
+
+        get_experiment("fig1").run(
+            SMOKE, SweepEngine(cache=ResultStore(tmp_path))
+        )
+        computed: list[int] = []
+        engine = SweepEngine(
+            cache=ResultStore(tmp_path), on_point_computed=computed.append
+        )
+        twin = _fig1_twin(SMOKE).run(SMOKE, engine)
+        assert computed == []
+        assert twin.data == get_experiment("fig1").run(SMOKE).data
+
+    def test_readme_shows_the_fig1_twin(self):
+        readme = Path(__file__).parents[2] / "README.md"
+        assert FIG1_TWIN.strip() in readme.read_text()
 
 
 class TestWorkloadAxis:

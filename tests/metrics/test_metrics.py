@@ -1,4 +1,4 @@
-"""Unit tests for acceptance, improvement and tightness metrics."""
+"""Unit tests for the improvement and tightness metrics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.errors import ValidationError
-from repro.metrics.acceptance import AcceptanceCounter, acceptance_ratio
 from repro.metrics.improvement import (
     acceptance_improvement,
     detection_speedup,
@@ -18,31 +17,6 @@ from repro.metrics.tightness import (
     tightness_per_task,
 )
 from repro.model.task import SecurityTask
-
-
-class TestAcceptance:
-    def test_ratio(self):
-        assert acceptance_ratio([True, False, True, True]) == 0.75
-
-    def test_empty_is_zero(self):
-        assert acceptance_ratio([]) == 0.0
-
-    def test_counter(self):
-        counter = AcceptanceCounter()
-        for outcome in (True, False, True):
-            counter.record(outcome)
-        assert counter.total == 3
-        assert counter.ratio == pytest.approx(2 / 3)
-
-    def test_counter_merge(self):
-        a = AcceptanceCounter(accepted=1, total=2)
-        b = AcceptanceCounter(accepted=3, total=4)
-        merged = a.merge(b)
-        assert merged.accepted == 4
-        assert merged.total == 6
-
-    def test_empty_counter_ratio(self):
-        assert AcceptanceCounter().ratio == 0.0
 
 
 class TestAcceptanceImprovement:
