@@ -1,22 +1,13 @@
 """Benchmarks of the workload generation hot path.
 
-``test_workload_batch_generation`` is pinned by the CI benchmark gate
-(``tools/check_bench.py``): it measures the vectorised
-:func:`~repro.taskgen.synthetic.generate_workload_batch` route over a
-whole utilisation sweep — task counts drawn in two vectorised calls,
-one Randfixedsum table build per distinct task count (batched across
-all the different target sums), all periods from a single draw.  This
-is the route every workload-axis scenario point pays
-(``run_scenario_point`` generates each family's point batch through
-``generate_batch``); if the batching ever silently degenerates to
-per-instance work, paper-scale grids feel it first.
-
-``test_workload_per_instance_loop`` runs the identical recipe through
-the serial :func:`generate_workload` loop — not gated, but reported in
-the ``BENCH_*.json`` artifacts so the batched/serial ratio stays
-visible.  ``test_workload_dispatch`` pins nothing either; it tracks
-the registry round trip (spec → generator → instance) a scenario cell
-pays.
+``test_workload_per_instance_loop`` is pinned by the CI benchmark gate
+(``tools/check_bench.py``): it draws a whole 2-core utilisation sweep
+through the per-instance :func:`generate_workload` loop: per task set,
+two Randfixedsum table builds and two period draws (real-time and
+security).  This is the route every scenario and detection point pays
+(``point_workloads`` calls each family's ``generate`` once per task
+set).  ``test_workload_dispatch`` pins nothing; it tracks the registry
+round trip (spec → generator → instance) a scenario cell pays.
 """
 
 from __future__ import annotations
@@ -24,30 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.taskgen.synthetic import (
-    generate_workload,
-    generate_workload_batch,
-    utilization_sweep,
-)
+from repro.taskgen.synthetic import generate_workload, utilization_sweep
 from repro.workloads import run_workload
 
 #: A 2-core paper sweep (39 points) × 3 task sets per point.
 TARGETS = [u for u in utilization_sweep(2) for _ in range(3)]
 
 
-def test_workload_batch_generation(benchmark):
-    """The vectorised batch route over a full sweep (gated)."""
-
-    def batch():
-        return generate_workload_batch(2, TARGETS, np.random.default_rng(7))
-
-    workloads = benchmark(batch)
-    assert len(workloads) == len(TARGETS)
-    assert all(len(w.rt_tasks) > 0 for w in workloads)
-
-
 def test_workload_per_instance_loop(benchmark):
-    """The serial per-instance route on the same targets (comparison)."""
+    """The per-instance route over a full sweep (gated)."""
 
     def loop():
         rng = np.random.default_rng(7)
@@ -55,6 +31,7 @@ def test_workload_per_instance_loop(benchmark):
 
     workloads = benchmark(loop)
     assert len(workloads) == len(TARGETS)
+    assert all(len(w.rt_tasks) > 0 for w in workloads)
 
 
 @pytest.mark.parametrize("spec", ["paper-synthetic", "uunifast"])

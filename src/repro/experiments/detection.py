@@ -48,6 +48,7 @@ from repro.experiments.scenario import (
     ScenarioExperiment,
     combo_label,
     combo_system,
+    point_workloads,
 )
 from repro.metrics.cdf import EmpiricalCDF
 from repro.model.platform import Platform
@@ -101,12 +102,15 @@ def run_detection_point(
 
     Task sets and attack instants are shared across all combos of a
     workload family (the same discipline as the acceptance runner:
-    cells are directly comparable).  Combos that differ only in the
-    detection ``policy`` share one simulation and are scored through
-    one :class:`~repro.sim.detection.DetectionIndex` per policy.  The
-    simulation itself is strictly periodic, so the engine stream is
-    consumed only by generation and attack sampling — payloads stay
-    byte-identical across worker counts.
+    cells are directly comparable).  The task sets come from
+    :func:`~repro.experiments.scenario.point_workloads`, and each task
+    set's attack instants are drawn right after it, so appending a
+    family to the axis keeps every earlier family's cells.  Combos that
+    differ only in the detection ``policy`` share one simulation and
+    are scored through one :class:`~repro.sim.detection.DetectionIndex`
+    per policy.  The simulation itself is strictly periodic, so the
+    engine stream is consumed only by generation and attack sampling —
+    payloads stay byte-identical across worker counts.
     """
     from repro.allocators import get_allocator
     from repro.sim.attacks import sample_attacks, surfaces_of
@@ -116,7 +120,6 @@ def run_detection_point(
         undetected_breakdown,
     )
     from repro.sim.runner import simulate_allocation
-    from repro.workloads import get_workload
 
     platform = Platform(int(params["cores"]))
     combos = [dict(c) for c in params["combos"]]
@@ -130,12 +133,6 @@ def run_detection_point(
         spec: get_allocator(spec)
         for spec in {c.get("allocator", "hydra") for c in combos}
     }
-    workload_specs: list[str] = []
-    for combo in combos:
-        spec = combo.get("workload", "paper-synthetic")
-        if spec not in workload_specs:
-            workload_specs.append(spec)
-    generators = {spec: get_workload(spec) for spec in workload_specs}
 
     # One simulation per (workload, allocator, heuristic, ordering,
     # admission); policy-only variants reuse it.
@@ -156,61 +153,53 @@ def run_detection_point(
         for c in combos
     }
     window = (0.0, ATTACK_WINDOW_FRACTION * sim_duration)
-    batches = {
-        spec: generators[spec].generate_batch(
-            platform, [utilization] * tasksets, rng
-        )
-        for spec in workload_specs
-    }
-    for index in range(tasksets):
-        for wl_spec in workload_specs:
-            workload = batches[wl_spec][index]
-            monitors = monitoring_view(workload.security_tasks)
-            surface_map = build_surface_map(monitors)
-            surfaces = surfaces_of(monitors)
-            attacks = sample_attacks(sim_trials, window, surfaces, rng)
-            systems: dict[tuple, Any] = {}
-            for key, group in groups.items():
-                if key[0] != wl_spec:
-                    continue
-                group_cells = [cells[combo_label(**c)] for c in group]
-                for cell in group_cells:
-                    cell["total"] += 1
-                system = combo_system(platform, workload, group[0], systems)
-                if system is None:
-                    continue
-                allocation = allocators[key[1]].allocate(system)
-                if not allocation.schedulable:
-                    continue
-                for cell in group_cells:
-                    cell["allocated"] += 1
-                # Strictly periodic schedule: the simulation draws
-                # nothing from the stream (fixed rng keeps that
-                # explicit), so policy variants can share it.
-                result = simulate_allocation(
-                    system,
-                    allocation,
-                    duration=sim_duration,
-                    rng=np.random.default_rng(0),
-                    prune_idle_cores=True,
+    for wl_spec, workload in point_workloads(
+        platform, combos, tasksets, utilization, rng
+    ):
+        monitors = monitoring_view(workload.security_tasks)
+        surface_map = build_surface_map(monitors)
+        surfaces = surfaces_of(monitors)
+        attacks = sample_attacks(sim_trials, window, surfaces, rng)
+        systems: dict[tuple, Any] = {}
+        for key, group in groups.items():
+            if key[0] != wl_spec:
+                continue
+            group_cells = [cells[combo_label(**c)] for c in group]
+            for cell in group_cells:
+                cell["total"] += 1
+            system = combo_system(platform, workload, group[0], systems)
+            if system is None:
+                continue
+            allocation = allocators[key[1]].allocate(system)
+            if not allocation.schedulable:
+                continue
+            for cell in group_cells:
+                cell["allocated"] += 1
+            # Strictly periodic schedule: the simulation draws nothing
+            # from the stream (fixed rng keeps that explicit), so policy
+            # variants can share it.
+            result = simulate_allocation(
+                system,
+                allocation,
+                duration=sim_duration,
+                rng=np.random.default_rng(0),
+                prune_idle_cores=True,
+            )
+            indexes: dict[str, DetectionIndex] = {}
+            for cell_combo, cell in zip(group, group_cells):
+                policy = cell_combo.get("policy", default_policy)
+                if policy not in indexes:
+                    indexes[policy] = DetectionIndex(result, policy)
+                times = [
+                    indexes[policy].detection_time(attack, surface_map)
+                    for attack in attacks
+                ]
+                censored, undetectable = undetected_breakdown(
+                    times, attacks, surface_map
                 )
-                indexes: dict[str, DetectionIndex] = {}
-                for cell_combo, cell in zip(group, group_cells):
-                    policy = cell_combo.get("policy", default_policy)
-                    if policy not in indexes:
-                        indexes[policy] = DetectionIndex(result, policy)
-                    times = [
-                        indexes[policy].detection_time(attack, surface_map)
-                        for attack in attacks
-                    ]
-                    censored, undetectable = undetected_breakdown(
-                        times, attacks, surface_map
-                    )
-                    cell["times"].extend(
-                        t for t in times if not math.isinf(t)
-                    )
-                    cell["censored"] += censored
-                    cell["undetectable"] += undetectable
+                cell["times"].extend(t for t in times if not math.isinf(t))
+                cell["censored"] += censored
+                cell["undetectable"] += undetectable
     return {"cells": cells}
 
 
@@ -514,6 +503,9 @@ class DetectionLatencyExperiment(DetectionScenarioExperiment):
     # After the paper set and the ablations: this is an extension
     # family, so `repro-hydra all` reports the reproductions first.
     order = 110
+    # 2: each synthetic task set is drawn by the per-instance recipe,
+    # with its attack instants drawn right after it.
+    version = 2
 
     def __init__(self, config: ScenarioConfig | None = None) -> None:
         super().__init__(config or _default_detection_config())

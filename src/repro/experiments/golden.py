@@ -90,9 +90,10 @@ def workload_mini_spec() -> SweepSpec:
 
     Pins the workload registry end to end: three families (the legacy
     recipe, the UUniFast splitter, the harmonic period regime), each
-    generating its point batch through the vectorised
-    ``generate_batch`` route in grid order from the point's single
-    stream, with cell labels carrying the ``workload::`` prefix.
+    drawing its task sets one ``generate`` call at a time, in grid
+    order from the point's single stream
+    (:func:`~repro.experiments.scenario.point_workloads`), with cell
+    labels carrying the ``workload::`` prefix.
     """
     from repro.experiments.scenario import ScenarioExperiment, parse_scenario
 

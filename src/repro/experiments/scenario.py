@@ -42,7 +42,10 @@ without it every cell generates with the paper's Sec. IV-B recipe
 (labels and cache keys byte-identical to earlier releases); with it,
 each named family — UUniFast splitters, period regimes, the
 heavy-security profile, the fixed case studies — generates its own
-shared task sets per point.  The ``singlecore`` strategy implies its
+shared task sets per point.  Every family draws them the same way
+(:func:`point_workloads`), so ``workload = ["paper-synthetic"]`` draws
+exactly the axis-less grid's task sets; only the labels gain the
+``paper-synthetic::`` prefix.  The ``singlecore`` strategy implies its
 own real-time packing (M−1 cores + a dedicated security core) and the
 runner prepares that system automatically.
 
@@ -61,7 +64,7 @@ import math
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,6 +97,7 @@ __all__ = [
     "build_scenario_experiment",
     "combo_label",
     "combo_system",
+    "point_workloads",
     "CellTally",
     "cell_tallies",
 ]
@@ -149,8 +153,9 @@ class ScenarioConfig:
     allocator_axis: bool = False
     #: Workload families (registry specs).  ``workload_axis`` is
     #: ``False`` when the config never named a ``workload`` axis: the
-    #: sweep then generates with the paper recipe exactly as before,
-    #: with unchanged cell labels and cache keys.
+    #: sweep then generates with the paper recipe, with unchanged cell
+    #: labels and cache keys.  The flag changes labels only: a
+    #: one-family ``paper-synthetic`` axis draws the same task sets.
     workloads: tuple[str, ...] = ("paper-synthetic",)
     workload_axis: bool = False
     #: Result family: ``"acceptance"`` (default, unchanged labels and
@@ -560,6 +565,37 @@ def combo_system(
     return systems[key]
 
 
+def point_workloads(
+    platform: Platform,
+    combos: Sequence[Mapping[str, str]],
+    tasksets: int,
+    utilization: float,
+    rng: np.random.Generator,
+) -> Iterator[tuple[str, "SyntheticWorkload"]]:
+    """The task sets of one grid point, as ``(family, workload)`` pairs.
+
+    Each workload family the ``combos`` name (``"paper-synthetic"``
+    for combos without a ``workload`` key), in grid order, draws its
+    ``tasksets`` instances from the point's stream, one
+    :meth:`~repro.workloads.api.WorkloadGenerator.generate` call each,
+    before the next family draws any.  So a one-family axis draws the
+    axis-less grid's task sets, and appending a family to the axis
+    never moves an earlier family's (as appending utilisation points
+    keeps earlier streams).  Pairs are yielded as they are drawn: a
+    caller that draws more per task set, such as the detection
+    runner's attack instants, draws it before the next task set.
+    """
+    from repro.workloads import get_workload
+
+    families = dict.fromkeys(
+        combo.get("workload", "paper-synthetic") for combo in combos
+    )
+    for spec in families:
+        generator = get_workload(spec)
+        for _ in range(tasksets):
+            yield spec, generator.generate(platform, utilization, rng)
+
+
 @register_point_runner("scenario")
 def run_scenario_point(
     point: Mapping[str, Any],
@@ -581,23 +617,12 @@ def run_scenario_point(
 
     The allocation strategy is resolved through the
     :mod:`repro.allocators` registry (``"hydra"`` when the sweep has no
-    allocator axis) and the task-set generator through the
-    :mod:`repro.workloads` registry (``"paper-synthetic"`` — the
-    legacy recipe, byte-identical — when the sweep has no workload
-    axis).  Every combo sharing a workload family evaluates the *same*
-    generated task sets, and every combo sharing a system shape the
-    same system (:func:`combo_system`).  With a workload axis, each
-    family generates its whole point batch in one vectorised
-    :meth:`~repro.workloads.api.WorkloadGenerator.generate_batch`
-    call, families in grid order from the point's single stream —
-    *appending* a family to the axis therefore never perturbs the
-    earlier families' task sets (mirroring how appending utilisation
-    points keeps earlier streams valid).  Without the axis the runner
-    keeps the legacy per-instance loop, byte-identical to the
-    pre-workload-axis payloads.
+    allocator axis) and the task sets come from
+    :func:`point_workloads`.  Every combo sharing a workload family
+    evaluates the *same* generated task sets, and every combo sharing
+    a system shape the same system (:func:`combo_system`).
     """
     from repro.allocators import get_allocator
-    from repro.workloads import get_workload
 
     platform = Platform(int(params["cores"]))
     combos = [dict(c) for c in params["combos"]]
@@ -605,48 +630,31 @@ def run_scenario_point(
         spec: get_allocator(spec)
         for spec in {c.get("allocator", "hydra") for c in combos}
     }
-    workload_specs: list[str] = []
-    for combo in combos:
-        spec = combo.get("workload", "paper-synthetic")
-        if spec not in workload_specs:
-            workload_specs.append(spec)
-    generators = {spec: get_workload(spec) for spec in workload_specs}
     cells: dict[str, list[float | None]] = {
         combo_label(**c): [] for c in combos
     }
-    tasksets = int(params["tasksets_per_point"])
-    utilization = float(point["utilization"])
-    workload_axis = any("workload" in c for c in combos)
-    if workload_axis:
-        batches = {
-            spec: generators[spec].generate_batch(
-                platform, [utilization] * tasksets, rng
+    for wl_spec, workload in point_workloads(
+        platform,
+        combos,
+        int(params["tasksets_per_point"]),
+        float(point["utilization"]),
+        rng,
+    ):
+        systems: dict[tuple, SystemModel | None] = {}
+        for combo in combos:
+            if combo.get("workload", "paper-synthetic") != wl_spec:
+                continue
+            cell = cells[combo_label(**combo)]
+            system = combo_system(platform, workload, combo, systems)
+            if system is None:
+                cell.append(None)
+                continue
+            spec = combo.get("allocator", "hydra")
+            allocation = allocators[spec].allocate(system)
+            cell.append(
+                allocation.mean_tightness()
+                if allocation.schedulable else None
             )
-            for spec in workload_specs
-        }
-    for index in range(tasksets):
-        for wl_spec in workload_specs:
-            if workload_axis:
-                workload = batches[wl_spec][index]
-            else:
-                workload = generators[wl_spec].generate(
-                    platform, utilization, rng
-                )
-            systems: dict[tuple, SystemModel | None] = {}
-            for combo in combos:
-                if combo.get("workload", "paper-synthetic") != wl_spec:
-                    continue
-                cell = cells[combo_label(**combo)]
-                system = combo_system(platform, workload, combo, systems)
-                if system is None:
-                    cell.append(None)
-                    continue
-                spec = combo.get("allocator", "hydra")
-                allocation = allocators[spec].allocate(system)
-                cell.append(
-                    allocation.mean_tightness()
-                    if allocation.schedulable else None
-                )
     return {"cells": cells}
 
 

@@ -73,7 +73,10 @@ __all__ = [
 #: 3: ``scenario`` payload cells hold one tightness per task set instead
 #: of accepted/total/tightness-sum tallies, so a store written before
 #: never serves a tally payload to the list reader.
-CACHE_FORMAT = 3
+#: 4: every point draws its task sets one ``generate`` call at a time,
+#: so workload-axis and synthetic detection points moved; a store
+#: written before never serves a task set of the retired batch route.
+CACHE_FORMAT = 4
 
 #: On-disk layout version of this module, stamped into ``store.json``.
 STORE_FORMAT = 2

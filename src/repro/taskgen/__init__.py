@@ -3,8 +3,8 @@
 * :mod:`repro.taskgen.randfixedsum` — unbiased utilisation splitting.
 * :mod:`repro.taskgen.uunifast` — the UUniFast(-Discard) splitters.
 * :mod:`repro.taskgen.periods` — period sampling policies.
-* :mod:`repro.taskgen.synthetic` — the Sec. IV-B synthetic recipe,
-  per-instance and batched.
+* :mod:`repro.taskgen.synthetic` — the Sec. IV-B synthetic recipe, one
+  task set per call.
 * :mod:`repro.taskgen.uav` — the Sec. IV-A UAV case-study task set.
 * :mod:`repro.taskgen.security_apps` — the Table I Tripwire/Bro suite.
 
@@ -14,7 +14,7 @@ in the :mod:`repro.workloads` registry.
 """
 
 from repro.taskgen.periods import sample_periods
-from repro.taskgen.randfixedsum import randfixedsum, randfixedsum_batch
+from repro.taskgen.randfixedsum import randfixedsum
 from repro.taskgen.security_apps import (
     TABLE1_SPECS,
     TRIPWIRE_PRECEDENCE,
@@ -26,7 +26,6 @@ from repro.taskgen.synthetic import (
     SyntheticConfig,
     SyntheticWorkload,
     generate_workload,
-    generate_workload_batch,
     utilization_sweep,
 )
 from repro.taskgen.uav import UAV_TASK_TABLE, uav_rt_tasks
@@ -34,7 +33,6 @@ from repro.taskgen.uunifast import project_box_sum, uunifast, uunifast_discard
 
 __all__ = [
     "randfixedsum",
-    "randfixedsum_batch",
     "sample_periods",
     "uunifast",
     "uunifast_discard",
@@ -43,7 +41,6 @@ __all__ = [
     "SyntheticConfig",
     "SyntheticWorkload",
     "generate_workload",
-    "generate_workload_batch",
     "utilization_sweep",
     "UAV_TASK_TABLE",
     "uav_rt_tasks",

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["randfixedsum", "randfixedsum_batch"]
+__all__ = ["randfixedsum"]
 
 
 def _randfixedsum_unit(
@@ -77,114 +77,6 @@ def _randfixedsum_unit(
     for col in range(nsets):
         x[:, col] = x[rng.permutation(n), col]
     return x.T
-
-
-def _randfixedsum_unit_batch(
-    n: int, us: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Stafford's algorithm vectorised across a batch of *different*
-    sums: one vector in ``[0,1]^n`` per entry of ``us``.
-
-    The scalar kernel's cost is dominated by the ``O(n²)`` table build,
-    which depends on the sum — so grouping identical ``(n, u)`` pairs
-    batches almost nothing on a utilisation sweep where every point has
-    its own target.  Here the tables of all ``B`` sums are built
-    together (``w``/``t`` gain a leading batch axis; the recursion
-    stays ``O(n)`` python steps with ``O(B·n)`` work each), and the
-    per-sample shuffle is one :meth:`~numpy.random.Generator.permuted`
-    call.  Consumes the stream differently from the scalar kernel, but
-    deterministically for a given stream.
-    """
-    us = np.asarray(us, dtype=float)
-    if n == 1:
-        return us[:, None].copy()
-    batch = us.shape[0]
-    k = np.minimum(np.floor(us).astype(int), n - 1)
-    ar = np.arange(n, dtype=float)
-    s1 = us[:, None] - (k[:, None] - ar)
-    s2 = (k[:, None] + n - ar) - us[:, None]
-
-    tiny = np.finfo(float).tiny
-    huge = np.finfo(float).max
-
-    w = np.zeros((batch, n, n + 1))
-    w[:, 0, 1] = huge
-    t = np.zeros((batch, n - 1, n))
-    for i in range(2, n + 1):
-        tmp1 = w[:, i - 2, 1 : i + 1] * s1[:, :i] / float(i)
-        tmp2 = w[:, i - 2, 0:i] * s2[:, n - i : n] / float(i)
-        w[:, i - 1, 1 : i + 1] = tmp1 + tmp2
-        tmp3 = w[:, i - 1, 1 : i + 1] + tiny
-        tmp4 = s2[:, n - i : n] > s1[:, :i]
-        t[:, i - 2, 0:i] = (tmp2 / tmp3) * tmp4 + (1.0 - tmp1 / tmp3) * (
-            ~tmp4
-        )
-
-    x = np.zeros((batch, n))
-    rt = rng.uniform(size=(n - 1, batch))  # simplex-type decisions
-    rs = rng.uniform(size=(n - 1, batch))  # position inside the simplex
-    rows = np.arange(batch)
-    sums = us.copy()
-    j = k + 1
-    sm = np.zeros(batch)
-    pr = np.ones(batch)
-
-    for i in range(n - 1, 0, -1):
-        e = (rt[n - i - 1] <= t[rows, i - 1, j - 1]).astype(float)
-        sx = rs[n - i - 1] ** (1.0 / i)
-        sm = sm + (1.0 - sx) * pr * sums / (i + 1)
-        pr = sx * pr
-        x[:, n - i - 1] = sm + pr * e
-        sums = sums - e
-        j = (j - e).astype(int)
-    x[:, n - 1] = sm + pr * sums
-
-    # One vectorised independent shuffle per row, for exchangeability.
-    return rng.permuted(x, axis=1)
-
-
-def randfixedsum_batch(
-    n: int,
-    totals: np.ndarray,
-    rng: np.random.Generator | None = None,
-    low: float = 0.0,
-    high: float = 1.0,
-) -> np.ndarray:
-    """Draw one vector per entry of ``totals`` from the corresponding
-    simplex slices ``{x ∈ [low, high]^n : Σ x = totals[b]}``.
-
-    The batch counterpart of :func:`randfixedsum` for callers that
-    need many vectors at *different* sums (a whole utilisation sweep at
-    once): one vectorised table build serves the entire batch.  Same
-    distribution per row as the scalar kernel, but a different stream
-    consumption — the two are individually deterministic, not
-    byte-interchangeable.
-
-    Returns an array of shape ``(len(totals), n)``.
-    """
-    totals = np.asarray(totals, dtype=float)
-    if n < 1:
-        raise ValidationError(f"n must be ≥ 1, got {n}")
-    if totals.ndim != 1 or totals.shape[0] < 1:
-        raise ValidationError(
-            f"totals must be a non-empty 1-d array, got shape "
-            f"{totals.shape}"
-        )
-    if high <= low:
-        raise ValidationError(f"need low < high, got [{low}, {high}]")
-    bad = (totals < n * low - 1e-12) | (totals > n * high + 1e-12)
-    if bad.any():
-        offender = float(totals[bad][0])
-        raise ValidationError(
-            f"sum {offender} unreachable with {n} components in "
-            f"[{low}, {high}]"
-        )
-    if rng is None:
-        rng = np.random.default_rng()
-    span = high - low
-    unit_totals = np.clip((totals - n * low) / span, 0.0, float(n))
-    unit = _randfixedsum_unit_batch(n, unit_totals, rng)
-    return low + unit * span
 
 
 def randfixedsum(

@@ -18,7 +18,7 @@ configurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -26,12 +26,11 @@ from repro.errors import ValidationError
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask, SecurityTask, TaskSet
 from repro.taskgen.periods import sample_periods
-from repro.taskgen.randfixedsum import randfixedsum, randfixedsum_batch
+from repro.taskgen.randfixedsum import randfixedsum
 from repro.taskgen.uunifast import project_box_sum, uunifast, uunifast_discard
 
 __all__ = ["SyntheticConfig", "SyntheticWorkload", "UTILIZATION_SPLITS",
-           "generate_workload", "generate_workload_batch",
-           "utilization_sweep"]
+           "generate_workload", "utilization_sweep"]
 
 #: Floor for per-task utilisation so WCETs stay strictly positive.
 _MIN_TASK_UTIL = 1e-5
@@ -117,10 +116,9 @@ def _split_utilization(
     count: int,
     rng: np.random.Generator,
     split: str = "randfixedsum",
-    nsets: int = 1,
 ) -> np.ndarray:
-    """Split ``total`` across ``count`` tasks, ``nsets`` vectors at a
-    time (shape ``(nsets, count)``).
+    """Split ``total`` across ``count`` tasks (one vector of shape
+    ``(count,)``).
 
     Every share ends strictly positive (≥ ``_MIN_TASK_UTIL``) and at
     most full-core load; the box projection redistributes whatever the
@@ -128,28 +126,28 @@ def _split_utilization(
     raw ``maximum(utils, floor)`` clamp used to drift *above* target by
     up to ``count·1e-5`` at extreme low-utilisation corners.
 
-    .. note:: Cache keys deliberately did not change with this fix
-       (golden-pinned compatibility): a result store populated before
-       it may hold entries computed with the drifting clamp at those
-       corner points.  Draws the clamp never touched — including every
-       golden fixture — are bit-identical; clear or ``gc`` old caches
-       of extreme low-utilisation sweeps if exactness there matters.
+    .. note:: Cache keys did not change with this fix itself, so a
+       store of that time could hold drifting-clamp entries at those
+       corner points.  Every key written before ``CACHE_FORMAT`` 4 is
+       retired (:mod:`repro.experiments.store`), so no store serves
+       one any more.  Draws the clamp never touched, including every
+       golden fixture, were bit-identical across the fix.
     """
     if count == 0:
-        return np.zeros((nsets, 0))
+        return np.zeros(0)
     total = min(total, count * 1.0)
     if split == "randfixedsum":
-        utils = randfixedsum(count, total, nsets, rng, low=0.0, high=1.0)
+        utils = randfixedsum(count, total, 1, rng, low=0.0, high=1.0)
     elif split == "uunifast":
-        utils = uunifast(count, total, nsets, rng)
+        utils = uunifast(count, total, 1, rng)
     elif split == "uunifast-discard":
-        utils = uunifast_discard(count, total, nsets, rng)
+        utils = uunifast_discard(count, total, 1, rng)
     else:
         raise ValidationError(
             f"unknown utilisation split {split!r}; expected one of "
             f"{UTILIZATION_SPLITS}"
         )
-    return project_box_sum(utils, total, low=_MIN_TASK_UTIL, high=1.0)
+    return project_box_sum(utils, total, low=_MIN_TASK_UTIL, high=1.0)[0]
 
 
 def _count_bounds(
@@ -242,7 +240,7 @@ def generate_workload(
     nr = int(rng.integers(nr_lo, nr_hi + 1))
     ns = int(rng.integers(ns_lo, ns_hi + 1))
 
-    rt_utils = _split_utilization(rt_util, nr, rng, split)[0]
+    rt_utils = _split_utilization(rt_util, nr, rng, split)
     rt_periods = sample_periods(
         nr,
         *config.rt_period_range,
@@ -250,7 +248,7 @@ def generate_workload(
         distribution=config.period_distribution,
         granularity=config.period_granularity,
     )
-    sec_utils = _split_utilization(sec_util, ns, rng, split)[0]
+    sec_utils = _split_utilization(sec_util, ns, rng, split)
     sec_periods = sample_periods(
         ns,
         *config.security_period_des_range,
@@ -269,157 +267,6 @@ def generate_workload(
         target_utilization=total_utilization,
         config=config,
     )
-
-
-def _batch_split(
-    totals: Sequence[float],
-    counts: np.ndarray,
-    rng: np.random.Generator,
-    split: str,
-) -> list[np.ndarray]:
-    """Per-instance utilisation vectors for ``(totals[i], counts[i])``.
-
-    The Randfixedsum route batches at two levels.  Instances sharing a
-    ``(count, total)`` pair — every task set of one utilisation point
-    that drew the same count — share one *scalar* table build
-    (``randfixedsum(count, total, nsets)``).  The remaining instances,
-    whose sums are unique within their count, go through the batched
-    kernel (:func:`randfixedsum_batch`): one vectorised Stafford table
-    build per distinct count across all their *different* sums — on a
-    utilisation sweep (every point its own target) this collapses
-    hundreds of ``O(n²)`` table builds into one or two dozen.  The
-    (cheap, ``O(n)``) UUniFast splitters batch by ``(count, total)``
-    pairs only, since their signature fixes one sum per call.  Group
-    order is first-appearance order at both levels, so results are
-    deterministic for a given stream.
-    """
-    out: list[np.ndarray] = [np.zeros(0)] * len(counts)
-    if split == "randfixedsum":
-        by_count: dict[int, dict[float, list[int]]] = {}
-        for i, count in enumerate(counts):
-            if count:
-                total = min(float(totals[i]), float(count))
-                by_count.setdefault(int(count), {}).setdefault(
-                    total, []
-                ).append(i)
-        for count, by_total in by_count.items():
-            singles: list[tuple[float, int]] = []
-            for total, indices in by_total.items():
-                if len(indices) == 1:
-                    singles.append((total, indices[0]))
-                    continue
-                rows = randfixedsum(count, total, len(indices), rng)
-                rows = project_box_sum(
-                    rows, total, low=_MIN_TASK_UTIL, high=1.0
-                )
-                for row, i in zip(rows, indices):
-                    out[i] = row
-            if singles:
-                sub = np.array([total for total, _ in singles])
-                rows = randfixedsum_batch(count, sub, rng)
-                rows = project_box_sum(
-                    rows, sub, low=_MIN_TASK_UTIL, high=1.0
-                )
-                for row, (_, i) in zip(rows, singles):
-                    out[i] = row
-        return out
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, (count, total) in enumerate(zip(counts, totals)):
-        groups.setdefault((int(count), float(total)), []).append(i)
-    for (count, total), indices in groups.items():
-        rows = _split_utilization(total, count, rng, split, nsets=len(indices))
-        for row, i in zip(rows, indices):
-            out[i] = row
-    return out
-
-
-def _batch_periods(
-    counts: np.ndarray,
-    low: float,
-    high: float,
-    rng: np.random.Generator,
-    config: SyntheticConfig,
-) -> list[np.ndarray]:
-    """All instances' periods in one draw, split back per instance."""
-    flat = sample_periods(
-        int(counts.sum()),
-        low,
-        high,
-        rng=rng,
-        distribution=config.period_distribution,
-        granularity=config.period_granularity,
-    )
-    return np.split(flat, np.cumsum(counts)[:-1])
-
-
-def generate_workload_batch(
-    platform: Platform | int,
-    total_utilizations: Sequence[float],
-    rng: np.random.Generator | int | None = None,
-    config: SyntheticConfig | None = None,
-    split: str = "randfixedsum",
-) -> list[SyntheticWorkload]:
-    """Generate one task set per entry of ``total_utilizations`` with
-    the generation hot path vectorised across the whole batch.
-
-    Semantically equivalent to calling :func:`generate_workload` per
-    target — same recipe, same knobs, same invariants — but task
-    counts are drawn in two vectorised calls, utilisation splits are
-    grouped so repeated ``(count, target)`` pairs (the
-    ``tasksets_per_point`` case) share one Randfixedsum table build,
-    and all periods of a batch come from a single ``sample_periods``
-    draw.  The stream consumption differs from the serial loop, so the
-    two paths are *individually* deterministic but not byte-identical
-    to each other; callers needing the pinned legacy bytes (the
-    no-workload-axis scenario path) keep the per-instance loop.
-    """
-    if isinstance(platform, int):
-        platform = Platform(platform)
-    if config is None:
-        config = SyntheticConfig()
-    if isinstance(rng, int) or rng is None:
-        rng = np.random.default_rng(rng)
-    m = platform.num_cores
-    targets = [float(u) for u in total_utilizations]
-    for target in targets:
-        if not (0.0 < target <= m + 1e-9):
-            raise ValidationError(
-                f"total utilisation {target} outside (0, {m}]"
-            )
-    if not targets:
-        return []
-
-    frac = config.security_utilization_fraction
-    rt_totals = [u / (1.0 + frac) for u in targets]
-    sec_totals = [u - r for u, r in zip(targets, rt_totals)]
-
-    nr_lo, nr_hi, ns_lo, ns_hi = _count_bounds(config, m)
-    k = len(targets)
-    nr = rng.integers(nr_lo, nr_hi + 1, size=k)
-    ns = rng.integers(ns_lo, ns_hi + 1, size=k)
-
-    rt_utils = _batch_split(rt_totals, nr, rng, split)
-    rt_periods = _batch_periods(nr, *config.rt_period_range, rng, config)
-    sec_utils = _batch_split(sec_totals, ns, rng, split)
-    sec_periods = _batch_periods(
-        ns, *config.security_period_des_range, rng, config
-    )
-
-    workloads = []
-    for i, target in enumerate(targets):
-        rt_tasks, security_tasks = _build_tasks(
-            rt_utils[i], rt_periods[i], sec_utils[i], sec_periods[i], config
-        )
-        workloads.append(
-            SyntheticWorkload(
-                platform=platform,
-                rt_tasks=rt_tasks,
-                security_tasks=security_tasks,
-                target_utilization=target,
-                config=config,
-            )
-        )
-    return workloads
 
 
 def utilization_sweep(

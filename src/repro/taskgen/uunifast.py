@@ -9,11 +9,13 @@ task.  UUniFast-Discard [Emberson et al., WATERS 2010] repairs that by
 resampling vectors containing any component above 1 until one is
 admissible.
 
-Both are provided batched (``nsets`` vectors per call, fully
-vectorised) for the workload generators in :mod:`repro.workloads`,
-together with :func:`project_box_sum` — the deterministic clamp-and-
-redistribute projection the synthetic recipe uses to keep per-task
-utilisations inside ``[floor, 1]`` without drifting off the target sum.
+Both draw ``nsets`` vectors per call, fully vectorised (the synthetic
+recipe asks for one per task set; UUniFast-Discard redraws only the
+rejected ones), and back the workload generators in
+:mod:`repro.workloads` together with :func:`project_box_sum` — the
+deterministic clamp-and-redistribute projection the synthetic recipe
+uses to keep per-task utilisations inside ``[floor, 1]`` without
+drifting off the target sum.
 """
 
 from __future__ import annotations
@@ -99,45 +101,39 @@ def uunifast_discard(
 
 def project_box_sum(
     values: np.ndarray,
-    total: float | np.ndarray,
+    total: float,
     low: float = 0.0,
     high: float = 1.0,
 ) -> np.ndarray:
     """Project each row of ``values`` onto
     ``{x ∈ [low, high]^n : Σ x = total}`` by clamping and
     redistributing the clamped mass proportionally to the remaining
-    head-room (or slack).  ``total`` may be a scalar (every row shares
-    the target sum) or an array broadcastable to the row shape (one
-    target per row — the :func:`randfixedsum_batch` case).
+    head-room (or slack).  Every row shares the one target sum.
 
     Deterministic and idempotent: rows already inside the box and on
     the target sum are returned bit-for-bit unchanged.  Rows whose sum
     is off redistribute in one proportional pass (plus a float-cleanup
     pass), which cannot push any component back out of ``[low, high]``.
-    Degenerate targets at or below ``n·low`` fall back to an even
+    A degenerate target at or below ``n·low`` falls back to an even
     ``total / n`` split.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     if high <= low:
         raise ValidationError(f"need low < high, got [{low}, {high}]")
-    totals = np.broadcast_to(
-        np.asarray(total, dtype=float), values.shape[:-1]
-    )[..., None]
-    if np.any(totals > n * high + 1e-9):
-        offender = float(totals[totals > n * high + 1e-9][0])
+    total = float(total)
+    if total > n * high + 1e-9:
         raise ValidationError(
-            f"sum {offender} unreachable with {n} components in "
+            f"sum {total} unreachable with {n} components in "
             f"[{low}, {high}]"
         )
-    degenerate = totals <= n * low
-    if degenerate.all():
-        return np.broadcast_to(totals / n, values.shape).copy()
+    if total <= n * low:
+        return np.full(values.shape, total / n)
     tiny = np.finfo(float).tiny
-    tol = 1e-12 * np.maximum(1.0, np.abs(totals))
+    tol = 1e-12 * max(1.0, abs(total))
     out = np.clip(values, low, high)
     for _ in range(2):
-        deficit = totals - out.sum(axis=-1, keepdims=True)
+        deficit = total - out.sum(axis=-1, keepdims=True)
         if np.all(np.abs(deficit) <= tol):
             break
         headroom = high - out
@@ -149,6 +145,4 @@ def project_box_sum(
             + headroom * (up / np.maximum(headroom.sum(-1, keepdims=True), tiny))
             - slack * (down / np.maximum(slack.sum(-1, keepdims=True), tiny))
         )
-    if degenerate.any():
-        out = np.where(degenerate, totals / n, out)
     return out

@@ -12,10 +12,9 @@ everywhere by spec string — TOML scenario grids (``[grid] workload =
 and the point runners — with no driver code.
 
 :func:`run_workload` is the uniform entry point, mirroring
-:func:`repro.allocators.run_allocator`; :func:`run_workload_batch`
-rides the vectorised generation hot path
-(:func:`repro.taskgen.synthetic.generate_workload_batch`) where the
-family supports it.
+:func:`repro.allocators.run_allocator`.  A point runner draws its task
+sets one ``generate`` call at a time, so a family has no other method
+to implement.
 
 See README "Writing a new workload generator" for the plugin recipe.
 """
@@ -33,7 +32,6 @@ from repro.workloads.registry import (
     iter_workload_info,
     register_workload,
     run_workload,
-    run_workload_batch,
     unregister_workload,
     workload_names,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "workload_names",
     "iter_workload_info",
     "run_workload",
-    "run_workload_batch",
     "workload_to_dict",
     "workload_from_dict",
 ]

@@ -28,7 +28,7 @@ Contract (audited for every registered generator by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -64,26 +64,6 @@ class WorkloadGenerator(ABC):
         rng: np.random.Generator | int | None = None,
     ) -> SyntheticWorkload:
         """One task-set instance at the target utilisation."""
-
-    def generate_batch(
-        self,
-        platform: Platform | int,
-        total_utilizations: Sequence[float],
-        rng: np.random.Generator | int | None = None,
-    ) -> list[SyntheticWorkload]:
-        """One instance per target, drawn from a single stream.
-
-        The default is the per-instance loop; recipe-backed generators
-        override it with the vectorised
-        :func:`~repro.taskgen.synthetic.generate_workload_batch` hot
-        path.  Either way a batch is deterministic for a given stream.
-        """
-        if isinstance(rng, int) or rng is None:
-            rng = np.random.default_rng(rng)
-        return [
-            self.generate(platform, target, rng)
-            for target in total_utilizations
-        ]
 
 
 def workload_to_dict(workload: SyntheticWorkload) -> dict[str, Any]:

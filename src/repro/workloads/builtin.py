@@ -18,7 +18,7 @@ case studies (Sec. IV-A UAV + the Table I Tripwire/Bro suite).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.taskgen.synthetic import (
     SyntheticConfig,
     SyntheticWorkload,
     generate_workload,
-    generate_workload_batch,
 )
 from repro.taskgen.uav import uav_rt_tasks
 from repro.workloads.api import WorkloadGenerator
@@ -45,10 +44,8 @@ __all__ = [
 class SyntheticRecipeWorkload(WorkloadGenerator):
     """A family built on the Sec. IV-B recipe: one config, one splitter.
 
-    ``generate`` delegates to :func:`generate_workload` (so the
-    ``paper-synthetic`` instance is byte-identical to direct calls) and
-    ``generate_batch`` to the vectorised
-    :func:`generate_workload_batch` hot path.
+    ``generate`` delegates to :func:`generate_workload`, so the
+    ``paper-synthetic`` instance is byte-identical to direct calls.
     """
 
     def __init__(
@@ -69,16 +66,6 @@ class SyntheticRecipeWorkload(WorkloadGenerator):
     ) -> SyntheticWorkload:
         return generate_workload(
             platform, total_utilization, rng, self.config, split=self.split
-        )
-
-    def generate_batch(
-        self,
-        platform: Platform | int,
-        total_utilizations: Sequence[float],
-        rng: np.random.Generator | int | None = None,
-    ) -> list[SyntheticWorkload]:
-        return generate_workload_batch(
-            platform, total_utilizations, rng, self.config, split=self.split
         )
 
 

@@ -29,7 +29,7 @@ sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "workload_names",
     "iter_workload_info",
     "run_workload",
-    "run_workload_batch",
 ]
 
 
@@ -203,16 +202,3 @@ def run_workload(
     spec or a ready :class:`WorkloadGenerator`.
     """
     return _resolve(workload).generate(platform, total_utilization, rng)
-
-
-def run_workload_batch(
-    workload: str | WorkloadGenerator,
-    platform: Platform | int,
-    total_utilizations: Sequence[float],
-    rng: np.random.Generator | int | None = None,
-) -> list[SyntheticWorkload]:
-    """Batch counterpart of :func:`run_workload` (vectorised where the
-    family supports it)."""
-    return _resolve(workload).generate_batch(
-        platform, total_utilizations, rng
-    )

@@ -177,6 +177,32 @@ class TestDeterminism:
         text = json.dumps(result.payloads, allow_nan=False)
         assert "Infinity" not in text
 
+    @pytest.mark.parametrize("family", ["paper-synthetic", "uav-case-study"])
+    def test_appending_a_family_keeps_earlier_families_bytes(self, family):
+        """Each family draws its task sets, and each task set its
+        attack instants, before the next family draws anything, so
+        appending a family to the axis must not perturb the earlier
+        family's cells (the acceptance runner's property)."""
+        from repro.experiments.parallel import execute_point
+
+        def run(workloads):
+            document = _detection_document()
+            document["grid"]["workload"] = list(workloads)
+            experiment = build_scenario_experiment(parse_scenario(document))
+            (spec,) = experiment.sweeps(SMOKE)
+            return execute_point(spec, 0)
+
+        alone = run([family])
+        extended = run([family, "uunifast"])
+        earlier = {
+            label: cell
+            for label, cell in extended["cells"].items()
+            if label.startswith(f"{family}::")
+        }
+        assert len(earlier) == len(alone["cells"]) == 4
+        assert any(cell["times"] for cell in earlier.values())
+        assert earlier == alone["cells"]
+
 
 class TestResult:
     @pytest.fixture(scope="class")

@@ -835,6 +835,62 @@ class TestWorkloadAxis:
         label = "uunifast::best-fit/utilization/rta"
         assert extended["cells"][label] == alone["cells"][label]
 
+    def test_one_family_axis_draws_the_axis_less_task_sets(self):
+        """Naming a one-family axis changes the labels, not the task
+        sets: once the ``paper-synthetic::`` prefix is stripped, every
+        per-task-set cell equals the axis-less grid's."""
+        from repro.experiments.parallel import execute_point
+
+        def run(workload_axis):
+            grid = {
+                "cores": [2, 4],
+                "allocator": ["hydra", "singlecore"],
+                "heuristic": ["best-fit"],
+                "ordering": ["utilization"],
+                "admission": ["rta"],
+                **workload_axis,
+            }
+            document = {
+                "sweep": {
+                    "name": "one-family",
+                    "tasksets_per_point": 20,
+                    "utilization": {
+                        "start": 0.55, "stop": 0.95, "step": 0.2,
+                    },
+                },
+                "grid": grid,
+            }
+            experiment = ScenarioExperiment(parse_scenario(document))
+            return [
+                execute_point(spec, index)
+                for spec in experiment.sweeps(SMOKE)
+                for index in range(len(spec.points))
+            ]
+
+        plain = run({})
+        named = run({"workload": ["paper-synthetic"]})
+        prefix = "paper-synthetic::"
+        assert all(
+            label.startswith(prefix)
+            for payload in named
+            for label in payload["cells"]
+        )
+        stripped = [
+            {
+                "cells": {
+                    label.removeprefix(prefix): cell
+                    for label, cell in payload["cells"].items()
+                }
+            }
+            for payload in named
+        ]
+        # 2 core counts × 3 points × 2 allocators, with rejections
+        assert sum(len(p["cells"]) for p in plain) == 12
+        assert any(
+            None in cell for p in plain for cell in p["cells"].values()
+        )
+        assert stripped == plain
+
     def test_render_names_the_workload_axis(self):
         document = _good_document()
         document["grid"]["cores"] = [2]

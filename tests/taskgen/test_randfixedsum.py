@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.taskgen.randfixedsum import randfixedsum, randfixedsum_batch
+from repro.taskgen.randfixedsum import randfixedsum
 
 
 class TestBasics:
@@ -74,76 +74,92 @@ class TestValidation:
 
 
 class TestBatchKernel:
-    """randfixedsum_batch: one table build, many different sums."""
+    """One call draws an ``nsets`` batch of rows from a single table
+    build; the synthetic recipe draws one row per call."""
 
     def test_rows_hit_their_own_totals(self):
-        totals = np.linspace(0.05, 7.8, 117)
-        rows = randfixedsum_batch(8, totals, np.random.default_rng(3))
-        assert rows.shape == (117, 8)
-        assert np.allclose(rows.sum(axis=1), totals, atol=1e-9)
-        assert rows.min() >= -1e-12
-        assert rows.max() <= 1.0 + 1e-12
+        rng = np.random.default_rng(3)
+        for total in np.linspace(0.05, 7.8, 117):
+            rows = randfixedsum(8, total, 4, rng)
+            assert rows.shape == (4, 8)
+            assert np.allclose(rows.sum(axis=1), total, atol=1e-9)
+            assert rows.min() >= -1e-12
+            assert rows.max() <= 1.0 + 1e-12
 
     def test_single_component(self):
-        totals = np.array([0.2, 0.9])
-        rows = randfixedsum_batch(1, totals, np.random.default_rng(0))
-        assert np.array_equal(rows, totals[:, None])
+        # a one-task split is forced, so it draws nothing from the stream
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for total in (0.2, 0.9):
+            rows = randfixedsum(1, total, 2, rng)
+            assert np.array_equal(rows, np.full((2, 1), total))
+        assert rng.bit_generator.state == state
 
     def test_affine_bounds(self):
-        totals = np.array([1.0, 1.5, 2.0])
-        rows = randfixedsum_batch(
-            5, totals, np.random.default_rng(1), low=0.1, high=0.6
-        )
-        assert np.allclose(rows.sum(axis=1), totals, atol=1e-9)
-        assert rows.min() >= 0.1 - 1e-12
-        assert rows.max() <= 0.6 + 1e-12
+        rng = np.random.default_rng(1)
+        for total in (1.0, 1.5, 2.0):
+            rows = randfixedsum(5, total, 3, rng, low=0.1, high=0.6)
+            assert np.allclose(rows.sum(axis=1), total, atol=1e-9)
+            assert rows.min() >= 0.1 - 1e-12
+            assert rows.max() <= 0.6 + 1e-12
 
     def test_reproducible_with_seeded_rng(self):
-        totals = np.array([0.5, 1.3, 2.9])
-        a = randfixedsum_batch(6, totals, np.random.default_rng(8))
-        b = randfixedsum_batch(6, totals, np.random.default_rng(8))
-        assert np.array_equal(a, b)
+        # batches drawn back to back from one stream repeat as a whole
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            return [randfixedsum(6, t, 3, rng) for t in (0.5, 1.3, 2.9)]
+
+        a, b = draw(8), draw(8)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], draw(9)[0])
 
     def test_distribution_matches_scalar_kernel(self):
-        # same (n, u) through both kernels: identical per-component
-        # moments (both draw uniformly from the same simplex slice)
+        # one 6000-row batch against 6000 one-row calls: identical
+        # per-component moments (both draw uniformly from the same
+        # simplex slice)
         u, n = 1.3, 4
-        scalar = randfixedsum(n, u, 6000, np.random.default_rng(1))
-        batch = randfixedsum_batch(
-            n, np.full(6000, u), np.random.default_rng(2)
-        )
-        assert np.allclose(scalar.mean(0), batch.mean(0), atol=0.02)
-        assert np.allclose(scalar.std(0), batch.std(0), atol=0.02)
+        batch = randfixedsum(n, u, 6000, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        rows = np.vstack([randfixedsum(n, u, 1, rng) for _ in range(6000)])
+        assert np.allclose(batch.mean(0), rows.mean(0), atol=0.02)
+        assert np.allclose(batch.std(0), rows.std(0), atol=0.02)
 
     def test_integer_shelf_boundaries(self):
         # sums sitting exactly on integers exercise the k = floor(u)
-        # shelf selection for every row independently
-        totals = np.array([1.0, 2.0, 3.0, 0.5, 2.5])
-        rows = randfixedsum_batch(4, totals, np.random.default_rng(5))
-        assert np.allclose(rows.sum(axis=1), totals, atol=1e-9)
-        assert rows.max() <= 1.0 + 1e-12
+        # shelf selection, capped at n - 1 on the top corner
+        rng = np.random.default_rng(5)
+        for total in (1.0, 2.0, 3.0, 4.0, 0.5, 2.5):
+            rows = randfixedsum(4, total, 50, rng)
+            assert np.allclose(rows.sum(axis=1), total, atol=1e-9)
+            assert rows.min() >= -1e-12
+            assert rows.max() <= 1.0 + 1e-12
 
     def test_validation(self):
+        # every rejection comes before the first draw
         rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError):
-            randfixedsum_batch(0, np.array([0.5]), rng)
-        with pytest.raises(ValidationError):
-            randfixedsum_batch(3, np.array([]), rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="n must be"):
+            randfixedsum(0, 0.5, 2, rng)
+        with pytest.raises(ValidationError, match="nsets must be"):
+            randfixedsum(3, 0.5, 0, rng)
         with pytest.raises(ValidationError, match="unreachable"):
-            randfixedsum_batch(3, np.array([1.0, 3.5]), rng)
+            randfixedsum(3, 3.5, 2, rng)
         with pytest.raises(ValidationError, match="low < high"):
-            randfixedsum_batch(3, np.array([1.0]), rng, low=1.0, high=0.5)
+            randfixedsum(3, 1.0, 2, rng, low=1.0, high=0.5)
+        assert rng.bit_generator.state == state
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=12),
+        nsets=st.integers(min_value=1, max_value=9),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_property_sums_and_bounds(self, n, seed):
+    def test_property_sums_and_bounds(self, n, nsets, seed):
         rng = np.random.default_rng(seed)
-        totals = rng.uniform(0.0, float(n), size=9)
-        rows = randfixedsum_batch(n, totals, rng)
-        assert np.allclose(rows.sum(axis=1), totals, atol=1e-9)
+        total = float(rng.uniform(0.0, n))
+        rows = randfixedsum(n, total, nsets, rng)
+        assert rows.shape == (nsets, n)
+        assert np.allclose(rows.sum(axis=1), total, atol=1e-9)
         assert rows.min() >= -1e-9
         assert rows.max() <= 1.0 + 1e-9
 

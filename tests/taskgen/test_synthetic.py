@@ -12,7 +12,6 @@ from repro.taskgen.synthetic import (
     UTILIZATION_SPLITS,
     SyntheticConfig,
     generate_workload,
-    generate_workload_batch,
     utilization_sweep,
 )
 
@@ -149,9 +148,19 @@ class TestMinUtilFloorRegression:
 
 
 class TestGenerateWorkloadBatch:
+    """A batch of task sets drawn back to back from one stream, one
+    :func:`generate_workload` call each: how a grid point draws its
+    ``tasksets_per_point`` instances
+    (:func:`~repro.experiments.scenario.point_workloads`)."""
+
+    @staticmethod
+    def _batch(m, targets, seed, config=None, split="randfixedsum"):
+        rng = np.random.default_rng(seed)
+        return [generate_workload(m, u, rng, config, split) for u in targets]
+
     def test_matches_targets_and_invariants(self):
         targets = [0.3, 0.9, 0.9, 1.5]
-        batch = generate_workload_batch(2, targets, 42)
+        batch = self._batch(2, targets, 42)
         assert [w.target_utilization for w in batch] == targets
         for wl in batch:
             assert wl.total_utilization == pytest.approx(
@@ -165,33 +174,50 @@ class TestGenerateWorkloadBatch:
             for task in wl.security_tasks:
                 assert 1000.0 <= task.period_des <= 3000.0
                 assert task.wcet > 0.0
+        # equal targets are successive draws, not repeats
+        assert batch[1].rt_tasks != batch[2].rt_tasks
 
     def test_deterministic_per_stream(self):
-        a = generate_workload_batch(2, [0.5, 1.0], 7)
-        b = generate_workload_batch(2, [0.5, 1.0], 7)
+        a = self._batch(2, [0.5, 1.0], 7)
+        b = self._batch(2, [0.5, 1.0], 7)
         assert all(
             x.rt_tasks == y.rt_tasks and x.security_tasks == y.security_tasks
             for x, y in zip(a, b)
         )
+        assert a[0].rt_tasks != self._batch(2, [0.5], 8)[0].rt_tasks
 
     def test_empty_batch(self):
-        assert generate_workload_batch(2, [], 1) == []
+        # a point with no task sets yields nothing and draws nothing
+        from repro.experiments.scenario import point_workloads
+
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert list(point_workloads(Platform(2), [{}], 0, 1.0, rng)) == []
+        assert rng.bit_generator.state == state
 
     def test_invalid_target_rejected(self):
+        # the rejected draw leaves the stream where the last good one
+        # left it
+        rng = np.random.default_rng(1)
+        generate_workload(2, 0.5, rng)
+        state = rng.bit_generator.state
         with pytest.raises(ValidationError):
-            generate_workload_batch(2, [0.5, 2.5], 1)
+            generate_workload(2, 2.5, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("split", UTILIZATION_SPLITS)
     def test_splits_supported(self, split):
-        batch = generate_workload_batch(2, [1.3, 1.3], 3, split=split)
+        batch = self._batch(2, [1.3, 1.3], 3, split=split)
         for wl in batch:
             assert wl.total_utilization == pytest.approx(1.3, rel=1e-6)
+        assert batch[0].rt_tasks != batch[1].rt_tasks
 
     def test_config_respected(self):
         config = SyntheticConfig(
             rt_task_count=(3, 3), security_task_count=(2, 2)
         )
-        for wl in generate_workload_batch(4, [1.0, 2.0], 5, config):
+        for wl in self._batch(4, [1.0, 2.0], 5, config):
+            assert wl.config is config
             assert len(wl.rt_tasks) == 3
             assert len(wl.security_tasks) == 2
 

@@ -8,9 +8,9 @@ for *every* registered family:
   achieved total utilisation on target, task counts and periods inside
   the configured bounds, and the desired security utilisation at most
   ``security_utilization_fraction`` of the real-time utilisation;
-* same seed ⇒ byte-identical task sets — per call, per batch, and
-  through the sweep engine serial vs. pooled (which proves generators
-  draw only from the stream they are given).
+* same seed ⇒ byte-identical task sets — per call, per grid-point
+  batch, and through the sweep engine serial vs. pooled (which proves
+  generators draw only from the stream they are given).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.parallel import SweepEngine, SweepSpec
+from repro.experiments.scenario import point_workloads
+from repro.model.platform import Platform
 from repro.workloads import (
     get_workload,
     run_workload,
-    run_workload_batch,
     workload_names,
     workload_to_dict,
 )
@@ -130,11 +131,21 @@ def test_same_seed_is_byte_identical(spec, m, fraction, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_batch_same_seed_is_byte_identical(spec, seed):
-    targets = [0.4, 0.8, 0.8, 1.2]
-    a = run_workload_batch(spec, 2, targets, np.random.default_rng(seed))
-    b = run_workload_batch(spec, 2, targets, np.random.default_rng(seed))
-    assert len(a) == len(b) == len(targets)
-    assert [_canonical(w) for w in a] == [_canonical(w) for w in b]
+    """A grid point's batch (the family's task sets drawn back to back
+    from the point's stream by :func:`point_workloads`) repeats byte
+    for byte."""
+
+    def batch():
+        pairs = point_workloads(
+            Platform(2), [{"workload": spec}], 4, 0.8,
+            np.random.default_rng(seed),
+        )
+        return [(family, _canonical(w)) for family, w in pairs]
+
+    a, b = batch(), batch()
+    assert len(a) == 4
+    assert {family for family, _ in a} == {spec}
+    assert a == b
 
 
 def _sample_spec(spec: str) -> SweepSpec:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
+from repro.model.platform import Platform
 from repro.taskgen.synthetic import generate_workload
 from repro.workloads import (
     UnknownWorkloadError,
@@ -19,7 +20,6 @@ from repro.workloads import (
     iter_workload_info,
     register_workload,
     run_workload,
-    run_workload_batch,
     unregister_workload,
     workload_names,
     workload_to_dict,
@@ -127,10 +127,26 @@ class TestPaperSyntheticByteIdentity:
         assert _canonical(via_registry) == _canonical(direct)
 
     def test_batch_entry_point_is_deterministic(self):
-        a = run_workload_batch("paper-synthetic", 2, [0.5, 1.0, 1.0], 42)
-        b = run_workload_batch("paper-synthetic", 2, [0.5, 1.0, 1.0], 42)
-        assert [_canonical(w) for w in a] == [_canonical(w) for w in b]
-        assert [w.target_utilization for w in a] == [0.5, 1.0, 1.0]
+        """A grid point's batch entry point, ``point_workloads``, draws
+        the direct per-instance loop's task sets, with or without a
+        ``workload`` key, once for any number of combos."""
+        from repro.experiments.scenario import point_workloads
+
+        def batch(combos):
+            pairs = point_workloads(
+                Platform(2), combos, 3, 1.0, np.random.default_rng(42)
+            )
+            return [(family, _canonical(w)) for family, w in pairs]
+
+        rng = np.random.default_rng(42)
+        direct = [
+            ("paper-synthetic", _canonical(generate_workload(2, 1.0, rng)))
+            for _ in range(3)
+        ]
+        assert batch([{}]) == batch([{}]) == direct
+        assert batch([{"workload": "paper-synthetic"}]) == direct
+        two_combos = [{"allocator": "hydra"}, {"allocator": "singlecore"}]
+        assert batch(two_combos) == direct
 
 
 class TestBuiltinFamilies:

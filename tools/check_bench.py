@@ -21,9 +21,9 @@ pinned benchmarks cover the sweep engine's hot paths:
 * ``test_allocator_dispatch`` — the allocator-registry round trip a
   sweep cell pays per task set (spec lookup → strategy → typed
   AllocationResult),
-* ``test_workload_batch_generation`` — the vectorised task-set
-  generation route (batched Randfixedsum table builds + one period
-  draw per sweep) behind ``generate_workload_batch``,
+* ``test_workload_per_instance_loop`` — task-set generation over a
+  whole utilisation sweep through the per-instance
+  ``generate_workload`` loop, the one route every point runner takes,
 * ``test_ablate_runset`` / ``test_ablate_cached_rescore`` — the
   ablation harness's run-set expansion (config → swap-one variants →
   content-addressed ids) and the warm-cache re-scoring loop,
@@ -91,7 +91,7 @@ PINNED = (
     "test_store_warm_read",
     "test_store_put_many",
     "test_allocator_dispatch",
-    "test_workload_batch_generation",
+    "test_workload_per_instance_loop",
     "test_ablate_runset",
     "test_ablate_cached_rescore",
     "test_detection_scoring",
