@@ -40,7 +40,7 @@ from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.system import SystemModel
-from repro.model.task import SecurityTask
+from repro.model.task import RealTimeTask
 
 __all__ = ["AdaptiveAllocator"]
 
@@ -83,24 +83,14 @@ class AdaptiveAllocator(Allocator):
 
         return get_allocator(self.inner)
 
-    def _mode_env(
-        self,
-        system: SystemModel,
-        core: int,
-        placed: list[tuple[SecurityTask, float]],
-    ) -> InterferenceEnv:
-        """Interference on ``core`` during a mode change: real-time
-        WCETs inflated by ``mode_factor``, security interferers at their
-        already re-adapted periods."""
+    def _mode_env(self, rt_tasks: tuple[RealTimeTask, ...]) -> InterferenceEnv:
+        """Interference of a core's real-time tasks during a mode
+        change: their WCETs inflated by ``mode_factor``."""
         assert self.mode_factor is not None
-        interferers = [
+        return InterferenceEnv(
             Interferer(task.wcet * self.mode_factor, task.period)
-            for task in system.rt_partition.tasks_on(core)
-        ]
-        interferers.extend(
-            Interferer.from_security(task, period) for task, period in placed
+            for task in rt_tasks
         )
-        return InterferenceEnv(interferers)
 
     def allocate(self, system: SystemModel) -> Allocation:
         base = self._inner_allocator().allocate(system)
@@ -126,34 +116,43 @@ class AdaptiveAllocator(Allocator):
         for core in sorted(per_core):
             assignments = per_core[core]
             rt_tasks = system.rt_partition.tasks_on(core)
-            placed: list[tuple[SecurityTask, float]] = []
+            # Interference in the normal mode (and, for the Contego
+            # variant, in the mode change), extended by each security
+            # task at its re-adapted period.
+            env = InterferenceEnv.on_core(rt_tasks)
+            mode_env = (
+                self._mode_env(rt_tasks) if self.mode_factor is not None
+                else None
+            )
+            periods: list[float] = []
             feasible = True
             for assignment in assignments:
                 task = assignment.task
-                env = InterferenceEnv.on_core(rt_tasks, placed)
                 solution = self._solve(task, env)
                 if solution is None:
                     feasible = False
                     break
                 period = solution.period
-                if self.mode_factor is not None:
-                    mode_solution = self._solve(
-                        task, self._mode_env(system, core, placed)
-                    )
+                if mode_env is not None:
+                    mode_solution = self._solve(task, mode_env)
                     if mode_solution is None:
                         feasible = False
                         break
                     # Feasible in both modes: take the looser period.
                     period = max(period, mode_solution.period)
-                placed.append((task, period))
+                    mode_env = mode_env.extended(
+                        [Interferer.from_security(task, period)]
+                    )
+                env = env.extended([Interferer.from_security(task, period)])
+                periods.append(period)
             if not feasible:
                 reverted_cores.append(core)
                 for assignment in assignments:
                     new_period[assignment.task.name] = assignment.period
                 continue
             changed = False
-            for assignment, (task, period) in zip(assignments, placed):
-                new_period[task.name] = period
+            for assignment, period in zip(assignments, periods):
+                new_period[assignment.task.name] = period
                 if not math.isclose(
                     period, assignment.period, rel_tol=0.0, abs_tol=_TOL
                 ):

@@ -21,18 +21,29 @@ probe only pays for what the candidate can actually change:
   verified when it was admitted.  Adding a candidate therefore leaves
   all higher-priority residents' response times bit-for-bit unchanged
   — only the candidate itself and the residents below it need solving.
-* **Warm starts.**  Each resident's current response time is cached.
-  Response times are monotone in the interferer set, so the cached
-  value is a valid lower bound for the re-solve with the candidate
-  added, and the monotone fixed-point iteration started there ascends
-  the same guarded staircase to the same least fixed point — in one or
-  two steps instead of replaying the whole Kleene chain from below.
+* **Warm starts.**  Each resident's response time, or a lower bound
+  on it, is cached.  Response times are monotone in the interferer
+  set, so the cached value is a valid lower bound for the re-solve
+  with the candidate added, and the monotone fixed-point iteration
+  started there ascends the same guarded staircase to the same least
+  fixed point — in one or two steps instead of replaying the whole
+  Kleene chain from below.
+* **Bound first.**  Before each fixed point, the response-time upper
+  bound of Bini, Nguyen, Richard and Baruah (IEEE Trans. Computers,
+  2009), ``R ≤ (C + Σ_hp C_j(1 − U_j)) / (1 − Σ_hp U_j)``, is compared
+  with the deadline (:func:`response_time_bound`).  When it proves the
+  task fits with a relative margin of ``1e-9``, the fixed point is
+  skipped and the task keeps a lower bound on its response instead: a
+  resident its previous cached response, the candidate the cold-start
+  iterate ``C + Σ_hp C_j``.  Responses only grow as tasks are added,
+  so the cache stays a valid warm start for every later solve.
 
-All three properties are decision-preserving, so the verdict is
+All four properties are decision-preserving, so the verdict is
 identical to calling :func:`repro.analysis.schedulability.rta_test` on
 the rebuilt task list at every core size — pinned by an equivalence
 property suite (including deadlines within an ulp of the response
-time) and the golden fixtures.
+time) and the golden fixtures.  Cached responses are lower bounds,
+not the from-scratch floats: only the verdicts are promised.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from repro.analysis.rta import _MAX_ITERATIONS
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
-__all__ = ["ExactAdmissionCore"]
+__all__ = ["ExactAdmissionCore", "response_time_bound"]
 
 #: Safety margin on the higher-priority-utilisation divergence cut-off:
 #: large enough to absorb summation round-off between the incremental
@@ -54,6 +65,43 @@ __all__ = ["ExactAdmissionCore"]
 #: O(1) rejection only fires where the reference's own ``Σ_hp C/T >= 1``
 #: precheck provably also diverges.
 _UTILIZATION_MARGIN = 1e-7
+
+#: Relative safety margin on the response-time bound: the fixed point
+#: is skipped only when the bound lies below ``D·(1 − 1e-9)``, so the
+#: round-off of the bound's own sums can never admit a task that the
+#: exact analysis rejects.
+_BOUND_MARGIN = 1e-9
+_BOUND_SCALE = 1.0 - _BOUND_MARGIN
+
+
+def response_time_bound(
+    wcet: float, pairs: Iterable[tuple[float, float]]
+) -> float:
+    """Upper bound on ``response_time(wcet, pairs)``.
+
+    The bound of Bini, Nguyen, Richard and Baruah (IEEE Trans.
+    Computers, 2009): with ``U_j = C_j/T_j`` over the higher-priority
+    ``(C_j, T_j)`` pairs,
+
+        R ≤ (C + Σ_j C_j(1 − U_j)) / (1 − Σ_j U_j),
+
+    and ``inf`` when ``Σ_j U_j ≥ 1``.  With no interferers it is the
+    exact response ``C``.
+    """
+    utilization = slack = 0.0
+    for c, t in pairs:
+        u = c / t
+        utilization += u
+        slack += c * (1.0 - u)
+    return _bound(wcet, utilization, slack)
+
+
+def _bound(wcet: float, utilization: float, slack: float) -> float:
+    """:func:`response_time_bound` from the interferers' running sums
+    ``Σ U_j`` and ``Σ C_j(1 − U_j)``."""
+    if utilization >= 1.0:
+        return math.inf
+    return (wcet + slack) / (1.0 - utilization)
 
 
 def _rm_key(task: RealTimeTask) -> tuple[float, float, str]:
@@ -133,8 +181,9 @@ class ExactAdmissionCore:
 
     :meth:`admits` is a pure query (would the core accept this task?);
     :meth:`add` commits a placement.  Residents are kept as plain
-    ``(C, T)`` pairs in rate-monotonic order alongside their cached
-    response times, ready to feed the fixed-point loop without
+    ``(C, T)`` pairs in rate-monotonic order alongside the terms of the
+    response-time bound and cached lower bounds on their response
+    times, ready to feed the bound and the fixed-point loop without
     building intermediate objects.
     """
 
@@ -156,13 +205,22 @@ class ExactAdmissionCore:
         subsequent probe (exactly as the from-scratch reference test
         would, since response times are monotone in the task set).
         """
-        # One entry per resident, RM-sorted:
-        # (rm_key, (wcet, period), deadline).
+        # One entry per resident, RM-sorted: (rm_key, (wcet, period),
+        # deadline, U, C(1 − U)); the last two feed the response-time
+        # bound of every task below it.
         self._entries: list[
-            tuple[tuple[float, float, str], tuple[float, float], float]
+            tuple[
+                tuple[float, float, str],
+                tuple[float, float],
+                float,
+                float,
+                float,
+            ]
         ] = []
-        # Cached response time per resident (``inf`` = past deadline),
-        # parallel to ``_entries``.
+        # Cached lower bound on each resident's response time, parallel
+        # to ``_entries``: the exact response where a fixed point ran,
+        # an earlier value where the bound decided (``inf`` = past
+        # deadline).
         self._responses: list[float] = []
         self._utilization = 0.0
         # Responses computed by the last *accepting* probe, keyed by
@@ -201,11 +259,14 @@ class ExactAdmissionCore:
             responses = self._pending[1]
         else:
             responses = self._solve_with_inserted(pos, task)
+        wcet, period = task.wcet, task.period
+        util = wcet / period
         self._entries.insert(
-            pos, (key, (task.wcet, task.period), task.deadline)
+            pos,
+            (key, (wcet, period), task.deadline, util, wcet * (1.0 - util)),
         )
         self._responses = responses
-        self._utilization += task.wcet / task.period
+        self._utilization += util
         self._pending = None
         self._feasible = all(
             r <= entry[2] + 1e-9
@@ -215,33 +276,55 @@ class ExactAdmissionCore:
     def _solve_with_inserted(
         self, pos: int, task: RealTimeTask, stop_at_miss: bool = False
     ) -> list[float] | None:
-        """Response times of all current residents plus ``task``
-        inserted at ``pos`` — computed against the *pre-insert*
-        ``_entries``/``_responses`` state.
+        """Lower bounds on the response times of all current residents
+        plus ``task`` inserted at ``pos`` — computed against the
+        *pre-insert* ``_entries``/``_responses`` state.
 
-        Residents above ``pos`` keep their cached responses; residents
-        below re-solve with ``task`` as an extra interferer,
-        warm-started from their cached responses, and the interferer
-        list grows in RM order so each fixed point matches the
-        from-scratch evaluation.  With ``stop_at_miss`` the solve
-        returns ``None`` at the first task past its deadline.
+        Residents above ``pos`` keep their cached responses.  For the
+        candidate and each resident below it, the response-time bound
+        is checked first: if it fits the deadline, the candidate gets
+        its cold-start iterate ``C + Σ_hp C`` and a resident keeps its
+        cached response.  Otherwise the task runs the exact fixed
+        point, a resident warm-started from its cached response, over
+        an interferer list that grows in RM order so each fixed point
+        matches the from-scratch evaluation.  With ``stop_at_miss`` the
+        solve returns ``None`` at the first task past its deadline.
         """
         entries = self._entries
-        hp_pairs = [entry[1] for entry in entries[:pos]]
-        cand = _fixed_point(task.wcet, hp_pairs, task.deadline)
-        if stop_at_miss and not cand <= task.deadline + 1e-9:
-            return None
-        responses = self._responses[:pos] + [cand]
-        hp_pairs.append((task.wcet, task.period))
-        for idx in range(pos, len(entries)):
-            _, pair, deadline = entries[idx]
-            r = _fixed_point(
-                pair[0], hp_pairs, deadline, start=self._responses[idx]
-            )
-            if stop_at_miss and not r <= deadline + 1e-9:
+        cached = self._responses
+        hp_pairs: list[tuple[float, float]] = []
+        # Σ C, Σ U and Σ C(1 − U) over ``hp_pairs``, left to right from
+        # 0.0, so Σ C is the very sum ``_fixed_point`` starts from.
+        hp_wcet = hp_util = hp_slack = 0.0
+        for _, pair, _, util, slack in entries[:pos]:
+            hp_pairs.append(pair)
+            hp_wcet += pair[0]
+            hp_util += util
+            hp_slack += slack
+        wcet, period, deadline = task.wcet, task.period, task.deadline
+        if _bound(wcet, hp_util, hp_slack) <= deadline * _BOUND_SCALE:
+            cand = wcet + hp_wcet
+        else:
+            cand = _fixed_point(wcet, hp_pairs, deadline)
+            if stop_at_miss and not cand <= deadline + 1e-9:
                 return None
+        responses = cached[:pos]
+        responses.append(cand)
+        hp_pairs.append((wcet, period))
+        util = wcet / period
+        hp_util += util
+        hp_slack += wcet * (1.0 - util)
+        for idx in range(pos, len(entries)):
+            _, pair, deadline, util, slack = entries[idx]
+            r = cached[idx]
+            if _bound(pair[0], hp_util, hp_slack) > deadline * _BOUND_SCALE:
+                r = _fixed_point(pair[0], hp_pairs, deadline, start=r)
+                if stop_at_miss and not r <= deadline + 1e-9:
+                    return None
             responses.append(r)
             hp_pairs.append(pair)
+            hp_util += util
+            hp_slack += slack
         return responses
 
     def admits(self, task: RealTimeTask) -> bool:

@@ -76,15 +76,22 @@ class InterferenceEnv:
     """The aggregate interference environment of one core.
 
     Precomputes ``K' = Σ C`` and ``U = Σ C/T`` over the interferers so
-    that per-candidate-period queries are O(1).
+    that per-candidate-period queries are O(1).  Both sums add left to
+    right from ``0.0``: the builtin ``sum`` of floats is compensated from
+    Python 3.12 on, which would move ``K'``, ``U`` and every period
+    derived from them with the interpreter version.
     """
 
     __slots__ = ("_interferers", "_total_wcet", "_utilization")
 
     def __init__(self, interferers: Iterable[Interferer] = ()) -> None:
         self._interferers = tuple(interferers)
-        self._total_wcet = sum(i.wcet for i in self._interferers)
-        self._utilization = sum(i.utilization for i in self._interferers)
+        total_wcet = utilization = 0.0
+        for interferer in self._interferers:
+            total_wcet += interferer.wcet
+            utilization += interferer.utilization
+        self._total_wcet = total_wcet
+        self._utilization = utilization
 
     @classmethod
     def on_core(
@@ -117,7 +124,12 @@ class InterferenceEnv:
         return self._utilization
 
     def extended(self, extra: Iterable[Interferer]) -> "InterferenceEnv":
-        """Environment with additional interferers appended."""
+        """Environment with additional interferers appended.
+
+        The sums are recomputed over the whole tuple in order, so a
+        chain of ``extended`` calls gives the very floats of one
+        :meth:`on_core` call over the same interferers.
+        """
         return InterferenceEnv((*self._interferers, *extra))
 
     def interference(self, period: float) -> float:

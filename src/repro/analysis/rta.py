@@ -80,20 +80,29 @@ def response_time(
             raise ValidationError(
                 f"interferer needs positive wcet/period, got ({c!r}, {t!r})"
             )
-    # A quick divergence check: if the interferers already saturate the
-    # core, the recurrence has no finite fixed point.
-    if sum(c / t for c, t in pairs) >= 1.0:
+    # Every sum adds left to right from 0.0: the builtin ``sum`` of
+    # floats is compensated from Python 3.12 on, which would move the
+    # response (and a verdict within an ulp of its deadline) with the
+    # interpreter version.  First a quick divergence check: if the
+    # interferers already saturate the core, the recurrence has no
+    # finite fixed point.
+    hp_utilization = 0.0
+    for c, t in pairs:
+        hp_utilization += c / t
+    if hp_utilization >= 1.0:
         return math.inf
 
-    current = wcet + blocking + sum(c for c, _ in pairs)
+    acc = 0.0
+    for c, _ in pairs:
+        acc += c
+    current = wcet + blocking + acc
     for _ in range(_MAX_ITERATIONS):
         if current > limit:
             return math.inf
-        nxt = (
-            wcet
-            + blocking
-            + sum(math.ceil(current / t - 1e-12) * c for c, t in pairs)
-        )
+        acc = 0.0
+        for c, t in pairs:
+            acc += math.ceil(current / t - 1e-12) * c
+        nxt = wcet + blocking + acc
         if nxt <= current + 1e-12:
             return current
         current = nxt

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.analysis.interference import InterferenceEnv
+from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.core.hydra import HydraAllocator
 from repro.model.priority import security_priority_order
@@ -83,18 +83,16 @@ def _failure_environments(
 ) -> dict[int, InterferenceEnv]:
     """Replay HYDRA's greedy placements up to (excluding) ``failed`` and
     return each core's interference environment at that instant."""
-    placed: dict[int, list[tuple[SecurityTask, float]]] = {
-        core: [] for core in system.platform
+    envs = {
+        core: InterferenceEnv.on_core(system.rt_partition.tasks_on(core))
+        for core in system.platform
     }
     for task in security_priority_order(system.security_tasks):
         if task.name == failed.name:
             break
         best_core, best = None, None
         for core in system.platform:
-            env = InterferenceEnv.on_core(
-                system.rt_partition.tasks_on(core), placed[core]
-            )
-            solution = adapt_period(task, env)
+            solution = adapt_period(task, envs[core])
             if solution is not None and (
                 best is None or solution.tightness > best.tightness + 1e-12
             ):
@@ -103,13 +101,10 @@ def _failure_environments(
             # An earlier task already fails; environments up to here
             # still describe the failure point faithfully.
             break
-        placed[best_core].append((task, best.period))
-    return {
-        core: InterferenceEnv.on_core(
-            system.rt_partition.tasks_on(core), placed[core]
+        envs[best_core] = envs[best_core].extended(
+            [Interferer.from_security(task, best.period)]
         )
-        for core in system.platform
-    }
+    return envs
 
 
 def diagnose(

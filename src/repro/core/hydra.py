@@ -9,6 +9,13 @@ lowest core index for determinism) and freeze its period.  If no core is
 feasible, the whole task set is declared unschedulable — the algorithm
 does not backtrack.
 
+Each core's interference environment (:class:`InterferenceEnv`) is
+built once from its real-time tasks and extended by one interferer
+whenever a security task is committed there, so a (task, core) probe
+costs one solve and no rebuild.  ``extended`` re-sums the same
+interferers in the same order, so the probes see the very floats a
+per-probe rebuild would.
+
 The inner solve is pluggable:
 
 * ``"closed-form"`` (default) — the analytical optimum of Eq. (7).
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.analysis.interference import InterferenceEnv
+from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
@@ -61,9 +68,11 @@ class HydraAllocator(Allocator):
 
     def allocate(self, system: SystemModel) -> Allocation:
         ordered = security_priority_order(system.security_tasks)
-        # Security tasks already committed per core, with frozen periods.
-        placed: dict[int, list[tuple[SecurityTask, float]]] = {
-            core: [] for core in system.platform
+        # Interference per core: its real-time tasks plus the security
+        # tasks already committed there, with frozen periods.
+        envs = {
+            core: InterferenceEnv.on_core(system.rt_partition.tasks_on(core))
+            for core in system.platform
         }
         assignments: list[SecurityAssignment] = []
 
@@ -71,10 +80,7 @@ class HydraAllocator(Allocator):
             best_core: int | None = None
             best: PeriodSolution | None = None
             for core in system.platform:
-                env = InterferenceEnv.on_core(
-                    system.rt_partition.tasks_on(core), placed[core]
-                )
-                candidate = self._solve(task, env)
+                candidate = self._solve(task, envs[core])
                 if candidate is None:
                     continue
                 if best is None or candidate.tightness > best.tightness + 1e-12:
@@ -86,7 +92,9 @@ class HydraAllocator(Allocator):
                     schedulable=False,
                     failed_task=task.name,
                 )
-            placed[best_core].append((task, best.period))
+            envs[best_core] = envs[best_core].extended(
+                [Interferer.from_security(task, best.period)]
+            )
             assignments.append(
                 SecurityAssignment(
                     task=task, core=best_core, period=best.period

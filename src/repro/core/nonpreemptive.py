@@ -20,13 +20,12 @@ is a constant-time comparison per (task, core).
 from __future__ import annotations
 
 from repro.analysis.blocking import max_tolerable_blocking
-from repro.analysis.interference import InterferenceEnv
+from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
-from repro.model.task import SecurityTask
 from repro.opt.period import PeriodSolution
 
 __all__ = ["NonPreemptiveHydraAllocator"]
@@ -49,8 +48,9 @@ class NonPreemptiveHydraAllocator(Allocator):
             core: max_tolerable_blocking(system.rt_partition.tasks_on(core))
             for core in system.platform
         }
-        placed: dict[int, list[tuple[SecurityTask, float]]] = {
-            core: [] for core in system.platform
+        envs = {
+            core: InterferenceEnv.on_core(system.rt_partition.tasks_on(core))
+            for core in system.platform
         }
         assignments: list[SecurityAssignment] = []
 
@@ -60,10 +60,7 @@ class NonPreemptiveHydraAllocator(Allocator):
             for core in system.platform:
                 if task.wcet > budgets[core] + 1e-12:
                     continue  # would block some RT task past its deadline
-                env = InterferenceEnv.on_core(
-                    system.rt_partition.tasks_on(core), placed[core]
-                )
-                candidate = self._solve(task, env)
+                candidate = self._solve(task, envs[core])
                 if candidate is None:
                     continue
                 if best is None or candidate.tightness > best.tightness + 1e-12:
@@ -74,7 +71,9 @@ class NonPreemptiveHydraAllocator(Allocator):
                     schedulable=False,
                     failed_task=task.name,
                 )
-            placed[best_core].append((task, best.period))
+            envs[best_core] = envs[best_core].extended(
+                [Interferer.from_security(task, best.period)]
+            )
             assignments.append(
                 SecurityAssignment(task=task, core=best_core,
                                    period=best.period)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.interference import InterferenceEnv
+from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.analysis.schedulability import AdmissionTest
 from repro.core.allocator import Allocator
 from repro.errors import AllocationError
@@ -118,10 +118,9 @@ class SingleCoreAllocator(Allocator):
                 f"dedicated core {core} still hosts real-time tasks "
                 f"{[t.name for t in rt_on_core]!r}"
             )
-        placed: list[tuple[SecurityTask, float]] = []
+        env = InterferenceEnv()
         assignments: list[SecurityAssignment] = []
         for task in security_priority_order(system.security_tasks):
-            env = InterferenceEnv.on_core((), placed)
             solution = self._solve(task, env)
             if solution is None:
                 return Allocation(
@@ -129,7 +128,9 @@ class SingleCoreAllocator(Allocator):
                     schedulable=False,
                     failed_task=task.name,
                 )
-            placed.append((task, solution.period))
+            env = env.extended(
+                [Interferer.from_security(task, solution.period)]
+            )
             assignments.append(
                 SecurityAssignment(task=task, core=core, period=solution.period)
             )

@@ -17,13 +17,12 @@ of those choices so the ablation benches can attribute HYDRA's behaviour:
 
 from __future__ import annotations
 
-from repro.analysis.interference import InterferenceEnv
+from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.core.hydra import PERIOD_SOLVERS, HydraAllocator
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
-from repro.model.task import SecurityTask
 from repro.opt.joint import solve_assignment_lp
 from repro.opt.period import PeriodSolution
 
@@ -55,16 +54,15 @@ class _GreedyCoreAllocator(Allocator):
         raise NotImplementedError
 
     def allocate(self, system: SystemModel) -> Allocation:
-        placed: dict[int, list[tuple[SecurityTask, float]]] = {
-            core: [] for core in system.platform
+        envs = {
+            core: InterferenceEnv.on_core(system.rt_partition.tasks_on(core))
+            for core in system.platform
         }
         assignments: list[SecurityAssignment] = []
         for task in security_priority_order(system.security_tasks):
             candidates: list[tuple[int, PeriodSolution, InterferenceEnv]] = []
             for core in system.platform:
-                env = InterferenceEnv.on_core(
-                    system.rt_partition.tasks_on(core), placed[core]
-                )
+                env = envs[core]
                 solution = self._solve(task, env)
                 if solution is not None:
                     candidates.append((core, solution, env))
@@ -78,7 +76,9 @@ class _GreedyCoreAllocator(Allocator):
                     scheme=self.name, schedulable=False, failed_task=task.name
                 )
             core, solution = choice
-            placed[core].append((task, solution.period))
+            envs[core] = envs[core].extended(
+                [Interferer.from_security(task, solution.period)]
+            )
             assignments.append(
                 SecurityAssignment(task=task, core=core, period=solution.period)
             )

@@ -123,15 +123,16 @@ class Allocation:
     def cumulative_tightness(
         self, weights: Mapping[str, float] | None = None
     ) -> float:
-        """``Σ ω_s · η_s`` (unweighted when ``weights`` is ``None``)."""
+        """``Σ ω_s · η_s`` (unweighted when ``weights`` is ``None``),
+        added left to right from ``0.0`` on every Python version (the
+        builtin ``sum`` of floats is compensated from 3.12 on)."""
         if not self.schedulable:
             return 0.0
-        if weights is None:
-            return sum(a.tightness for a in self.assignments)
-        return sum(
-            weights.get(a.task.name, 1.0) * a.tightness
-            for a in self.assignments
-        )
+        total = 0.0
+        for a in self.assignments:
+            weight = 1.0 if weights is None else weights.get(a.task.name, 1.0)
+            total += weight * a.tightness
+        return total
 
     def mean_tightness(self) -> float:
         """Average tightness over the security tasks (0 if unschedulable)."""

@@ -5,24 +5,37 @@ must answer every probe exactly as ``rta_test`` on the rebuilt task
 list would:
 
 * ``_fixed_point`` is bit-identical to :func:`response_time`;
+* :func:`response_time_bound` is at least :func:`response_time`, and
+  the core skips the fixed point wherever that bound decides;
 * incremental streams and pre-seeded (even unschedulable) cores get
   the reference verdict on every probe;
 * on 16- to 40-task cores, deadlines placed exactly at a task's
   response time ``R``, one ulp below it and ``1e-10`` either side get
   the reference verdict too — and that verdict is the scalar one: a
-  deadline at or above ``R`` passes, one below ``R`` fails.
+  deadline at or above ``R`` passes, one below ``R`` fails.  The same
+  holds after light residents were admitted through the bound, whose
+  cached responses are then stale lower bounds;
+* fig2's smoke grid partitions identically through the core and
+  through the rebuild-and-test path.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.admission import ExactAdmissionCore, _fixed_point
+from repro.analysis import admission
+from repro.analysis.admission import (
+    ExactAdmissionCore,
+    _fixed_point,
+    response_time_bound,
+)
 from repro.analysis.rta import response_time
 from repro.analysis.schedulability import rta_test
+from repro.model.platform import Platform
 from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
@@ -72,6 +85,36 @@ def task_sets(
 #: past 16 residents before probes start failing.
 large_cores = task_sets(min_size=16, max_size=40, mean_total_utilization=0.9)
 
+#: 2 to 12 implicit-deadline tasks whose utilisations sum to about 0.3:
+#: the response-time bound admits each of them without a fixed point.
+light_cores = task_sets(
+    min_size=2,
+    max_size=12,
+    constrained_deadlines=False,
+    mean_total_utilization=0.3,
+)
+
+
+@st.composite
+def interferer_pairs(draw):
+    """0 to 6 higher-priority ``(C, T)`` pairs with ``Σ C/T < 1``, with
+    arbitrary or harmonic periods."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    total = draw(st.floats(min_value=0.0, max_value=0.98))
+    shares = [draw(st.floats(min_value=0.01, max_value=1.0)) for _ in range(n)]
+    harmonic = draw(st.booleans())
+    period = draw(st.floats(min_value=1.0, max_value=50.0))
+    pairs = []
+    for share in shares:
+        if harmonic:
+            period *= draw(st.sampled_from((1, 2, 3, 4)))
+        else:
+            period = draw(st.floats(min_value=1.0, max_value=1000.0))
+        utilization = total * share / sum(shares)
+        if utilization > 0.0:
+            pairs.append((period * utilization, period))
+    return pairs
+
 
 def _with_deadline(task: RealTimeTask, deadline: float) -> RealTimeTask:
     return RealTimeTask(
@@ -113,6 +156,41 @@ def test_fixed_point_bit_identical_to_response_time(tasks):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=interferer_pairs(), wcet=st.floats(min_value=0.01, max_value=100.0))
+def test_bound_is_at_least_the_response_time(pairs, wcet):
+    """The Bini–Nguyen–Richard–Baruah bound never undercuts the exact
+    response time; with no interferers it is the response itself."""
+    bound = response_time_bound(wcet, pairs)
+    assert response_time(wcet, pairs) <= bound
+    if not pairs:
+        assert bound == wcet
+
+
+def _no_fixed_point(*args, **kwargs):
+    raise AssertionError("the response-time bound should have decided")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    residents=task_sets(
+        max_size=12, constrained_deadlines=False, mean_total_utilization=0.25
+    ),
+    probes=task_sets(
+        max_size=3, constrained_deadlines=False, mean_total_utilization=0.025
+    ),
+)
+def test_light_core_probes_never_run_a_fixed_point(residents, probes):
+    """Implicit deadlines and total utilisation at most 0.5: the bound
+    decides every task, so seeding and probing the core give the
+    ``rta_test`` verdict with ``_fixed_point`` patched to raise."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "_fixed_point", _no_fixed_point)
+        state = ExactAdmissionCore(residents)
+        for probe in probes:
+            assert state.admits(probe) == rta_test([*residents, probe])
+
+
 @settings(max_examples=60, deadline=None)
 @given(stream=task_sets(max_size=14, constrained_deadlines=True))
 def test_admission_core_matches_rta_test_incrementally(stream):
@@ -141,14 +219,14 @@ def test_admission_core_matches_rta_test_preseeded(residents, probes):
         assert state.admits(probe) == rta_test([*residents, probe])
 
 
-@settings(max_examples=30, deadline=None)
-@given(stream=large_cores)
-def test_large_core_probes_at_the_deadline_boundary(stream):
-    """Streams of 16-40 tasks: each task is probed with its deadline at,
-    just below and just above its response time, then with its own
-    deadline, and the accepted tasks are committed."""
-    state = ExactAdmissionCore()
-    placed = []
+def _walk_boundaries(
+    state: ExactAdmissionCore,
+    placed: list[RealTimeTask],
+    stream: list[RealTimeTask],
+) -> None:
+    """Probe each task of ``stream`` with its deadline at, just below
+    and just above its response time, then with its own deadline, and
+    commit the accepted tasks to ``state`` (holding ``placed``)."""
     for task in stream:
         core = [*placed, task]
         response = _response(task, core)
@@ -163,14 +241,23 @@ def test_large_core_probes_at_the_deadline_boundary(stream):
         if verdict:
             state.add(task)
             placed.append(task)
+            _assert_cached_lower_bounds(state, placed)
 
 
-@settings(max_examples=25, deadline=None)
-@given(stream=large_cores, pick=st.integers(min_value=0))
-def test_large_core_resident_at_the_deadline_boundary(stream, pick):
-    """A pre-seeded resident whose deadline sits at, just below or just
-    above its response time once the probe joins: the warm-started
-    re-solve must land on the from-scratch response bit for bit."""
+def _assert_cached_lower_bounds(
+    state: ExactAdmissionCore, placed: list[RealTimeTask]
+) -> None:
+    """Every cached response of a feasible core is at most the task's
+    from-scratch response time."""
+    ordered = rate_monotonic_order(placed)
+    for cached, task in zip(state._responses, ordered):
+        assert cached <= _response(task, placed)
+
+
+def _check_resident_boundaries(stream: list[RealTimeTask], pick: int) -> None:
+    """Seed a core with all of ``stream`` but its last task, giving one
+    resident a deadline at, just below or just above its response time
+    once that last task joins, and probe with the last task."""
     *residents, probe = stream
     index = pick % len(residents)
     resident = residents[index]
@@ -189,6 +276,60 @@ def test_large_core_resident_at_the_deadline_boundary(stream, pick):
         assert verdict == (deadline >= response and lax)
 
 
+@settings(max_examples=30, deadline=None)
+@given(stream=large_cores)
+def test_large_core_probes_at_the_deadline_boundary(stream):
+    """Streams of 16-40 tasks on an empty core: every boundary probe
+    gets the reference verdict."""
+    _walk_boundaries(ExactAdmissionCore(), [], stream)
+
+
+@settings(max_examples=30, deadline=None)
+@given(light=light_cores, stream=large_cores)
+def test_boundary_probes_after_bound_admissions(light, stream):
+    """The same walk on a core whose light residents were admitted
+    through the bound, so their cached responses are stale lower
+    bounds that the boundary probes must warm-start from."""
+    state = ExactAdmissionCore(light)
+    _assert_cached_lower_bounds(state, light)
+    _walk_boundaries(state, list(light), stream)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream=large_cores, pick=st.integers(min_value=0))
+def test_large_core_resident_at_the_deadline_boundary(stream, pick):
+    """A pre-seeded resident whose deadline sits at, just below or just
+    above its response time once the probe joins: the warm-started
+    re-solve must give the reference verdict."""
+    _check_resident_boundaries(stream, pick)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    light=light_cores,
+    probe=task_sets(min_size=1, max_size=1),
+    pick=st.integers(min_value=0),
+)
+def test_resident_boundary_after_bound_admissions(light, probe, pick):
+    """A boundary resident seeded among light tasks caches a stale lower
+    bound from the bound; the probe that moves its response onto the
+    deadline re-solves from there to the reference verdict."""
+    _check_resident_boundaries([*light, *probe], pick)
+
+
+def test_bound_admissions_cache_stale_lower_bounds():
+    """A resident the bound keeps feasible keeps its earlier response
+    when a higher-priority task joins: 1 instead of the exact 2."""
+    low = RealTimeTask(name="low", wcet=1.0, period=100.0)
+    high = RealTimeTask(name="high", wcet=1.0, period=10.0)
+    state = ExactAdmissionCore([low, high])
+    assert state._responses == [1.0, 1.0]
+    assert _response(low, [low, high]) == 2.0
+    mid = RealTimeTask(name="mid", wcet=40.0, period=50.0)
+    assert rta_test([low, high, mid])
+    assert state.admits(mid)
+
+
 def test_tied_rm_keys_follow_the_reference_order():
     """A probe whose RM key ``(period, -wcet, name)`` ties a resident's
     queues behind it, where the stable sort in ``rate_monotonic_order``
@@ -200,3 +341,44 @@ def test_tied_rm_keys_follow_the_reference_order():
     assert ExactAdmissionCore([tight]).admits(loose)
     assert not rta_test([loose, tight])
     assert not ExactAdmissionCore([loose]).admits(tight)
+
+
+def test_fig2_smoke_grid_partitions_match_the_rebuild_path():
+    """Every task set of fig2's smoke grid, on all cores and on the
+    SingleCore scheme's ``M − 1``, partitions identically through the
+    incremental core (``admission="rta"``) and through an opaque
+    callable that rebuilds and tests the core on every probe."""
+    from repro.experiments.config import SCALES
+    from repro.experiments.fig2 import fig2_grid
+    from repro.experiments.scenario import point_workloads
+    from repro.partition.heuristics import try_partition_tasks
+
+    def mapping(tasks, platform, test):
+        partition = try_partition_tasks(
+            tasks, platform, heuristic="best-fit", admission=test,
+            ordering="utilization",
+        )
+        return None if partition is None else partition.as_mapping()
+
+    scale = SCALES["smoke"]
+    cores = [c for c in scale.core_counts if c >= 2]
+    outcomes = []
+    for spec in fig2_grid(cores).sweeps(scale):
+        platform = Platform(int(spec.params["cores"]))
+        reduced = Platform(platform.num_cores - 1)
+        for index, point in enumerate(spec.points):
+            for _, workload in point_workloads(
+                platform,
+                spec.params["combos"],
+                int(spec.params["tasksets_per_point"]),
+                float(point["utilization"]),
+                spec.rng_for(index),
+            ):
+                for target in (platform, reduced):
+                    fast = mapping(workload.rt_tasks, target, "rta")
+                    slow = mapping(
+                        workload.rt_tasks, target, lambda ts: rta_test(ts)
+                    )
+                    assert fast == slow
+                    outcomes.append(fast is not None)
+    assert any(outcomes) and not all(outcomes)

@@ -57,6 +57,16 @@ class TestInterferenceEnv:
         assert env.utilization == pytest.approx(0.2 + 0.1)
         assert len(env) == 2
 
+    def test_sums_add_left_to_right(self):
+        """K' and U of C = 0.1, 0.2, 0.3 (T = 1) add in order to
+        0.6000000000000001 on every Python version; a compensated sum
+        (the builtin ``sum`` of floats from 3.12 on) would return 0.6."""
+        env = InterferenceEnv(
+            [Interferer(wcet, 1.0) for wcet in (0.1, 0.2, 0.3)]
+        )
+        assert env.total_wcet == 0.6000000000000001
+        assert env.utilization == 0.6000000000000001
+
     def test_empty_env(self):
         env = InterferenceEnv()
         assert env.total_wcet == 0.0
@@ -87,6 +97,13 @@ class TestInterferenceEnv:
         bigger = env.extended([Interferer(1.0, 10.0)])
         assert bigger.total_wcet == pytest.approx(3.0)
         assert env.total_wcet == pytest.approx(2.0)
+
+    def test_extended_chain_sums_like_one_env(self):
+        env = InterferenceEnv()
+        for wcet in (0.1, 0.2, 0.3):
+            env = env.extended([Interferer(wcet, 1.0)])
+        assert env.total_wcet == 0.6000000000000001
+        assert env.utilization == 0.6000000000000001
 
 
 class TestLinearHelpers:

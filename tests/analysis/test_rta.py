@@ -49,6 +49,13 @@ class TestResponseTime:
     def test_saturated_interferers_return_inf(self):
         assert response_time(1.0, [(5.0, 10.0), (5.0, 10.0)]) == math.inf
 
+    def test_interference_adds_left_to_right(self):
+        """0.001 + (0.1 + 0.2 + 0.3) added in order is
+        0.6010000000000001 on every Python version; a compensated sum
+        (the builtin ``sum`` of floats from 3.12 on) would give 0.601."""
+        pairs = [(0.1, 100.0), (0.2, 100.0), (0.3, 100.0)]
+        assert response_time(0.001, pairs) == 0.6010000000000001
+
     def test_blocking_term_added_once(self):
         without = response_time(2.0, [(1.0, 10.0)])
         with_blocking = response_time(2.0, [(1.0, 10.0)], blocking=1.0)

@@ -77,6 +77,24 @@ class TestAllocation:
             {"a": 2.0, "b": 4.0}
         ) == pytest.approx(2.0 + 2.0)
 
+    def test_cumulative_tightness_adds_left_to_right(self):
+        """0.1 + 0.2 + 0.3 added in order is 0.6000000000000001 on every
+        Python version; a compensated sum (the builtin ``sum`` of floats
+        from 3.12 on) would return 0.6."""
+        assignments = tuple(
+            SecurityAssignment(
+                task=sec(name, tdes=tdes, tmax=1.0, wcet=0.01),
+                core=0,
+                period=1.0,
+            )
+            for name, tdes in (("a", 0.1), ("b", 0.2), ("c", 0.3))
+        )
+        allocation = Allocation(
+            scheme="test", schedulable=True, assignments=assignments
+        )
+        assert allocation.cumulative_tightness() == 0.6000000000000001
+        assert allocation.cumulative_tightness({}) == 0.6000000000000001
+
     def test_mean_tightness(self):
         assert self.make().mean_tightness() == pytest.approx(0.75)
 
