@@ -37,7 +37,7 @@ import math
 
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
-from repro.core.hydra import PERIOD_SOLVERS
+from repro.core.hydra import period_solver
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.system import SystemModel
 from repro.model.task import RealTimeTask
@@ -56,11 +56,7 @@ class AdaptiveAllocator(Allocator):
         solver: str = "closed-form",
         mode_factor: float | None = None,
     ) -> None:
-        if solver not in PERIOD_SOLVERS:
-            raise ValueError(
-                f"unknown period solver {solver!r}; expected one of "
-                f"{sorted(PERIOD_SOLVERS)}"
-            )
+        self._solve = period_solver(solver)
         if mode_factor is not None and mode_factor < 1.0:
             raise ValueError(
                 f"mode_factor must be ≥ 1 (WCET inflation), got {mode_factor}"
@@ -68,7 +64,6 @@ class AdaptiveAllocator(Allocator):
         self.inner = inner
         self.solver_name = solver
         self.mode_factor = mode_factor
-        self._solve = PERIOD_SOLVERS[solver]
         name = "adaptive"
         if mode_factor is not None:
             name = "adaptive[contego]"

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.hydra import PERIOD_SOLVERS
 from repro.core.variants import _GreedyCoreAllocator
 from repro.errors import ConfigError
 from repro.model.allocation import Allocation
@@ -67,11 +66,6 @@ class BinPackingAllocator(_GreedyCoreAllocator):
             raise ConfigError(
                 f"unknown bin-packing rule {rule!r}; expected one of "
                 f"{', '.join(BIN_PACKING_RULES)}"
-            )
-        if solver not in PERIOD_SOLVERS:
-            raise ConfigError(
-                f"unknown period solver {solver!r}; expected one of "
-                f"{', '.join(sorted(PERIOD_SOLVERS))}"
             )
         super().__init__(solver=solver)
         self.rule = rule

@@ -1,7 +1,7 @@
 """Registration of every built-in allocation strategy.
 
-Imported lazily by the registry (:func:`_ensure_builtin_allocators`),
-so ``import repro.allocators`` alone stays cheap.  Spec strings equal
+Imported by the registry on its first lookup, so ``import
+repro.allocators`` alone stays cheap.  Spec strings equal
 the produced allocators' ``name`` attributes — report labels survive
 the trip through a JSON sweep spec and resolve back to a strategy.
 

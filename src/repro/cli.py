@@ -77,7 +77,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.errors import CacheError, ConfigError, ValidationError
 from repro.experiments.config import get_scale
@@ -102,6 +102,70 @@ _META_COMMANDS = (
 )
 
 _FORMATS = ("text", "json", "csv")
+
+
+class _Listing(NamedTuple):
+    """One registry listing command: where its table lives, its words."""
+
+    registry: str  # module binding the command's Registry as REGISTRY
+    flag: str  # the run flag that takes one of its names
+    title: str  # heading of the listing table
+    help: str  # argparse help and description of the subcommand
+    description: str
+    name_help: str  # help of its optional NAME argument
+
+
+#: Listing command → its registry; one list/describe body
+#: (:func:`_run_listing`) serves them all.
+_LISTINGS = {
+    "allocators": _Listing(
+        registry="repro.allocators.registry",
+        flag="--allocator",
+        title=(
+            "Registered allocators (sweep with a TOML 'allocator' "
+            "axis or --allocator NAME)"
+        ),
+        help="list or describe the registered allocation strategies",
+        description=(
+            "Without NAME: one line per registered allocator (what a "
+            "TOML grid's 'allocator' axis and --allocator accept). "
+            "With NAME: the full description of one strategy."
+        ),
+        name_help="describe this allocator instead of listing all of them",
+    ),
+    "workloads": _Listing(
+        registry="repro.workloads.registry",
+        flag="--workload",
+        title=(
+            "Registered workload families (sweep with a TOML "
+            "'workload' axis or --workload NAME)"
+        ),
+        help="list or describe the registered workload families",
+        description=(
+            "Without NAME: one line per registered workload generator "
+            "(what a TOML grid's 'workload' axis and --workload "
+            "accept). With NAME: the full description of one family."
+        ),
+        name_help="describe this workload family instead of listing all",
+    ),
+    "executors": _Listing(
+        registry="repro.executors.registry",
+        flag="--executor",
+        title=(
+            "Registered execution backends (run sweeps with "
+            "--executor NAME; results are identical for every backend)"
+        ),
+        help="list or describe the registered execution backends",
+        description=(
+            "Without NAME: one line per registered execution backend "
+            "(what --executor and job submissions accept). With NAME: "
+            "the full description of one backend.  Backends are "
+            "payload-identical by contract: picking one never changes "
+            "a result byte."
+        ),
+        name_help="describe this execution backend instead of listing all",
+    ),
+}
 
 
 def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
@@ -244,79 +308,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    allocators = subparsers.add_parser(
-        "allocators",
-        help="list or describe the registered allocation strategies",
-        description=(
-            "Without NAME: one line per registered allocator (what a "
-            "TOML grid's 'allocator' axis and --allocator accept). "
-            "With NAME: the full description of one strategy."
-        ),
-    )
-    allocators.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        metavar="NAME",
-        help="describe this allocator instead of listing all of them",
-    )
-    allocators.add_argument(
-        "--format",
-        dest="output_format",
-        default="text",
-        choices=("text", "json"),
-        help="'text' for a table, 'json' for machine-readable specs",
-    )
-
-    workloads = subparsers.add_parser(
-        "workloads",
-        help="list or describe the registered workload families",
-        description=(
-            "Without NAME: one line per registered workload generator "
-            "(what a TOML grid's 'workload' axis and --workload "
-            "accept). With NAME: the full description of one family."
-        ),
-    )
-    workloads.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        metavar="NAME",
-        help="describe this workload family instead of listing all",
-    )
-    workloads.add_argument(
-        "--format",
-        dest="output_format",
-        default="text",
-        choices=("text", "json"),
-        help="'text' for a table, 'json' for machine-readable specs",
-    )
-
-    executors = subparsers.add_parser(
-        "executors",
-        help="list or describe the registered execution backends",
-        description=(
-            "Without NAME: one line per registered execution backend "
-            "(what --executor and job submissions accept). With NAME: "
-            "the full description of one backend.  Backends are "
-            "payload-identical by contract: picking one never changes "
-            "a result byte."
-        ),
-    )
-    executors.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        metavar="NAME",
-        help="describe this execution backend instead of listing all",
-    )
-    executors.add_argument(
-        "--format",
-        dest="output_format",
-        default="text",
-        choices=("text", "json"),
-        help="'text' for a table, 'json' for machine-readable specs",
-    )
+    for command, listing in _LISTINGS.items():
+        sub = subparsers.add_parser(
+            command, help=listing.help, description=listing.description
+        )
+        sub.add_argument(
+            "name",
+            nargs="?",
+            default=None,
+            metavar="NAME",
+            help=listing.name_help,
+        )
+        sub.add_argument(
+            "--format",
+            dest="output_format",
+            default="text",
+            choices=("text", "json"),
+            help="'text' for a table, 'json' for machine-readable specs",
+        )
 
     for experiment in iter_experiments():
         spec = experiment.spec()
@@ -593,20 +602,17 @@ def _run_list(args) -> int:
     return 0
 
 
-def _run_registry_listing(
-    args,
-    get_info,
-    iter_info,
-    command: str,
-    flag: str,
-    list_title: str,
-) -> int:
-    """Shared list/describe body of the ``allocators`` and
-    ``workloads`` meta commands (same UX, different registry)."""
+def _run_listing(args) -> int:
+    """The list/describe body of every registry listing command (same
+    UX, different registry — see :data:`_LISTINGS`)."""
+    from importlib import import_module
+
     from repro.experiments.reporting import format_table
 
+    listing = _LISTINGS[args.experiment]
+    registry = import_module(listing.registry).REGISTRY
     if args.name is not None:
-        info = get_info(args.name)  # typed error when unknown
+        info = registry.info(args.name)  # typed error when unknown
         if args.output_format == "json":
             print(json.dumps(info.to_dict(), indent=2))
             return 0
@@ -617,11 +623,11 @@ def _run_registry_listing(
             print(f"\n{info.description}")
         print(
             f"\nsweep it: repro-hydra sweep --config FILE "
-            f"{flag} {info.name}"
+            f"{listing.flag} {info.name}"
         )
         return 0
 
-    infos = list(iter_info())
+    infos = list(registry.entries())
     if args.output_format == "json":
         print(json.dumps([i.to_dict() for i in infos], indent=2))
         return 0
@@ -629,59 +635,11 @@ def _run_registry_listing(
         format_table(
             ["name", "title", "tags"],
             [(i.name, _one_line(i.title), ",".join(i.tags)) for i in infos],
-            title=list_title,
+            title=listing.title,
         )
     )
-    print(f"\ndescribe one: repro-hydra {command} NAME")
+    print(f"\ndescribe one: repro-hydra {args.experiment} NAME")
     return 0
-
-
-def _run_allocators(args) -> int:
-    from repro.allocators import get_allocator_info, iter_allocator_info
-
-    return _run_registry_listing(
-        args,
-        get_allocator_info,
-        iter_allocator_info,
-        command="allocators",
-        flag="--allocator",
-        list_title=(
-            "Registered allocators (sweep with a TOML 'allocator' "
-            "axis or --allocator NAME)"
-        ),
-    )
-
-
-def _run_workloads(args) -> int:
-    from repro.workloads import get_workload_info, iter_workload_info
-
-    return _run_registry_listing(
-        args,
-        get_workload_info,
-        iter_workload_info,
-        command="workloads",
-        flag="--workload",
-        list_title=(
-            "Registered workload families (sweep with a TOML "
-            "'workload' axis or --workload NAME)"
-        ),
-    )
-
-
-def _run_executors(args) -> int:
-    from repro.executors import get_executor_info, iter_executor_info
-
-    return _run_registry_listing(
-        args,
-        get_executor_info,
-        iter_executor_info,
-        command="executors",
-        flag="--executor",
-        list_title=(
-            "Registered execution backends (run sweeps with "
-            "--executor NAME; results are identical for every backend)"
-        ),
-    )
 
 
 def _run_cache(args) -> int:
@@ -820,19 +778,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.experiment == "list":
         return _run_list(args)
-    if args.experiment == "allocators":
+    if args.experiment in _LISTINGS:
         try:
-            return _run_allocators(args)
-        except ConfigError as exc:
-            _typed_error(exc)
-    if args.experiment == "workloads":
-        try:
-            return _run_workloads(args)
-        except ConfigError as exc:
-            _typed_error(exc)
-    if args.experiment == "executors":
-        try:
-            return _run_executors(args)
+            return _run_listing(args)
         except ConfigError as exc:
             _typed_error(exc)
     if args.experiment == "cache":

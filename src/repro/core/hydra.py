@@ -31,6 +31,7 @@ from typing import Callable
 
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
+from repro.errors import ConfigError
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
@@ -38,16 +39,30 @@ from repro.model.task import SecurityTask
 from repro.opt.period import PeriodSolution, adapt_period, adapt_period_exact
 from repro.opt.period_gp import adapt_period_gp
 
-__all__ = ["HydraAllocator", "PERIOD_SOLVERS"]
+__all__ = ["HydraAllocator", "PERIOD_SOLVERS", "period_solver"]
+
+PeriodSolver = Callable[[SecurityTask, InterferenceEnv], PeriodSolution | None]
 
 #: Available inner period solvers, name → callable.
-PERIOD_SOLVERS: dict[
-    str, Callable[[SecurityTask, InterferenceEnv], PeriodSolution | None]
-] = {
+PERIOD_SOLVERS: dict[str, PeriodSolver] = {
     "closed-form": adapt_period,
     "gp": adapt_period_gp,
     "exact-rta": adapt_period_exact,
 }
+
+
+def period_solver(name: str) -> PeriodSolver:
+    """The :data:`PERIOD_SOLVERS` entry ``name``.
+
+    Raises :class:`~repro.errors.ConfigError` listing the known solvers.
+    """
+    try:
+        return PERIOD_SOLVERS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown period solver {name!r}; expected one of "
+            f"{sorted(PERIOD_SOLVERS)}"
+        ) from None
 
 
 class HydraAllocator(Allocator):
@@ -56,13 +71,8 @@ class HydraAllocator(Allocator):
     name = "hydra"
 
     def __init__(self, solver: str = "closed-form") -> None:
-        if solver not in PERIOD_SOLVERS:
-            raise ValueError(
-                f"unknown period solver {solver!r}; expected one of "
-                f"{sorted(PERIOD_SOLVERS)}"
-            )
+        self._solve = period_solver(solver)
         self.solver_name = solver
-        self._solve = PERIOD_SOLVERS[solver]
         if solver != "closed-form":
             self.name = f"hydra[{solver}]"
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.analysis.blocking import max_tolerable_blocking
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
-from repro.core.hydra import PERIOD_SOLVERS
+from repro.core.hydra import period_solver
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
@@ -38,10 +38,8 @@ class NonPreemptiveHydraAllocator(Allocator):
     name = "hydra[np]"
 
     def __init__(self, solver: str = "closed-form") -> None:
-        if solver not in PERIOD_SOLVERS:
-            raise ValueError(f"unknown period solver {solver!r}")
+        self._solve = period_solver(solver)
         self.solver_name = solver
-        self._solve = PERIOD_SOLVERS[solver]
 
     def allocate(self, system: SystemModel) -> Allocation:
         budgets = {

@@ -10,6 +10,7 @@ the cumulative weighted tightness exactly (DESIGN §2.2).
 from __future__ import annotations
 
 from repro.core.allocator import Allocator
+from repro.errors import ConfigError
 from repro.model.allocation import Allocation, as_allocation
 from repro.model.system import SystemModel
 from repro.opt.branch_bound import branch_bound_optimal
@@ -37,9 +38,9 @@ class OptimalAllocator(Allocator):
         self, search: str = "exhaustive", backend: str = "simplex"
     ) -> None:
         if search not in ("exhaustive", "branch-bound"):
-            raise ValueError(
-                f"unknown search {search!r}; expected 'exhaustive' or "
-                f"'branch-bound'"
+            raise ConfigError(
+                f"unknown search {search!r}; expected one of "
+                f"['branch-bound', 'exhaustive']"
             )
         self.search = search
         self.backend = backend

@@ -22,7 +22,7 @@ from typing import Iterable
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.analysis.schedulability import AdmissionTest
 from repro.core.allocator import Allocator
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ConfigError
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.platform import Platform
 from repro.model.priority import security_priority_order
@@ -91,7 +91,10 @@ class SingleCoreAllocator(Allocator):
         self, dedicated_core: int | None = None, solver: str = "closed-form"
     ) -> None:
         if solver not in ("closed-form", "exact-rta"):
-            raise ValueError(f"unknown period solver {solver!r}")
+            raise ConfigError(
+                f"unknown period solver {solver!r}; expected one of "
+                f"['closed-form', 'exact-rta']"
+            )
         self.dedicated_core = dedicated_core
         self.solver_name = solver
         self._solve = (

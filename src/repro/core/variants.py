@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
-from repro.core.hydra import PERIOD_SOLVERS, HydraAllocator
+from repro.core.hydra import HydraAllocator, period_solver
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
@@ -39,10 +39,8 @@ class _GreedyCoreAllocator(Allocator):
     name = "greedy-base"
 
     def __init__(self, solver: str = "closed-form") -> None:
-        if solver not in PERIOD_SOLVERS:
-            raise ValueError(f"unknown period solver {solver!r}")
+        self._solve = period_solver(solver)
         self.solver_name = solver
-        self._solve = PERIOD_SOLVERS[solver]
 
     def _choose(
         self,

@@ -24,9 +24,11 @@ class ConfigError(ReproError, ValueError):
     """A by-name lookup or configuration value did not resolve.
 
     Raised when a user-supplied name (heuristic, ordering, admission
-    test, allocator, experiment …) matches nothing registered; the
-    message always lists the known names.  Also a :class:`ValueError`
-    so generic input-validation handlers keep working.
+    test, allocator, workload, executor, period solver, search …)
+    matches nothing registered; the message always lists the known
+    names.  Also a :class:`ValueError` so generic input-validation
+    handlers keep working.  (An unknown experiment is a
+    :class:`ValidationError`.)
     """
 
 

@@ -1,9 +1,12 @@
-"""The in-process execution backends: ``serial`` and ``pool``.
+"""The built-in execution backends, registered in listing order:
+``serial``, ``pool``, ``subprocess-workers``.
 
 ``serial`` computes points on the calling thread — the golden
 reference every other backend is pinned against.  ``pool`` fans points
 over the process-wide :class:`~repro.experiments.pool.WorkerPool` (or
 an injected one); a ``workers > 1`` engine with no executor uses it.
+``subprocess-workers`` is :class:`~repro.executors.subproc.
+SubprocessExecutor`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.executors.api import Executor
 from repro.executors.registry import register_executor
+from repro.executors.subproc import SubprocessExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
@@ -114,3 +118,22 @@ def _make_serial(workers: int | None = None) -> SerialExecutor:
 )
 def _make_pool(workers: int | None = None) -> PoolExecutor:
     return PoolExecutor(workers=workers)
+
+
+@register_executor(
+    "subprocess-workers",
+    title="Long-lived worker subprocesses over an NDJSON task protocol",
+    description=(
+        "Spawns N worker subprocesses once and streams (spec, index) "
+        "tasks to them as newline-delimited JSON on stdin/stdout — no "
+        "pickling, no shared memory, the same wire shape a multi-host "
+        "backend needs.  Workers heartbeat (also while computing), "
+        "dead or hung workers are respawned, and their in-flight "
+        "points are retried with bounded exponential backoff; "
+        "determinism makes the retry safe, so fault-injected runs are "
+        "byte-identical to serial ones."
+    ),
+    tags=("local", "distributed", "fault-tolerant"),
+)
+def _make_subprocess(workers: int | None = None) -> SubprocessExecutor:
+    return SubprocessExecutor(workers=workers)

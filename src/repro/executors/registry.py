@@ -1,8 +1,6 @@
-"""The executor registry: one decorator turns a backend into a plugin.
+"""The executor registry: execution backends as named plugins.
 
-Mirrors :mod:`repro.allocators.registry` and
-:mod:`repro.workloads.registry`: backends self-register with
-:func:`register_executor` ::
+Backends self-register with :func:`register_executor` ::
 
     @register_executor(
         "my-backend",
@@ -12,11 +10,9 @@ Mirrors :mod:`repro.allocators.registry` and
     def make_my_backend(workers=None):
         return MyExecutor(workers)
 
-and every consumer — ``SweepEngine(executor=...)``, the CLI's
-``--executor`` flag, ``POST /jobs`` submissions carrying an
-``executor`` key, ``python -m repro executors`` — resolves backends
-through this table.  Factories take the requested worker count
-(``None`` means "backend default") and return a ready
+The table is a :class:`repro.registry.Registry` whose built-ins live in
+:mod:`repro.executors.builtin`.  Factories take the requested worker
+count (``None`` means "backend default") and return a ready
 :class:`~repro.executors.api.Executor`.
 
 Choosing an executor can never change a result byte — backends are
@@ -26,11 +22,9 @@ not participate in cache keys or job ids, exactly like worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
-
 from repro.errors import ConfigError
 from repro.executors.api import Executor
+from repro.registry import PluginInfo, Registry
 
 __all__ = [
     "ExecutorInfo",
@@ -48,121 +42,15 @@ class UnknownExecutorError(ConfigError):
     """Raised when a spec resolves to no registered executor."""
 
 
-#: ``factory(workers) -> Executor`` — ``workers=None`` means default.
-ExecutorFactory = Callable[..., Executor]
+#: Registry metadata of one backend; ``factory(workers=None)`` builds it.
+ExecutorInfo = PluginInfo
 
-
-@dataclass(frozen=True)
-class ExecutorInfo:
-    """Registry metadata of one execution backend.
-
-    Attributes
-    ----------
-    name:
-        Registry spec — what ``--executor`` and job submissions accept.
-    title:
-        One-line human title (``python -m repro executors`` shows it).
-    description:
-        How the backend runs points and what knobs it honours.
-    tags:
-        Free-form labels (``"local"``, ``"distributed"`` …).
-    factory:
-        ``factory(workers=None)`` producing a ready :class:`Executor`.
-    """
-
-    name: str
-    title: str
-    description: str = ""
-    tags: tuple[str, ...] = ()
-    factory: ExecutorFactory = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "title": self.title,
-            "description": self.description,
-            "tags": list(self.tags),
-        }
-
-
-#: spec → registered backend metadata (registration order preserved).
-_REGISTRY: dict[str, ExecutorInfo] = {}
-
-
-_builtins_loaded = False
-
-
-def _ensure_builtin_executors() -> None:
-    # The flag flips *before* the imports: the built-ins call
-    # register_executor during their own import, which lands back here.
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    from importlib import import_module
-
-    import_module("repro.executors.builtin")
-    import_module("repro.executors.subproc")
-
-
-def register_executor(
-    name: str,
-    *,
-    title: str = "",
-    description: str = "",
-    tags: tuple[str, ...] = (),
-    replace: bool = False,
-) -> Callable[[ExecutorFactory], ExecutorFactory]:
-    """Factory decorator registering a backend under ``name``.
-
-    Registering a taken spec raises unless ``replace=True`` (plugins
-    overriding a built-in must say so explicitly).
-    """
-
-    def decorate(factory: ExecutorFactory) -> ExecutorFactory:
-        # No built-in preload here: the built-ins register through this
-        # very decorator during _ensure_builtin_executors().  A plugin
-        # claiming a built-in name early still collides — the built-in
-        # import raises at the first registry lookup.
-        if not name:
-            raise ConfigError("executor needs a non-empty registry name")
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"executor {name!r} already registered; pass "
-                f"replace=True to override"
-            )
-        _REGISTRY[name] = ExecutorInfo(
-            name=name,
-            title=title or getattr(factory, "__doc__", "") or name,
-            description=description,
-            tags=tuple(tags),
-            factory=factory,
-        )
-        return factory
-
-    return decorate
-
-
-def unregister_executor(name: str) -> None:
-    """Remove ``name`` from the registry (test/plugin hygiene helper)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_executor_info(spec: str) -> ExecutorInfo:
-    """The registry entry for ``spec``.
-
-    Raises :class:`UnknownExecutorError` naming every known spec — the
-    CLI and the job service turn this into a helpful hint.
-    """
-    _ensure_builtin_executors()
-    try:
-        return _REGISTRY[spec]
-    except KeyError:
-        raise UnknownExecutorError(
-            f"unknown executor {spec!r}; known executors: "
-            f"{', '.join(sorted(_REGISTRY))} "
-            f"(see 'python -m repro executors')"
-        ) from None
+REGISTRY = Registry("executor", "repro.executors.builtin", UnknownExecutorError)
+register_executor = REGISTRY.register
+unregister_executor = REGISTRY.unregister
+get_executor_info = REGISTRY.info
+executor_names = REGISTRY.names
+iter_executor_info = REGISTRY.entries
 
 
 def get_executor(spec: str, workers: int | None = None) -> Executor:
@@ -178,15 +66,3 @@ def get_executor(spec: str, workers: int | None = None) -> Executor:
             f"{type(executor).__name__}, not an Executor"
         )
     return executor
-
-
-def executor_names() -> list[str]:
-    """Every registered spec, in registration order."""
-    _ensure_builtin_executors()
-    return list(_REGISTRY)
-
-
-def iter_executor_info() -> Iterator[ExecutorInfo]:
-    """Registry entries of every backend, in registration order."""
-    _ensure_builtin_executors()
-    yield from _REGISTRY.values()

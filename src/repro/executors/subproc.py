@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import ExecutorError, ExecutorTaskError, ValidationError
 from repro.executors.api import Executor
-from repro.executors.registry import register_executor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
@@ -517,22 +516,3 @@ class SubprocessExecutor(Executor):
                     pending,
                     kind,
                 )
-
-
-@register_executor(
-    "subprocess-workers",
-    title="Long-lived worker subprocesses over an NDJSON task protocol",
-    description=(
-        "Spawns N worker subprocesses once and streams (spec, index) "
-        "tasks to them as newline-delimited JSON on stdin/stdout — no "
-        "pickling, no shared memory, the same wire shape a multi-host "
-        "backend needs.  Workers heartbeat (also while computing), "
-        "dead or hung workers are respawned, and their in-flight "
-        "points are retried with bounded exponential backoff; "
-        "determinism makes the retry safe, so fault-injected runs are "
-        "byte-identical to serial ones."
-    ),
-    tags=("local", "distributed", "fault-tolerant"),
-)
-def _make_subprocess(workers: int | None = None) -> SubprocessExecutor:
-    return SubprocessExecutor(workers=workers)

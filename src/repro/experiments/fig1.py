@@ -93,18 +93,16 @@ PAPER_SPEEDUPS = {2: "19.81%", 4: "27.23%", 8: "29.75%"}
 
 def build_uav_systems(
     cores: int,
-    rt_scale: float = 1.0,
-    security_scale: float = 1.0,
 ) -> tuple[SystemModel, Allocation, SystemModel, Allocation]:
     """Build + allocate the case-study systems for one core count.
 
     Returns ``(hydra_system, hydra_alloc, single_system, single_alloc)``;
     raises :class:`AllocationError` if either scheme cannot host the
-    case study (does not happen at the default parameters).
+    case study (does not happen at the paper's core counts).
     """
     platform = Platform(cores)
-    rt_tasks = uav_rt_tasks(scale=rt_scale)
-    security = table1_security_tasks(wcet_scale=security_scale)
+    rt_tasks = uav_rt_tasks()
+    security = table1_security_tasks()
 
     partition = try_partition_tasks(rt_tasks, platform, heuristic="best-fit")
     if partition is None:

@@ -64,16 +64,13 @@ class Fig3Result:
 
 
 def fig3_sweep_spec(
-    scale: ExperimentScale,
-    search: str = "branch-bound",
-    config: SyntheticConfig | None = None,
+    scale: ExperimentScale, search: str = "branch-bound"
 ) -> "SweepSpec":
     """The Fig. 3 HYDRA-vs-OPT comparison as a sweep."""
     from repro.experiments.parallel import SweepSpec, synthetic_config_to_dict
 
     platform = Platform(_FIG3_CORES)
-    if config is None:
-        config = SyntheticConfig(security_task_count=_FIG3_SECURITY_COUNT)
+    config = SyntheticConfig(security_task_count=_FIG3_SECURITY_COUNT)
     utils = utilization_sweep(
         platform,
         step_fraction=scale.utilization_step,
@@ -112,26 +109,24 @@ class Fig3Experiment(Experiment):
         "hydra_failures",
     )
 
-    def __init__(
-        self,
-        search: str = "branch-bound",
-        config: SyntheticConfig | None = None,
-    ) -> None:
+    def __init__(self, search: str = "branch-bound") -> None:
         self.search = search
-        self.config = config
 
     def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
-        return [fig3_sweep_spec(scale, search=self.search, config=self.config)]
+        return [fig3_sweep_spec(scale, search=self.search)]
 
     def aggregate_domain(self, raw: RawRun) -> Fig3Result:
         (result,) = raw.sweeps
         points: list[Fig3Point] = []
         for point, payload in zip(result.spec.points, result.payloads):
             gaps = [float(g) for g in payload["gaps"]]
+            total = 0.0  # left to right: builtin sum compensates from 3.12
+            for gap in gaps:
+                total += gap
             points.append(
                 Fig3Point(
                     utilization=float(point["utilization"]),
-                    mean_gap=sum(gaps) / len(gaps) if gaps else 0.0,
+                    mean_gap=total / len(gaps) if gaps else 0.0,
                     max_gap=max(gaps, default=0.0),
                     compared=len(gaps),
                     hydra_failures=int(payload["hydra_failures"]),

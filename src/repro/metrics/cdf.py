@@ -62,17 +62,25 @@ class EmpiricalCDF:
             return math.inf
         return self._finite[rank - 1]
 
+    def _finite_total(self) -> float:
+        # Left to right from 0.0: the builtin ``sum`` of floats is
+        # compensated from Python 3.12 on.
+        total = 0.0
+        for value in self._finite:
+            total += value
+        return total
+
     def mean(self) -> float:
         """Mean of the observations (``inf`` when any is undetected)."""
         if self.undetected:
             return math.inf
-        return sum(self._finite) / self._total
+        return self._finite_total() / self._total
 
     def mean_detected(self) -> float:
         """Mean over the *detected* observations only."""
         if not self._finite:
             return math.inf
-        return sum(self._finite) / len(self._finite)
+        return self._finite_total() / len(self._finite)
 
     def support(self) -> tuple[float, float]:
         """(min, max) of the finite observations."""

@@ -13,7 +13,12 @@ from typing import Iterable, Mapping
 
 from repro.errors import ValidationError
 from repro.model.platform import Platform
-from repro.model.task import RealTimeTask, SecurityTask, TaskSet
+from repro.model.task import (
+    RealTimeTask,
+    SecurityTask,
+    TaskSet,
+    total_utilization,
+)
 
 __all__ = ["Partition", "SystemModel"]
 
@@ -82,8 +87,9 @@ class Partition:
         return self._on_core[core]
 
     def utilization_of(self, core: int) -> float:
-        """Total real-time utilisation on ``core``."""
-        return sum(task.utilization for task in self.tasks_on(core))
+        """Total real-time utilisation on ``core``, added left to right
+        (:func:`~repro.model.task.total_utilization`)."""
+        return total_utilization(self.tasks_on(core))
 
     def utilizations(self) -> list[float]:
         """Per-core real-time utilisation, indexed by core."""
@@ -178,9 +184,9 @@ class SystemModel:
     @property
     def total_rt_utilization(self) -> float:
         """System-wide real-time utilisation."""
-        return sum(task.utilization for task in self.rt_tasks)
+        return self.rt_tasks.utilization
 
     @property
     def total_security_utilization_des(self) -> float:
         """System-wide security utilisation at the desired periods."""
-        return sum(task.utilization_des for task in self.security_tasks)
+        return self.security_tasks.utilization

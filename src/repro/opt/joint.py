@@ -24,13 +24,13 @@ HYDRA's inner loop and the SingleCore baseline use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.analysis.interference import InterferenceEnv
 from repro.errors import ValidationError
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
-from repro.model.task import SecurityTask
+from repro.model.task import RealTimeTask, SecurityTask
 from repro.opt.lp import solve_lp
 from repro.opt.period import adapt_period, adapt_period_exact
 
@@ -85,6 +85,16 @@ def _core_groups(
     return groups
 
 
+def _total_wcet(tasks: Iterable[RealTimeTask]) -> float:
+    """``Σ C`` over ``tasks``, added left to right from ``0.0`` on every
+    Python version (the builtin ``sum`` of floats is compensated from
+    3.12 on)."""
+    total = 0.0
+    for task in tasks:
+        total += task.wcet
+    return total
+
+
 def assignment_feasible(
     system: SystemModel, assignment: Mapping[str, int]
 ) -> bool:
@@ -101,7 +111,7 @@ def assignment_feasible(
             return False
         hp_wcet = 0.0  # Σ C_h over higher-priority tasks on this core
         hp_rate_load = 0.0  # Σ C_h / T_max_h
-        rt_wcet = sum(t.wcet for t in system.rt_partition.tasks_on(core))
+        rt_wcet = _total_wcet(system.rt_partition.tasks_on(core))
         for task in group:
             k = task.wcet + rt_wcet + hp_wcet
             lhs = k / task.period_max + hp_rate_load
@@ -137,22 +147,22 @@ def solve_assignment_lp(
     a_ub: list[list[float]] = []
     b_ub: list[float] = []
     for core, group in _core_groups(ordered, assignment).items():
-        rt_tasks = system.rt_partition.tasks_on(core)
-        rt_util = sum(t.wcet / t.period for t in rt_tasks)
-        rt_wcet = sum(t.wcet for t in rt_tasks)
-        budget = 1.0 - rt_util
+        budget = 1.0 - system.rt_partition.utilization_of(core)
+        rt_wcet = _total_wcet(system.rt_partition.tasks_on(core))
         if budget <= 0.0 and group:
             return None
         hp_on_core: list[SecurityTask] = []
+        hp_wcet = 0.0  # Σ C_h over hp_on_core
         for task in group:
             row = [0.0] * n
-            k = task.wcet + rt_wcet + sum(h.wcet for h in hp_on_core)
+            k = task.wcet + rt_wcet + hp_wcet
             row[index[task.name]] = k
             for h in hp_on_core:
                 row[index[h.name]] = h.wcet
             a_ub.append(row)
             b_ub.append(budget)
             hp_on_core.append(task)
+            hp_wcet += task.wcet
 
     bounds = [
         (1.0 / task.period_max, 1.0 / task.period_des) for task in ordered

@@ -1,7 +1,7 @@
 """Registration of every built-in workload family.
 
-Imported lazily by the registry (:func:`_ensure_builtin_workloads`),
-so ``import repro.workloads`` alone stays cheap.  Spec strings equal
+Imported by the registry on its first lookup, so ``import
+repro.workloads`` alone stays cheap.  Spec strings equal
 the produced generators' ``name`` attributes — sweep-cell label
 prefixes survive the trip through a JSON sweep spec and resolve back
 to the family that generated the task sets.
