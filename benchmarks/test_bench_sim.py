@@ -1,19 +1,25 @@
 """Bench: simulating a schedule and scoring detections over it.
 
 A detection-latency sweep simulates every allocated system, then scores
-every sampled attack against the schedule.  Two benchmarks measure the
-simulation of the 2-core UAV system over 60 s:
+every sampled attack against the schedule.  Three benchmarks measure
+the simulation of the 2-core UAV system over 60 s:
 
+* ``test_simulate_security_band`` — the security band
+  (:func:`repro.sim.band.simulate_security`), which detection points
+  take: only the monitors, in the idle time the real-time band leaves;
 * ``test_simulate_kernel`` — ``Simulator.run()``, which takes the
-  per-core kernel for this input;
+  per-core kernel for this input, and the in-run yardstick for the
+  band's ``check_bench.py`` speedup floor;
 * ``test_simulate_reference`` — the reference event loop
   (``Simulator.run_reference()``), the in-run yardstick for the
   kernel's ``check_bench.py`` speedup floor.
 
 The kernel is asserted bit-identical to the reference run on each
-core's tasks alone.  The per-attack query is the other hot path.  Two
-more benchmarks measure it on the same workload — one long UAV-style
-simulation, a few hundred attacks — through the two implementations:
+core's tasks alone, and the band bit-identical to the kernel's
+security jobs.  The per-attack query is the
+other hot path.  Two more benchmarks measure it on the same workload —
+one long UAV-style simulation of the monitors, a few hundred attacks —
+through the two implementations:
 
 * ``test_detection_scoring`` — the indexed path (one
   :class:`~repro.sim.detection.DetectionIndex` build, then a bisect
@@ -33,6 +39,7 @@ import pytest
 
 from repro.experiments.fig1 import build_uav_systems
 from repro.sim.attacks import sample_attacks, surfaces_of
+from repro.sim.band import simulate_security
 from repro.sim.detection import (
     DETECTION_POLICIES,
     build_surface_map,
@@ -63,6 +70,25 @@ def test_simulate_reference(benchmark, uav_sim_tasks):
     assert result.jobs and not result.misses
 
 
+def test_simulate_security_band(benchmark, uav_sim_tasks):
+    """The security band: only the monitors, in the idle time the
+    real-time band leaves."""
+    result = benchmark(
+        lambda: simulate_security(uav_sim_tasks, 2, _DURATION)
+    )
+    kernel = Simulator(uav_sim_tasks, num_cores=2, duration=_DURATION).run()
+    security = [task.name for task in uav_sim_tasks if task.kind == "security"]
+    assert len(result.jobs) == sum(
+        1 for job in kernel.jobs if job.task in security
+    )
+    for name in security:
+        ours, theirs = result.track(name), kernel.track(name)
+        assert list(ours.release) == list(theirs.release)
+        assert list(ours.start) == list(theirs.start)
+        assert list(ours.completion) == list(theirs.completion)
+    assert not result.misses
+
+
 def test_simulate_kernel(benchmark, uav_sim_tasks):
     """``Simulator.run()``: the per-core kernel."""
     result = benchmark(
@@ -83,14 +109,15 @@ def test_simulate_kernel(benchmark, uav_sim_tasks):
 
 @pytest.fixture(scope="module")
 def detection_workload():
-    """One long simulated UAV schedule plus a fixed attack sample."""
+    """One long simulated UAV schedule of the monitors, as detection
+    points simulate it, plus a fixed attack sample."""
     system, allocation, _, _ = build_uav_systems(2)
     result = simulate_allocation(
         system,
         allocation,
         duration=_DURATION,
         rng=np.random.default_rng(0),
-        prune_idle_cores=True,
+        security_only=True,
     )
     attacks = sample_attacks(
         _ATTACKS,

@@ -176,14 +176,11 @@ def run_detection_point(
             for cell in group_cells:
                 cell["allocated"] += 1
             # Strictly periodic schedule: the simulation draws nothing
-            # from the stream (fixed rng keeps that explicit), so policy
-            # variants can share it.
+            # from the stream, so policy variants can share it.  Scoring
+            # reads monitors only, so only the security tasks run, in
+            # the idle time of the real-time band.
             result = simulate_allocation(
-                system,
-                allocation,
-                duration=sim_duration,
-                rng=np.random.default_rng(0),
-                prune_idle_cores=True,
+                system, allocation, duration=sim_duration, security_only=True
             )
             indexes: dict[str, DetectionIndex] = {}
             for cell_combo, cell in zip(group, group_cells):

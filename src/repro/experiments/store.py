@@ -76,7 +76,11 @@ __all__ = [
 #: 4: every point draws its task sets one ``generate`` call at a time,
 #: so workload-axis and synthetic detection points moved; a store
 #: written before never serves a task set of the retired batch route.
-CACHE_FORMAT = 4
+#: 5: detection points simulate the security tasks alone, in the idle
+#: time of the real-time band.  That path gives the kernel's detection
+#: times bit for bit on every input tested, not by proof, so a store
+#: written before never serves a point the whole-core kernel simulated.
+CACHE_FORMAT = 5
 
 #: On-disk layout version of this module, stamped into ``store.json``.
 STORE_FORMAT = 2

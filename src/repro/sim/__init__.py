@@ -7,6 +7,17 @@
   reference event loop, ``Simulator.run_reference``.  The kernel is
   pinned bit for bit to the reference run on each core's tasks alone,
   and keeps finished jobs as per-task columns (``SimResult.track``).
+* :mod:`repro.sim.band` — the security tasks alone, in the idle time
+  the real-time band leaves on each core (the paper puts every security
+  task below every real-time task).  Detection points take it
+  (``simulate_allocation(..., security_only=True)``): it computes each
+  core's real-time busy periods once, with numpy, and steps through
+  security jobs only, on a clock that jumps over the busy periods; a
+  busy period whose end a sum of WCETs would not round as the kernel
+  does is replayed with the kernel's loop.  Its oracles are the kernel
+  (the same security jobs and misses, times bit for bit) and exact RTA
+  (each monitor's first job ends at its critical-instant response
+  time).
 * :mod:`repro.sim.runner` — system+allocation → simulation bridge.
 * :mod:`repro.sim.attacks` / :mod:`repro.sim.detection` — attack
   injection and detection-time measurement.

@@ -71,6 +71,19 @@ def _positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
+def _per_core(task: "SimTask") -> bool:
+    """The paper's model, which runs per core: bound to a core,
+    preemptible, strictly periodic, at its full WCET, without
+    predecessors."""
+    return (
+        task.core is not None
+        and task.preemptible
+        and task.release_jitter == 0.0
+        and task.execution_factor == 1.0
+        and not task.predecessors
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SimTask:
     """A task as seen by the simulator.
@@ -332,14 +345,7 @@ class Simulator:
         is bound, preemptible, strictly periodic, runs its full WCET and
         has no predecessors (and slices are off), else on
         :meth:`run_reference`."""
-        if not self.collect_slices and all(
-            task.core is not None
-            and task.preemptible
-            and task.release_jitter == 0.0
-            and task.execution_factor == 1.0
-            and not task.predecessors
-            for task in self.tasks
-        ):
+        if not self.collect_slices and all(map(_per_core, self.tasks)):
             return self._run_kernel()
         return self.run_reference()
 

@@ -12,6 +12,16 @@ Both entry points also accept the typed
 allocator API (:func:`repro.allocators.run_allocator`) returns, so
 detection-time simulation runs over *any* registered strategy without
 unwrapping by hand.
+
+:func:`simulate_allocation` runs the whole system through
+:class:`~repro.sim.engine.Simulator` by default.  With
+``security_only=True`` — what detection points use, since scoring reads
+monitors only — it runs the security band instead
+(:mod:`repro.sim.band`): each core's real-time busy periods are
+computed once, and only the security jobs are stepped through, in the
+idle time those periods leave.  That path is pinned to the per-core
+kernel (same security jobs and misses, times bit for bit) and to exact
+RTA at the critical instant.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from repro.errors import ValidationError
 from repro.model.allocation import Allocation, AllocationResult
 from repro.model.priority import rate_monotonic_order, security_priority_order
 from repro.model.system import SystemModel
+from repro.sim.band import simulate_security
 from repro.sim.engine import SimResult, SimTask, Simulator
 
 __all__ = ["build_sim_tasks", "simulate_allocation"]
@@ -136,15 +147,21 @@ def simulate_allocation(
     release_jitter: float = 0.0,
     execution_factor: float = 1.0,
     collect_slices: bool = False,
-    prune_idle_cores: bool = False,
+    security_only: bool = False,
 ) -> SimResult:
     """Simulate an allocated system for ``duration`` time units.
 
-    ``prune_idle_cores=True`` drops cores hosting no security task (their
-    schedules cannot influence security-job timing in partitioned mode) —
-    a pure speed optimisation for detection-time studies; it is rejected
-    in global mode, where every core matters.
+    ``security_only=True`` simulates the security tasks alone, in the
+    idle time the real-time band leaves on each core
+    (:func:`repro.sim.band.simulate_security`): the result's jobs,
+    misses and busy time cover the security tasks only, which is all a
+    detection-time study reads.  It takes the paper's model only:
+    :func:`~repro.sim.band.simulate_security` rejects the tasks that
+    global mode or a §V extension argument builds, and no slices are
+    recorded.
     """
+    if security_only and collect_slices:
+        raise ValidationError("security_only records no execution slices")
     tasks = build_sim_tasks(
         system,
         allocation,
@@ -155,35 +172,8 @@ def simulate_allocation(
         execution_factor=execution_factor,
     )
     num_cores = system.platform.num_cores
-    if prune_idle_cores:
-        if security_mode == "global":
-            raise ValidationError(
-                "prune_idle_cores is incompatible with global scheduling"
-            )
-        security_cores = sorted(
-            {t.core for t in tasks if t.kind == "security" and t.core is not None}
-        )
-        remap = {core: new for new, core in enumerate(security_cores)}
-        tasks = [
-            SimTask(
-                name=t.name,
-                wcet=t.wcet,
-                period=t.period,
-                deadline=t.deadline,
-                priority=t.priority,
-                core=remap[t.core],
-                kind=t.kind,
-                surface=t.surface,
-                preemptible=t.preemptible,
-                predecessors=t.predecessors,
-                release_jitter=t.release_jitter,
-                offset=t.offset,
-                execution_factor=t.execution_factor,
-            )
-            for t in tasks
-            if t.core in remap
-        ]
-        num_cores = max(len(security_cores), 1)
+    if security_only:
+        return simulate_security(tasks, num_cores, duration)
     simulator = Simulator(
         tasks,
         num_cores=num_cores,

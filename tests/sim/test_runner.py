@@ -94,33 +94,57 @@ class TestSimulateAllocation:
         result = simulate_allocation(system, allocation, duration=3000.0)
         assert not result.missed_any_deadline
 
-    def test_prune_idle_cores_preserves_security_schedule(self, allocated):
+    def test_security_only_preserves_security_schedule(self, allocated):
         system, allocation = allocated
         full = simulate_allocation(
             system, allocation, duration=2000.0
         )
-        pruned = simulate_allocation(
-            system, allocation, duration=2000.0, prune_idle_cores=True
+        alone = simulate_allocation(
+            system, allocation, duration=2000.0, security_only=True
         )
-        for name in system.security_tasks.names:
-            full_jobs = [
-                (j.release, j.completion) for j in full.completed_jobs_of(name)
-            ]
-            pruned_jobs = [
-                (j.release, j.completion)
-                for j in pruned.completed_jobs_of(name)
-            ]
-            assert full_jobs == pytest.approx(pruned_jobs)
+        names = set(system.security_tasks.names)
+        assert {job.task for job in alone.jobs} == names
+        assert len(alone.jobs) == sum(1 for j in full.jobs if j.task in names)
+        for name in names:
+            full_jobs = full.jobs_of(name)
+            alone_jobs = alone.jobs_of(name)
+            for field in ("release", "start", "completion"):
+                assert [getattr(j, field) for j in alone_jobs] == [
+                    getattr(j, field) for j in full_jobs
+                ]
+        assert alone.misses == [m for m in full.misses if m.task in names]
 
-    def test_prune_rejected_in_global_mode(self, allocated):
+    def test_security_only_rejected_in_global_mode(self, allocated):
         system, allocation = allocated
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="global"):
             simulate_allocation(
                 system,
                 allocation,
                 duration=100.0,
                 security_mode="global",
-                prune_idle_cores=True,
+                security_only=True,
+            )
+
+    @pytest.mark.parametrize(
+        ("extension", "message"),
+        [
+            ({"preemptible_security": False}, "paper's model"),
+            ({"precedence": {"s0": ("s1",)}}, "paper's model"),
+            ({"release_jitter": 0.1}, "paper's model"),
+            ({"execution_factor": 0.5}, "paper's model"),
+            ({"collect_slices": True}, "slices"),
+        ],
+    )
+    def test_security_only_rejects_every_extension(
+        self, allocated, extension, message
+    ):
+        # The security band is the paper's model only (§V extensions and
+        # slices take the reference loop).
+        system, allocation = allocated
+        with pytest.raises(ValidationError, match=message):
+            simulate_allocation(
+                system, allocation, duration=100.0, security_only=True,
+                **extension,
             )
 
     def test_global_mode_completes_no_later_on_average(self, allocated):

@@ -280,14 +280,19 @@ class TestAnalysisSimulatorConsistency:
             # the analytical worst case for the first job.
             assert first[0].completion == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("security_only", [False, True])
     @settings(max_examples=30, deadline=None)
     @given(system=small_systems())
     def test_first_completion_is_the_rta_fixed_point_on_every_core(
-        self, system
+        self, system, security_only
     ):
         # The multi-core critical instant: every task of an allocated
         # system released at 0 finishes its first job at its exact RTA
         # response time among the higher-priority tasks of its core.
+        # With ``security_only`` the security band simulates the
+        # monitors alone, and each must still meet that fixed point over
+        # the real-time tasks it never simulated: an oracle for the band
+        # that does not go through the kernel.
         from repro.analysis.schedulability import partition_schedulable
         from repro.core.hydra import HydraAllocator
         from repro.sim.runner import build_sim_tasks, simulate_allocation
@@ -309,16 +314,24 @@ class TestAnalysisSimulatorConsistency:
                 ],
             )
             for task in tasks
+            if task.kind == "security" or not security_only
         }
         horizon = max(expected.values()) + 1.0
-        result = simulate_allocation(system, allocation, duration=horizon)
+        result = simulate_allocation(
+            system, allocation, duration=horizon, security_only=security_only
+        )
+        if security_only:
+            assert {job.task for job in result.jobs} == set(expected)
         for name, response in expected.items():
             first = result.track(name).completion[0]
             assert first == pytest.approx(response, rel=1e-9)
 
+    @pytest.mark.parametrize("security_only", [False, True])
     @settings(max_examples=20, deadline=None)
     @given(system=small_systems())
-    def test_no_deadline_misses_for_admitted_allocations(self, system):
+    def test_no_deadline_misses_for_admitted_allocations(
+        self, system, security_only
+    ):
         from repro.analysis.schedulability import partition_schedulable
         from repro.core.hydra import HydraAllocator
         from repro.sim.runner import simulate_allocation
@@ -331,5 +344,12 @@ class TestAnalysisSimulatorConsistency:
         horizon = min(
             max(a.period for a in allocation.assignments) * 3.0, 10_000.0
         )
-        result = simulate_allocation(system, allocation, duration=horizon)
+        result = simulate_allocation(
+            system, allocation, duration=horizon, security_only=security_only
+        )
         assert not result.missed_any_deadline
+        if security_only:
+            # The misses checked are the security tasks' own.
+            assert {job.task for job in result.jobs} == set(
+                system.security_tasks.names
+            )

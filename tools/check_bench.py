@@ -36,7 +36,9 @@ pinned benchmarks cover the sweep engine's hot paths:
 
 :data:`RATIO_GATES` also keeps eligible simulations on the per-core
 kernel: ``Simulator.run()`` (``test_simulate_kernel``) against the
-reference event loop on the same system (``test_simulate_reference``).
+reference event loop on the same system (``test_simulate_reference``),
+and detection simulations on the security band
+(``test_simulate_security_band``) against that kernel.
 
 :data:`RATIO_GATES` also holds the sweep engine's own speed claims,
 gated here rather than asserted in pytest so tier-1 stays deterministic
@@ -114,6 +116,10 @@ RATIO_GATES = (
     # 2-core UAV system vs the reference event loop (measured ×8.3–×8.4
     # on a 2-CPU box).
     ("test_simulate_reference", "test_simulate_kernel", 3.0),
+    # Detection simulation: the security band (the monitors alone, in
+    # the idle time the real-time band leaves) vs the per-core kernel on
+    # the same system (measured ×4.5–×5.5 on a 2-CPU box).
+    ("test_simulate_kernel", "test_simulate_security_band", 2.5),
     # Sweep engine: the mini-sweep over a warm worker pool vs serial.
     ("test_parallel_sweep_serial", "test_parallel_sweep_pooled", 1.1),
     # Store: the mini-sweep served by a warm store vs computed into an
