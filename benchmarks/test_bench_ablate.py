@@ -40,7 +40,7 @@ def test_ablate_runset(benchmark, scale):
         return runs, skipped, [run_id(r, scale) for r in runs]
 
     runs, skipped, ids = benchmark(expand)
-    assert runs[0].is_baseline
+    assert runs[0].axis is None
     # one variant per non-incumbent component per axis, skips recorded
     # (allocator axis: 16 registered strategies, 1 incumbent)
     assert len(runs) + len(skipped) == 1 + (3 + 2 + 4 + 16 + 7)

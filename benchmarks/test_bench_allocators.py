@@ -66,7 +66,7 @@ def test_allocator_dispatch(benchmark, system):
 
     result = benchmark(dispatch)
     assert result.allocator == "hydra"
-    assert result.schedulable
+    assert result.allocation.schedulable
     assert result.elapsed_s >= 0.0
 
 

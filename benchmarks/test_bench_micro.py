@@ -96,7 +96,7 @@ def test_simulator_throughput(benchmark):
         return Simulator(tasks, num_cores=2, duration=10_000.0).run()
 
     result = benchmark(run)
-    assert not result.missed_any_deadline
+    assert not result.misses
 
 
 def test_hydra_allocation_synthetic(benchmark):

@@ -6,10 +6,10 @@ perturbing the existing real-time tasks.  This package reimplements the
 paper end to end:
 
 * task/platform models and priority policies (:mod:`repro.model`);
-* schedulability analysis — DBF, linearised interference, exact RTA
+* schedulability analysis — linearised interference, exact RTA
   (:mod:`repro.analysis`);
-* workload synthesis — Randfixedsum (scalar + batched), UUniFast, the
-  synthetic recipe, the UAV case study, the Tripwire/Bro suite
+* workload synthesis — Randfixedsum, UUniFast, the synthetic recipe,
+  the UAV case study, the Tripwire/Bro suite
   (:mod:`repro.taskgen`) behind one registry-backed generator API
   (:mod:`repro.workloads`);
 * real-time partitioning heuristics (:mod:`repro.partition`);

@@ -68,10 +68,6 @@ class AblationRun:
     config: ScenarioConfig
 
     @property
-    def is_baseline(self) -> bool:
-        return self.axis is None
-
-    @property
     def label(self) -> str:
         """The run's single cell label (full design point,
         ``workload::allocator|heuristic/ordering/admission``)."""

@@ -87,6 +87,11 @@ def response_time_bound(
 
     and ``inf`` when ``Σ_j U_j ≥ 1``.  With no interferers it is the
     exact response ``C``.
+
+    :class:`ExactAdmissionCore` evaluates the same bound from running
+    sums (:func:`_bound`); this pairwise form is the oracle the tests
+    hold above :func:`~repro.analysis.rta.response_time`, which pins the
+    bound the admission core skips fixed points on.
     """
     utilization = slack = 0.0
     for c, t in pairs:
@@ -236,15 +241,6 @@ class ExactAdmissionCore:
         self._feasible = True
         for task in tasks:
             self.add(task)
-
-    def __len__(self) -> int:
-        """Number of tasks placed on the core."""
-        return len(self._entries)
-
-    @property
-    def utilization(self) -> float:
-        """Total utilisation ``Σ C/T`` of the placed tasks."""
-        return self._utilization
 
     def add(self, task: RealTimeTask) -> None:
         """Commit ``task`` to the core (no admission check)."""

@@ -24,7 +24,7 @@ which drives both the closed-form period optimiser
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask, SecurityTask
@@ -32,8 +32,6 @@ from repro.model.task import RealTimeTask, SecurityTask
 __all__ = [
     "Interferer",
     "InterferenceEnv",
-    "linear_interference",
-    "linear_bound_met",
     "min_feasible_period",
 ]
 
@@ -138,31 +136,6 @@ class InterferenceEnv:
         if period <= 0:
             raise ValidationError(f"window length must be positive: {period!r}")
         return self._total_wcet + self._utilization * period
-
-    def __len__(self) -> int:
-        return len(self._interferers)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"InterferenceEnv(n={len(self._interferers)}, "
-            f"K'={self._total_wcet:g}, U={self._utilization:g})"
-        )
-
-
-def linear_interference(
-    period: float,
-    rt_tasks: Sequence[RealTimeTask],
-    hp_security: Sequence[tuple[SecurityTask, float]] = (),
-) -> float:
-    """Convenience form of Eq. (5) straight from model objects."""
-    return InterferenceEnv.on_core(rt_tasks, hp_security).interference(period)
-
-
-def linear_bound_met(
-    task: SecurityTask, period: float, env: InterferenceEnv
-) -> bool:
-    """Check Eq. (6): ``Cs + I_s^m ≤ Ts`` at the candidate ``period``."""
-    return task.wcet + env.interference(period) <= period + 1e-9
 
 
 def min_feasible_period(task: SecurityTask, env: InterferenceEnv) -> float:

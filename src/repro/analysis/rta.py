@@ -25,16 +25,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.analysis.interference import Interferer, InterferenceEnv
+from repro.analysis.interference import Interferer
 from repro.errors import ValidationError
 from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
 __all__ = [
     "response_time",
-    "response_time_env",
     "rta_schedulable",
-    "core_response_times",
     "response_times_batch",
     "rta_schedulable_batch",
 ]
@@ -110,38 +108,6 @@ def response_time(
         "response-time iteration failed to converge; input parameters are "
         "likely degenerate (extremely small periods vs. horizon)"
     )
-
-
-def response_time_env(
-    wcet: float,
-    env: InterferenceEnv,
-    limit: float = math.inf,
-    blocking: float = 0.0,
-) -> float:
-    """:func:`response_time` over an :class:`InterferenceEnv`."""
-    return response_time(wcet, env.interferers, limit=limit, blocking=blocking)
-
-
-def core_response_times(
-    tasks: Sequence[RealTimeTask],
-) -> dict[str, float]:
-    """Response time of every task on one core under RM order.
-
-    ``tasks`` is the set of real-time tasks sharing a core; priorities
-    follow the rate monotonic order (ties as in
-    :func:`repro.model.priority.rate_monotonic_order`).  Returns a
-    name → response-time mapping with ``inf`` marking unschedulable
-    tasks.
-    """
-    ordered = rate_monotonic_order(tasks)
-    results: dict[str, float] = {}
-    higher: list[Interferer] = []
-    for task in ordered:
-        results[task.name] = response_time(
-            task.wcet, higher, limit=task.deadline
-        )
-        higher.append(Interferer.from_rt(task))
-    return results
 
 
 def response_times_batch(
@@ -276,9 +242,12 @@ def rta_schedulable(tasks: Sequence[RealTimeTask]) -> bool:
 
     True iff every task's response time is at most its own deadline;
     stops at the first task (in priority order) that misses.  This is
-    the admission test used by the partitioning heuristics (the paper
+    the from-scratch form of the ``rta`` admission test (the paper
     assumes "real-time tasks are schedulable and assigned to the cores
-    using existing multicore task partitioning algorithms").
+    using existing multicore task partitioning algorithms"); the
+    partitioning heuristics run it incrementally through
+    :class:`~repro.analysis.admission.ExactAdmissionCore`, which this
+    function pins as an oracle.
     """
     return _schedulable_with_blocking(tasks, 0.0)
 

@@ -1,5 +1,4 @@
-"""Schedulability tests for fixed-priority single cores and partitioned
-systems.
+"""Admission tests for fixed-priority single cores.
 
 The partitioning heuristics (paper Sec. IV-B uses best-fit) need an
 admission test for "does this core still accept this task".  Three tests
@@ -9,26 +8,14 @@ of increasing precision are provided:
 * :func:`hyperbolic_test` — Bini–Buttazzo ``Π(U_i + 1) ≤ 2``, strictly
   dominates Liu–Layland.
 * :func:`rta_test` — exact response-time analysis, the default.
-
-:func:`partition_schedulable` verifies a complete partition core by
-core; :func:`system_schedulable` additionally checks an allocated
-security workload (each security task must meet its assigned period on
-its assigned core).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from repro.analysis.interference import InterferenceEnv
-from repro.analysis.rta import (
-    response_time,
-    rta_schedulable,
-    rta_schedulable_batch,
-)
-from repro.model.system import Partition
-from repro.model.task import RealTimeTask, SecurityTask
+from repro.analysis.rta import rta_schedulable, rta_schedulable_batch
+from repro.model.task import RealTimeTask, total_utilization
 
 __all__ = [
     "liu_layland_bound",
@@ -40,9 +27,6 @@ __all__ = [
     "AdmissionTest",
     "ADMISSION_TESTS",
     "get_admission_test",
-    "partition_schedulable",
-    "security_schedulable_on_core",
-    "breakdown_utilization",
 ]
 
 #: Signature of a per-core admission test: given the full set of
@@ -60,8 +44,10 @@ def liu_layland_bound(n: int) -> float:
 
 
 def liu_layland_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Sufficient RM test: total utilisation within the LL bound."""
-    total = sum(task.utilization for task in tasks)
+    """Sufficient RM test: total utilisation, added left to right
+    (:func:`~repro.model.task.total_utilization`), within the LL
+    bound."""
+    total = total_utilization(tasks)
     return total <= liu_layland_bound(len(tasks)) + 1e-12
 
 
@@ -76,15 +62,21 @@ def hyperbolic_test(tasks: Sequence[RealTimeTask]) -> bool:
 
 
 def utilization_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Necessary-only test ``Σ U ≤ 1``; useful as the most permissive
-    admission policy for design-space exploration."""
-    return sum(task.utilization for task in tasks) <= 1.0 + 1e-12
+    """Necessary-only test ``Σ U ≤ 1`` (added left to right); useful as
+    the most permissive admission policy for design-space
+    exploration."""
+    return total_utilization(tasks) <= 1.0 + 1e-12
 
 
 def rta_test(tasks: Sequence[RealTimeTask]) -> bool:
     """Exact RM schedulability via scalar response-time analysis
     (:func:`repro.analysis.rta.rta_schedulable`), the default test at
-    every core size."""
+    every core size.
+
+    The partitioning heuristics never call it for the name ``rta``:
+    they probe an :class:`~repro.analysis.admission.ExactAdmissionCore`
+    instead, and this from-scratch test is the oracle that pins that
+    incremental path verdict for verdict."""
     return rta_schedulable(tasks)
 
 
@@ -122,78 +114,3 @@ def get_admission_test(name: str) -> AdmissionTest:
             f"unknown admission test {name!r}; known tests: "
             f"{', '.join(sorted(_TESTS))}"
         ) from None
-
-
-def partition_schedulable(
-    partition: Partition, test: AdmissionTest = rta_test
-) -> bool:
-    """Whether every core of ``partition`` passes ``test``."""
-    return all(
-        test(partition.tasks_on(core)) for core in partition.platform
-    )
-
-
-def security_schedulable_on_core(
-    task: SecurityTask,
-    period: float,
-    rt_tasks: Iterable[RealTimeTask],
-    hp_security: Iterable[tuple[SecurityTask, float]] = (),
-    exact: bool = False,
-) -> bool:
-    """Does ``task`` meet its deadline (= ``period``) on a core?
-
-    With ``exact=False`` (default) uses the paper's linearised Eq. (6);
-    with ``exact=True`` uses exact RTA.  ``hp_security`` carries the
-    higher-priority security tasks already placed on the core together
-    with their assigned periods.
-    """
-    env = InterferenceEnv.on_core(rt_tasks, list(hp_security))
-    if exact:
-        return response_time(task.wcet, env.interferers, limit=period) <= (
-            period + 1e-9
-        )
-    return task.wcet + env.interference(period) <= period + 1e-9
-
-
-def breakdown_utilization(
-    tasks: Sequence[RealTimeTask],
-    test: AdmissionTest = rta_test,
-    tolerance: float = 1e-4,
-) -> float:
-    """Largest uniform scaling factor ``s`` such that the task set with
-    WCETs ``s·C`` still passes ``test`` on one core.
-
-    A classic sensitivity metric; exposed for the ablation studies.  Uses
-    bisection on ``s ∈ (0, 1/U]``.
-    """
-    total = sum(task.utilization for task in tasks)
-    if total <= 0:
-        return math.inf
-
-    def scaled_ok(scale: float) -> bool:
-        """Whether the set stays schedulable with WCETs scaled."""
-        scaled = [
-            RealTimeTask(
-                name=t.name,
-                wcet=t.wcet * scale,
-                period=t.period,
-                deadline=t.deadline,
-            )
-            for t in tasks
-            if t.wcet * scale > 0
-        ]
-        try:
-            return test(scaled)
-        except Exception:
-            return False
-
-    low, high = 0.0, 1.0 / total
-    if scaled_ok(high):
-        return high
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if scaled_ok(mid):
-            low = mid
-        else:
-            high = mid
-    return low

@@ -41,9 +41,3 @@ class Allocator(abc.ABC):
         Must return an :class:`Allocation` (never raise for ordinary
         unschedulability — that outcome is data, not an error).
         """
-
-    def __call__(self, system: SystemModel) -> Allocation:
-        return self.allocate(system)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -28,31 +28,26 @@ class OptimalAllocator(Allocator):
         ``"exhaustive"`` (the paper's method) or ``"branch-bound"``
         (extension; provably the same optimum, usually far fewer LP
         solves).
-    backend:
-        LP backend, ``"simplex"`` (built-in) or ``"scipy"``.
     """
 
     name = "optimal"
 
-    def __init__(
-        self, search: str = "exhaustive", backend: str = "simplex"
-    ) -> None:
+    def __init__(self, search: str = "exhaustive") -> None:
         if search not in ("exhaustive", "branch-bound"):
             raise ConfigError(
                 f"unknown search {search!r}; expected one of "
                 f"['branch-bound', 'exhaustive']"
             )
         self.search = search
-        self.backend = backend
         if search != "exhaustive":
             self.name = f"optimal[{search}]"
 
     def allocate(self, system: SystemModel) -> Allocation:
         if self.search == "exhaustive":
-            result = exhaustive_optimal(system, backend=self.backend)
+            result = exhaustive_optimal(system)
             stats: dict[str, object] = {}
         else:
-            result, bnb = branch_bound_optimal(system, backend=self.backend)
+            result, bnb = branch_bound_optimal(system)
             stats = {
                 "nodes": bnb.nodes,
                 "pruned_infeasible": bnb.pruned_infeasible,

@@ -124,9 +124,8 @@ class LpRefinedHydraAllocator(Allocator):
 
     name = "hydra+lp"
 
-    def __init__(self, solver: str = "closed-form", backend: str = "simplex"):
+    def __init__(self, solver: str = "closed-form"):
         self._hydra = HydraAllocator(solver=solver)
-        self.backend = backend
 
     def allocate(self, system: SystemModel) -> Allocation:
         base = self._hydra.allocate(system)
@@ -136,9 +135,7 @@ class LpRefinedHydraAllocator(Allocator):
                 schedulable=False,
                 failed_task=base.failed_task,
             )
-        refined = solve_assignment_lp(
-            system, base.cores(), backend=self.backend
-        )
+        refined = solve_assignment_lp(system, base.cores())
         if refined is None:  # pragma: no cover - feasible stays feasible
             return base
         assignments = tuple(

@@ -5,9 +5,8 @@ from first principles, whether an :class:`~repro.model.allocation.Allocation`
 is actually valid for a system — coverage, period bounds, and the
 schedulability constraint (linearised Eq. (6) by default, exact RTA on
 request) for every security task given everything above it on its core.
-Used by the test-suite as an oracle over all allocators and available to
-users who load allocations from disk (:mod:`repro.io`) or produce them
-with external tools.
+No production path calls it: it is the oracle the test suite pins every
+registered allocator with.
 """
 
 from __future__ import annotations

@@ -75,9 +75,3 @@ class Executor(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(name={self.name!r}, "
-            f"workers={self.workers})"
-        )

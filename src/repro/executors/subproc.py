@@ -112,10 +112,6 @@ class _Worker:
     busy_since: float = 0.0
     known_sweeps: set[int] = field(default_factory=set)
 
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
 
 class SubprocessExecutor(Executor):
     """Fan sweep points over long-lived NDJSON worker subprocesses.
@@ -200,15 +196,6 @@ class SubprocessExecutor(Executor):
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether worker subprocesses are currently alive."""
-        return bool(self._workers)
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live workers (fault-injection tests kill one)."""
-        return [w.pid for w in self._workers.values()]
 
     def _worker_env(self) -> dict[str, str]:
         import repro
@@ -342,7 +329,7 @@ class SubprocessExecutor(Executor):
         if task is None:
             log.warning(
                 "idle subprocess worker pid %d died (%s); respawning",
-                worker.pid, reason,
+                worker.proc.pid, reason,
             )
             return
         task.attempts += 1
@@ -361,7 +348,7 @@ class SubprocessExecutor(Executor):
         log.warning(
             "subprocess worker pid %d lost point %d (%s); retrying "
             "attempt %d/%d in %.2fs",
-            worker.pid, task.index, reason, task.attempts + 1,
+            worker.proc.pid, task.index, reason, task.attempts + 1,
             self.max_task_retries + 1, delay,
         )
 

@@ -50,7 +50,6 @@ from repro.experiments.api import (
     ExperimentResult,
     ExperimentSpec,
     GoldenFixture,
-    Point,
     RawRun,
 )
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
@@ -91,7 +90,6 @@ __all__ = [
     "Experiment",
     "ExperimentSpec",
     "ExperimentResult",
-    "Point",
     "RawRun",
     "GoldenFixture",
     "register_experiment",

@@ -8,9 +8,9 @@ cache, golden-fixture machinery) speaks:
 
 * :class:`Experiment` — the protocol/ABC a driver implements:
   ``spec()`` (identity + metadata), ``sweeps(scale)`` (the
-  :class:`~repro.experiments.parallel.SweepSpec` grid), ``points(scale)``
-  / ``run_point(point, stream)`` (the unit of cached, parallel work),
-  ``aggregate(raw)`` (payloads → :class:`ExperimentResult`) and
+  :class:`~repro.experiments.parallel.SweepSpec` grid, whose points are
+  the unit of cached, parallel work), ``aggregate(raw)`` (payloads →
+  :class:`ExperimentResult`) and
   ``render(result)`` (result → report text).
 * :class:`ExperimentSpec` — declarative identity: name, title,
   description, schema version, tags.
@@ -36,25 +36,15 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.parallel import (
-    SweepEngine,
-    SweepResult,
-    SweepSpec,
-    execute_point,
-    get_point_runner,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
+from repro.experiments.parallel import SweepEngine, SweepResult, SweepSpec
 
 __all__ = [
     "RESULT_FORMAT",
     "ExperimentSpec",
-    "Point",
     "RawRun",
     "ExperimentResult",
     "Experiment",
@@ -126,23 +116,6 @@ def spec_hash(spec: ExperimentSpec, sweeps: Sequence[SweepSpec]) -> str:
         "sweeps": [s.to_dict() for s in sweeps],
     }
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class Point:
-    """One unit of cached, parallel work: index ``index`` of ``sweep``."""
-
-    sweep: SweepSpec
-    index: int
-
-    @property
-    def params(self) -> Mapping[str, Any]:
-        """The point's own parameter dict (e.g. ``{"utilization": 1.3}``)."""
-        return self.sweep.points[self.index]
-
-    def stream(self) -> "np.random.Generator":
-        """The point's deterministic RNG stream (serial ≡ parallel)."""
-        return self.sweep.rng_for(self.index)
 
 
 @dataclass(frozen=True)
@@ -242,8 +215,7 @@ class Experiment(ABC):
 
     Subclasses declare identity via class attributes (``name``,
     ``title``, ``description``, ``version``, ``tags``) and implement
-    the four hooks marked abstract below.  Everything else — flattening
-    sweeps into :class:`Point` units, executing a point, running the
+    the hooks marked abstract below.  Everything else — running the
     whole experiment through a :class:`SweepEngine`, encoding the
     result — is provided generically so the CLI, cache, and golden
     machinery never special-case an experiment.
@@ -323,31 +295,6 @@ class Experiment(ABC):
         return None
 
     # -- generic machinery -------------------------------------------------
-
-    def points(self, scale: ExperimentScale) -> list[Point]:
-        """Every unit of work at ``scale``, flattened across sweeps."""
-        return [
-            Point(sweep=spec, index=index)
-            for spec in self.sweeps(scale)
-            for index in range(len(spec.points))
-        ]
-
-    def run_point(
-        self, point: Point, stream: "np.random.Generator | None" = None
-    ) -> dict[str, Any]:
-        """Execute one :class:`Point` in-process.
-
-        ``stream`` overrides the point's deterministic RNG stream;
-        leave it ``None`` to reproduce exactly what the engine (serial,
-        parallel, or cached) would compute.
-        """
-        if stream is None:
-            return execute_point(point.sweep, point.index)
-        runner = get_point_runner(point.sweep.kind)
-        payload = runner(
-            dict(point.params), dict(point.sweep.params), stream
-        )
-        return dict(payload)
 
     def spec_hash(self, scale: ExperimentScale) -> str:
         """Fingerprint of this experiment's full configuration at

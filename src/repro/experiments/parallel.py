@@ -192,7 +192,6 @@ def register_point_runner(
 _RUNNER_MODULES = (
     "repro.experiments.scenario",
     "repro.experiments.detection",
-    "repro.workloads.sample",
 )
 
 
@@ -327,10 +326,6 @@ class SweepStats:
     computed_points: int = 0
     cached_points: int = 0
 
-    @property
-    def total_points(self) -> int:
-        return self.computed_points + self.cached_points
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -339,9 +334,6 @@ class SweepResult:
     spec: SweepSpec
     payloads: tuple[Mapping[str, Any], ...]
     stats: SweepStats
-
-    def __len__(self) -> int:
-        return len(self.payloads)
 
 
 class SweepEngine:

@@ -72,11 +72,6 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        """Whether worker processes are currently alive."""
-        return self._executor is not None
-
     def _reap_if_broken(self) -> bool:
         """Detect and reap a dead executor (workers OOM-killed, a
         ``KeyboardInterrupt`` that took the children down, …).
@@ -213,13 +208,6 @@ class WorkerPool:
             done_index, future = pending.popleft()
             results[done_index] = future.result()
         return results
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "active" if self.active else "idle"
-        return (
-            f"WorkerPool(max_workers={self.max_workers}, {state}, "
-            f"spawns={self.spawn_count})"
-        )
 
 
 # -- the process-wide shared pool --------------------------------------------

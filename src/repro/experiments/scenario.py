@@ -76,6 +76,7 @@ from repro.experiments.parallel import register_point_runner
 from repro.experiments.reporting import format_table
 from repro.model.platform import Platform
 from repro.partition.heuristics import HEURISTICS, ORDERINGS
+from repro.sim.engine import MAX_DURATION
 from repro.taskgen.synthetic import utilization_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -368,6 +369,11 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
         sim_duration is None
         or (_is_number(sim_duration) and sim_duration > 0),
         "[sweep] sim_duration must be a positive number (milliseconds)",
+    )
+    _require(
+        sim_duration is None or sim_duration <= MAX_DURATION,
+        f"[sweep] sim_duration must be at most 2**24 = "
+        f"{MAX_DURATION:.0f} (the simulator's longest horizon)",
     )
 
     def axis(key: str, allowed: Sequence[str] | None) -> tuple:

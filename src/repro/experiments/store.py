@@ -221,7 +221,7 @@ class _Segment:
         a lost, torn, or stale ``index.jsonl``).
 
         The rebuilt index is persisted *best-effort* and never from a
-        readonly handle: rebuilding happens on read paths (``get``,
+        readonly handle: rebuilding happens on read paths (``get_many``,
         ``stats``), which must stay pure reads — writing from a
         readonly store is a write-on-read bug, and fails outright on a
         read-only filesystem.  A writable store whose directory turns
@@ -445,12 +445,6 @@ class _Shard:
     def _write_segment(self) -> _Segment:
         return self._segment(self.writer_id)
 
-    @property
-    def index(self) -> dict[str, tuple[int, int]]:
-        """The write segment's live index (compat surface: the
-        single-writer shard exposed exactly this)."""
-        return self._write_segment.index
-
     def writer_ids(self) -> list[str]:
         """Writer segments present on disk or opened in memory."""
         ids = {writer for writer in self._segments if writer is not None}
@@ -575,10 +569,9 @@ class _Shard:
 class ResultStore:
     """Directory-backed, sharded store of per-point sweep results.
 
-    Surface: ``get``/``put`` and their batched :meth:`get_many`/
-    :meth:`put_many` forms (what the engine uses), ``hits``/``misses``
-    counters, and the :meth:`gc`/:meth:`stats` maintenance verbs behind
-    ``repro-hydra cache``.
+    Surface: :meth:`get_many`/:meth:`put_many` (what the engine uses),
+    ``hits``/``misses`` counters, and the :meth:`gc`/:meth:`stats`
+    maintenance verbs behind ``repro-hydra cache``.
 
     Parameters
     ----------
@@ -709,17 +702,11 @@ class ResultStore:
 
     # -- access ------------------------------------------------------------
 
-    def get(
-        self, kind: str, key_payload: Mapping[str, Any]
-    ) -> dict[str, Any] | None:
-        """Stored result for ``key_payload``, or ``None`` on a miss."""
-        return self.get_many(kind, [key_payload])[0]
-
     def get_many(
         self, kind: str, key_payloads: Sequence[Mapping[str, Any]]
     ) -> list[dict[str, Any] | None]:
-        """Batched :meth:`get`: one result (or ``None``) per key, in
-        order, served from a single pass over the shard."""
+        """One stored result (or ``None`` on a miss) per key, in order,
+        served from a single pass over the shard."""
         if not key_payloads:
             return []
         shard = self._shard(kind)
@@ -734,15 +721,6 @@ class ResultStore:
         self.misses += len(results) - found
         return results
 
-    def put(
-        self,
-        kind: str,
-        key_payload: Mapping[str, Any],
-        payload: Mapping[str, Any],
-    ) -> None:
-        """Persist one ``payload`` under ``key_payload``."""
-        self.put_many(kind, [(key_payload, payload)])
-
     def put_many(
         self,
         kind: str,
@@ -750,8 +728,9 @@ class ResultStore:
             tuple[Mapping[str, Any], Mapping[str, Any]]
         ],
     ) -> int:
-        """Batched :meth:`put`; returns the number of records written.
-        The whole batch is appended through one file handle."""
+        """Persist each ``(key_payload, payload)``; returns the number of
+        records written.  The whole batch is appended through one file
+        handle."""
         batch = [
             (cache_key(key_payload), key_payload, payload)
             for key_payload, payload in entries
@@ -769,19 +748,6 @@ class ResultStore:
         return len(batch)
 
     # -- maintenance -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(
-            self._shard(kind).distinct_count()
-            for kind in self._shard_kinds()
-        )
-
-    def clear(self) -> int:
-        """Delete every stored record; returns the number removed."""
-        self._require_writable("clear")
-        return sum(
-            self._shard(kind).clear() for kind in self._shard_kinds()
-        )
 
     def gc(self) -> dict[str, Any]:
         """Compact every shard: fold per-writer segments back into the
@@ -853,9 +819,3 @@ class ResultStore:
             "segment_bytes": segment_bytes,
             "shards": shards,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ResultStore({str(self.directory)!r}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

@@ -253,27 +253,6 @@ class JobRequest:
             executor=executor,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form (what the status document echoes back)."""
-        doc: dict[str, Any] = {}
-        if self.experiment is not None:
-            doc["experiment"] = self.experiment
-        if self.spec is not None:
-            doc["spec"] = dict(self.spec)
-        if self.ablation is not None:
-            doc["ablation"] = dict(self.ablation)
-        if self.scale is not None:
-            doc["scale"] = self.scale
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        if self.allocators is not None:
-            doc["allocator"] = list(self.allocators)
-        if self.workloads is not None:
-            doc["workload"] = list(self.workloads)
-        if self.executor is not None:
-            doc["executor"] = self.executor
-        return doc
-
     def build(self) -> tuple[Experiment, ExperimentScale]:
         """Resolve the request into a runnable experiment + scale.
 
@@ -360,10 +339,6 @@ class Job:
     def scale_name(self) -> str:
         return self._scale.name
 
-    @property
-    def cancel_requested(self) -> bool:
-        return self._cancel.is_set()
-
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job reaches a terminal state (or ``timeout``
         seconds pass); returns whether it did."""
@@ -391,12 +366,6 @@ class Job:
             "started": self.started,
             "finished": self.finished,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Job({self.id[:12]}…, {self.experiment_name}@"
-            f"{self.scale_name}, {self.state})"
-        )
 
 
 class JobRunner:

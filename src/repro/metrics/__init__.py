@@ -1,6 +1,5 @@
 """Evaluation metrics (paper Sec. IV).
 
-* :mod:`repro.metrics.tightness` — Eq. (2)/(3).
 * :mod:`repro.metrics.improvement` — scheme-vs-scheme comparisons.
 * :mod:`repro.metrics.cdf` — Fig. 1's empirical CDF.
 * :mod:`repro.metrics.importance` — ablation component-importance
@@ -19,11 +18,6 @@ from repro.metrics.improvement import (
     detection_speedup,
     tightness_gap,
 )
-from repro.metrics.tightness import (
-    cumulative_tightness,
-    tightness,
-    tightness_per_task,
-)
 
 __all__ = [
     "EmpiricalCDF",
@@ -34,7 +28,4 @@ __all__ = [
     "acceptance_improvement",
     "detection_speedup",
     "tightness_gap",
-    "tightness",
-    "tightness_per_task",
-    "cumulative_tightness",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ValidationError
 
@@ -34,23 +34,9 @@ class EmpiricalCDF:
         self._total = len(data)
         self._finite = sorted(v for v in data if not math.isinf(v))
 
-    @property
-    def sample_size(self) -> int:
-        """α — total number of observations (including ``inf``)."""
-        return self._total
-
-    @property
-    def undetected(self) -> int:
-        """Number of ``inf`` observations (attacks never detected)."""
-        return self._total - len(self._finite)
-
     def __call__(self, epsilon: float) -> float:
         """``F̂(ε)``: fraction of observations ≤ ``ε``."""
         return bisect_right(self._finite, epsilon) / self._total
-
-    def series(self, xs: Sequence[float]) -> list[float]:
-        """Evaluate the CDF at every point of ``xs`` (one Fig. 1 curve)."""
-        return [self(x) for x in xs]
 
     def quantile(self, q: float) -> float:
         """Smallest observation ``v`` with ``F̂(v) ≥ q`` (``inf`` when the
@@ -70,20 +56,8 @@ class EmpiricalCDF:
             total += value
         return total
 
-    def mean(self) -> float:
-        """Mean of the observations (``inf`` when any is undetected)."""
-        if self.undetected:
-            return math.inf
-        return self._finite_total() / self._total
-
     def mean_detected(self) -> float:
         """Mean over the *detected* observations only."""
         if not self._finite:
             return math.inf
         return self._finite_total() / len(self._finite)
-
-    def support(self) -> tuple[float, float]:
-        """(min, max) of the finite observations."""
-        if not self._finite:
-            return (math.inf, math.inf)
-        return (self._finite[0], self._finite[-1])

@@ -30,8 +30,7 @@ Sign conventions, fixed here once for every consumer:
   of the ablation literature.
 
 Metrics are "higher is better" throughout (acceptance ratio, mean
-tightness — see :class:`repro.experiments.scenario.CellTally` and
-:mod:`repro.metrics.tightness`).
+tightness — see :class:`repro.experiments.scenario.CellTally`).
 """
 
 from __future__ import annotations
@@ -88,11 +87,6 @@ class ImportanceScore:
         """``baseline − variant``: positive means the baseline
         component is load-bearing on ``metric``."""
         return -self.delta(metric)
-
-    def harmful(self, metric: str) -> bool:
-        """Whether the swap *improved* ``metric`` — i.e. the baseline
-        component is harmful by this metric's account."""
-        return self.delta(metric) > 0
 
 
 def score_swap(

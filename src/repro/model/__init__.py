@@ -22,11 +22,8 @@ from repro.model.allocation import (
 )
 from repro.model.platform import Platform
 from repro.model.priority import (
-    assign_rate_monotonic,
-    higher_priority_security,
     rate_monotonic_order,
     security_priority_order,
-    weights_by_priority,
 )
 from repro.model.system import Partition, SystemModel
 from repro.model.task import (
@@ -55,11 +52,8 @@ __all__ = [
     "SecurityTask",
     "TaskSet",
     "total_utilization",
-    "assign_rate_monotonic",
     "rate_monotonic_order",
     "security_priority_order",
-    "higher_priority_security",
-    "weights_by_priority",
     "scale_security_wcets",
     "with_security_tasks",
     "with_security_task",

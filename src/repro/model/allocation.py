@@ -114,10 +114,6 @@ class Allocation:
         """Task name → assigned core."""
         return {a.task.name: a.core for a in self.assignments}
 
-    def tasks_on(self, core: int) -> tuple[SecurityAssignment, ...]:
-        """Assignments placed on ``core``."""
-        return tuple(a for a in self.assignments if a.core == core)
-
     # -- metrics ---------------------------------------------------------
 
     def cumulative_tightness(
@@ -141,8 +137,12 @@ class Allocation:
         return self.cumulative_tightness() / len(self.assignments)
 
     def security_utilization(self) -> float:
-        """Total utilisation consumed by the allocated security tasks."""
-        return sum(a.utilization for a in self.assignments)
+        """Total utilisation consumed by the allocated security tasks,
+        added left to right."""
+        total = 0.0
+        for a in self.assignments:
+            total += a.utilization
+        return total
 
 
 @dataclass(frozen=True)
@@ -172,64 +172,6 @@ class AllocationResult:
     allocation: Allocation
     diagnostics: Mapping[str, object] = field(default_factory=dict)
     elapsed_s: float = 0.0
-
-    # -- delegation -------------------------------------------------------
-
-    @property
-    def scheme(self) -> str:
-        """Name of the strategy that produced the allocation."""
-        return self.allocation.scheme
-
-    @property
-    def schedulable(self) -> bool:
-        """Whether every security task was placed feasibly."""
-        return self.allocation.schedulable
-
-    @property
-    def failed_task(self) -> str | None:
-        """Name of the first unplaceable task, or ``None``."""
-        return self.allocation.failed_task
-
-    @property
-    def assignments(self) -> tuple[SecurityAssignment, ...]:
-        """Per-task placements, in security-priority order."""
-        return self.allocation.assignments
-
-    def security_partition(self) -> dict[str, int]:
-        """Security task name → core (the partition the strategy chose)."""
-        return self.allocation.cores()
-
-    def periods(self) -> dict[str, float]:
-        """Security task name → assigned period."""
-        return self.allocation.periods()
-
-    def tightness_by_task(self) -> dict[str, float]:
-        """Security task name → achieved tightness ``η``."""
-        return {a.task.name: a.tightness for a in self.allocation.assignments}
-
-    def mean_tightness(self) -> float:
-        """Mean achieved tightness ``η`` over the assignments."""
-        return self.allocation.mean_tightness()
-
-    def cumulative_tightness(
-        self, weights: Mapping[str, float] | None = None
-    ) -> float:
-        """Weighted tightness sum (paper Eq. 2; uniform by default)."""
-        return self.allocation.cumulative_tightness(weights)
-
-    def summary(self) -> str:
-        """One-line human summary (the CLI's describe/run output)."""
-        if not self.schedulable:
-            return (
-                f"{self.allocator}: unschedulable "
-                f"(failed task: {self.failed_task or 'n/a'}) "
-                f"[{self.elapsed_s * 1e3:.2f} ms]"
-            )
-        return (
-            f"{self.allocator}: {len(self.assignments)} task(s) placed, "
-            f"mean tightness {self.mean_tightness():.3f} "
-            f"[{self.elapsed_s * 1e3:.2f} ms]"
-        )
 
 
 def as_allocation(

@@ -48,11 +48,6 @@ class Platform:
     def __contains__(self, core: object) -> bool:
         return isinstance(core, int) and 0 <= core < self.num_cores
 
-    def core_label(self, core: int) -> str:
-        """Human-readable one-based label, e.g. ``"π3"``."""
-        self.validate_core(core)
-        return f"π{core + 1}"
-
     def validate_core(self, core: int) -> None:
         """Raise :class:`ValidationError` if ``core`` is not a valid index."""
         if core not in self:
@@ -60,13 +55,3 @@ class Platform:
                 f"core index {core!r} outside platform with "
                 f"{self.num_cores} cores"
             )
-
-    def without_core(self, core: int) -> "Platform":
-        """Platform with one fewer core (used by the SingleCore baseline,
-        which reserves one core exclusively for security tasks)."""
-        self.validate_core(core)
-        if self.num_cores == 1:
-            raise ValidationError(
-                "cannot reserve the only core of a single-core platform"
-            )
-        return Platform(self.num_cores - 1)

@@ -18,17 +18,11 @@ order covers the whole system.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.model.task import RealTimeTask, SecurityTask, TaskSet
+from repro.model.task import RealTimeTask, SecurityTask
 
-__all__ = [
-    "assign_rate_monotonic",
-    "security_priority_order",
-    "higher_priority_security",
-    "rate_monotonic_order",
-    "weights_by_priority",
-]
+__all__ = ["security_priority_order", "rate_monotonic_order"]
 
 
 def rate_monotonic_order(tasks: Iterable[RealTimeTask]) -> list[RealTimeTask]:
@@ -42,18 +36,6 @@ def rate_monotonic_order(tasks: Iterable[RealTimeTask]) -> list[RealTimeTask]:
     return sorted(tasks, key=lambda t: (t.period, -t.wcet, t.name))
 
 
-def assign_rate_monotonic(tasks: Iterable[RealTimeTask]) -> TaskSet:
-    """Assign distinct RM priorities ``0 … NR-1`` and return a new set.
-
-    The returned :class:`TaskSet` is sorted from highest to lowest
-    priority.
-    """
-    ordered = rate_monotonic_order(tasks)
-    return TaskSet(
-        task.with_priority(level) for level, task in enumerate(ordered)
-    )
-
-
 def security_priority_order(tasks: Iterable[SecurityTask]) -> list[SecurityTask]:
     """Return security tasks sorted from highest to lowest priority.
 
@@ -64,45 +46,3 @@ def security_priority_order(tasks: Iterable[SecurityTask]) -> list[SecurityTask]
     return sorted(
         tasks, key=lambda t: (t.period_max, t.period_des, -t.wcet, t.name)
     )
-
-
-def higher_priority_security(
-    task: SecurityTask, tasks: Iterable[SecurityTask]
-) -> list[SecurityTask]:
-    """The set ``hpS(τs)`` of security tasks with higher priority than
-    ``task``, in priority order.
-
-    ``task`` itself is excluded.  ``tasks`` may or may not contain
-    ``task``.
-    """
-    ordered = security_priority_order(tasks)
-    result: list[SecurityTask] = []
-    for candidate in ordered:
-        if candidate.name == task.name:
-            break
-        result.append(candidate)
-    return result
-
-
-def weights_by_priority(
-    tasks: Sequence[SecurityTask], highest: float | None = None
-) -> dict[str, float]:
-    """Derive objective weights ``ω`` from the security priority order.
-
-    Eq. (3) of the paper weights the tightness of each security task by a
-    priority-reflecting factor ("higher priority tasks would have large
-    ω").  This helper produces the simple linear weighting
-    ``ω = NS, NS-1, …, 1`` from highest to lowest priority, or scales the
-    top weight to ``highest`` if given.
-
-    Returns a name → weight mapping.
-    """
-    ordered = security_priority_order(tasks)
-    count = len(ordered)
-    if count == 0:
-        return {}
-    top = float(highest) if highest is not None else float(count)
-    step = top / count
-    return {
-        task.name: top - level * step for level, task in enumerate(ordered)
-    }

@@ -99,13 +99,6 @@ class Partition:
         """Copy of the task-name → core mapping."""
         return dict(self._core_of)
 
-    def indicator(self) -> list[list[int]]:
-        """The paper's indicator matrix ``I`` as ``I[m][r]`` over set order."""
-        return [
-            [1 if self._core_of[t.name] == m else 0 for t in self._tasks]
-            for m in self._platform
-        ]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return (
@@ -114,13 +107,6 @@ class Partition:
                 and self._core_of == other._core_of
             )
         return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        per_core = {
-            self._platform.core_label(m): [t.name for t in self._on_core[m]]
-            for m in self._platform
-        }
-        return f"Partition({per_core!r})"
 
 
 @dataclass(frozen=True)
@@ -180,13 +166,3 @@ class SystemModel:
     def rt_tasks(self) -> TaskSet:
         """All real-time tasks (across all cores)."""
         return self.rt_partition.tasks
-
-    @property
-    def total_rt_utilization(self) -> float:
-        """System-wide real-time utilisation."""
-        return self.rt_tasks.utilization
-
-    @property
-    def total_security_utilization_des(self) -> float:
-        """System-wide security utilisation at the desired periods."""
-        return self.security_tasks.utilization

@@ -18,7 +18,7 @@ code uses milliseconds throughout, mirroring the paper's parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ValidationError
@@ -55,8 +55,9 @@ class RealTimeTask:
         Relative deadline ``D``.  Defaults to the period (implicit
         deadline), which is what the paper assumes.
     priority:
-        Fixed priority.  Smaller values denote *higher* priority.  ``None``
-        until assigned (see :func:`repro.model.priority.assign_rate_monotonic`).
+        Fixed priority.  Smaller values denote *higher* priority.  The
+        analyses do not read it: they order a core's tasks rate
+        monotonically (:func:`repro.model.priority.rate_monotonic_order`).
     """
 
     name: str
@@ -87,21 +88,6 @@ class RealTimeTask:
     def utilization(self) -> float:
         """Processor share ``C / T`` demanded by the task."""
         return self.wcet / self.period
-
-    @property
-    def is_implicit_deadline(self) -> bool:
-        """Whether ``D == T`` (the paper's model)."""
-        return self.deadline == self.period
-
-    def with_priority(self, priority: int) -> "RealTimeTask":
-        """Return a copy of the task with ``priority`` assigned."""
-        return replace(self, priority=priority)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RT({self.name}: C={self.wcet:g}, T={self.period:g}, "
-            f"D={self.deadline:g})"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,38 +147,6 @@ class SecurityTask:
         """Utilisation ``C / T_des`` at the desired (highest) rate."""
         return self.wcet / self.period_des
 
-    @property
-    def utilization_min(self) -> float:
-        """Utilisation ``C / T_max`` at the maximum (slowest) period."""
-        return self.wcet / self.period_max
-
-    @property
-    def min_tightness(self) -> float:
-        """Lower bound of the tightness metric, ``T_des / T_max``."""
-        return self.period_des / self.period_max
-
-    def tightness(self, period: float) -> float:
-        """Tightness ``η = T_des / T`` of running this task at ``period``.
-
-        Raises :class:`ValidationError` if ``period`` lies outside
-        ``[T_des, T_max]`` (allowing for a small numerical tolerance).
-        """
-        tolerance = 1e-9 * max(1.0, self.period_max)
-        if not (
-            self.period_des - tolerance <= period <= self.period_max + tolerance
-        ):
-            raise ValidationError(
-                f"task {self.name!r}: period {period} outside the admissible "
-                f"range [{self.period_des}, {self.period_max}]"
-            )
-        return self.period_des / period
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Sec({self.name}: C={self.wcet:g}, Tdes={self.period_des:g}, "
-            f"Tmax={self.period_max:g})"
-        )
-
 
 class TaskSet(Sequence):
     """An immutable, name-indexed collection of tasks.
@@ -236,32 +190,10 @@ class TaskSet(Sequence):
     def __hash__(self) -> int:
         return hash(self._tasks)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TaskSet({list(self._tasks)!r})"
-
     @property
     def names(self) -> tuple[str, ...]:
         """Tuple of task names in set order."""
         return tuple(task.name for task in self._tasks)
-
-    @property
-    def utilization(self) -> float:
-        """Total utilisation of the set.
-
-        Real-time tasks contribute ``C/T``; security tasks contribute
-        their *desired* utilisation ``C/T_des`` (the paper's convention
-        when budgeting security utilisation against real-time
-        utilisation).
-        """
-        return total_utilization(self._tasks)
-
-    def extended(self, tasks: Iterable[RealTimeTask | SecurityTask]) -> "TaskSet":
-        """Return a new set with ``tasks`` appended."""
-        return TaskSet((*self._tasks, *tasks))
-
-    def sorted_by(self, key, reverse: bool = False) -> "TaskSet":
-        """Return a new set sorted by ``key``."""
-        return TaskSet(sorted(self._tasks, key=key, reverse=reverse))
 
 
 def total_utilization(tasks: Iterable[RealTimeTask | SecurityTask]) -> float:

@@ -18,7 +18,6 @@ from repro.opt.joint import (
     AssignmentSolution,
     assignment_feasible,
     solve_assignment_lp,
-    solve_assignment_sequential,
 )
 from repro.opt.lp import LpResult, solve_lp
 from repro.opt.period import PeriodSolution, adapt_period, adapt_period_exact
@@ -39,7 +38,6 @@ __all__ = [
     "AssignmentSolution",
     "assignment_feasible",
     "solve_assignment_lp",
-    "solve_assignment_sequential",
     "OptimalSolution",
     "exhaustive_optimal",
     "BnBStats",

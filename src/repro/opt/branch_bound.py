@@ -61,7 +61,6 @@ def _partial_system(system: SystemModel, tasks: list[SecurityTask]) -> SystemMod
 
 def branch_bound_optimal(
     system: SystemModel,
-    backend: str = "simplex",
 ) -> tuple[OptimalSolution | None, BnBStats]:
     """Tightness-optimal assignment via depth-first branch and bound.
 
@@ -92,8 +91,7 @@ def branch_bound_optimal(
                 stats.pruned_infeasible += 1
                 return
             if best is not None:
-                solved = solve_assignment_lp(partial, assignment,
-                                             backend=backend)
+                solved = solve_assignment_lp(partial, assignment)
                 if solved is None:  # pragma: no cover - feasible ⇒ solvable
                     stats.pruned_infeasible += 1
                     return
@@ -102,7 +100,7 @@ def branch_bound_optimal(
                     stats.pruned_bound += 1
                     return
         if depth == len(ordered):
-            solution = solve_assignment_lp(system, assignment, backend=backend)
+            solution = solve_assignment_lp(system, assignment)
             stats.leaves_solved += 1
             if solution is not None and (
                 best is None or solution.tightness > best.tightness + 1e-12

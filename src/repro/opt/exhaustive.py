@@ -60,7 +60,6 @@ class OptimalSolution:
 
 def exhaustive_optimal(
     system: SystemModel,
-    backend: str = "simplex",
     prune: bool = True,
 ) -> OptimalSolution | None:
     """Enumerate every assignment; return the tightness-optimal one.
@@ -82,7 +81,7 @@ def exhaustive_optimal(
         if prune and not assignment_feasible(system, assignment):
             pruned += 1
             continue
-        solution = solve_assignment_lp(system, assignment, backend=backend)
+        solution = solve_assignment_lp(system, assignment)
         if solution is None:
             continue
         explored += 1

@@ -53,24 +53,8 @@ class Monomial:
             )
         object.__setattr__(self, "exponents", dict(self.exponents))
 
-    def __mul__(self, other: "Monomial | float") -> "Monomial":
-        if isinstance(other, (int, float)):
-            return Monomial(self.coeff * other, self.exponents)
-        exps = dict(self.exponents)
-        for var, a in other.exponents.items():
-            exps[var] = exps.get(var, 0.0) + a
-        return Monomial(self.coeff * other.coeff, exps)
-
-    __rmul__ = __mul__
-
     def __add__(self, other: "Monomial | Posynomial") -> "Posynomial":
         return Posynomial([self]) + other
-
-    def __pow__(self, power: float) -> "Monomial":
-        return Monomial(
-            self.coeff**power,
-            {v: a * power for v, a in self.exponents.items()},
-        )
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         result = self.coeff
@@ -104,16 +88,17 @@ class Posynomial:
     __radd__ = __add__
 
     def evaluate(self, values: Mapping[str, float]) -> float:
-        return sum(term.evaluate(values) for term in self._terms)
+        """The sum of the terms, added left to right."""
+        total = 0.0
+        for term in self._terms:
+            total += term.evaluate(values)
+        return total
 
     def variables(self) -> set[str]:
         result: set[str] = set()
         for term in self._terms:
             result |= term.variables()
         return result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Posynomial({len(self._terms)} terms over {self.variables()})"
 
 
 def _as_posynomial(p: Posynomial | Monomial) -> Posynomial:

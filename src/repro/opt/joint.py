@@ -15,10 +15,6 @@ with ``K_s^m = C_s + Σ_{r on m} C_r + Σ_{h on m} C_h`` (divide Eq. (6) by
 ``y``, so the assignment is feasible iff the all-slowest point
 ``y_s = 1/T_max_s`` is feasible — a fast pruning test used by the
 exhaustive and branch-and-bound searches.
-
-This module also provides the *sequential* per-assignment solver (fix
-each period greedily in priority order via Eq. (7)), which is what
-HYDRA's inner loop and the SingleCore baseline use.
 """
 
 from __future__ import annotations
@@ -26,19 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.analysis.interference import InterferenceEnv
 from repro.errors import ValidationError
 from repro.model.priority import security_priority_order
 from repro.model.system import SystemModel
 from repro.model.task import RealTimeTask, SecurityTask
 from repro.opt.lp import solve_lp
-from repro.opt.period import adapt_period, adapt_period_exact
 
 __all__ = [
     "AssignmentSolution",
     "assignment_feasible",
     "solve_assignment_lp",
-    "solve_assignment_sequential",
 ]
 
 
@@ -125,7 +118,6 @@ def assignment_feasible(
 def solve_assignment_lp(
     system: SystemModel,
     assignment: Mapping[str, int],
-    backend: str = "simplex",
 ) -> AssignmentSolution | None:
     """Maximise cumulative weighted tightness for a fixed assignment.
 
@@ -167,8 +159,7 @@ def solve_assignment_lp(
     bounds = [
         (1.0 / task.period_max, 1.0 / task.period_des) for task in ordered
     ]
-    result = solve_lp(objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                      backend=backend)
+    result = solve_lp(objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
     if not result.is_optimal:
         return None
     periods = {
@@ -178,42 +169,4 @@ def solve_assignment_lp(
         assignment=dict(assignment),
         periods=periods,
         tightness=-float(result.objective),
-    )
-
-
-def solve_assignment_sequential(
-    system: SystemModel,
-    assignment: Mapping[str, int],
-    exact: bool = False,
-) -> AssignmentSolution | None:
-    """Fix periods greedily in priority order for a fixed assignment.
-
-    This mirrors HYDRA's inner optimisation (Eq. 7 per task, highest
-    priority first) but with the core choice already made; the paper's
-    SingleCore baseline is exactly this with every task mapped to the
-    dedicated core.  ``exact=True`` switches Eq. (5)'s linear envelope
-    for exact response-time analysis (extension).
-
-    Returns ``None`` if some task has no feasible period — note this can
-    reject assignments the LP accepts, because greedy minimal periods
-    maximise the interference passed down to lower-priority tasks.
-    """
-    ordered = _validated_order(system, assignment)
-    solver = adapt_period_exact if exact else adapt_period
-    placed: dict[int, list[tuple[SecurityTask, float]]] = {}
-    periods: dict[str, float] = {}
-    tightness = 0.0
-    for task in ordered:
-        core = assignment[task.name]
-        env = InterferenceEnv.on_core(
-            system.rt_partition.tasks_on(core), placed.get(core, [])
-        )
-        solution = solver(task, env)
-        if solution is None:
-            return None
-        periods[task.name] = solution.period
-        tightness += system.weight_of(task) * solution.tightness
-        placed.setdefault(core, []).append((task, solution.period))
-    return AssignmentSolution(
-        assignment=dict(assignment), periods=periods, tightness=tightness
     )

@@ -11,9 +11,9 @@ The joint period-optimisation of the OPT baseline
 (:mod:`repro.opt.joint`) is an LP in the rate variables ``y = 1/T``
 (DESIGN §2.2), and the paper's environment (GPkit/CVXOPT, or PuLP) is
 not installable offline — so the solver is implemented here from
-scratch.  Bland's anti-cycling rule guarantees termination; results are
-cross-checked against ``scipy.optimize.linprog`` in the test suite and
-available through ``backend="scipy"`` when scipy is installed.
+scratch.  Bland's anti-cycling rule guarantees termination; the test
+suite cross-checks its results against ``scipy.optimize.linprog``
+wherever scipy is installed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def solve_lp(
     a_eq: Sequence[Sequence[float]] | None = None,
     b_eq: Sequence[float] | None = None,
     bounds: Sequence[tuple[float, float]] | None = None,
-    backend: str = "simplex",
 ) -> LpResult:
     """Solve the LP described in the module docstring.
 
@@ -70,9 +69,6 @@ def solve_lp(
     bounds:
         Per-variable ``(lb, ub)``; defaults to ``(0, +inf)`` like the
         standard form.  Use ``-math.inf`` / ``math.inf`` for free sides.
-    backend:
-        ``"simplex"`` (this module) or ``"scipy"``
-        (``scipy.optimize.linprog``, HiGHS).
     """
     c_arr = np.asarray(c, dtype=float)
     n = c_arr.shape[0]
@@ -92,34 +88,7 @@ def solve_lp(
         if lb > ub:
             return LpResult(status="infeasible")
 
-    if backend == "scipy":
-        return _solve_scipy(c_arr, aub, bub, aeq, beq, bounds)
-    if backend != "simplex":
-        raise ValidationError(f"unknown LP backend {backend!r}")
     return _solve_simplex(c_arr, aub, bub, aeq, beq, bounds)
-
-
-def _solve_scipy(c, aub, bub, aeq, beq, bounds) -> LpResult:
-    try:
-        from scipy.optimize import linprog
-    except ImportError as exc:  # pragma: no cover - scipy present in CI
-        raise SolverError("scipy backend requested but scipy missing") from exc
-    res = linprog(
-        c,
-        A_ub=aub if aub.size else None,
-        b_ub=bub if bub.size else None,
-        A_eq=aeq if aeq.size else None,
-        b_eq=beq if beq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:
-        return LpResult(status="infeasible")
-    if res.status == 3:
-        return LpResult(status="unbounded")
-    if not res.success:  # pragma: no cover - defensive
-        raise SolverError(f"scipy linprog failed: {res.message}")
-    return LpResult(status="optimal", x=np.asarray(res.x), objective=float(res.fun))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ method.  This module builds exactly that program on top of
 :mod:`repro.opt.gp` — the from-scratch replacement for the paper's
 GPkit/CVXOPT stack — so the reproduction exercises the same solution
 route the authors used.  The closed form in :mod:`repro.opt.period` is
-the analytical optimum of the same program; the property-based tests
-assert the two agree.
+the analytical optimum of the same program: the GP is the oracle that
+pins it, and the property-based tests assert the two agree.
 """
 
 from __future__ import annotations

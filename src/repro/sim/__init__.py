@@ -36,14 +36,7 @@ from repro.sim.detection import (
 from repro.sim.engine import SimResult, SimTask, Simulator
 from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord, JobTrack
 from repro.sim.runner import build_sim_tasks, simulate_allocation
-from repro.sim.stats import (
-    ResponseStats,
-    ResponseSummary,
-    all_response_stats,
-    response_stats,
-    summarize_response_stats,
-)
-from repro.sim.trace import ascii_gantt, busy_time_by_task, merge_slices
+from repro.sim.trace import ascii_gantt, merge_slices
 
 __all__ = [
     "SimTask",
@@ -65,11 +58,5 @@ __all__ = [
     "DetectionIndex",
     "DETECTION_POLICIES",
     "ascii_gantt",
-    "busy_time_by_task",
     "merge_slices",
-    "ResponseStats",
-    "ResponseSummary",
-    "response_stats",
-    "all_response_stats",
-    "summarize_response_stats",
 ]

@@ -72,7 +72,9 @@ def detection_time(
     surface_map: Mapping[str, Sequence[str]],
     policy: str = "release-after",
 ) -> float:
-    """Time from ``attack`` to its detection in ``result`` (or ``inf``)."""
+    """Time from ``attack`` to its detection in ``result`` (or ``inf``),
+    by a scan of every job: the oracle that pins :class:`DetectionIndex`,
+    which answers the same query from sorted anchors."""
     if policy not in DETECTION_POLICIES:
         raise ValidationError(
             f"unknown detection policy {policy!r}; expected one of "

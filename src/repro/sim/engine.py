@@ -55,9 +55,16 @@ import numpy as np
 from repro.errors import SimulationError, ValidationError
 from repro.sim.events import DeadlineMiss, ExecutionSlice, JobRecord, JobTrack
 
-__all__ = ["SimTask", "SimResult", "Simulator"]
+__all__ = ["SimTask", "SimResult", "Simulator", "MAX_DURATION"]
 
 _EPS = 1e-9
+
+#: Longest horizon a run accepts.  From 2**24 on, half an ulp of the
+#: clock exceeds ``_EPS``, so the nudge ``now + _EPS`` rounds back to
+#: ``now``, a step that needs it repeats, and even a light system ends
+#: in "event budget exceeded".  Below 2**24 the nudge always moves the
+#: clock.
+MAX_DURATION = float(2**24)
 
 #: Loop iterations one run (one core, in the kernel) may take.
 _MAX_EVENTS = 4_000_000
@@ -211,9 +218,6 @@ class _KernelJobs(Sequence):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return repr(self._built())
-
 
 def _tracks_of(jobs: Sequence[JobRecord]) -> dict[str, JobTrack]:
     """Per-task columns of the finished jobs in ``jobs``."""
@@ -262,24 +266,6 @@ class SimResult:
             self._tracks = _tracks_of(self.jobs)
         return self._tracks.get(task, _NO_JOBS)
 
-    def jobs_of(self, task: str) -> list[JobRecord]:
-        """All job records of ``task``, in release order."""
-        return [job for job in self.jobs if job.task == task]
-
-    def completed_jobs_of(self, task: str) -> list[JobRecord]:
-        """Finished jobs of ``task``, in release order."""
-        return [job for job in self.jobs if job.task == task and job.finished]
-
-    def utilization_of_core(self, core: int) -> float:
-        """Fraction of the simulated window the core was busy."""
-        if self.duration <= 0:
-            return 0.0
-        return self.busy_time.get(core, 0.0) / self.duration
-
-    @property
-    def missed_any_deadline(self) -> bool:
-        return bool(self.misses)
-
 
 class Simulator:
     """Event-driven multicore fixed-priority scheduler simulator."""
@@ -297,6 +283,12 @@ class Simulator:
             raise ValidationError("need at least one core")
         if not _positive(duration):
             raise ValidationError("duration must be positive")
+        if duration > MAX_DURATION:
+            raise ValidationError(
+                f"duration {duration!r} exceeds the simulator's limit of "
+                f"2**24 = {MAX_DURATION:.0f} time units, past which its "
+                f"{_EPS:g} time step no longer moves the clock"
+            )
         self.num_cores = num_cores
         self.duration = float(duration)
         self.collect_slices = collect_slices
@@ -369,7 +361,8 @@ class Simulator:
 
     def run_reference(self) -> SimResult:
         """The global event loop: every input, the §V extensions
-        included, and the oracle the per-core kernel is tested against."""
+        included, and the oracle that pins the per-core kernel (which in
+        turn pins the security band, :mod:`repro.sim.band`)."""
         tasks = self.tasks
         num_cores = self.num_cores
         duration = self.duration

@@ -30,23 +30,6 @@ class JobRecord:
     completion: float | None
     core: int | None
 
-    @property
-    def finished(self) -> bool:
-        return self.completion is not None
-
-    @property
-    def response_time(self) -> float | None:
-        if self.completion is None:
-            return None
-        return self.completion - self.release
-
-    @property
-    def met_deadline(self) -> bool:
-        """True when the job demonstrably met its deadline."""
-        return self.completion is not None and (
-            self.completion <= self.deadline + 1e-9
-        )
-
 
 class JobTrack(NamedTuple):
     """The finished jobs of one task as columns: ``release[i]``,
@@ -67,10 +50,6 @@ class ExecutionSlice:
     core: int
     start: float
     end: float
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Execution-trace utilities: slice merging, accounting, ASCII Gantt.
+"""Execution-trace utilities: slice merging and an ASCII Gantt chart.
 
 The simulator emits one :class:`~repro.sim.events.ExecutionSlice` per
 (job, inter-event interval); these helpers consolidate them for human
@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from repro.sim.events import ExecutionSlice
 
-__all__ = ["merge_slices", "busy_time_by_task", "ascii_gantt"]
+__all__ = ["merge_slices", "ascii_gantt"]
 
 
 def merge_slices(slices: Iterable[ExecutionSlice]) -> list[ExecutionSlice]:
@@ -30,14 +30,6 @@ def merge_slices(slices: Iterable[ExecutionSlice]) -> list[ExecutionSlice]:
         else:
             merged.append(s)
     return merged
-
-
-def busy_time_by_task(slices: Iterable[ExecutionSlice]) -> dict[str, float]:
-    """Total execution time received per task."""
-    totals: dict[str, float] = {}
-    for s in slices:
-        totals[s.task] = totals.get(s.task, 0.0) + s.length
-    return totals
 
 
 def ascii_gantt(

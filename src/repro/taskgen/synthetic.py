@@ -97,19 +97,6 @@ class SyntheticWorkload:
     target_utilization: float
     config: SyntheticConfig = field(repr=False, default=SyntheticConfig())
 
-    @property
-    def rt_utilization(self) -> float:
-        return sum(t.utilization for t in self.rt_tasks)
-
-    @property
-    def security_utilization_des(self) -> float:
-        return sum(t.utilization_des for t in self.security_tasks)
-
-    @property
-    def total_utilization(self) -> float:
-        """Total achieved utilisation (security counted at desired rate)."""
-        return self.rt_utilization + self.security_utilization_des
-
 
 def _split_utilization(
     total: float,

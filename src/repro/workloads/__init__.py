@@ -19,11 +19,7 @@ to implement.
 See README "Writing a new workload generator" for the plugin recipe.
 """
 
-from repro.workloads.api import (
-    WorkloadGenerator,
-    workload_from_dict,
-    workload_to_dict,
-)
+from repro.workloads.api import WorkloadGenerator
 from repro.workloads.registry import (
     UnknownWorkloadError,
     WorkloadInfo,
@@ -47,6 +43,4 @@ __all__ = [
     "workload_names",
     "iter_workload_info",
     "run_workload",
-    "workload_to_dict",
-    "workload_from_dict",
 ]

@@ -1,4 +1,4 @@
-"""The workload-generator protocol and its serialised form.
+"""The workload-generator protocol.
 
 A *workload generator* is the supply side of the design space: given a
 platform, a target utilisation, and a random stream, it produces one
@@ -28,14 +28,12 @@ Contract (audited for every registered generator by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping
-
 import numpy as np
 
 from repro.model.platform import Platform
 from repro.taskgen.synthetic import SyntheticConfig, SyntheticWorkload
 
-__all__ = ["WorkloadGenerator", "workload_to_dict", "workload_from_dict"]
+__all__ = ["WorkloadGenerator"]
 
 
 class WorkloadGenerator(ABC):
@@ -64,34 +62,3 @@ class WorkloadGenerator(ABC):
         rng: np.random.Generator | int | None = None,
     ) -> SyntheticWorkload:
         """One task-set instance at the target utilisation."""
-
-
-def workload_to_dict(workload: SyntheticWorkload) -> dict[str, Any]:
-    """Plain-JSON form of one generated instance (stable keys).
-
-    The canonical JSON of this dict is what the determinism tests and
-    the ``workload-sample`` point runner byte-compare; the task content
-    round-trips through :mod:`repro.io`.
-    """
-    # Imported here: parsing a scenario with a workload axis imports
-    # this module on the request path, and only sampling needs repro.io.
-    from repro.io import taskset_to_dict
-
-    return {
-        "cores": workload.platform.num_cores,
-        "target_utilization": workload.target_utilization,
-        "rt_tasks": taskset_to_dict(workload.rt_tasks),
-        "security_tasks": taskset_to_dict(workload.security_tasks),
-    }
-
-
-def workload_from_dict(data: Mapping[str, Any]) -> SyntheticWorkload:
-    """Inverse of :func:`workload_to_dict` (default recipe config)."""
-    from repro.io import taskset_from_dict
-
-    return SyntheticWorkload(
-        platform=Platform(int(data["cores"])),
-        rt_tasks=taskset_from_dict(data["rt_tasks"]),
-        security_tasks=taskset_from_dict(data["security_tasks"]),
-        target_utilization=float(data["target_utilization"]),
-    )

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.model.platform import Platform
 from repro.model.task import TaskSet
+from repro.model.task import total_utilization as summed_utilization
 from repro.taskgen.security_apps import table1_security_tasks
 from repro.taskgen.synthetic import (
     SyntheticConfig,
@@ -101,8 +102,9 @@ class CaseStudyWorkload(WorkloadGenerator):
             platform = Platform(platform)
         rt_tasks = self._rt_factory()
         security_tasks = self._security_factory()
-        achieved = sum(t.utilization for t in rt_tasks) + sum(
-            t.utilization_des for t in security_tasks
+        # ``total_utilization`` names the (ignored) target here.
+        achieved = summed_utilization(rt_tasks) + summed_utilization(
+            security_tasks
         )
         return SyntheticWorkload(
             platform=platform,

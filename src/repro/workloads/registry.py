@@ -12,8 +12,8 @@ Workload families self-register with :func:`register_workload` ::
         def generate(self, platform, total_utilization, rng): ...
 
 The table is a :class:`repro.registry.Registry` whose built-ins live in
-:mod:`repro.workloads.builtin`; the ``workload-sample`` point runner
-resolves families through it too.  Spec strings double as sweep-cell
+:mod:`repro.workloads.builtin`; the point runners resolve families
+through it.  Spec strings double as sweep-cell
 label prefixes: every built-in factory produces a generator whose
 ``name`` attribute equals its registry spec, so a
 ``uunifast::hydra|best-fit/rm/rta`` scheme label can always be

@@ -170,12 +170,6 @@ class TestJobsAndServer:
                 allocators=("hydra",),
             )
 
-    def test_request_round_trips_through_dict(self):
-        request = JobRequest.from_dict(
-            {"ablation": {"baseline": {"cores": [2]}}, "scale": "smoke"}
-        )
-        assert JobRequest.from_dict(request.to_dict()) == request
-
     def test_served_result_identical_to_direct_run(self, tmp_path, scale):
         doc = {
             "ablation": {"name": "e2e", "axes": ["ordering"]},

@@ -19,7 +19,7 @@ class TestRunSet:
     def test_baseline_first_then_swap_one_per_component(self):
         config = _config(axes=["heuristic", "ordering"])
         runs, skipped = run_set(config)
-        assert runs[0].is_baseline
+        assert runs[0].axis is None
         assert runs[0].axis is None
         expected = [
             ("heuristic", c)

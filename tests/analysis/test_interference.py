@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from repro.analysis.interference import (
     Interferer,
     InterferenceEnv,
-    linear_bound_met,
-    linear_interference,
     min_feasible_period,
 )
 from repro.errors import ValidationError
@@ -55,7 +53,7 @@ class TestInterferenceEnv:
         )
         assert env.total_wcet == pytest.approx(5.0)
         assert env.utilization == pytest.approx(0.2 + 0.1)
-        assert len(env) == 2
+        assert len(env.interferers) == 2
 
     def test_sums_add_left_to_right(self):
         """K' and U of C = 0.1, 0.2, 0.3 (T = 1) add in order to
@@ -107,18 +105,13 @@ class TestInterferenceEnv:
 
 
 class TestLinearHelpers:
-    def test_linear_interference_convenience(self):
-        direct = linear_interference(50.0, [rt(2.0, 10.0)])
-        env = InterferenceEnv.on_core([rt(2.0, 10.0)])
-        assert direct == pytest.approx(env.interference(50.0))
-
     def test_linear_bound_met_true_and_false(self):
         env = InterferenceEnv.on_core([rt(5.0, 10.0)])  # U = .5
         task = sec(wcet=10.0, tdes=100.0, tmax=1000.0)
-        # At T = 100: 10 + (5 + .5*100) = 65 ≤ 100 → met.
-        assert linear_bound_met(task, 100.0, env)
+        # At T = 100: 10 + (5 + .5*100) = 65 ≤ 100 → Eq. (6) met.
+        assert task.wcet + env.interference(100.0) <= 100.0
         # At T = 20: 10 + (5 + 10) = 25 > 20 → not met.
-        assert not linear_bound_met(task, 20.0, env)
+        assert task.wcet + env.interference(20.0) > 20.0
 
     def test_min_feasible_period_formula(self):
         env = InterferenceEnv.on_core([rt(5.0, 10.0)])
@@ -184,7 +177,7 @@ def test_linear_interference_is_the_eq5_sum(rt_tasks, security, window):
         + [(1 + window / period) * s.wcet for s, period in security]
     )
     assert math.isclose(
-        linear_interference(window, rt_tasks, security),
+        InterferenceEnv.on_core(rt_tasks, security).interference(window),
         expected,
         rel_tol=1e-12,
         abs_tol=1e-9,

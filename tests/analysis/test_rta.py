@@ -6,11 +6,11 @@ import math
 
 import pytest
 
+from rta_reference import core_response_times
 from repro.analysis.admission import ExactAdmissionCore
 from repro.analysis.blocking import rt_schedulable_with_blocking
 from repro.analysis.interference import Interferer
 from repro.analysis.rta import (
-    core_response_times,
     response_time,
     rta_schedulable,
 )

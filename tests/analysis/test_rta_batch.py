@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
+from rta_reference import core_response_times
 from repro.analysis.rta import (
-    core_response_times,
     response_time,
     response_times_batch,
     rta_schedulable,

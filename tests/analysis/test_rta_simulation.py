@@ -25,13 +25,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rta_reference import core_response_times
 from repro.analysis.admission import ExactAdmissionCore
 from repro.analysis.blocking import (
     max_tolerable_blocking,
     rt_schedulable_with_blocking,
 )
 from repro.analysis.rta import (
-    core_response_times,
     response_times_batch,
     rta_schedulable,
     rta_schedulable_batch,

@@ -1,29 +1,55 @@
-"""Unit tests for the admission tests and whole-partition checks."""
+"""Unit tests for the admission tests."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.schedulability import (
-    breakdown_utilization,
+    ADMISSION_TESTS,
     get_admission_test,
     hyperbolic_test,
     liu_layland_bound,
     liu_layland_test,
-    partition_schedulable,
+    rta_batch_test,
     rta_test,
-    security_schedulable_on_core,
     utilization_test,
 )
-from repro.model.platform import Platform
-from repro.model.system import Partition
-from repro.model.task import RealTimeTask, SecurityTask, TaskSet
+from repro.model.task import RealTimeTask
+from repro.sim.engine import SimTask, Simulator
 
 
-def rt(name: str, wcet: float, period: float) -> RealTimeTask:
-    return RealTimeTask(name=name, wcet=wcet, period=period)
+def rt(name: str, wcet: float, period: float,
+       deadline: float | None = None) -> RealTimeTask:
+    return RealTimeTask(name=name, wcet=wcet, period=period,
+                        deadline=deadline)
+
+
+@st.composite
+def implicit_deadline_sets(draw) -> list[RealTimeTask]:
+    n = draw(st.integers(min_value=1, max_value=6))
+    tasks = []
+    for i in range(n):
+        period = draw(st.floats(min_value=1.0, max_value=1000.0))
+        utilization = draw(st.floats(min_value=0.01, max_value=0.6))
+        tasks.append(rt(f"t{i}", period * utilization, period))
+    return tasks
+
+
+def simulated_misses(tasks: list[RealTimeTask], duration: float) -> set[str]:
+    """Names of the tasks that miss a deadline when ``tasks`` run on one
+    core in rate-monotonic order from a synchronous release."""
+    ordered = sorted(tasks, key=lambda t: (t.period, -t.wcet, t.name))
+    sim = [
+        SimTask(name=t.name, wcet=t.wcet, period=t.period,
+                deadline=t.deadline, priority=i, core=0)
+        for i, t in enumerate(ordered)
+    ]
+    result = Simulator(sim, num_cores=1, duration=duration).run()
+    return {miss.task for miss in result.misses}
 
 
 class TestUtilizationBounds:
@@ -78,66 +104,89 @@ class TestAdmissionRegistry:
         assert not liu_layland_test(tasks)
 
 
-class TestPartitionSchedulable:
-    def test_schedulable_partition(self):
-        platform = Platform(2)
-        tasks = TaskSet([rt("a", 2, 4), rt("b", 4, 8), rt("c", 1, 4)])
-        partition = Partition(platform, tasks, {"a": 0, "b": 0, "c": 1})
-        assert partition_schedulable(partition)
+class TestEveryAdmissionTest:
+    """Claims every registered test makes, whatever its precision."""
 
-    def test_unschedulable_core_detected(self):
-        platform = Platform(2)
-        tasks = TaskSet([rt("a", 3, 4), rt("b", 3, 6)])
-        partition = Partition(platform, tasks, {"a": 0, "b": 0})
-        assert not partition_schedulable(partition)
-        # Splitting them fixes it.
-        partition2 = Partition(platform, tasks, {"a": 0, "b": 1})
-        assert partition_schedulable(partition2)
+    @pytest.mark.parametrize("name", ADMISSION_TESTS)
+    def test_empty_task_set_is_admitted(self, name):
+        assert get_admission_test(name)([])
 
+    @pytest.mark.parametrize("name", ADMISSION_TESTS)
+    def test_over_utilized_core_is_rejected(self, name):
+        tasks = [rt("a", 6, 10), rt("b", 6, 10)]  # U = 1.2
+        assert not get_admission_test(name)(tasks)
 
-class TestSecuritySchedulableOnCore:
-    def test_linear_vs_exact(self):
-        rt_tasks = [rt("a", 2, 10)]
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=20.0, period_max=200.0
-        )
-        # Linear bound at T=20: 5 + 2 + 0.2*20 = 11 ≤ 20 → both pass.
-        assert security_schedulable_on_core(task, 20.0, rt_tasks)
-        assert security_schedulable_on_core(task, 20.0, rt_tasks, exact=True)
+    @pytest.mark.parametrize("name", ADMISSION_TESTS)
+    @given(tasks=implicit_deadline_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_admits_nothing_utilization_rejects(self, name, tasks):
+        """``Σ U ≤ 1`` is necessary, so no test may admit beyond it."""
+        if get_admission_test(name)(tasks):
+            assert utilization_test(tasks)
 
-    def test_exact_more_permissive_than_linear(self):
-        rt_tasks = [rt("a", 4, 10)]
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=10.0, period_max=200.0
-        )
-        # Linear at T=10: 5 + 4 + 0.4*10 = 13 > 10 → fail;
-        # exact: R = 5 + ceil(R/10)*4 → 9 ≤ 10 → pass.
-        assert not security_schedulable_on_core(task, 10.0, rt_tasks)
-        assert security_schedulable_on_core(task, 10.0, rt_tasks, exact=True)
+    @pytest.mark.parametrize("name", ADMISSION_TESTS)
+    @given(tasks=implicit_deadline_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_admits_whatever_liu_layland_admits(self, name, tasks):
+        """The Liu–Layland bound is sufficient, so every test admits at
+        least what it admits."""
+        if liu_layland_test(tasks):
+            assert get_admission_test(name)(tasks)
 
-    def test_hp_security_interference_counts(self):
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=10.0, period_max=200.0
-        )
-        other = SecurityTask(
-            name="h", wcet=6.0, period_des=10.0, period_max=100.0
-        )
-        assert security_schedulable_on_core(task, 12.0, [])
-        assert not security_schedulable_on_core(
-            task, 12.0, [], hp_security=[(other, 10.0)]
-        )
+    @pytest.mark.parametrize("name", ["rta", "rta-batch"])
+    @given(tasks=implicit_deadline_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_tests_admit_whatever_hyperbolic_admits(self, name, tasks):
+        if hyperbolic_test(tasks):
+            assert get_admission_test(name)(tasks)
 
 
-class TestBreakdownUtilization:
-    def test_idle_set_is_infinite(self):
-        assert breakdown_utilization([]) == math.inf
+class TestConstrainedDeadlines:
+    def test_demand_within_a_short_deadline_is_rejected(self):
+        # U = 0.6, but 12 units of work are due by t = 6.
+        tasks = [rt("a", 6.0, 20.0, deadline=6.0),
+                 rt("b", 6.0, 20.0, deadline=6.0)]
+        assert utilization_test(tasks)  # necessary only: blind to D
+        assert not rta_test(tasks)
+        assert not rta_batch_test(tasks)
+        assert simulated_misses(tasks, 40.0) == {"b"}
 
-    def test_harmonic_set_breaks_at_one(self):
-        tasks = [rt("a", 1, 4), rt("b", 2, 8)]  # U = 0.5, harmonic
-        scale = breakdown_utilization(tasks)
-        assert scale == pytest.approx(2.0, rel=1e-2)
+    def test_demand_that_fits_the_deadline_is_admitted(self):
+        tasks = [rt("a", 2.0, 20.0, deadline=6.0),
+                 rt("b", 2.0, 20.0, deadline=6.0)]
+        assert rta_test(tasks)
+        assert rta_batch_test(tasks)
+        assert simulated_misses(tasks, 40.0) == set()
 
-    def test_scaling_down_always_schedulable(self):
-        tasks = [rt("a", 3, 7), rt("b", 2, 11), rt("c", 1, 13)]
-        scale = breakdown_utilization(tasks)
-        assert scale >= 1.0  # the set itself is schedulable
+
+class TestBreakdown:
+    """How far a set's WCETs can grow before RM misses a deadline."""
+
+    def test_harmonic_set_is_schedulable_up_to_full_load(self):
+        tasks = [rt("a", 2.0, 4.0), rt("b", 4.0, 8.0)]  # U = 1
+        assert rta_test(tasks)
+        assert simulated_misses(tasks, 16.0) == set()
+        grown = [rt("a", 2.0, 4.0), rt("b", 4.0 * (1 + 1e-6), 8.0)]
+        assert not rta_test(grown)
+
+    def test_non_harmonic_pair_breaks_down_below_full_load(self):
+        # R_b = 3 + 2 = 5 ≤ 7; at 3.01 the second release of a lands
+        # inside b's window and R_b = 3.01 + 4 > 7, at U ≈ 0.83.
+        tasks = [rt("a", 2.0, 5.0), rt("b", 3.0, 7.0)]
+        grown = [rt("a", 2.0, 5.0), rt("b", 3.01, 7.0)]
+        assert rta_test(tasks)
+        assert not rta_test(grown)
+        assert utilization_test(grown)
+        # Π (U_i + 1) = 1.4 · 10/7 = 2: the hyperbolic bound is tight here.
+        assert hyperbolic_test(tasks)
+        assert not hyperbolic_test(grown)
+        assert simulated_misses(tasks, 35.0) == set()
+        assert simulated_misses(grown, 35.0) == {"b"}
+
+    @given(tasks=implicit_deadline_sets(),
+           factor=st.floats(min_value=0.01, max_value=1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_wcets_down_keeps_a_set_schedulable(self, tasks, factor):
+        if rta_test(tasks):
+            scaled = [rt(t.name, t.wcet * factor, t.period) for t in tasks]
+            assert rta_test(scaled)

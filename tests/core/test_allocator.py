@@ -38,6 +38,22 @@ class TestSecurityAssignment:
         SecurityAssignment(task=sec(), core=0, period=100.0)
         SecurityAssignment(task=sec(), core=0, period=1000.0)
 
+    def test_tightness_at_desired_period_is_one(self):
+        assignment = SecurityAssignment(task=sec(), core=0, period=100.0)
+        assert assignment.tightness == 1.0
+
+    def test_tightness_at_max_period_is_the_least(self):
+        assignment = SecurityAssignment(task=sec(), core=0, period=1000.0)
+        assert assignment.tightness == pytest.approx(100.0 / 1000.0)
+
+    def test_tightness_falls_as_the_period_grows(self):
+        etas = [
+            SecurityAssignment(task=sec(), core=0, period=period).tightness
+            for period in (100.0, 150.0, 400.0, 999.0, 1000.0)
+        ]
+        assert etas == sorted(etas, reverse=True)
+        assert len(set(etas)) == len(etas)
+
 
 class TestAllocation:
     def make(self) -> Allocation:
@@ -63,11 +79,6 @@ class TestAllocation:
         assert allocation.periods() == {"a": 100.0, "b": 200.0}
         assert allocation.cores() == {"a": 0, "b": 1}
 
-    def test_tasks_on_core(self):
-        allocation = self.make()
-        assert [a.task.name for a in allocation.tasks_on(0)] == ["a"]
-        assert allocation.tasks_on(2) == ()
-
     def test_cumulative_tightness_unweighted(self):
         assert self.make().cumulative_tightness() == pytest.approx(1.5)
 
@@ -76,6 +87,12 @@ class TestAllocation:
         assert allocation.cumulative_tightness(
             {"a": 2.0, "b": 4.0}
         ) == pytest.approx(2.0 + 2.0)
+
+    def test_unweighted_task_counts_once(self):
+        # "b" has no weight of its own: it counts with weight 1.
+        assert self.make().cumulative_tightness({"a": 2.0}) == pytest.approx(
+            2.0 * 1.0 + 0.5
+        )
 
     def test_cumulative_tightness_adds_left_to_right(self):
         """0.1 + 0.2 + 0.3 added in order is 0.6000000000000001 on every

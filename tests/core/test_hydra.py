@@ -186,7 +186,7 @@ class TestHydraInvariants:
         allocation = HydraAllocator().allocate(loaded_system)
         assert allocation.schedulable
         for core in loaded_system.platform:
-            on_core = allocation.tasks_on(core)
+            on_core = [a for a in allocation.assignments if a.core == core]
             for i, assignment in enumerate(on_core):
                 hp = [(a.task, a.period) for a in on_core[:i]]
                 env = InterferenceEnv.on_core(

@@ -68,9 +68,9 @@ class TestPoolExecutor:
         try:
             warm = get_shared_pool(2)
             warm.map(abs, [-1, -2])  # spawn it
-            assert warm.active
+            assert warm._executor is not None
             get_executor("pool", workers=4).run_points(_spec(), [0])
-            assert warm.active
+            assert warm._executor is not None
             assert get_shared_pool(1) is warm
         finally:
             shutdown_shared_pool()
@@ -80,7 +80,7 @@ class TestPoolExecutor:
             executor = PoolExecutor(pool=pool)
             executor.run_points(_spec(), [0, 1, 2])
             executor.close()
-            assert pool.active  # creator owns the pool's lifecycle
+            assert pool._executor is not None  # creator owns the pool's lifecycle
 
 
 class TestEngineIntegration:

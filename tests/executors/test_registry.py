@@ -46,7 +46,7 @@ class TestBuiltins:
         try:
             assert subproc.name == "subprocess-workers"
             assert subproc.workers == 2
-            assert not subproc.active  # lazy: nothing spawned yet
+            assert not subproc._workers  # lazy: nothing spawned yet
         finally:
             subproc.close()
 

@@ -120,9 +120,9 @@ class TestHappyPath:
     def test_workers_persist_across_sweeps(self, runner_module, tmp_path):
         with _make_executor(runner_module, workers=2) as executor:
             executor.run_points(_spec(tmp_path), [0, 1, 2])
-            first_pids = set(executor.worker_pids())
+            first_pids = {w.proc.pid for w in executor._workers.values()}
             executor.run_points(_spec(tmp_path), [3, 4, 5])
-            assert set(executor.worker_pids()) == first_pids
+            assert {w.proc.pid for w in executor._workers.values()} == first_pids
             assert executor.spawn_count == 2  # no respawns happened
 
     def test_close_is_idempotent_and_executor_restartable(
@@ -132,7 +132,7 @@ class TestHappyPath:
         executor.run_points(_spec(tmp_path), [0])
         executor.close()
         executor.close()
-        assert not executor.active
+        assert not executor._workers
         # A closed executor lazily respawns, like WorkerPool.
         got = executor.run_points(_spec(tmp_path), [1])
         assert got == [_serial_reference(tmp_path)[1]]
@@ -160,7 +160,7 @@ class TestWorkerDeath:
             engine = SweepEngine(executor=executor, cache=store)
             result = engine.run(spec)
         assert result.stats.computed_points == 6
-        assert len(store) == 6  # one entry per point, despite the retry
+        assert store.stats()["entries"] == 6  # one entry per point, despite the retry
 
         # A warm rerun serves everything from the store: retries never
         # re-persisted a point, and nothing recomputes.

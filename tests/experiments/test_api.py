@@ -83,27 +83,6 @@ class TestRegistry:
 
 
 class TestProtocol:
-    def test_points_cover_all_sweeps(self):
-        experiment = Fig2Experiment()
-        points = experiment.points(SMOKE)
-        total = sum(len(s.points) for s in experiment.sweeps(SMOKE))
-        assert len(points) == total > 0
-
-    def test_run_point_matches_engine_payload(self):
-        experiment = Fig2Experiment()
-        point = experiment.points(SMOKE)[0]
-        payload = experiment.run_point(point)
-        engine_result = SweepEngine().run(point.sweep)
-        assert payload == engine_result.payloads[point.index]
-
-    def test_run_point_accepts_explicit_stream(self):
-        experiment = Fig2Experiment()
-        point = experiment.points(SMOKE)[0]
-        assert (
-            experiment.run_point(point, stream=point.stream())
-            == experiment.run_point(point)
-        )
-
     def test_spec_hash_stable_and_scale_sensitive(self):
         experiment = Fig2Experiment()
         assert experiment.spec_hash(SMOKE) == experiment.spec_hash(SMOKE)

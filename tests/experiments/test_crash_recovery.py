@@ -101,7 +101,7 @@ class TestBrokenPoolRecovery:
         messages = [r.message for r in caplog.records]
         assert any("respawning and retrying once" in m for m in messages)
         assert any("serially in-process" in m for m in messages)
-        assert not pool.active  # no dead executor left behind
+        assert pool._executor is None  # no dead executor left behind
 
     def test_map_reaps_pool_on_keyboard_interrupt(self, monkeypatch):
         pool = WorkerPool(2)
@@ -114,7 +114,7 @@ class TestBrokenPoolRecovery:
         with pytest.raises(KeyboardInterrupt):
             pool.map(_double, [1])
         # The executor was reaped, not left broken for the next sweep.
-        assert not pool.active
+        assert pool._executor is None
 
     def test_get_shared_pool_reaps_broken_executor_on_reuse(
         self, isolated_shared_pool
@@ -163,7 +163,7 @@ class TestCooperativeCancel:
         )
         with pytest.raises(SweepCancelled):
             engine.run(_mini_spec())
-        assert len(store) == 0  # nothing computed, nothing cached
+        assert store.stats()["entries"] == 0  # nothing computed, nothing cached
 
     def test_partial_cancel_keeps_batches_and_resumes(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -181,7 +181,7 @@ class TestCooperativeCancel:
         with pytest.raises(SweepCancelled):
             engine.run(_mini_spec())
         assert 1 <= len(computed) < 3
-        assert len(store) == len(computed)  # finished batches persisted
+        assert store.stats()["entries"] == len(computed)  # finished batches persisted
 
         # A fresh, uncancelled engine resumes from the cache.
         resumed = SweepEngine(workers=1, cache=store).run(_mini_spec())
@@ -229,7 +229,7 @@ class TestReadonlyStoreNeverWrites:
         cache = tmp_path / "cache"
         writable = ResultStore(cache)
         key = {"x": 1}
-        writable.put("kind", key, {"v": 42})
+        writable.put_many("kind", [(key, {"v": 42})])
         # Force the index-rebuild path: drop the index file before
         # locking the tree down.
         for index_file in cache.rglob("index.jsonl"):
@@ -238,7 +238,7 @@ class TestReadonlyStoreNeverWrites:
         try:
             before = _tree_state(cache)
             store = ResultStore(cache, readonly=True)
-            assert store.get("kind", key) == {"v": 42}
+            assert store.get_many("kind", [key])[0] == {"v": 42}
             assert _tree_state(cache) == before  # zero writes
             assert not list(cache.rglob("index.jsonl"))
         finally:
@@ -246,7 +246,7 @@ class TestReadonlyStoreNeverWrites:
 
     def test_readonly_stats_on_unwritable_dir(self, tmp_path):
         cache = tmp_path / "cache"
-        ResultStore(cache).put("kind", {"x": 1}, {"v": 1})
+        ResultStore(cache).put_many("kind", [({"x": 1}, {"v": 1})])
         _lock_tree(cache)
         try:
             before = _tree_state(cache)
@@ -267,14 +267,14 @@ class TestTornTmpCleanup:
     def test_stale_orphaned_index_tmp_is_removed_on_open(self, tmp_path):
         cache = tmp_path / "cache"
         store = ResultStore(cache)
-        store.put("kind", {"x": 1}, {"v": 1})
+        store.put_many("kind", [({"x": 1}, {"v": 1})])
         shard_dir = next(p.parent for p in cache.rglob("data.jsonl"))
         torn = shard_dir / "index.jsonl.tmp"
         torn.write_text('{"torn": "garbage from a crashed writer"\n')
         _age(torn, _TMP_STALE_SECONDS + 60)
 
         reopened = ResultStore(cache)
-        assert reopened.get("kind", {"x": 1}) == {"v": 1}
+        assert reopened.get_many("kind", [{"x": 1}])[0] == {"v": 1}
         assert not torn.exists()
 
     def test_fresh_tmp_from_live_writer_is_left_alone(self, tmp_path):
@@ -283,36 +283,36 @@ class TestTornTmpCleanup:
         # reaping it would break that process's os.replace mid-write.
         cache = tmp_path / "cache"
         store = ResultStore(cache)
-        store.put("kind", {"x": 1}, {"v": 1})
+        store.put_many("kind", [({"x": 1}, {"v": 1})])
         shard_dir = next(p.parent for p in cache.rglob("data.jsonl"))
         in_flight = shard_dir / "index.jsonl.99999.tmp"
         in_flight.write_text("{}\n")
 
         reopened = ResultStore(cache)
-        assert reopened.get("kind", {"x": 1}) == {"v": 1}
+        assert reopened.get_many("kind", [{"x": 1}])[0] == {"v": 1}
         assert in_flight.exists()
 
     def test_stale_pid_suffixed_tmp_is_removed_on_open(self, tmp_path):
         cache = tmp_path / "cache"
         store = ResultStore(cache)
-        store.put("kind", {"x": 1}, {"v": 1})
+        store.put_many("kind", [({"x": 1}, {"v": 1})])
         shard_dir = next(p.parent for p in cache.rglob("data.jsonl"))
         torn = shard_dir / "data.jsonl.99999.tmp"
         torn.write_text("{}\n")
         _age(torn, _TMP_STALE_SECONDS + 60)
 
-        ResultStore(cache).get("kind", {"x": 1})
+        ResultStore(cache).get_many("kind", [{"x": 1}])[0]
         assert not torn.exists()
 
     def test_readonly_open_leaves_torn_tmp_alone(self, tmp_path):
         cache = tmp_path / "cache"
         store = ResultStore(cache)
-        store.put("kind", {"x": 1}, {"v": 1})
+        store.put_many("kind", [({"x": 1}, {"v": 1})])
         shard_dir = next(p.parent for p in cache.rglob("data.jsonl"))
         torn = shard_dir / "index.jsonl.tmp"
         torn.write_text("{}\n")
         _age(torn, _TMP_STALE_SECONDS + 60)
 
         readonly = ResultStore(cache, readonly=True)
-        assert readonly.get("kind", {"x": 1}) == {"v": 1}
+        assert readonly.get_many("kind", [{"x": 1}])[0] == {"v": 1}
         assert torn.exists()  # readonly handles never touch the disk

@@ -75,8 +75,8 @@ class TestFig1:
         assert single.scheme == (
             "uav-case-study::singlecore|best-fit/utilization/rta"
         )
-        assert hydra.cdf.sample_size == smoke.sim_trials
-        assert single.cdf.sample_size == smoke.sim_trials
+        assert hydra.attacks == smoke.sim_trials
+        assert single.attacks == smoke.sim_trials
 
     def test_hydra_detects_faster_at_default_seedset(self, smoke):
         # Use a slightly larger observation count for a stable sign.

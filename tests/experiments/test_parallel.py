@@ -152,14 +152,6 @@ class TestCache:
         rerun = SweepEngine(cache=ResultStore(tmp_path)).run(spec)
         assert rerun.stats.computed_points == 1
 
-    def test_clear_and_len(self, tmp_path):
-        spec = _mini_spec(points=2)
-        cache = ResultStore(tmp_path)
-        SweepEngine(cache=cache).run(spec)
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
     def test_cache_key_is_canonical(self):
         assert cache_key({"a": 1, "b": 2}) == cache_key({"b": 2, "a": 1})
         assert cache_key({"a": 1}) != cache_key({"a": 2})

@@ -51,10 +51,10 @@ def _bytes(result) -> bytes:
 class TestWorkerPool:
     def test_spawn_is_lazy(self):
         with WorkerPool(2) as pool:
-            assert not pool.active
+            assert pool._executor is None
             assert pool.spawn_count == 0
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert pool.active
+            assert pool._executor is not None
             assert pool.spawn_count == 1
 
     def test_reuse_does_not_respawn(self):
@@ -66,7 +66,7 @@ class TestWorkerPool:
     def test_serial_pool_never_spawns(self):
         pool = WorkerPool(1)
         assert pool.map(_square, [1, 2]) == [1, 4]
-        assert not pool.active
+        assert pool._executor is None
         assert pool.spawn_count == 0
 
     def test_map_supports_infinite_companion_iterables(self):
@@ -80,7 +80,7 @@ class TestWorkerPool:
         pool.map(_square, [1])
         pool.shutdown()
         pool.shutdown()
-        assert not pool.active
+        assert pool._executor is None
         # Using a shut-down pool simply respawns it.
         assert pool.map(_square, [3]) == [9]
         assert pool.spawn_count == 2
@@ -160,7 +160,7 @@ class TestEnginePlumbing:
             assert engine.workers == 2
             engine.run(_calibration_spec())
             assert pool.spawn_count == 1
-            assert pool.active  # engine must not reap it
+            assert pool._executor is not None  # engine must not reap it
             assert pool_module._shared_pool is None
 
     def test_explicit_serial_pool_runs_inline(self):
@@ -185,10 +185,10 @@ class TestEnginePlumbing:
         engine.run(_calibration_spec())
         old = get_shared_pool(2)
         grown = get_shared_pool(4)
-        assert grown is not old and not old.active
+        assert grown is not old and old._executor is None
         engine.run(_calibration_spec(seed=9))
         assert grown.spawn_count == 1  # the replacement served the run
-        assert not old.active  # the orphan was never respawned
+        assert old._executor is None  # the orphan was never respawned
         assert old.spawn_count == 1
 
     def test_default_parallel_engine_attaches_the_shared_pool_lazily(self):
@@ -212,7 +212,7 @@ class TestEnginePlumbing:
             engine = SweepEngine(executor=executor)
             pooled = experiment.run_domain(SCALES["smoke"], engine=engine)
             assert pool.spawn_count == 1
-            assert pool.active
+            assert pool._executor is not None
         assert pooled == experiment.run_domain(SCALES["smoke"])
         assert pool_module._shared_pool is None
 

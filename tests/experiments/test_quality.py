@@ -29,7 +29,6 @@ def _oracle_point(utilization: float, tasksets: int, rng):
     computed it: allocate both schemes per generated task set, then
     average tightness over the task sets both accept, summed in order."""
     from repro.allocators import get_allocator
-    from repro.analysis.dbf import necessary_condition
     from repro.core.singlecore import build_singlecore_system
     from repro.experiments.runner import build_hydra_system
     from repro.model.platform import Platform
@@ -42,10 +41,6 @@ def _oracle_point(utilization: float, tasksets: int, rng):
     hydra_sum = single_sum = 0.0
     for _ in range(tasksets):
         workload = generate_workload(platform, utilization, rng)
-        for _ in range(16):
-            if necessary_condition(workload.rt_tasks, platform):
-                break
-            workload = generate_workload(platform, utilization, rng)
         hydra_system = build_hydra_system(workload)
         hydra = (
             hydra_allocator.allocate(hydra_system)

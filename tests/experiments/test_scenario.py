@@ -117,12 +117,15 @@ class TestParsing:
             # for a float is a horizon.
             ("detection", "sim_duration", math.inf, "sim_duration"),
             ("detection", "sim_duration", 10**400, "sim_duration"),
+            # Past 2**24 the simulator's clock stops advancing.
+            ("detection", "sim_duration", 2**24 + 1, r"2\*\*24"),
         ],
         ids=[
             "zero-cores", "bool-cores", "bool-seed", "negative-seed",
             "bool-tasksets",
             "bool-start", "bool-stop", "bool-sim-trials",
             "bool-sim-duration", "inf-sim-duration", "huge-sim-duration",
+            "sim-duration-past-2-pow-24",
         ],
     )
     def test_bad_cores_rejected(self, section, key, value, message):
@@ -136,6 +139,12 @@ class TestParsing:
             document[section][key] = value
         with pytest.raises(ValidationError, match=message):
             parse_scenario(document)
+
+    def test_sim_duration_of_2_pow_24_accepted(self):
+        document = _good_document()
+        document["sweep"]["kind"] = "detection-latency"
+        document["sweep"]["sim_duration"] = 2**24
+        assert parse_scenario(document).sim_duration == 2**24
 
     def test_unknown_sweep_key_rejected(self):
         document = _good_document()

@@ -32,8 +32,8 @@ def _fill(store: ResultStore, n: int = 5, kind: str = "demo") -> None:
 class TestRoundTrip:
     def test_put_get_single(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("demo", _key(0), _payload(0))
-        assert store.get("demo", _key(0)) == _payload(0)
+        store.put_many("demo", [(_key(0), _payload(0))])
+        assert store.get_many("demo", [_key(0)])[0] == _payload(0)
         assert store.hits == 1
 
     def test_get_many_preserves_order_and_misses(self, tmp_path):
@@ -48,8 +48,8 @@ class TestRoundTrip:
     def test_round_trip_survives_json_exactly(self, tmp_path):
         store = ResultStore(tmp_path)
         payload = {"nested": {"a": [1, 2.5, None, "x"]}, "flag": True}
-        store.put("demo", _key(1), payload)
-        reread = ResultStore(tmp_path).get("demo", _key(1))
+        store.put_many("demo", [(_key(1), payload)])
+        reread = ResultStore(tmp_path).get_many("demo", [_key(1)])[0]
         assert json.dumps(reread, sort_keys=True) == json.dumps(
             payload, sort_keys=True
         )
@@ -57,24 +57,24 @@ class TestRoundTrip:
     def test_persists_across_instances(self, tmp_path):
         _fill(ResultStore(tmp_path), 4)
         store = ResultStore(tmp_path)
-        assert len(store) == 4
-        assert store.get("demo", _key(3)) == _payload(3)
+        assert store.stats()["entries"] == 4
+        assert store.get_many("demo", [_key(3)])[0] == _payload(3)
 
     def test_kinds_are_isolated_shards(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("alpha", _key(0), {"v": "a"})
-        store.put("beta", _key(0), {"v": "b"})
-        assert store.get("alpha", _key(0)) == {"v": "a"}
-        assert store.get("beta", _key(0)) == {"v": "b"}
+        store.put_many("alpha", [(_key(0), {"v": "a"})])
+        store.put_many("beta", [(_key(0), {"v": "b"})])
+        assert store.get_many("alpha", [_key(0)])[0] == {"v": "a"}
+        assert store.get_many("beta", [_key(0)])[0] == {"v": "b"}
         assert (tmp_path / "alpha" / "data.jsonl").exists()
         assert (tmp_path / "beta" / "data.jsonl").exists()
 
     def test_overwrite_returns_latest(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("demo", _key(0), {"v": 1})
-        store.put("demo", _key(0), {"v": 2})
-        assert store.get("demo", _key(0)) == {"v": 2}
-        assert ResultStore(tmp_path).get("demo", _key(0)) == {"v": 2}
+        store.put_many("demo", [(_key(0), {"v": 1})])
+        store.put_many("demo", [(_key(0), {"v": 2})])
+        assert store.get_many("demo", [_key(0)])[0] == {"v": 2}
+        assert ResultStore(tmp_path).get_many("demo", [_key(0)])[0] == {"v": 2}
 
     def test_empty_batches_are_noops(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -85,7 +85,7 @@ class TestRoundTrip:
         store = ResultStore(tmp_path)
         for kind in ("", "a/b", ".hidden"):
             with pytest.raises(ValidationError):
-                store.put(kind, _key(0), {})
+                store.put_many(kind, [(_key(0), {})])
 
 
 class TestCrashTolerance:
@@ -93,7 +93,7 @@ class TestCrashTolerance:
         _fill(ResultStore(tmp_path), 4)
         (tmp_path / "demo" / "index.jsonl").unlink()
         store = ResultStore(tmp_path)
-        assert store.get("demo", _key(2)) == _payload(2)
+        assert store.get_many("demo", [_key(2)])[0] == _payload(2)
         assert (tmp_path / "demo" / "index.jsonl").exists()
 
     def test_torn_trailing_data_line_is_invisible(self, tmp_path):
@@ -102,8 +102,8 @@ class TestCrashTolerance:
         with data.open("ab") as handle:
             handle.write(b'{"key": {"format": 1, "kind": "de')  # killed
         store = ResultStore(tmp_path)
-        assert len(store) == 3
-        assert store.get("demo", _key(1)) == _payload(1)
+        assert store.stats()["entries"] == 3
+        assert store.get_many("demo", [_key(1)])[0] == _payload(1)
 
     def test_torn_index_line_triggers_rebuild(self, tmp_path):
         _fill(ResultStore(tmp_path), 3)
@@ -111,8 +111,8 @@ class TestCrashTolerance:
         with index.open("ab") as handle:
             handle.write(b'{"h": "dead')
         store = ResultStore(tmp_path)
-        assert len(store) == 3
-        assert store.get("demo", _key(0)) == _payload(0)
+        assert store.stats()["entries"] == 3
+        assert store.get_many("demo", [_key(0)])[0] == _payload(0)
 
     def test_unindexed_data_records_are_recovered(self, tmp_path):
         """Crash window between append_many's data flush and its index
@@ -121,14 +121,14 @@ class TestCrashTolerance:
         store = ResultStore(tmp_path)
         _fill(store, 3)
         orphan = ResultStore(tmp_path)
-        orphan.put("demo", _key(7), _payload(7))
+        orphan.put_many("demo", [(_key(7), _payload(7))])
         # Simulate the crash: drop the orphan's index line only.
         index = tmp_path / "demo" / "index.jsonl"
         lines = index.read_bytes().splitlines(keepends=True)
         index.write_bytes(b"".join(lines[:3]))
         reopened = ResultStore(tmp_path)
-        assert len(reopened) == 4
-        assert reopened.get("demo", _key(7)) == _payload(7)
+        assert reopened.stats()["entries"] == 4
+        assert reopened.get_many("demo", [_key(7)])[0] == _payload(7)
 
     def test_append_after_torn_tail_stays_rebuildable(self, tmp_path):
         """A new record appended after a torn tail must not fuse with
@@ -138,12 +138,12 @@ class TestCrashTolerance:
         with data.open("ab") as handle:
             handle.write(b'{"key": {"torn')  # killed mid-write
         store = ResultStore(tmp_path)
-        store.put("demo", _key(7), _payload(7))
-        assert store.get("demo", _key(7)) == _payload(7)
+        store.put_many("demo", [(_key(7), _payload(7))])
+        assert store.get_many("demo", [_key(7)])[0] == _payload(7)
         (tmp_path / "demo" / "index.jsonl").unlink()
         rebuilt = ResultStore(tmp_path)
-        assert len(rebuilt) == 3  # both old and new survived the scan
-        assert rebuilt.get("demo", _key(7)) == _payload(7)
+        assert rebuilt.stats()["entries"] == 3  # both old and new survived the scan
+        assert rebuilt.get_many("demo", [_key(7)])[0] == _payload(7)
 
     def test_truncated_data_downgrades_to_misses(self, tmp_path):
         _fill(ResultStore(tmp_path), 3)
@@ -157,11 +157,12 @@ class TestCrashTolerance:
         """An entry whose stored key disagrees with the probe key is a
         miss, even though the sha256 bucket matches."""
         store = ResultStore(tmp_path)
-        store.put("demo", _key(0), _payload(0))
+        store.put_many("demo", [(_key(0), _payload(0))])
         shard = store._shard("demo")
         digest = cache_key(_key(1))  # alias key 1's bucket at key 0's data
-        shard.index[digest] = next(iter(shard.index.values()))
-        assert store.get("demo", _key(1)) is None
+        index = shard._write_segment.index
+        index[digest] = next(iter(index.values()))
+        assert store.get_many("demo", [_key(1)])[0] is None
 
 
 class TestFailFast:
@@ -198,14 +199,14 @@ class TestReadonly:
         (tmp_path / "demo" / "index.jsonl").unlink()
         snapshot = sorted(p.name for p in tmp_path.rglob("*"))
         store = ResultStore(tmp_path, readonly=True)
-        assert store.get("demo", _key(1)) == _payload(1)  # index rebuilt…
+        assert store.get_many("demo", [_key(1)])[0] == _payload(1)  # index rebuilt…
         assert store.stats()["entries"] == 3
         # …but only in memory: not a single file created or touched.
         assert sorted(p.name for p in tmp_path.rglob("*")) == snapshot
 
     def test_missing_root_reads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "absent", readonly=True)
-        assert store.get("demo", _key(0)) is None
+        assert store.get_many("demo", [_key(0)])[0] is None
         assert store.stats()["entries"] == 0
         assert not (tmp_path / "absent").exists()
 
@@ -213,11 +214,9 @@ class TestReadonly:
         _fill(ResultStore(tmp_path), 1)
         store = ResultStore(tmp_path, readonly=True)
         with pytest.raises(CacheError):
-            store.put("demo", _key(9), _payload(9))
+            store.put_many("demo", [(_key(9), _payload(9))])
         with pytest.raises(CacheError):
             store.gc()
-        with pytest.raises(CacheError):
-            store.clear()
 
 
 class TestRetiredLayout:
@@ -275,10 +274,10 @@ class TestRetiredLayout:
         snapshot = sorted(p.name for p in tmp_path.rglob("*"))
         store = ResultStore(tmp_path, readonly=True)
         assert store.stats()["entries"] == 0
-        assert store.get(spec.kind, spec.key_payload(0)) is None
+        assert store.get_many(spec.kind, [spec.key_payload(0)])[0] is None
         assert sorted(p.name for p in tmp_path.rglob("*")) == snapshot
 
-    def test_gc_and_clear_leave_the_files_in_place(self, tmp_path):
+    def test_gc_leaves_the_files_in_place(self, tmp_path):
         spec = self._spec()
         leftovers = self._leave_files(
             tmp_path, spec, SweepEngine().run(spec).payloads
@@ -290,21 +289,23 @@ class TestRetiredLayout:
         store = ResultStore(tmp_path)
         SweepEngine(cache=store).run(spec)
         assert store.gc()["entries"] == len(spec.points)
-        assert store.clear() == len(spec.points)
-        # The emptied shard is reaped, but not the files beside it.
-        assert store.gc()["entries"] == 0
+        # Tear the shard's only log: the emptied shard is reaped, but
+        # not the files beside it.
+        (tmp_path / spec.kind / "data.jsonl").write_text('{"key": ')
+        (tmp_path / spec.kind / "index.jsonl").unlink(missing_ok=True)
+        assert ResultStore(tmp_path).gc()["entries"] == 0
         assert all(path.exists() for path in leftovers)
 
 
 class TestMaintenance:
-    def test_len_and_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        _fill(store, 3)
-        _fill(store, 2, kind="other")
-        assert len(store) == 5
-        assert store.clear() == 5
-        assert len(store) == 0
-        assert ResultStore(tmp_path).get("demo", _key(0)) is None
+    def test_gc_reaps_a_shard_whose_only_record_is_torn(self, tmp_path):
+        _fill(ResultStore(tmp_path), 2)
+        torn = tmp_path / "torn" / "data.jsonl"
+        torn.parent.mkdir()
+        torn.write_text('{"key": ')
+        summary = ResultStore(tmp_path).gc()
+        assert summary["entries"] == 2
+        assert not torn.parent.exists()
 
     def test_gc_compacts_superseded_records(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -316,8 +317,8 @@ class TestMaintenance:
         assert summary["entries"] == 3
         assert summary["reclaimed_bytes"] > 0
         assert after < before
-        assert store.get("demo", _key(1)) == _payload(1)
-        assert ResultStore(tmp_path).get("demo", _key(2)) == _payload(2)
+        assert store.get_many("demo", [_key(1)])[0] == _payload(1)
+        assert ResultStore(tmp_path).get_many("demo", [_key(2)])[0] == _payload(2)
 
     def test_stats_shape(self, tmp_path):
         store = ResultStore(tmp_path)

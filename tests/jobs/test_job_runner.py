@@ -92,10 +92,6 @@ class TestJobRequest:
         with pytest.raises(ValidationError, match="overrides"):
             JobRequest(experiment="table1", allocators=("hydra",))
 
-    def test_round_trips_to_dict(self):
-        request = mini_request(seed=5)
-        assert JobRequest.from_dict(request.to_dict()) == request
-
     def test_unknown_scale_is_a_typed_error_at_build(self):
         with pytest.raises(ValidationError, match="unknown scale"):
             mini_request(scale="galactic").build()

@@ -70,7 +70,6 @@ def test_identity_swap_scores_zero(baseline, component):
     for metric in METRICS:
         assert score.delta(metric) == 0.0
         assert score.importance(metric) == 0.0
-        assert not score.harmful(metric)
     assert swap_verdict(score) == VERDICT_NEUTRAL
 
 
@@ -93,7 +92,7 @@ def test_ranking_is_descending_importance(scores):
     assert importances == sorted(importances, reverse=True)
 
 
-# -- harmful flag vs delta sign ---------------------------------------------
+# -- delta and importance signs ---------------------------------------------
 
 
 @given(_metric_maps, _metric_maps)
@@ -103,7 +102,6 @@ def test_harmful_agrees_with_delta_sign(baseline, variant):
         delta = variant[metric] - baseline[metric]
         assert score.delta(metric) == delta
         assert score.importance(metric) == -delta
-        assert score.harmful(metric) == (delta > 0)
 
 
 @given(_metric_maps, _metric_maps)

@@ -1,4 +1,4 @@
-"""Unit tests for the improvement and tightness metrics."""
+"""Unit tests for the improvement metrics."""
 
 from __future__ import annotations
 
@@ -12,11 +12,6 @@ from repro.metrics.improvement import (
     detection_speedup,
     tightness_gap,
 )
-from repro.metrics.tightness import (
-    cumulative_tightness,
-    tightness_per_task,
-)
-from repro.model.task import SecurityTask
 
 
 class TestAcceptanceImprovement:
@@ -80,38 +75,3 @@ class TestDetectionSpeedup:
     def test_all_undetected_rejected(self):
         with pytest.raises(ValidationError):
             detection_speedup([math.inf], [1.0])
-
-
-class TestTightnessHelpers:
-    @pytest.fixture
-    def tasks(self):
-        return [
-            SecurityTask(
-                name="a", wcet=1.0, period_des=100.0, period_max=1000.0
-            ),
-            SecurityTask(
-                name="b", wcet=1.0, period_des=200.0, period_max=2000.0
-            ),
-        ]
-
-    def test_per_task(self, tasks):
-        etas = tightness_per_task(tasks, {"a": 200.0, "b": 200.0})
-        assert etas == {"a": pytest.approx(0.5), "b": pytest.approx(1.0)}
-
-    def test_missing_period_rejected(self, tasks):
-        with pytest.raises(ValidationError):
-            tightness_per_task(tasks, {"a": 200.0})
-
-    def test_cumulative_unweighted(self, tasks):
-        total = cumulative_tightness(tasks, {"a": 200.0, "b": 200.0})
-        assert total == pytest.approx(1.5)
-
-    def test_cumulative_weighted(self, tasks):
-        total = cumulative_tightness(
-            tasks, {"a": 200.0, "b": 200.0}, weights={"a": 2.0}
-        )
-        assert total == pytest.approx(2.0)
-
-    def test_out_of_range_period_rejected(self, tasks):
-        with pytest.raises(ValidationError):
-            cumulative_tightness(tasks, {"a": 50.0, "b": 200.0})

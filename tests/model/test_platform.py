@@ -37,26 +37,11 @@ class TestPlatform:
         with pytest.raises(ValidationError):
             Platform(2.5)  # type: ignore[arg-type]
 
-    def test_core_label_is_one_based(self):
-        assert Platform(4).core_label(0) == "π1"
-        assert Platform(4).core_label(3) == "π4"
-
-    def test_core_label_validates(self):
-        with pytest.raises(ValidationError):
-            Platform(2).core_label(2)
-
     def test_validate_core_rejects_out_of_range(self):
         platform = Platform(2)
         platform.validate_core(1)  # no raise
         with pytest.raises(ValidationError):
             platform.validate_core(2)
-
-    def test_without_core_shrinks(self):
-        assert Platform(4).without_core(3).num_cores == 3
-
-    def test_without_core_rejects_single_core(self):
-        with pytest.raises(ValidationError):
-            Platform(1).without_core(0)
 
     def test_equality(self):
         assert Platform(2) == Platform(2)

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.model.priority import (
-    assign_rate_monotonic,
-    higher_priority_security,
     rate_monotonic_order,
     security_priority_order,
-    weights_by_priority,
 )
 from repro.model.task import RealTimeTask, SecurityTask
 
@@ -45,19 +40,6 @@ class TestRateMonotonicOrder:
         )
 
 
-class TestAssignRateMonotonic:
-    def test_priorities_are_distinct_and_dense(self):
-        tasks = [rt("a", 1, 30), rt("b", 1, 20), rt("c", 1, 10)]
-        assigned = assign_rate_monotonic(tasks)
-        assert [t.priority for t in assigned] == [0, 1, 2]
-
-    def test_highest_priority_has_shortest_period(self):
-        tasks = [rt("a", 1, 30), rt("b", 1, 10)]
-        assigned = assign_rate_monotonic(tasks)
-        assert assigned[0].name == "b"
-        assert assigned[0].priority == 0
-
-
 class TestSecurityPriorityOrder:
     def test_smaller_tmax_means_higher_priority(self):
         tasks = [sec("late", 1000.0), sec("early", 100.0)]
@@ -81,42 +63,3 @@ class TestSecurityPriorityOrder:
             "a",
             "b",
         ]
-
-
-class TestHigherPrioritySecurity:
-    def test_empty_for_highest(self):
-        tasks = [sec("hi", 100.0), sec("lo", 1000.0)]
-        assert higher_priority_security(tasks[0], tasks) == []
-
-    def test_all_above_for_lowest(self):
-        tasks = [sec("hi", 100.0), sec("mid", 500.0), sec("lo", 1000.0)]
-        hp = higher_priority_security(tasks[2], tasks)
-        assert [t.name for t in hp] == ["hi", "mid"]
-
-    def test_excludes_self(self):
-        tasks = [sec("hi", 100.0), sec("lo", 1000.0)]
-        hp = higher_priority_security(tasks[1], tasks)
-        assert all(t.name != "lo" for t in hp)
-
-
-class TestWeightsByPriority:
-    def test_linear_default_weights(self):
-        tasks = [sec("hi", 100.0), sec("mid", 500.0), sec("lo", 1000.0)]
-        weights = weights_by_priority(tasks)
-        assert weights == {"hi": 3.0, "mid": 2.0, "lo": 1.0}
-
-    def test_scaled_top_weight(self):
-        tasks = [sec("hi", 100.0), sec("lo", 1000.0)]
-        weights = weights_by_priority(tasks, highest=10.0)
-        assert weights["hi"] == pytest.approx(10.0)
-        assert weights["lo"] == pytest.approx(5.0)
-
-    def test_empty_input(self):
-        assert weights_by_priority([]) == {}
-
-    def test_weights_strictly_positive_and_decreasing(self):
-        tasks = [sec(f"s{i}", 100.0 * (i + 1)) for i in range(5)]
-        weights = weights_by_priority(tasks)
-        ordered = [weights[f"s{i}"] for i in range(5)]
-        assert all(w > 0 for w in ordered)
-        assert ordered == sorted(ordered, reverse=True)

@@ -7,7 +7,12 @@ import pytest
 from repro.errors import ValidationError
 from repro.model.platform import Platform
 from repro.model.system import Partition, SystemModel
-from repro.model.task import RealTimeTask, SecurityTask, TaskSet
+from repro.model.task import (
+    RealTimeTask,
+    SecurityTask,
+    TaskSet,
+    total_utilization,
+)
 
 
 @pytest.fixture
@@ -76,11 +81,6 @@ class TestPartition:
         mapping = partition.as_mapping()
         mapping["a"] = 1
         assert partition.core_of("a") == 0
-
-    def test_indicator_matrix(self, partition):
-        indicator = partition.indicator()
-        # I[m][r] over set order (a, b, c).
-        assert indicator == [[1, 1, 0], [0, 0, 1]]
 
     def test_equality(self, platform, rt_tasks, partition):
         clone = Partition(platform, rt_tasks, {"a": 0, "b": 0, "c": 1})
@@ -161,9 +161,11 @@ class TestSystemModel:
         assert system.weight_of("sec_lo") == 1.0
 
     def test_total_utilizations(self, two_core_system):
-        assert two_core_system.total_rt_utilization == pytest.approx(0.2)
+        assert total_utilization(two_core_system.rt_tasks) == (
+            pytest.approx(0.2)
+        )
         expected_sec = 5.0 / 100.0 + 8.0 / 150.0
-        assert two_core_system.total_security_utilization_des == (
+        assert total_utilization(two_core_system.security_tasks) == (
             pytest.approx(expected_sec)
         )
 

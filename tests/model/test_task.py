@@ -24,12 +24,10 @@ class TestRealTimeTask:
     def test_implicit_deadline_defaults_to_period(self):
         task = RealTimeTask(name="t", wcet=2.0, period=10.0)
         assert task.deadline == 10.0
-        assert task.is_implicit_deadline
 
     def test_explicit_constrained_deadline(self):
         task = RealTimeTask(name="t", wcet=2.0, period=10.0, deadline=5.0)
         assert task.deadline == 5.0
-        assert not task.is_implicit_deadline
 
     def test_utilization(self):
         task = RealTimeTask(name="t", wcet=2.5, period=10.0)
@@ -59,16 +57,9 @@ class TestRealTimeTask:
         with pytest.raises(ValidationError):
             RealTimeTask(name="t", wcet=1.0, period=10.0, deadline=12.0)
 
-    def test_with_priority_returns_new_task(self):
-        task = RealTimeTask(name="t", wcet=1.0, period=10.0)
-        assigned = task.with_priority(3)
-        assert assigned.priority == 3
-        assert task.priority is None
-        assert assigned.name == task.name
-
     def test_priority_excluded_from_equality(self):
         a = RealTimeTask(name="t", wcet=1.0, period=10.0)
-        assert a == a.with_priority(5)
+        assert a == RealTimeTask(name="t", wcet=1.0, period=10.0, priority=5)
 
     def test_full_utilization_task_allowed(self):
         task = RealTimeTask(name="t", wcet=10.0, period=10.0)
@@ -83,39 +74,11 @@ class TestSecurityTask:
         assert task.period_des == 100.0
         assert task.period_max == 1000.0
 
-    def test_desired_and_minimum_utilization(self):
+    def test_desired_utilization(self):
         task = SecurityTask(
             name="s", wcet=5.0, period_des=100.0, period_max=1000.0
         )
         assert task.utilization_des == pytest.approx(0.05)
-        assert task.utilization_min == pytest.approx(0.005)
-
-    def test_min_tightness(self):
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=100.0, period_max=400.0
-        )
-        assert task.min_tightness == pytest.approx(0.25)
-
-    def test_tightness_at_desired_period_is_one(self):
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=100.0, period_max=400.0
-        )
-        assert task.tightness(100.0) == pytest.approx(1.0)
-
-    def test_tightness_monotone_in_period(self):
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=100.0, period_max=400.0
-        )
-        assert task.tightness(200.0) > task.tightness(400.0)
-
-    def test_tightness_rejects_out_of_range_period(self):
-        task = SecurityTask(
-            name="s", wcet=5.0, period_des=100.0, period_max=400.0
-        )
-        with pytest.raises(ValidationError):
-            task.tightness(99.0)
-        with pytest.raises(ValidationError):
-            task.tightness(401.0)
 
     def test_rejects_des_above_max(self):
         with pytest.raises(ValidationError):
@@ -143,7 +106,7 @@ class TestSecurityTask:
         task = SecurityTask(
             name="s", wcet=5.0, period_des=100.0, period_max=100.0
         )
-        assert task.min_tightness == 1.0
+        assert task.period_des == task.period_max
 
     def test_surface_not_part_of_equality(self):
         a = SecurityTask(
@@ -188,22 +151,7 @@ class TestTaskSet:
                 ),
             ]
         )
-        assert tasks.utilization == pytest.approx(0.1 + 0.1)
-
-    def test_extended_preserves_original(self, rt_pair):
-        extra = RealTimeTask(name="new", wcet=1.0, period=5.0)
-        bigger = rt_pair.extended([extra])
-        assert len(bigger) == 3
-        assert len(rt_pair) == 2
-
-    def test_extended_rejects_name_clash(self, rt_pair):
-        clash = RealTimeTask(name="rt_fast", wcet=1.0, period=5.0)
-        with pytest.raises(ValidationError):
-            rt_pair.extended([clash])
-
-    def test_sorted_by(self, rt_pair):
-        by_period_desc = rt_pair.sorted_by(lambda t: t.period, reverse=True)
-        assert by_period_desc.names == ("rt_slow", "rt_fast")
+        assert total_utilization(tasks) == pytest.approx(0.1 + 0.1)
 
     def test_equality_and_hash(self, rt_pair):
         clone = TaskSet(list(rt_pair))
@@ -213,7 +161,7 @@ class TestTaskSet:
     def test_empty_set(self):
         empty = TaskSet()
         assert len(empty) == 0
-        assert empty.utilization == 0.0
+        assert total_utilization(empty) == 0.0
 
 
 class TestTotalUtilization:

@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from linprog_reference import solve_lp_highs
+from repro.opt import joint
 from repro.opt.exhaustive import exhaustive_optimal
 from repro.opt.joint import solve_assignment_lp
 
@@ -65,9 +67,10 @@ class TestExhaustiveOptimal:
         # Core 0 (u=.7) and core 1 (u=.55) both leave < 90% needed.
         assert exhaustive_optimal(system) is None
 
-    def test_scipy_backend_agrees(self, loaded_system):
+    def test_scipy_backend_agrees(self, loaded_system, monkeypatch):
         ours = exhaustive_optimal(loaded_system)
-        scipy_result = exhaustive_optimal(loaded_system, backend="scipy")
+        monkeypatch.setattr(joint, "solve_lp", solve_lp_highs)
+        scipy_result = exhaustive_optimal(loaded_system)
         assert ours is not None and scipy_result is not None
         assert ours.tightness == pytest.approx(
             scipy_result.tightness, rel=1e-6

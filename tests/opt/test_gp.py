@@ -19,21 +19,6 @@ class TestMonomial:
         m = Monomial(2.0, {"x": 2.0, "y": -1.0})
         assert m.evaluate({"x": 3.0, "y": 2.0}) == pytest.approx(9.0)
 
-    def test_multiply(self):
-        a = Monomial(2.0, {"x": 1.0})
-        b = Monomial(3.0, {"x": 1.0, "y": 2.0})
-        c = a * b
-        assert c.coeff == 6.0
-        assert c.exponents == {"x": 2.0, "y": 2.0}
-
-    def test_scalar_multiply(self):
-        assert (Monomial(2.0, {"x": 1.0}) * 3).coeff == 6.0
-
-    def test_power(self):
-        m = Monomial(4.0, {"x": 2.0}) ** 0.5
-        assert m.coeff == 2.0
-        assert m.exponents == {"x": 1.0}
-
     def test_rejects_nonpositive_coeff(self):
         with pytest.raises(ValidationError):
             Monomial(0.0, {})

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from linprog_reference import solve_lp_highs
+from repro.core.hydra import HydraAllocator
 from repro.errors import ValidationError
-from repro.opt.joint import (
-    assignment_feasible,
-    solve_assignment_lp,
-    solve_assignment_sequential,
-)
+from repro.opt import joint
+from repro.opt.joint import assignment_feasible, solve_assignment_lp
 
 
 def all_on(system, core: int) -> dict[str, int]:
@@ -98,11 +97,13 @@ class TestSolveAssignmentLp:
         assert weighted.periods["s2"] <= base.periods["s2"] + 1e-9
 
     def test_lp_at_least_as_good_as_sequential(self, loaded_system):
-        assignment = all_on(loaded_system, 0)
-        lp = solve_assignment_lp(loaded_system, assignment)
-        seq = solve_assignment_sequential(loaded_system, assignment)
-        assert lp is not None and seq is not None
-        assert lp.tightness >= seq.tightness - 1e-9
+        """The LP on HYDRA's assignment is at least as tight as HYDRA's
+        greedy periods."""
+        greedy = HydraAllocator().allocate(loaded_system)
+        assert greedy.schedulable
+        lp = solve_assignment_lp(loaded_system, greedy.cores())
+        assert lp is not None
+        assert lp.tightness >= greedy.cumulative_tightness() - 1e-9
 
     def test_infeasible_returns_none(self, loaded_system):
         # Shrink T_max so far that core 0's RT load cannot fit anything.
@@ -131,35 +132,18 @@ class TestSolveAssignmentLp:
         assert solution is not None
         assert solution.tightness == 0.0
 
-    def test_scipy_backend_agrees(self, loaded_system):
+    def test_scipy_backend_agrees(self, loaded_system, monkeypatch):
         assignment = all_on(loaded_system, 0)
         ours = solve_assignment_lp(loaded_system, assignment)
-        scipy_solution = solve_assignment_lp(
-            loaded_system, assignment, backend="scipy"
-        )
+        monkeypatch.setattr(joint, "solve_lp", solve_lp_highs)
+        scipy_solution = solve_assignment_lp(loaded_system, assignment)
         assert ours is not None and scipy_solution is not None
         assert ours.tightness == pytest.approx(
             scipy_solution.tightness, rel=1e-6
         )
 
 
-class TestSolveAssignmentSequential:
-    def test_matches_singlecore_semantics(self, two_core_system):
-        solution = solve_assignment_sequential(
-            two_core_system, all_on(two_core_system, 1)
-        )
-        assert solution is not None
-        assert solution.tightness == pytest.approx(2.0)
-
-    def test_exact_mode_at_least_as_tight(self, loaded_system):
-        assignment = all_on(loaded_system, 0)
-        linear = solve_assignment_sequential(loaded_system, assignment)
-        exact = solve_assignment_sequential(
-            loaded_system, assignment, exact=True
-        )
-        assert linear is not None and exact is not None
-        assert exact.tightness >= linear.tightness - 1e-9
-
+class TestHydraGreedy:
     def test_greedy_can_reject_lp_feasible_assignment(self):
         """The documented lexicographic-greedy pathology.
 
@@ -192,8 +176,9 @@ class TestSolveAssignmentSequential:
             platform=platform, rt_partition=partition,
             security_tasks=security,
         )
-        assignment = {"hi": 0, "lo": 0}
         # Greedy: hi takes T=2 (util .5) → lo needs 2/(1-.5) = 4 > 3.9.
-        assert solve_assignment_sequential(system, assignment) is None
+        greedy = HydraAllocator().allocate(system)
+        assert not greedy.schedulable
+        assert greedy.failed_task == "lo"
         # LP: hi at 3 (util 1/3) → lo at 2·3/(3−1−… ) ≈ 3.85 ≤ 3.9.
-        assert solve_assignment_lp(system, assignment) is not None
+        assert solve_assignment_lp(system, {"hi": 0, "lo": 0}) is not None

@@ -20,14 +20,31 @@ import pytest
 
 from repro.allocators import run_allocator
 from repro.experiments.runner import build_hydra_system
-from repro.io import system_from_dict
 from repro.model.priority import security_priority_order
 from repro.opt.branch_bound import branch_bound_optimal
 from repro.opt.exhaustive import exhaustive_optimal
 from repro.opt.joint import solve_assignment_lp
+from repro.model import Partition, Platform, SystemModel
 from repro.taskgen.synthetic import SyntheticConfig, generate_workload
+from workload_sample import task_from_dict, taskset_from_dict
 
 FIXTURE = Path(__file__).parent / "golden" / "parity_small.json"
+
+
+def system_from_dict(data):
+    """The system of the pinned fixture (plain-JSON task lists)."""
+    partition = data["partition"]
+    platform = Platform(int(partition["num_cores"]))
+    return SystemModel(
+        platform=platform,
+        rt_partition=Partition(
+            platform,
+            [task_from_dict(d) for d in partition["tasks"]],
+            dict(partition["core_of"]),
+        ),
+        security_tasks=taskset_from_dict(data["security_tasks"]),
+        weights=dict(data.get("weights", {})),
+    )
 
 
 def _brute_force_lp_optimum(system):
@@ -81,6 +98,7 @@ class TestParity:
         (system, *_rest) = _small_systems(1)
         exhaustive = run_allocator("optimal", system)
         bnb = run_allocator("optimal[branch-bound]", system)
+        exhaustive, bnb = exhaustive.allocation, bnb.allocation
         assert exhaustive.schedulable == bnb.schedulable
         if exhaustive.schedulable:
             assert exhaustive.cumulative_tightness() == pytest.approx(

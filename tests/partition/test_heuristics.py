@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.schedulability import partition_schedulable
+from repro.analysis.schedulability import rta_test
 from repro.errors import PartitioningError
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
@@ -126,7 +126,10 @@ class TestAdmission:
             wl = generate_workload(4, 3.0, rng)
             partition = try_partition_tasks(wl.rt_tasks, wl.platform)
             if partition is not None:
-                assert partition_schedulable(partition)
+                assert all(
+                    rta_test(partition.tasks_on(core))
+                    for core in partition.platform
+                )
 
     def test_rta_accepts_more_than_liu_layland(self):
         # Harmonic set with U = 1 per core: RTA packs it, LL cannot.

@@ -116,6 +116,19 @@ class TestSubmission:
         assert status == 400
         assert "scael" in payload["error"]["message"]
 
+    def test_submit_with_horizon_past_2_pow_24_is_400(self, service):
+        sweep = {
+            **MINI_SPEC["sweep"],
+            "kind": "detection-latency",
+            "sim_duration": 3e7,
+        }
+        status, payload = service.handle(
+            "POST", "/jobs",
+            {"spec": {**MINI_SPEC, "sweep": sweep}, "scale": "smoke"},
+        )
+        assert status == 400
+        assert "2**24" in payload["error"]["message"]
+
     def test_jobs_listing(self, service):
         first = submit_and_wait(
             service, {"spec": MINI_SPEC, "scale": "smoke"}

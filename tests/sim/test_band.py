@@ -89,7 +89,7 @@ def assert_same_security_schedule(tasks, cores, duration):
         return sorted(
             (job.task, job.release, job.start is None)
             for job in jobs
-            if job.task in security and not job.finished
+            if job.task in security and job.completion is None
         )
 
     assert live(band.jobs) == live(kernel.jobs)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.sim.engine import SimTask, Simulator
+from sim_jobs import finished_jobs_of, jobs_of
 
 
 def run(tasks, cores=1, duration=100.0, **kwargs):
@@ -21,29 +22,29 @@ class TestSingleTask:
     def test_periodic_releases(self):
         task = SimTask(name="t", wcet=2.0, period=10.0, priority=0, core=0)
         result = run([task], duration=35.0)
-        jobs = result.jobs_of("t")
+        jobs = jobs_of(result, "t")
         assert [j.release for j in jobs] == [0.0, 10.0, 20.0, 30.0]
 
     def test_runs_immediately_when_alone(self):
         task = SimTask(name="t", wcet=2.0, period=10.0, priority=0, core=0)
         result = run([task], duration=20.0)
-        first = result.jobs_of("t")[0]
+        first = jobs_of(result, "t")[0]
         assert first.start == 0.0
         assert first.completion == pytest.approx(2.0)
-        assert first.met_deadline
+        assert first.completion <= first.deadline
 
     def test_busy_time_accounting(self):
         task = SimTask(name="t", wcet=2.0, period=10.0, priority=0, core=0)
         result = run([task], duration=100.0)
         assert result.busy_time[0] == pytest.approx(20.0)
-        assert result.utilization_of_core(0) == pytest.approx(0.2)
+        assert result.busy_time.get(0, 0.0) / result.duration == pytest.approx(0.2)
 
     def test_unfinished_job_at_horizon(self):
         task = SimTask(name="t", wcet=8.0, period=10.0, priority=0, core=0)
         result = run([task], duration=15.0)
-        jobs = result.jobs_of("t")
-        assert jobs[0].finished
-        assert not jobs[1].finished
+        jobs = jobs_of(result, "t")
+        assert jobs[0].completion is not None
+        assert jobs[1].completion is None
         assert jobs[1].completion is None
 
 
@@ -52,7 +53,7 @@ class TestPreemption:
         hi = SimTask(name="hi", wcet=2.0, period=10.0, priority=0, core=0)
         lo = SimTask(name="lo", wcet=6.0, period=20.0, priority=1, core=0)
         result = run([hi, lo], duration=20.0, collect_slices=True)
-        lo_first = result.jobs_of("lo")[0]
+        lo_first = jobs_of(result, "lo")[0]
         # lo runs 2→10 minus hi's second instance at 10? hi releases at
         # 0 and 10; lo needs 6 units: 2..8 → completes before t=10.
         assert lo_first.start == pytest.approx(2.0)
@@ -62,7 +63,7 @@ class TestPreemption:
         hi = SimTask(name="hi", wcet=3.0, period=10.0, priority=0, core=0)
         lo = SimTask(name="lo", wcet=9.0, period=30.0, priority=1, core=0)
         result = run([hi, lo], duration=30.0)
-        lo_first = result.jobs_of("lo")[0]
+        lo_first = jobs_of(result, "lo")[0]
         # Timeline: hi 0-3, lo 3-10, hi 10-13, lo 13-15 → completes 15.
         assert lo_first.completion == pytest.approx(15.0)
 
@@ -75,7 +76,7 @@ class TestPreemption:
         mid = SimTask(name="mid", wcet=2.0, period=6.0, priority=1, core=0)
         lo = SimTask(name="lo", wcet=3.0, period=12.0, priority=2, core=0)
         result = run([hi, mid, lo], duration=12.0)
-        lo_first = result.jobs_of("lo")[0]
+        lo_first = jobs_of(result, "lo")[0]
         expected = response_time(3.0, [(1.0, 4.0), (2.0, 6.0)])
         assert lo_first.completion == pytest.approx(expected)
 
@@ -84,13 +85,13 @@ class TestPreemption:
         mid = SimTask(name="mid", wcet=2.0, period=6.0, priority=1, core=0)
         lo = SimTask(name="lo", wcet=3.0, period=12.0, priority=2, core=0)
         result = run([hi, mid, lo], duration=120.0)
-        assert not result.missed_any_deadline
+        assert not result.misses
 
     def test_overload_produces_misses(self):
         a = SimTask(name="a", wcet=3.0, period=4.0, priority=0, core=0)
         b = SimTask(name="b", wcet=3.0, period=6.0, priority=1, core=0)
         result = run([a, b], duration=60.0)
-        assert result.missed_any_deadline
+        assert result.misses
         assert any(m.task == "b" for m in result.misses)
 
 
@@ -99,13 +100,13 @@ class TestMultiCore:
         a = SimTask(name="a", wcet=5.0, period=10.0, priority=0, core=0)
         b = SimTask(name="b", wcet=5.0, period=10.0, priority=1, core=1)
         result = run([a, b], cores=2, duration=10.0)
-        assert result.jobs_of("a")[0].completion == pytest.approx(5.0)
-        assert result.jobs_of("b")[0].completion == pytest.approx(5.0)
+        assert jobs_of(result, "a")[0].completion == pytest.approx(5.0)
+        assert jobs_of(result, "b")[0].completion == pytest.approx(5.0)
 
     def test_job_records_core(self):
         a = SimTask(name="a", wcet=1.0, period=10.0, priority=0, core=1)
         result = run([a], cores=2, duration=10.0)
-        assert result.jobs_of("a")[0].core == 1
+        assert jobs_of(result, "a")[0].core == 1
 
     def test_invalid_core_rejected(self):
         task = SimTask(name="a", wcet=1.0, period=10.0, priority=0, core=3)
@@ -125,8 +126,8 @@ class TestNonPreemptive:
         result = run([hi, lo], duration=20.0)
         # lo starts at 0 and cannot be preempted: hi (released at 1)
         # waits until 5.
-        assert result.jobs_of("lo")[0].completion == pytest.approx(5.0)
-        assert result.jobs_of("hi")[0].start == pytest.approx(5.0)
+        assert jobs_of(result, "lo")[0].completion == pytest.approx(5.0)
+        assert jobs_of(result, "hi")[0].start == pytest.approx(5.0)
 
     def test_preemptible_version_for_contrast(self):
         hi = SimTask(
@@ -134,8 +135,8 @@ class TestNonPreemptive:
         )
         lo = SimTask(name="lo", wcet=5.0, period=20.0, priority=1, core=0)
         result = run([hi, lo], duration=20.0)
-        assert result.jobs_of("hi")[0].start == pytest.approx(1.0)
-        assert result.jobs_of("lo")[0].completion == pytest.approx(7.0)
+        assert jobs_of(result, "hi")[0].start == pytest.approx(1.0)
+        assert jobs_of(result, "lo")[0].completion == pytest.approx(7.0)
 
 
 class TestPrecedence:
@@ -148,7 +149,7 @@ class TestPrecedence:
             predecessors=("pred",),
         )
         result = run([pred, dep], duration=30.0)
-        first = result.jobs_of("dep")[0]
+        first = jobs_of(result, "dep")[0]
         # dep released at 0 may only start once pred completed (t=2).
         assert first.start >= 2.0 - 1e-9
 
@@ -167,8 +168,8 @@ class TestPrecedence:
         result = run([pred, dep, other], duration=20.0)
         # dep blocked until pred's first completion at t=7; "other"
         # (lower priority) uses the idle window first.
-        assert result.jobs_of("other")[0].start == pytest.approx(0.0)
-        assert result.jobs_of("dep")[0].start >= 7.0 - 1e-9
+        assert jobs_of(result, "other")[0].start == pytest.approx(0.0)
+        assert jobs_of(result, "dep")[0].start >= 7.0 - 1e-9
 
     def test_unknown_predecessor_rejected(self):
         dep = SimTask(
@@ -186,7 +187,7 @@ class TestMigration:
             name="roam", wcet=4.0, period=20.0, priority=1, core=None
         )
         result = run([bound, roam], cores=2, duration=20.0)
-        first = result.jobs_of("roam")[0]
+        first = jobs_of(result, "roam")[0]
         # Core 0 busy until 8; core 1 idle → roam runs there at once.
         assert first.start == pytest.approx(0.0)
         assert first.core == 1
@@ -201,13 +202,11 @@ class TestMigration:
         )
         # roam runs 0–1, rt 1–3, roam resumes 3–6 → completes at 6.
         result = run([bound, roam], cores=1, duration=20.0)
-        first = result.jobs_of("roam")[0]
+        first = jobs_of(result, "roam")[0]
         assert first.completion == pytest.approx(6.0)
 
     def test_single_job_never_runs_twice_at_once(self):
         # Conservation: total slice time equals WCET per completed job.
-        from repro.sim.trace import busy_time_by_task
-
         bound0 = SimTask(name="r0", wcet=5.0, period=10.0, priority=0, core=0)
         bound1 = SimTask(name="r1", wcet=5.0, period=10.0, priority=1, core=1)
         roam = SimTask(
@@ -217,9 +216,11 @@ class TestMigration:
             [bound0, bound1, roam], cores=2, duration=30.0,
             collect_slices=True,
         )
-        totals = busy_time_by_task(result.slices)
-        completed = len(result.completed_jobs_of("roam"))
-        assert totals["roam"] == pytest.approx(6.0 * completed, abs=1e-6)
+        roam_time = sum(
+            s.end - s.start for s in result.slices if s.task == "roam"
+        )
+        completed = len(finished_jobs_of(result, "roam"))
+        assert roam_time == pytest.approx(6.0 * completed, abs=1e-6)
         # No overlapping slices of roam across cores.
         roam_slices = sorted(
             (s for s in result.slices if s.task == "roam"),
@@ -238,7 +239,7 @@ class TestJitter:
         result = Simulator(
             [task], num_cores=1, duration=300.0, rng=rng
         ).run()
-        releases = [j.release for j in result.jobs_of("t")]
+        releases = [j.release for j in jobs_of(result, "t")]
         gaps = [b - a for a, b in zip(releases, releases[1:])]
         assert all(gap >= 10.0 - 1e-9 for gap in gaps)
         assert all(gap <= 15.0 + 1e-9 for gap in gaps)
@@ -276,6 +277,42 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duration"):
             Simulator([task], num_cores=1, duration=duration)
 
+    @staticmethod
+    def _light_pair(base: float) -> list[SimTask]:
+        """Two real-time tasks at U ≈ 0.16 whose first releases sit just
+        after ``base``."""
+        return [
+            SimTask(name="a", wcet=50_000.3, period=600_000.7, priority=0,
+                    core=0, offset=base + 0.3),
+            SimTask(name="b", wcet=40_000.9, period=500_000.1, priority=1,
+                    core=0, offset=base + 1.7),
+        ]
+
+    def test_horizon_above_2_pow_24_rejected(self):
+        """Past 2**24 the clock's half-ulp exceeds the 1e-9 nudge: this
+        light pair at 1.89e7 exhausted the event budget, and 1.7e7
+        earlier it runs 42 jobs.  Such a horizon is a typed error up
+        front, on both simulation paths."""
+        from repro.sim.band import simulate_security
+
+        tasks = self._light_pair(1.89e7)
+        assert len(
+            Simulator(self._light_pair(1.9e6), 1, duration=1.3e7).run().jobs
+        ) == 42
+        for duration in (3e7, 2.0**24 + 1.0):
+            with pytest.raises(ValidationError, match=r"2\*\*24"):
+                Simulator(tasks, num_cores=1, duration=duration)
+            with pytest.raises(ValidationError, match=r"2\*\*24"):
+                simulate_security(tasks, num_cores=1, duration=duration)
+
+    def test_horizon_of_2_pow_24_accepted(self):
+        from repro.sim.band import simulate_security
+
+        tasks = self._light_pair(1.5e7)
+        result = Simulator(tasks, num_cores=1, duration=2.0**24).run()
+        assert len(result.jobs) == 7
+        assert simulate_security(tasks, 1, 2.0**24).duration == 2.0**24
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -311,22 +348,22 @@ class TestConservationLaws:
             SimTask(name="b", wcet=3.0, period=13.0, priority=1, core=0),
         ]
         result = run(tasks, duration=91.0, collect_slices=True)
-        slice_total = sum(s.length for s in result.slices)
+        slice_total = sum(s.end - s.start for s in result.slices)
         assert slice_total == pytest.approx(result.busy_time[0], abs=1e-6)
 
     def test_completed_jobs_receive_exactly_wcet(self):
-        from repro.sim.trace import busy_time_by_task
-
         tasks = [
             SimTask(name="a", wcet=2.0, period=7.0, priority=0, core=0),
             SimTask(name="b", wcet=3.0, period=13.0, priority=1, core=0),
         ]
         result = run(tasks, duration=91.0, collect_slices=True)
-        totals = busy_time_by_task(result.slices)
+        totals: dict[str, float] = {}
+        for s in result.slices:
+            totals[s.task] = totals.get(s.task, 0.0) + (s.end - s.start)
         for name, wcet in (("a", 2.0), ("b", 3.0)):
-            finished = len(result.completed_jobs_of(name))
+            finished = len(finished_jobs_of(result, name))
             unfinished = [
-                j for j in result.jobs_of(name) if not j.finished
+                j for j in jobs_of(result, name) if j.completion is None
             ]
             partial = sum(
                 0.0 if j.start is None else 1.0 for j in unfinished

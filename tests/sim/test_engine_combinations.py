@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimTask, Simulator
+from sim_jobs import finished_jobs_of, jobs_of
 
 
 def run(tasks, cores=1, duration=100.0, **kwargs):
@@ -22,14 +23,14 @@ class TestOffsets:
             name="t", wcet=1.0, period=10.0, priority=0, core=0, offset=4.0
         )
         result = run([task], duration=30.0)
-        assert [j.release for j in result.jobs_of("t")] == [4.0, 14.0, 24.0]
+        assert [j.release for j in jobs_of(result, "t")] == [4.0, 14.0, 24.0]
 
     def test_offset_shifts_deadline(self):
         task = SimTask(
             name="t", wcet=1.0, period=10.0, priority=0, core=0, offset=4.0
         )
         result = run([task], duration=20.0)
-        assert result.jobs_of("t")[0].deadline == pytest.approx(14.0)
+        assert jobs_of(result, "t")[0].deadline == pytest.approx(14.0)
 
     def test_asynchronous_releases_reduce_interference(self):
         # Synchronous: lo waits for hi. With hi offset past lo's burst,
@@ -41,8 +42,8 @@ class TestOffsets:
         lo = SimTask(name="lo", wcet=2.0, period=10.0, priority=1, core=0)
         sync = run([hi_sync, lo], duration=10.0)
         offset = run([hi_off, lo], duration=10.0)
-        assert sync.jobs_of("lo")[0].start == pytest.approx(3.0)
-        assert offset.jobs_of("lo")[0].start == pytest.approx(0.0)
+        assert jobs_of(sync, "lo")[0].start == pytest.approx(3.0)
+        assert jobs_of(offset, "lo")[0].start == pytest.approx(0.0)
 
 
 class TestPrecedencePlusMigration:
@@ -58,7 +59,7 @@ class TestPrecedencePlusMigration:
             predecessors=("pred",),
         )
         result = run([pred, blocker, dep], cores=2, duration=20.0)
-        job = result.jobs_of("dep")[0]
+        job = jobs_of(result, "dep")[0]
         # pred completes at 2; dep then starts on the idle core 1 even
         # though core 0 is still busy with blocker.
         assert job.start == pytest.approx(2.0)
@@ -75,7 +76,7 @@ class TestPrecedencePlusMigration:
         result = run([pred, dep], cores=2, duration=20.0)
         # Core 1 is idle the whole time, but dep must still wait for
         # pred's completion at t = 5.
-        assert result.jobs_of("dep")[0].start == pytest.approx(5.0)
+        assert jobs_of(result, "dep")[0].start == pytest.approx(5.0)
 
 
 class TestNonPreemptiveMigration:
@@ -91,8 +92,8 @@ class TestNonPreemptiveMigration:
         result = run([rt, roam], cores=1, duration=20.0)
         # roam starts at 0 and, being non-preemptible, completes at 4;
         # rt (released at 1) is blocked until then.
-        assert result.jobs_of("roam")[0].completion == pytest.approx(4.0)
-        assert result.jobs_of("rt")[0].start == pytest.approx(4.0)
+        assert jobs_of(result, "roam")[0].completion == pytest.approx(4.0)
+        assert jobs_of(result, "rt")[0].start == pytest.approx(4.0)
 
     def test_non_preemptive_slices_are_contiguous(self):
         from repro.sim.trace import merge_slices
@@ -110,9 +111,9 @@ class TestNonPreemptiveMigration:
         merged = [
             s for s in merge_slices(result.slices) if s.task == "roam"
         ]
-        completed = len(result.completed_jobs_of("roam"))
+        completed = len(finished_jobs_of(result, "roam"))
         # One contiguous slice per completed job.
-        assert len([s for s in merged if s.length >= 4.0 - 1e-9]) == (
+        assert len([s for s in merged if s.end - s.start >= 4.0 - 1e-9]) == (
             completed
         )
 
@@ -124,12 +125,12 @@ class TestJitterPlusVariation:
             release_jitter=0.4, execution_factor=0.5,
         )
         result = run([task], duration=2000.0)
-        releases = [j.release for j in result.jobs_of("t")]
+        releases = [j.release for j in jobs_of(result, "t")]
         gaps = [b - a for a, b in zip(releases, releases[1:])]
         assert all(10.0 - 1e-9 <= g <= 14.0 + 1e-9 for g in gaps)
-        for job in result.jobs_of("t"):
-            if job.response_time is not None:
-                assert 1.0 - 1e-9 <= job.response_time <= 2.0 + 1e-9
+        for job in jobs_of(result, "t"):
+            if job.completion is not None:
+                assert 1.0 - 1e-9 <= job.completion - job.release <= 2.0 + 1e-9
 
     def test_no_misses_with_lighter_execution(self, loaded_system):
         # If the worst-case admitted system never misses, any sub-WCET
@@ -142,4 +143,4 @@ class TestJitterPlusVariation:
             loaded_system, allocation, duration=8000.0, rng=7,
             execution_factor=0.4,
         )
-        assert not result.missed_any_deadline
+        assert not result.misses

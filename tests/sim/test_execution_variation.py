@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.sim.engine import SimTask, Simulator
+from sim_jobs import finished_jobs_of
 
 
 class TestExecutionFactor:
@@ -37,8 +38,8 @@ class TestExecutionFactor:
         # Per-job execution: reconstruct from response times of the
         # isolated task (no interference → response = execution).
         for job in result.jobs:
-            if job.response_time is not None:
-                assert 1.0 - 1e-9 <= job.response_time <= 4.0 + 1e-9
+            if job.completion is not None:
+                assert 1.0 - 1e-9 <= job.completion - job.release <= 4.0 + 1e-9
 
     def test_responses_never_exceed_worst_case(self):
         hi = SimTask(
@@ -55,8 +56,8 @@ class TestExecutionFactor:
         from repro.analysis.rta import response_time
 
         bound = response_time(3.0, [(2.0, 7.0)])
-        for job in result.completed_jobs_of("lo"):
-            assert job.response_time <= bound + 1e-9
+        for job in finished_jobs_of(result, "lo"):
+            assert job.completion - job.release <= bound + 1e-9
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValidationError):
@@ -73,7 +74,6 @@ class TestExecutionFactor:
     def test_detection_faster_with_lighter_execution(self, loaded_system):
         from repro.core.hydra import HydraAllocator
         from repro.sim.runner import simulate_allocation
-        from repro.sim.stats import all_response_stats
 
         allocation = HydraAllocator().allocate(loaded_system)
         worst = simulate_allocation(
@@ -83,8 +83,21 @@ class TestExecutionFactor:
             loaded_system, allocation, duration=6000.0, rng=4,
             execution_factor=0.3,
         )
-        worst_stats = all_response_stats(worst)
-        light_stats = all_response_stats(light)
+        def responses(result, name):
+            """Response times of ``name``'s jobs (``None``: unfinished)."""
+            return [
+                None if job.completion is None
+                else job.completion - job.release
+                for job in result.jobs if job.task == name
+            ]
+
+        def mean(values):
+            return sum(values) / len(values) if values else float("inf")
+
         for name in loaded_system.security_tasks.names:
-            if light_stats[name].observed_all:
-                assert light_stats[name].mean <= worst_stats[name].mean + 1e-6
+            light_responses = responses(light, name)
+            if light_responses and None not in light_responses:
+                worst_responses = [
+                    r for r in responses(worst, name) if r is not None
+                ]
+                assert mean(light_responses) <= mean(worst_responses) + 1e-6

@@ -208,7 +208,7 @@ class TestLazyJobs:
         reference = Simulator(
             tasks, num_cores=2, duration=61.0
         ).run_reference()
-        assert any(not job.finished for job in reference.jobs)
+        assert any(job.completion is None for job in reference.jobs)
         assert count == len(list(result.jobs)) == len(reference.jobs)
         assert result.jobs == reference.jobs
 

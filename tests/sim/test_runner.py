@@ -7,6 +7,7 @@ import pytest
 from repro.core.hydra import HydraAllocator
 from repro.errors import ValidationError
 from repro.sim.runner import build_sim_tasks, simulate_allocation
+from sim_jobs import finished_jobs_of, jobs_of
 
 
 @pytest.fixture
@@ -31,6 +32,33 @@ class TestBuildSimTasks:
         max_rt = max(t.priority for t in tasks if t.kind == "rt")
         min_sec = min(t.priority for t in tasks if t.kind == "security")
         assert min_sec > max_rt
+
+    def test_priorities_are_distinct_and_dense(self, allocated):
+        system, allocation = allocated
+        tasks = build_sim_tasks(system, allocation)
+        assert sorted(t.priority for t in tasks) == list(range(len(tasks)))
+
+    def test_real_time_band_is_rate_monotonic(self, allocated):
+        system, allocation = allocated
+        rt = sorted(
+            (t for t in build_sim_tasks(system, allocation) if t.kind == "rt"),
+            key=lambda t: t.priority,
+        )
+        periods = [t.period for t in rt]
+        assert periods == sorted(periods)
+        # The highest priority goes to the shortest period.
+        assert rt[0].priority == 0
+        assert rt[0].period == min(t.period for t in system.rt_tasks)
+
+    def test_security_band_is_ordered_by_max_period(self, allocated):
+        system, allocation = allocated
+        band = sorted(
+            (t for t in build_sim_tasks(system, allocation)
+             if t.kind == "security"),
+            key=lambda t: t.priority,
+        )
+        tmax = {t.name: t.period_max for t in system.security_tasks}
+        assert [tmax[t.name] for t in band] == sorted(tmax.values())
 
     def test_security_periods_match_allocation(self, allocated):
         system, allocation = allocated
@@ -92,7 +120,7 @@ class TestSimulateAllocation:
     def test_no_deadline_misses_for_admitted_system(self, allocated):
         system, allocation = allocated
         result = simulate_allocation(system, allocation, duration=3000.0)
-        assert not result.missed_any_deadline
+        assert not result.misses
 
     def test_security_only_preserves_security_schedule(self, allocated):
         system, allocation = allocated
@@ -106,8 +134,8 @@ class TestSimulateAllocation:
         assert {job.task for job in alone.jobs} == names
         assert len(alone.jobs) == sum(1 for j in full.jobs if j.task in names)
         for name in names:
-            full_jobs = full.jobs_of(name)
-            alone_jobs = alone.jobs_of(name)
+            full_jobs = jobs_of(full, name)
+            alone_jobs = jobs_of(alone, name)
             for field in ("release", "start", "completion"):
                 assert [getattr(j, field) for j in alone_jobs] == [
                     getattr(j, field) for j in full_jobs
@@ -158,9 +186,9 @@ class TestSimulateAllocation:
 
         def mean_response(result):
             responses = [
-                j.response_time
+                j.completion - j.release
                 for name in system.security_tasks.names
-                for j in result.completed_jobs_of(name)
+                for j in finished_jobs_of(result, name)
             ]
             return sum(responses) / len(responses)
 

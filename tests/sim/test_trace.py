@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.events import ExecutionSlice
-from repro.sim.trace import ascii_gantt, busy_time_by_task, merge_slices
+from repro.sim.trace import ascii_gantt, merge_slices
 
 
 def sl(task: str, core: int, start: float, end: float) -> ExecutionSlice:
@@ -32,18 +30,6 @@ class TestMergeSlices:
     def test_unsorted_input_handled(self):
         merged = merge_slices([sl("a", 0, 1.0, 3.0), sl("a", 0, 0.0, 1.0)])
         assert merged == [sl("a", 0, 0.0, 3.0)]
-
-
-class TestBusyTime:
-    def test_totals(self):
-        totals = busy_time_by_task(
-            [sl("a", 0, 0.0, 1.5), sl("a", 1, 2.0, 3.0), sl("b", 0, 4.0, 5.0)]
-        )
-        assert totals["a"] == pytest.approx(2.5)
-        assert totals["b"] == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert busy_time_by_task([]) == {}
 
 
 class TestAsciiGantt:

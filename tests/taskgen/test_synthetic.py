@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.model.platform import Platform
+from repro.model.task import total_utilization
 from repro.taskgen.synthetic import (
     _MIN_TASK_UTIL,
     UTILIZATION_SPLITS,
@@ -14,6 +15,11 @@ from repro.taskgen.synthetic import (
     generate_workload,
     utilization_sweep,
 )
+
+
+def _achieved(workload) -> float:
+    """Total utilisation, security tasks at their desired rate."""
+    return total_utilization((*workload.rt_tasks, *workload.security_tasks))
 
 
 class TestSyntheticConfig:
@@ -57,12 +63,12 @@ class TestGenerateWorkload:
 
     def test_total_utilization_matches_target(self, rng):
         wl = generate_workload(2, 1.3, rng)
-        assert wl.total_utilization == pytest.approx(1.3, abs=0.01)
+        assert _achieved(wl) == pytest.approx(1.3, abs=0.01)
 
     def test_security_fraction_respected(self, rng):
         wl = generate_workload(2, 1.3, rng)
-        assert wl.security_utilization_des <= (
-            0.3 * wl.rt_utilization + 0.01
+        assert total_utilization(wl.security_tasks) <= (
+            0.3 * total_utilization(wl.rt_tasks) + 0.01
         )
 
     def test_periods_within_ranges(self, rng):
@@ -96,12 +102,12 @@ class TestGenerateWorkload:
 
     def test_high_utilization_generates(self, rng):
         wl = generate_workload(8, 7.8, rng)
-        assert wl.total_utilization == pytest.approx(7.8, abs=0.05)
+        assert _achieved(wl) == pytest.approx(7.8, abs=0.05)
 
     @pytest.mark.parametrize("split", UTILIZATION_SPLITS)
     def test_splits_hit_target_and_stay_admissible(self, rng, split):
         wl = generate_workload(2, 1.3, rng, split=split)
-        assert wl.total_utilization == pytest.approx(1.3, rel=1e-6)
+        assert _achieved(wl) == pytest.approx(1.3, rel=1e-6)
         for task in wl.rt_tasks:
             assert task.utilization <= 1.0 + 1e-9
 
@@ -126,10 +132,10 @@ class TestMinUtilFloorRegression:
         floored = 0
         for seed in range(40):
             wl = generate_workload(m, target, np.random.default_rng(seed))
-            assert wl.total_utilization <= target * (1 + 1e-9) + 1e-12, (
-                f"seed {seed}: drifted to {wl.total_utilization}"
+            assert _achieved(wl) <= target * (1 + 1e-9) + 1e-12, (
+                f"seed {seed}: drifted to {_achieved(wl)}"
             )
-            assert wl.total_utilization == pytest.approx(target, rel=1e-6)
+            assert _achieved(wl) == pytest.approx(target, rel=1e-6)
             floored += sum(
                 1
                 for t in wl.rt_tasks
@@ -163,7 +169,7 @@ class TestGenerateWorkloadBatch:
         batch = self._batch(2, targets, 42)
         assert [w.target_utilization for w in batch] == targets
         for wl in batch:
-            assert wl.total_utilization == pytest.approx(
+            assert _achieved(wl) == pytest.approx(
                 wl.target_utilization, rel=1e-6
             )
             assert 6 <= len(wl.rt_tasks) <= 20
@@ -209,7 +215,7 @@ class TestGenerateWorkloadBatch:
     def test_splits_supported(self, split):
         batch = self._batch(2, [1.3, 1.3], 3, split=split)
         for wl in batch:
-            assert wl.total_utilization == pytest.approx(1.3, rel=1e-6)
+            assert _achieved(wl) == pytest.approx(1.3, rel=1e-6)
         assert batch[0].rt_tasks != batch[1].rt_tasks
 
     def test_config_respected(self):

@@ -334,7 +334,7 @@ class TestCacheCommand:
 
         store = ResultStore(tmp_path)
         for _ in range(3):
-            store.put("demo", {"k": 1}, {"v": 2})
+            store.put_many("demo", [({"k": 1}, {"v": 2})])
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "1 live entries" in out
@@ -847,10 +847,10 @@ class TestCacheSegmentReporting:
         from repro.experiments.store import ResultStore
 
         primary = ResultStore(root)
-        primary.put("demo", {"k": 0}, {"v": 0})
+        primary.put_many("demo", [({"k": 0}, {"v": 0})])
         writer = ResultStore(root, writer_id="serve123")
-        writer.put("demo", {"k": 1}, {"v": 1})
-        writer.put("demo", {"k": 2}, {"v": 2})
+        writer.put_many("demo", [({"k": 1}, {"v": 1})])
+        writer.put_many("demo", [({"k": 2}, {"v": 2})])
 
     def test_stats_report_writer_segments(self, tmp_path, capsys):
         self._fill_segments(tmp_path)

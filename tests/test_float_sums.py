@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analysis.schedulability import liu_layland_test, utilization_test
 from repro.experiments.api import RawRun
 from repro.experiments.config import get_scale
 from repro.experiments.detection import DetectionCell
@@ -17,10 +18,18 @@ from repro.experiments.fig3 import Fig3Experiment
 from repro.experiments.parallel import SweepResult, SweepSpec, SweepStats
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.improvement import detection_speedup
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.platform import Platform
 from repro.model.system import Partition, SystemModel
-from repro.model.task import RealTimeTask, SecurityTask, TaskSet
+from repro.model.task import (
+    RealTimeTask,
+    SecurityTask,
+    TaskSet,
+    total_utilization,
+)
 from repro.opt import joint
+from repro.opt.gp import Monomial, Posynomial
+from repro.workloads.builtin import CaseStudyWorkload
 
 #: 0.6000000000000001: evaluated in source order, never compensated.
 IN_ORDER = 0.1 + 0.2 + 0.3
@@ -50,8 +59,8 @@ def _system() -> SystemModel:
 def test_system_utilizations():
     system = _system()
     assert system.rt_partition.utilization_of(0) == IN_ORDER
-    assert system.total_rt_utilization == IN_ORDER
-    assert system.total_security_utilization_des == IN_ORDER + 0.05
+    assert total_utilization(system.rt_tasks) == IN_ORDER
+    assert total_utilization(system.security_tasks) == IN_ORDER + 0.05
 
 
 def test_joint_lp_rows(monkeypatch):
@@ -96,8 +105,7 @@ def test_detection_cell_mean_detected():
 
 
 def test_cdf_means():
-    assert EmpiricalCDF([0.3, 0.1, 0.2]).mean() == IN_ORDER / 3
-    assert EmpiricalCDF([0.3, 0.1, math.inf, 0.2]).mean() == math.inf
+    assert EmpiricalCDF([0.3, 0.1, 0.2]).mean_detected() == IN_ORDER / 3
     assert EmpiricalCDF([0.3, 0.1, math.inf, 0.2]).mean_detected() == (
         IN_ORDER / 3
     )
@@ -108,3 +116,55 @@ def test_detection_speedup():
     assert detection_speedup([0.1], [0.1, 0.2, 0.3]) == (
         (baseline - 0.1) / baseline * 100.0
     )
+
+
+def _unit_period_tasks(*utilizations: float) -> list[RealTimeTask]:
+    return [
+        RealTimeTask(name=f"r{i}", wcet=u, period=1.0)
+        for i, u in enumerate(utilizations)
+    ]
+
+
+def test_admission_tests_add_left_to_right():
+    """A fourth utilisation chosen so that 0.1 + 0.2 + 0.3 + u, added in
+    order, lands one ulp above each test's threshold, and the correctly
+    rounded sum (3.12's builtin ``sum``) on it."""
+    ll = _unit_period_tasks(0.1, 0.2, 0.3, 0.15682846001188405)
+    assert IN_ORDER + 0.15682846001188405 > 4 * (2.0 ** 0.25 - 1.0) + 1e-12
+    assert math.fsum(t.utilization for t in ll) <= (
+        4 * (2.0 ** 0.25 - 1.0) + 1e-12
+    )
+    assert not liu_layland_test(ll)
+
+    full = _unit_period_tasks(0.1, 0.2, 0.3, 0.40000000000100017)
+    assert math.fsum(t.utilization for t in full) <= 1.0 + 1e-12
+    assert not utilization_test(full)
+
+
+def test_case_study_achieved_utilization():
+    rt = TaskSet(_unit_period_tasks(0.1, 0.2, 0.3))
+    security = TaskSet([
+        SecurityTask(name="s", wcet=0.05, period_des=1.0, period_max=2.0)
+    ])
+    family = CaseStudyWorkload("sums", lambda: rt, lambda: security)
+    workload = family.generate(2, 0.5)
+    assert workload.target_utilization == IN_ORDER + 0.05
+
+
+def test_posynomial_evaluate():
+    terms = [Monomial(c, {}) for c in (0.1, 0.2, 0.3)]
+    assert Posynomial(terms).evaluate({}) == IN_ORDER
+
+
+def test_allocation_security_utilization():
+    system = _system()
+    allocation = Allocation(
+        scheme="sums",
+        schedulable=True,
+        assignments=tuple(
+            SecurityAssignment(task=system.security_tasks[f"s{i}"], core=0,
+                               period=1.0)
+            for i in range(3)
+        ),
+    )
+    assert allocation.security_utilization() == IN_ORDER

@@ -3,6 +3,8 @@ simulate → detect → metrics."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.taskgen import (
     table1_security_tasks,
     uav_rt_tasks,
 )
+from sim_jobs import finished_jobs_of
 
 
 class TestUavPipeline:
@@ -64,15 +67,14 @@ class TestUavPipeline:
 
     def test_both_schemes_schedulable_and_detect(self, uav_detection):
         for times in uav_detection.values():
-            cdf = EmpiricalCDF(times)
-            assert cdf.undetected == 0
+            assert all(math.isfinite(t) for t in times)
 
     def test_hydra_cdf_dominates_singlecore(self, uav_detection):
         hydra = EmpiricalCDF(uav_detection["hydra"])
         single = EmpiricalCDF(uav_detection["single"])
         grid = np.linspace(500.0, 30_000.0, 30)
-        hydra_series = hydra.series(list(grid))
-        single_series = single.series(list(grid))
+        hydra_series = [hydra(x) for x in grid]
+        single_series = [single(x) for x in grid]
         # Paper Fig. 1: HYDRA's CDF sits above SingleCore's.  With a
         # finite sample allow pointwise slack but require dominance in
         # aggregate and no large inversion.
@@ -106,7 +108,7 @@ class TestSyntheticPipeline:
             system, allocation, duration=20_000.0
         )
         for assignment in allocation.assignments:
-            jobs = result.completed_jobs_of(assignment.task.name)
+            jobs = finished_jobs_of(result, assignment.task.name)
             assert jobs, assignment.task.name
             releases = [j.release for j in jobs]
             gaps = [b - a for a, b in zip(releases, releases[1:])]
@@ -141,4 +143,4 @@ class TestSyntheticPipeline:
         result = simulate_allocation(
             system, allocation, duration=30_000.0
         )
-        assert not result.missed_any_deadline
+        assert not result.misses

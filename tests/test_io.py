@@ -1,27 +1,18 @@
-"""Unit tests for serialisation round-trips."""
+"""Round trips of the plain-JSON task codecs the workload-sample tests
+byte-compare (``tests/workload_sample.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.hydra import HydraAllocator
 from repro.errors import ValidationError
-from repro.io import (
-    allocation_from_dict,
-    allocation_to_dict,
-    load_json,
-    partition_from_dict,
-    partition_to_dict,
-    rows_to_csv,
-    save_json,
-    system_from_dict,
-    system_to_dict,
+from repro.model import RealTimeTask, SecurityTask, TaskSet
+from workload_sample import (
     task_from_dict,
     task_to_dict,
     taskset_from_dict,
     taskset_to_dict,
 )
-from repro.model import RealTimeTask, SecurityTask, TaskSet
 
 
 class TestTaskRoundTrip:
@@ -65,107 +56,3 @@ class TestTaskRoundTrip:
             ]
         )
         assert taskset_from_dict(taskset_to_dict(tasks)) == tasks
-
-
-class TestSystemRoundTrip:
-    def test_partition(self, two_core_system):
-        partition = two_core_system.rt_partition
-        restored = partition_from_dict(partition_to_dict(partition))
-        assert restored == partition
-
-    def test_system(self, loaded_system):
-        restored = system_from_dict(system_to_dict(loaded_system))
-        assert restored.platform == loaded_system.platform
-        assert restored.rt_partition == loaded_system.rt_partition
-        assert restored.security_tasks == loaded_system.security_tasks
-
-    def test_system_with_weights(self, loaded_system):
-        from dataclasses import replace
-
-        weighted = replace(loaded_system, weights={"s0": 3.0})
-        restored = system_from_dict(system_to_dict(weighted))
-        assert restored.weight_of("s0") == 3.0
-
-    def test_restored_system_allocates_identically(self, loaded_system):
-        restored = system_from_dict(system_to_dict(loaded_system))
-        original = HydraAllocator().allocate(loaded_system)
-        again = HydraAllocator().allocate(restored)
-        assert original.cores() == again.cores()
-        assert original.periods() == pytest.approx(again.periods())
-
-
-class TestAllocationRoundTrip:
-    def test_schedulable_allocation(self, loaded_system):
-        allocation = HydraAllocator().allocate(loaded_system)
-        restored = allocation_from_dict(allocation_to_dict(allocation))
-        assert restored.schedulable
-        assert restored.cores() == allocation.cores()
-        assert restored.periods() == pytest.approx(allocation.periods())
-        assert restored.cumulative_tightness() == pytest.approx(
-            allocation.cumulative_tightness()
-        )
-
-    def test_unschedulable_allocation(self):
-        from repro.model.allocation import Allocation
-
-        failed = Allocation(scheme="x", schedulable=False, failed_task="s")
-        restored = allocation_from_dict(allocation_to_dict(failed))
-        assert not restored.schedulable
-        assert restored.failed_task == "s"
-
-    def test_info_survives_with_stringly_fallback(self, loaded_system):
-        from repro.model.allocation import Allocation, SecurityAssignment
-
-        allocation = Allocation(
-            scheme="x",
-            schedulable=True,
-            assignments=(
-                SecurityAssignment(
-                    task=loaded_system.security_tasks["s0"],
-                    core=0,
-                    period=300.0,
-                ),
-            ),
-            info={"nested": {"a": 1}, "weird": object()},
-        )
-        data = allocation_to_dict(allocation)
-        assert data["info"]["nested"] == {"a": 1}
-        assert isinstance(data["info"]["weird"], str)
-
-
-class TestFiles:
-    def test_json_file_roundtrip(self, tmp_path, loaded_system):
-        path = save_json(system_to_dict(loaded_system), tmp_path / "sys.json")
-        restored = system_from_dict(load_json(path))
-        assert restored.security_tasks == loaded_system.security_tasks
-
-    def test_json_is_actually_json(self, tmp_path, two_core_system):
-        import json
-
-        path = save_json(
-            system_to_dict(two_core_system), tmp_path / "sys.json"
-        )
-        parsed = json.loads(path.read_text())
-        assert "partition" in parsed
-
-    def test_rows_to_csv(self, tmp_path):
-        path = rows_to_csv(
-            ["u", "ratio"], [[0.5, 1.0], [1.5, 0.25]], tmp_path / "r.csv"
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "u,ratio"
-        assert lines[1] == "0.5,1.0"
-        assert len(lines) == 3
-
-    def test_csv_of_fig2_panel(self, tmp_path):
-        from repro.experiments.config import SCALES
-        from repro.experiments.registry import get_experiment
-
-        result = get_experiment("fig2").run_domain(SCALES["smoke"])
-        panel = result.panel(2)
-        path = rows_to_csv(
-            ["utilization", "hydra", "single"],
-            [(p.utilization, p.ratio_hydra, p.ratio_single) for p in panel],
-            tmp_path / "fig2.csv",
-        )
-        assert len(path.read_text().strip().splitlines()) == len(panel) + 1

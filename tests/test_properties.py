@@ -19,6 +19,7 @@ from repro.analysis.rta import response_time
 from repro.model.task import SecurityTask
 from repro.opt.period import adapt_period, adapt_period_exact
 from repro.opt.period_gp import adapt_period_gp
+from sim_jobs import finished_jobs_of
 
 # --------------------------------------------------------------------------
 # Strategies
@@ -168,24 +169,18 @@ def small_systems(draw):
 
 class TestJointOptimisationProperties:
     @settings(max_examples=50, deadline=None)
-    @given(system=small_systems(), data=st.data())
-    def test_lp_dominates_sequential_greedy(self, system, data):
-        from repro.opt.joint import (
-            solve_assignment_lp,
-            solve_assignment_sequential,
-        )
+    @given(system=small_systems())
+    def test_lp_dominates_sequential_greedy(self, system):
+        """On HYDRA's own assignment, the joint LP is feasible and at
+        least as tight as HYDRA's greedy priority-order periods."""
+        from repro.core.hydra import HydraAllocator
+        from repro.opt.joint import solve_assignment_lp
 
-        assignment = {
-            name: data.draw(
-                st.integers(0, system.platform.num_cores - 1), label=name
-            )
-            for name in system.security_tasks.names
-        }
-        lp = solve_assignment_lp(system, assignment)
-        seq = solve_assignment_sequential(system, assignment)
-        if seq is not None:
+        greedy = HydraAllocator().allocate(system)
+        if greedy.schedulable:
+            lp = solve_assignment_lp(system, greedy.cores())
             assert lp is not None
-            assert lp.tightness >= seq.tightness - 1e-7
+            assert lp.tightness >= greedy.cumulative_tightness() - 1e-7
 
     @settings(max_examples=40, deadline=None)
     @given(system=small_systems(), data=st.data())
@@ -274,7 +269,7 @@ class TestAnalysisSimulatorConsistency:
         )
         horizon = max(expected * 2.0, lowest.period) + 1.0
         result = Simulator(sim_tasks, num_cores=1, duration=horizon).run()
-        first = result.completed_jobs_of(lowest.name)
+        first = finished_jobs_of(result, lowest.name)
         if first:
             # The synchronous (critical-instant) release gives exactly
             # the analytical worst case for the first job.
@@ -293,11 +288,12 @@ class TestAnalysisSimulatorConsistency:
         # monitors alone, and each must still meet that fixed point over
         # the real-time tasks it never simulated: an oracle for the band
         # that does not go through the kernel.
-        from repro.analysis.schedulability import partition_schedulable
+        from repro.analysis.schedulability import rta_test
         from repro.core.hydra import HydraAllocator
         from repro.sim.runner import build_sim_tasks, simulate_allocation
 
-        if not partition_schedulable(system.rt_partition):
+        partition = system.rt_partition
+        if not all(rta_test(partition.tasks_on(m)) for m in partition.platform):
             return
         allocation = HydraAllocator().allocate(system)
         if not allocation.schedulable:
@@ -332,11 +328,12 @@ class TestAnalysisSimulatorConsistency:
     def test_no_deadline_misses_for_admitted_allocations(
         self, system, security_only
     ):
-        from repro.analysis.schedulability import partition_schedulable
+        from repro.analysis.schedulability import rta_test
         from repro.core.hydra import HydraAllocator
         from repro.sim.runner import simulate_allocation
 
-        if not partition_schedulable(system.rt_partition):
+        partition = system.rt_partition
+        if not all(rta_test(partition.tasks_on(m)) for m in partition.platform):
             return
         allocation = HydraAllocator().allocate(system)
         if not allocation.schedulable:
@@ -347,7 +344,7 @@ class TestAnalysisSimulatorConsistency:
         result = simulate_allocation(
             system, allocation, duration=horizon, security_only=security_only
         )
-        assert not result.missed_any_deadline
+        assert not result.misses
         if security_only:
             # The misses checked are the security tasks' own.
             assert {job.task for job in result.jobs} == set(

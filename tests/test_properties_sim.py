@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimTask, Simulator
+from sim_jobs import finished_jobs_of, jobs_of
 
 # --------------------------------------------------------------------------
 # Random simulator workloads
@@ -84,7 +85,7 @@ class TestSimulatorInvariants:
         ).run()
         per_core: dict[int, float] = {m: 0.0 for m in range(cores)}
         for s in result.slices:
-            per_core[s.core] += s.length
+            per_core[s.core] += s.end - s.start
         for core in range(cores):
             assert per_core[core] == pytest.approx(
                 result.busy_time[core], abs=1e-6
@@ -120,14 +121,14 @@ class TestSimulatorInvariants:
         ).run()
         by_task: dict[str, float] = {}
         for s in result.slices:
-            by_task[s.task] = by_task.get(s.task, 0.0) + s.length
+            by_task[s.task] = by_task.get(s.task, 0.0) + s.end - s.start
         wcets = {t.name: t.wcet for t in tasks}
         for task_name, total in by_task.items():
-            finished = len(result.completed_jobs_of(task_name))
+            finished = len(finished_jobs_of(result, task_name))
             started_unfinished = sum(
                 1
-                for j in result.jobs_of(task_name)
-                if not j.finished and j.start is not None
+                for j in jobs_of(result, task_name)
+                if j.completion is None and j.start is not None
             )
             low = wcets[task_name] * finished
             high = wcets[task_name] * (finished + started_unfinished)
@@ -143,7 +144,7 @@ class TestSimulatorInvariants:
         periods = {t.name: t.period for t in tasks}
         for task in tasks:
             releases = sorted(
-                j.release for j in result.jobs_of(task.name)
+                j.release for j in jobs_of(result, task.name)
             )
             for a, b in zip(releases, releases[1:]):
                 assert b - a >= periods[task.name] - 1e-9
@@ -229,15 +230,12 @@ class TestSerializationProperty:
         utilization=st.floats(min_value=0.2, max_value=1.6),
     )
     def test_workload_roundtrip(self, seed, utilization):
-        from repro.io import taskset_from_dict, taskset_to_dict
         from repro.taskgen.synthetic import generate_workload
+        from workload_sample import workload_from_dict, workload_to_dict
 
         workload = generate_workload(
             2, utilization, np.random.default_rng(seed)
         )
-        assert taskset_from_dict(
-            taskset_to_dict(workload.rt_tasks)
-        ) == workload.rt_tasks
-        assert taskset_from_dict(
-            taskset_to_dict(workload.security_tasks)
-        ) == workload.security_tasks
+        restored = workload_from_dict(workload_to_dict(workload))
+        assert restored.rt_tasks == workload.rt_tasks
+        assert restored.security_tasks == workload.security_tasks

@@ -25,12 +25,15 @@ from hypothesis import strategies as st
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.scenario import point_workloads
 from repro.model.platform import Platform
-from repro.workloads import (
-    get_workload,
-    run_workload,
-    workload_names,
-    workload_to_dict,
-)
+from repro.model.task import total_utilization
+from repro.workloads import get_workload, run_workload, workload_names
+from workload_sample import workload_to_dict
+
+
+def _achieved(workload) -> float:
+    """Total utilisation, security tasks at their desired rate."""
+    return total_utilization((*workload.rt_tasks, *workload.security_tasks))
+
 
 _SPECS = workload_names()
 
@@ -75,14 +78,14 @@ def test_generator_contract(spec, m, fraction, seed):
         return  # fixed case studies: parameters are the workload
 
     # -- achieved utilisation on target -------------------------------
-    assert workload.total_utilization == pytest.approx(
+    assert _achieved(workload) == pytest.approx(
         target, rel=1e-6, abs=1e-9
-    ), f"{spec}: achieved {workload.total_utilization} vs target {target}"
+    ), f"{spec}: achieved {_achieved(workload)} vs target {target}"
 
     # -- security share capped at the configured fraction -------------
     cap = config.security_utilization_fraction
-    assert workload.security_utilization_des <= (
-        cap * workload.rt_utilization + 1e-9
+    assert total_utilization(workload.security_tasks) <= (
+        cap * total_utilization(workload.rt_tasks) + 1e-9
     ), f"{spec}: security share above the {cap} cap"
 
     # -- task counts inside the configured bounds ---------------------

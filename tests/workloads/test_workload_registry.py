@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigError, ReproError
 from repro.model.platform import Platform
 from repro.taskgen.synthetic import generate_workload
+from repro.model.task import total_utilization
 from repro.workloads import (
     UnknownWorkloadError,
     WorkloadGenerator,
@@ -22,13 +23,18 @@ from repro.workloads import (
     run_workload,
     unregister_workload,
     workload_names,
-    workload_to_dict,
 )
 from repro.workloads.builtin import (
     CaseStudyWorkload,
     SyntheticRecipeWorkload,
     heavy_security_workload,
 )
+from workload_sample import workload_to_dict
+
+
+def _achieved(workload) -> float:
+    """Total utilisation, security tasks at their desired rate."""
+    return total_utilization((*workload.rt_tasks, *workload.security_tasks))
 
 
 def _canonical(workload) -> str:
@@ -184,7 +190,7 @@ class TestBuiltinFamilies:
             assert _canonical(a) == _canonical(b)
             # the target records the achieved utilisation
             assert a.target_utilization == pytest.approx(
-                a.total_utilization
+                _achieved(a)
             )
 
     def test_uav_case_study_contents(self):
