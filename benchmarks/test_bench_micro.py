@@ -85,6 +85,14 @@ def test_randfixedsum(benchmark):
     assert out.shape == (50, 40)
 
 
+def test_randfixedsum_single(benchmark):
+    """The one-vector draw every synthetic task set makes (the walk on
+    Python floats); unpinned, a tripwire next to the calibration."""
+    rng = np.random.default_rng(5)
+    out = benchmark(randfixedsum, 40, 6.0, 1, rng)
+    assert out.shape == (1, 40)
+
+
 def test_simulator_throughput(benchmark):
     tasks = [
         SimTask(name=f"t{i}", wcet=1.0 + i * 0.3, period=10.0 * (i + 1),

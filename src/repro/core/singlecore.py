@@ -9,10 +9,14 @@ in HYDRA's inner loop — only the core choice disappears.
 
 :func:`build_singlecore_system` prepares the companion
 :class:`~repro.model.system.SystemModel`: same platform, real-time tasks
-repacked into the first ``M−1`` cores (best-fit, like the paper), last
-core left empty.  Returns ``None`` when the real-time set does not fit
-on ``M−1`` cores — in the acceptance-ratio experiments that counts as
-*unschedulable under SingleCore*.
+repacked into the first ``M−1`` cores with any partitioning heuristic
+(the paper's experiments use best-fit, the default), last core left
+empty.  Returns ``None`` when the real-time set does not fit on ``M−1``
+cores — in the acceptance-ratio experiments that counts as
+*unschedulable under SingleCore*.  For first-fit, best-fit and next-fit
+that pack is the all-cores partition whenever the latter leaves the last
+core empty (:mod:`repro.partition.heuristics`), which is how the
+scenario runner reads it off HYDRA's partition.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ def build_singlecore_system(
 ) -> SystemModel | None:
     """Build the SingleCore variant of a system.
 
-    Real-time tasks are packed onto cores ``0 … M−2``; core ``M−1`` is
-    reserved for security.  ``None`` when the pack fails (the SingleCore
-    scheme cannot host this workload at all).
+    Real-time tasks are packed onto cores ``0 … M−2`` with
+    ``heuristic`` (any of :data:`~repro.partition.heuristics.HEURISTICS`),
+    ``ordering`` and ``admission``; core ``M−1`` is reserved for
+    security.  ``None`` when the pack fails (the SingleCore scheme
+    cannot host this workload at all).
     """
     if platform.num_cores < 2:
         raise AllocationError(

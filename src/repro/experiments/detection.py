@@ -23,9 +23,10 @@ finite detection-time sample (see
 Synthetic workload families do not label attack surfaces, so each
 security task without a ``surface`` is treated as monitoring a surface
 named after itself — the paper's one-monitor-per-surface model.
-Combos differing only in detection policy share one simulation per
-task set and are scored through one :class:`~repro.sim.detection.
-DetectionIndex` per policy.
+Combos whose allocations build the same simulated tasks — those
+differing only in detection policy, and allocators that agree — share
+one simulation per task set, scored once per policy through one
+:class:`~repro.sim.detection.DetectionIndex`.
 """
 
 from __future__ import annotations
@@ -105,12 +106,15 @@ def run_detection_point(
     cells are directly comparable).  The task sets come from
     :func:`~repro.experiments.scenario.point_workloads`, and each task
     set's attack instants are drawn right after it, so appending a
-    family to the axis keeps every earlier family's cells.  Combos that
-    differ only in the detection ``policy`` share one simulation and
-    are scored through one :class:`~repro.sim.detection.DetectionIndex`
-    per policy.  The simulation itself is strictly periodic, so the
-    engine stream is consumed only by generation and attack sampling —
-    payloads stay byte-identical across worker counts.
+    family to the axis keeps every earlier family's cells.  Combos whose
+    allocations build the same simulated tasks share one simulation,
+    and its attacks are scored once per detection ``policy``, through
+    one :class:`~repro.sim.detection.DetectionIndex` each: combos that
+    differ only in the policy always do, and so do allocators that
+    return the same allocation.  The simulation itself is strictly
+    periodic, so the engine stream is consumed only by generation and
+    attack sampling — payloads stay byte-identical across worker
+    counts.
     """
     from repro.allocators import get_allocator
     from repro.sim.attacks import sample_attacks, surfaces_of
@@ -119,7 +123,7 @@ def run_detection_point(
         build_surface_map,
         undetected_breakdown,
     )
-    from repro.sim.runner import simulate_allocation
+    from repro.sim.runner import build_sim_tasks, simulate_allocation
 
     platform = Platform(int(params["cores"]))
     combos = [dict(c) for c in params["combos"]]
@@ -134,7 +138,7 @@ def run_detection_point(
         for spec in {c.get("allocator", "hydra") for c in combos}
     }
 
-    # One simulation per (workload, allocator, heuristic, ordering,
+    # One allocation per (workload, allocator, heuristic, ordering,
     # admission); policy-only variants reuse it.
     groups: dict[tuple, list[dict[str, str]]] = {}
     for combo in combos:
@@ -161,6 +165,10 @@ def run_detection_point(
         surfaces = surfaces_of(monitors)
         attacks = sample_attacks(sim_trials, window, surfaces, rng)
         systems: dict[tuple, Any] = {}
+        # Per distinct schedule: its simulation, and per policy the
+        # attacks' detection times with the censored and undetectable
+        # counts.
+        scores: dict[tuple, tuple[Any, dict[str, tuple]]] = {}
         for key, group in groups.items():
             if key[0] != wl_spec:
                 continue
@@ -176,24 +184,34 @@ def run_detection_point(
             for cell in group_cells:
                 cell["allocated"] += 1
             # Strictly periodic schedule: the simulation draws nothing
-            # from the stream, so policy variants can share it.  Scoring
+            # from the stream, so policy variants can share it, and so
+            # can groups whose allocators return the same allocation
+            # (hydra and adaptive[exact-rta] often do).  Scoring
             # reads monitors only, so only the security tasks run, in
             # the idle time of the real-time band.
-            result = simulate_allocation(
-                system, allocation, duration=sim_duration, security_only=True
-            )
-            indexes: dict[str, DetectionIndex] = {}
+            schedule = tuple(build_sim_tasks(system, allocation))
+            if schedule not in scores:
+                scores[schedule] = (
+                    simulate_allocation(
+                        system, allocation, duration=sim_duration,
+                        security_only=True,
+                    ),
+                    {},
+                )
+            result, by_policy = scores[schedule]
             for cell_combo, cell in zip(group, group_cells):
                 policy = cell_combo.get("policy", default_policy)
-                if policy not in indexes:
-                    indexes[policy] = DetectionIndex(result, policy)
-                times = [
-                    indexes[policy].detection_time(attack, surface_map)
-                    for attack in attacks
-                ]
-                censored, undetectable = undetected_breakdown(
-                    times, attacks, surface_map
-                )
+                if policy not in by_policy:
+                    index = DetectionIndex(result, policy)
+                    times = [
+                        index.detection_time(attack, surface_map)
+                        for attack in attacks
+                    ]
+                    by_policy[policy] = (
+                        times,
+                        *undetected_breakdown(times, attacks, surface_map),
+                    )
+                times, censored, undetectable = by_policy[policy]
                 cell["times"].extend(t for t in times if not math.isinf(t))
                 cell["censored"] += censored
                 cell["undetectable"] += undetectable

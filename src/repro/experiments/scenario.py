@@ -542,6 +542,14 @@ def combo_system(
     heuristic, ordering, admission)``, so combos differing only in the
     allocator share one partition.  ``None`` when the real-time tasks
     do not fit.
+
+    For the heuristics in
+    :data:`~repro.partition.heuristics.PREFIX_HEURISTICS` the
+    SingleCore shape is read off the all-cores one, which is then
+    partitioned once for both: the ``M−1``-core pack equals the
+    all-cores partition when that leaves core ``M−1`` empty, and fails
+    otherwise.  Worst-fit opens empty cores first, so its SingleCore
+    shape is packed on its own.
     """
     key = (
         combo.get("allocator", "hydra") == "singlecore",
@@ -550,9 +558,24 @@ def combo_system(
     if key not in systems:
         from repro.core.singlecore import build_singlecore_system
         from repro.experiments.runner import build_hydra_system
+        from repro.partition.heuristics import PREFIX_HEURISTICS
 
         singlecore, heuristic, ordering, admission = key
-        if singlecore:
+        if (
+            singlecore
+            and heuristic in PREFIX_HEURISTICS
+            and platform.num_cores >= 2
+        ):
+            shared = combo_system(
+                platform, workload, {**combo, "allocator": "hydra"}, systems
+            )
+            last = platform.num_cores - 1
+            systems[key] = (
+                shared
+                if shared is not None and not shared.rt_partition.tasks_on(last)
+                else None
+            )
+        elif singlecore:
             systems[key] = build_singlecore_system(
                 platform,
                 workload.rt_tasks,

@@ -18,6 +18,19 @@ next-fit  keep a moving pointer, never revisit earlier cores
 Tasks are considered in a configurable order (decreasing utilisation by
 default, the standard bin-packing choice; rate-monotonic and input order
 are also available).
+
+First-fit, best-fit and next-fit (:data:`PREFIX_HEURISTICS`) try the
+highest-indexed core ``M−1`` only after every other core has refused
+the task: first-fit and next-fit walk the cores in index order, and
+best-fit ranks an empty core after every loaded one and breaks ties
+by index.  So as long as core ``M−1`` stays empty, each placement on
+``M`` cores is the one the same heuristic makes on the first ``M−1``
+cores, and a task both refuse is refused on ``M−1`` cores too.  Their
+pack onto ``M−1`` cores is therefore the ``M``-core partition when
+that partition leaves core ``M−1`` empty, and fails otherwise — which
+is how the SingleCore baseline's system is read off HYDRA's partition
+(:func:`repro.experiments.scenario.combo_system`).  Worst-fit opens
+empty cores first, so it gets no such shortcut.
 """
 
 from __future__ import annotations
@@ -40,10 +53,15 @@ __all__ = [
     "try_partition_tasks",
     "HEURISTICS",
     "ORDERINGS",
+    "PREFIX_HEURISTICS",
 ]
 
 #: Known placement heuristics.
 HEURISTICS = ("first-fit", "best-fit", "worst-fit", "next-fit")
+
+#: Heuristics whose ``M−1``-core pack is the ``M``-core partition when
+#: that leaves core ``M−1`` empty, and fails otherwise (module docstring).
+PREFIX_HEURISTICS = ("first-fit", "best-fit", "next-fit")
 
 #: Known task orderings.
 ORDERINGS = ("utilization", "rm", "input")

@@ -204,6 +204,70 @@ class TestDeterminism:
         assert earlier == alone["cells"]
 
 
+class TestSharedSimulations:
+    """Allocators that return the same allocation build the same
+    simulated tasks, which a point simulates once per task set.  At 4
+    cores ``hydra`` and ``adaptive[exact-rta]`` agree on every task set
+    of this grid."""
+
+    #: sha256 of the grid's payloads (``json.dumps(..., sort_keys=True)``)
+    #: from the runner that simulated every allocator separately.
+    PAYLOAD_SHA256 = (
+        "47f7f7f2870225e1dfabd180adc2d0070f498c51d175222145825dfd6abb7886"
+    )
+
+    @staticmethod
+    def _spec(allocators):
+        document = _detection_document()
+        document["grid"]["cores"] = [4]
+        document["grid"]["allocator"] = list(allocators)
+        experiment = build_scenario_experiment(parse_scenario(document))
+        (spec,) = experiment.sweeps(SMOKE)
+        return spec
+
+    def test_one_simulation_per_task_set(self, monkeypatch):
+        import hashlib
+
+        import repro.sim.runner as runner
+
+        schedules: list[tuple] = []
+        simulate = runner.simulate_allocation
+
+        def counting(system, allocation, *args, **kwargs):
+            schedules.append(tuple(runner.build_sim_tasks(system, allocation)))
+            return simulate(system, allocation, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate_allocation", counting)
+        spec = self._spec(["hydra", "adaptive[exact-rta]"])
+        payloads = SweepEngine().run(spec).payloads
+        tasksets = 2 * 2  # tasksets_per_point × utilisation points
+        assert len(schedules) == len(set(schedules)) == tasksets
+        assert all(
+            cell["allocated"] == cell["total"] == 2
+            for payload in payloads
+            for cell in payload["cells"].values()
+        )
+        text = json.dumps(payloads, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            self.PAYLOAD_SHA256
+        )
+
+    def test_cells_equal_each_allocator_run_alone(self):
+        """Oracle: a grid of one allocator simulates its own schedules
+        and draws the same task sets and attacks."""
+        shared = SweepEngine().run(
+            self._spec(["hydra", "adaptive[exact-rta]"])
+        ).payloads
+        for allocator in ("hydra", "adaptive[exact-rta]"):
+            alone = SweepEngine().run(self._spec([allocator])).payloads
+            for together, single in zip(shared, alone):
+                assert {
+                    label: cell
+                    for label, cell in together["cells"].items()
+                    if label.startswith(f"{allocator}|")
+                } == single["cells"]
+
+
 class TestResult:
     @pytest.fixture(scope="class")
     def run_result(self):

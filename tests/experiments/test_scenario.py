@@ -389,12 +389,10 @@ class TestAllocatorAxis:
         with pytest.raises(ValidationError, match="more than once"):
             config.with_allocators(["hydra", "hydra"])
 
-    def test_each_system_shape_partitions_once_per_task_set(
-        self, monkeypatch
-    ):
-        """Combos differing only in the allocator share one system:
-        ``hydra`` and ``binpack-best-fit`` one all-cores partition,
-        ``singlecore`` one M−1-core pack."""
+    @staticmethod
+    def _partition_core_counts(monkeypatch, heuristic):
+        """The core count of every partition one allocator-axis run
+        makes with ``heuristic`` (3 task sets × 2 utilisation points)."""
         import repro.core.singlecore as singlecore
         import repro.experiments.runner as runner
         import repro.partition.heuristics as heuristics
@@ -412,7 +410,7 @@ class TestAllocatorAxis:
         document["grid"] = {
             "cores": [2],
             "allocator": ["hydra", "binpack-best-fit", "singlecore"],
-            "heuristic": ["best-fit"],
+            "heuristic": [heuristic],
             "ordering": ["utilization"],
             "admission": ["rta"],
         }
@@ -421,8 +419,94 @@ class TestAllocatorAxis:
         }
         experiment = ScenarioExperiment(parse_scenario(document))
         experiment.run_domain(SMOKE)
-        tasksets = 3 * 2  # tasksets_per_point × utilisation points
-        assert sorted(cores_per_call) == [1] * tasksets + [2] * tasksets
+        return sorted(cores_per_call)
+
+    def test_each_system_shape_partitions_once_per_task_set(
+        self, monkeypatch
+    ):
+        """Combos differing only in the allocator share one system:
+        ``hydra`` and ``binpack-best-fit`` one all-cores partition.
+        Under best-fit ``singlecore`` reads its shape off that
+        partition, so no M−1-core pack runs at all."""
+        tasksets = 3 * 2
+        assert self._partition_core_counts(monkeypatch, "best-fit") == (
+            [2] * tasksets
+        )
+
+    def test_worst_fit_singlecore_packs_its_own_shape(self, monkeypatch):
+        """Worst-fit opens empty cores first, so ``singlecore`` packs
+        M−1 cores once per task set next to the all-cores partition."""
+        tasksets = 3 * 2
+        assert self._partition_core_counts(monkeypatch, "worst-fit") == (
+            [1] * tasksets + [2] * tasksets
+        )
+
+    def test_singlecore_cells_equal_a_direct_pack(self):
+        """Oracle for the shape ``singlecore`` reads off the all-cores
+        partition: under every heuristic, its cells equal the cells of
+        a system packed by :func:`build_singlecore_system` itself."""
+        from repro.allocators import get_allocator
+        from repro.core.singlecore import build_singlecore_system
+        from repro.experiments.parallel import execute_point
+        from repro.experiments.scenario import point_workloads
+        from repro.model.platform import Platform
+        from repro.partition.heuristics import HEURISTICS
+
+        document = _good_document()
+        document["sweep"]["tasksets_per_point"] = 4
+        document["sweep"]["utilization"] = {
+            "start": 0.3, "stop": 0.9, "step": 0.3,
+        }
+        document["grid"] = {
+            "cores": [2, 3],
+            "allocator": ["hydra", "singlecore"],
+            "heuristic": list(HEURISTICS),
+            "ordering": ["utilization", "rm"],
+            "admission": ["rta", "liu-layland"],
+        }
+        experiment = ScenarioExperiment(parse_scenario(document))
+        allocator = get_allocator("singlecore")
+        verdicts: dict[str, set[bool]] = {h: set() for h in HEURISTICS}
+        for spec in experiment.sweeps(SMOKE):
+            platform = Platform(int(spec.params["cores"]))
+            combos = [
+                c for c in spec.params["combos"]
+                if c["allocator"] == "singlecore"
+            ]
+            for index, point in enumerate(spec.points):
+                expected: dict[str, list] = {
+                    combo_label(**c): [] for c in combos
+                }
+                for _, workload in point_workloads(
+                    platform, combos,
+                    int(spec.params["tasksets_per_point"]),
+                    float(point["utilization"]), spec.rng_for(index),
+                ):
+                    for combo in combos:
+                        system = build_singlecore_system(
+                            platform,
+                            workload.rt_tasks,
+                            workload.security_tasks,
+                            heuristic=combo["heuristic"],
+                            admission=combo["admission"],
+                            ordering=combo["ordering"],
+                        )
+                        verdicts[combo["heuristic"]].add(system is None)
+                        allocation = (
+                            None if system is None
+                            else allocator.allocate(system)
+                        )
+                        expected[combo_label(**combo)].append(
+                            allocation.mean_tightness()
+                            if allocation is not None
+                            and allocation.schedulable else None
+                        )
+                cells = execute_point(spec, index)["cells"]
+                assert {label: cells[label] for label in expected} == (
+                    expected
+                )
+        # every heuristic both packs and fails to pack some task set
+        assert all(v == {True, False} for v in verdicts.values())
 
 
 #: The ``sweep --config`` twins of the registered comparison ablations

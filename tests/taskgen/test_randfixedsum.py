@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.taskgen.randfixedsum import randfixedsum
+from repro.taskgen.randfixedsum import (
+    _randfixedsum_unit,
+    _simplex_table,
+    _walk_vectors,
+    randfixedsum,
+)
 
 
 class TestBasics:
@@ -162,6 +167,49 @@ class TestBatchKernel:
         assert np.allclose(rows.sum(axis=1), total, atol=1e-9)
         assert rows.min() >= -1e-9
         assert rows.max() <= 1.0 + 1e-9
+
+
+def _vector_route(n, u, rng):
+    """What ``_randfixedsum_unit`` does for ``nsets > 1``, run on one
+    column: the reference for its single-vector walk."""
+    if n == 1:
+        return np.full((1, 1), u)
+    k, s, t = _simplex_table(n, u)
+    rt = rng.uniform(size=(n - 1, 1))
+    rs = rng.uniform(size=(n - 1, 1))
+    x = _walk_vectors(k, s, t, rt, rs)
+    x[:, 0] = x[rng.permutation(n), 0]
+    return x.T
+
+
+class TestSingleVectorWalk:
+    """Every task set draws one vector, which the walk on Python floats
+    serves; it must be bitwise the vector walk run on one column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(
+            st.sampled_from([1, 2]), st.integers(min_value=3, max_value=90)
+        ),
+        corner=st.sampled_from(["zero", "integer", "full", "any"]),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bitwise_the_vector_walk(self, n, corner, frac, seed):
+        u = {
+            "zero": 0.0,
+            "integer": float(round(frac * n)),
+            "full": float(n),
+            "any": frac * n,
+        }[corner]
+        single_rng = np.random.default_rng(seed)
+        vector_rng = np.random.default_rng(seed)
+        single = _randfixedsum_unit(n, u, 1, single_rng)
+        vector = _vector_route(n, u, vector_rng)
+        assert single.shape == vector.shape == (1, n)
+        assert single.tobytes() == vector.tobytes()
+        # both routes leave the stream at the same place
+        assert single_rng.random() == vector_rng.random()
 
 
 class TestProperties:
