@@ -77,3 +77,26 @@ def test_subprocess_executor_fanout(benchmark):
     # Determinism first: the transport never changes a byte.
     for a, b, c in zip(serial, results, again):
         assert _payload_bytes(a) == _payload_bytes(b) == _payload_bytes(c)
+
+
+def test_subprocess_executor_cancellable_fanout(benchmark):
+    """Unpinned tripwire: the job service's shape.  A cancellable
+    engine hands the executor one batch of ``workers`` points at a
+    time, so each sweep is several batches over the same spec, which
+    the workers must be sent once, not once per batch."""
+    specs = _specs()
+    serial = [SweepEngine(workers=1).run(spec) for spec in specs]
+
+    with SubprocessExecutor(workers=_WORKERS) as executor:
+        engine = SweepEngine(executor=executor, should_cancel=lambda: False)
+
+        def fan_out():
+            return [engine.run(spec) for spec in specs]
+
+        results = benchmark.pedantic(
+            fan_out, rounds=3, iterations=1, warmup_rounds=1
+        )
+        assert executor.spawn_count == _WORKERS
+
+    for a, b in zip(serial, results):
+        assert _payload_bytes(a) == _payload_bytes(b)

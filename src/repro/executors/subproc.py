@@ -110,7 +110,8 @@ class _Worker:
     busy: _Task | None = None
     busy_task_id: int | None = None
     busy_since: float = 0.0
-    known_sweeps: set[int] = field(default_factory=set)
+    #: The sweep id whose spec this worker holds (it holds one).
+    sweep: int | None = None
 
 
 class SubprocessExecutor(Executor):
@@ -191,7 +192,11 @@ class SubprocessExecutor(Executor):
         self._events: SimpleQueue[tuple[int, dict[str, Any]]] = SimpleQueue()
         self._next_token = 0
         self._next_task_id = 0
-        self._next_sweep_id = 0
+        #: The current sweep id and its spec's JSON: a batch whose spec
+        #: encodes the same keeps the id, so workers that hold that
+        #: spec are not sent it again.
+        self._sweep_id = 0
+        self._sweep_json: str | None = None
         self._lock = threading.Lock()  # one batch at a time
         self._closed = False
 
@@ -366,9 +371,14 @@ class SubprocessExecutor(Executor):
         self, spec: "SweepSpec", indices: Sequence[int]
     ) -> list[tuple[int, dict[str, Any]]]:
         self._ensure_workers()
-        self._next_sweep_id += 1
-        sid = self._next_sweep_id
         spec_dict = spec.to_dict()
+        # Compared as the JSON a worker is sent, not as dicts: 1 and
+        # 1.0 (or 0.0 and -0.0) are equal values but distinct specs.
+        spec_json = json.dumps(spec_dict, separators=(",", ":"))
+        if spec_json != self._sweep_json:
+            self._sweep_id += 1
+            self._sweep_json = spec_json
+        sid = self._sweep_id
         pending: deque[_Task] = deque(_Task(index=i) for i in indices)
         inflight: dict[int, _Task] = {}  # task id → task (this batch)
         results: dict[int, dict[str, Any]] = {}
@@ -417,14 +427,14 @@ class SubprocessExecutor(Executor):
                 pending.append(task)
             if due is None:
                 return
-            if sid not in worker.known_sweeps:
+            if worker.sweep != sid:
                 if not self._send(
                     worker, {"op": "sweep", "sid": sid, "spec": spec_dict}
                 ):
                     pending.appendleft(due)
                     self._fail_or_requeue(worker, "pipe closed", pending, kind)
                     continue
-                worker.known_sweeps.add(sid)
+                worker.sweep = sid
             self._next_task_id += 1
             task_id = self._next_task_id
             if not self._send(

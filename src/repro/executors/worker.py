@@ -9,11 +9,14 @@ what a localhost-TCP or SSH transport would carry:
 
 Parent → worker
     ``{"op": "sweep", "sid": n, "spec": {...}}``
-        Cache sweep ``n``'s :class:`~repro.experiments.parallel.
-        SweepSpec` (sent once per sweep per worker; re-sent after a
-        respawn).
+        Hold sweep ``n``'s :class:`~repro.experiments.parallel.
+        SweepSpec` in place of the one held before: a worker keeps one
+        spec.  The parent keeps ``n`` for as long as its batches carry
+        the same spec, so this is sent once per distinct spec per
+        worker, and again to a respawned worker.
     ``{"op": "task", "id": t, "sid": n, "index": i}``
-        Compute point ``i`` of sweep ``n``.
+        Compute point ``i`` of sweep ``n``; a task for a sweep other
+        than the held one is answered with an ``error``.
     ``{"op": "ping", "id": t}``
         Liveness probe; answered immediately.
     ``{"op": "shutdown"}``
@@ -83,7 +86,7 @@ def _heartbeat_loop(
 
 def _run_task(
     emit: _Emitter,
-    specs: dict[int, Any],
+    held: tuple[int, Any] | None,
     message: dict[str, Any],
 ) -> None:
     from repro.experiments.parallel import execute_point
@@ -91,8 +94,10 @@ def _run_task(
     task_id = message.get("id")
     index = int(message["index"])
     try:
-        spec = specs[int(message["sid"])]
-        payload = execute_point(spec, index)
+        sid = int(message["sid"])
+        if held is None or held[0] != sid:
+            raise KeyError(f"sweep {sid} is not the held sweep")
+        payload = execute_point(held[1], index)
     except BaseException as exc:  # noqa: BLE001 - reported, not hidden
         emit.send(
             {
@@ -136,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     heartbeat.start()
     emit.send({"op": "ready", "pid": os.getpid()})
 
-    specs: dict[int, SweepSpec] = {}
+    held: tuple[int, SweepSpec] | None = None
     try:
         for line in sys.stdin:
             if not line.strip():
@@ -149,11 +154,12 @@ def main(argv: list[str] | None = None) -> int:
             if op == "shutdown":
                 break
             if op == "sweep":
-                specs[int(message["sid"])] = SweepSpec.from_dict(
-                    message["spec"]
+                held = (
+                    int(message["sid"]),
+                    SweepSpec.from_dict(message["spec"]),
                 )
             elif op == "task":
-                _run_task(emit, specs, message)
+                _run_task(emit, held, message)
             elif op == "ping":
                 emit.send({"op": "pong", "id": message.get("id")})
     finally:

@@ -580,13 +580,12 @@ class ResultStore:
         if absent.  An unusable location raises
         :class:`repro.errors.CacheError` before any point computes.
     readonly:
-        Open for inspection only (``cache stats`` and the job
-        service's result-fetch path do): nothing is created or
-        written — no root mkdir, no marker, no stale-tmp cleanup,
-        and writes raise :class:`CacheError`.  A missing root reads as
-        an empty store.  Readonly stores **never persist rebuilt
-        indexes**: a missing or stale ``index.jsonl`` is rebuilt
-        in-memory only, so reads work even from a read-only
+        Open for inspection only (``cache stats`` does): nothing is
+        created or written — no root mkdir, no marker, no stale-tmp
+        cleanup, and writes raise :class:`CacheError`.  A missing root
+        reads as an empty store.  Readonly stores **never persist
+        rebuilt indexes**: a missing or stale ``index.jsonl`` is
+        rebuilt in-memory only, so reads work even from a read-only
         filesystem (e.g. a ``chmod 0555`` cache directory).
     writer_id:
         Append to a private per-writer segment

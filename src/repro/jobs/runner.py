@@ -39,10 +39,11 @@ the engine checks between point batches
 cancel stay cached, so a cancelled job resumes where it stopped when
 resubmitted.
 
-**Result fetches never write.**  :meth:`JobRunner.result` re-reads a
-finished job's result through a ``readonly=True`` store — zero writes,
-safe on a read-only filesystem — falling back to the in-memory result
-only when the runner has no store at all.
+**Result fetches neither read nor write the store.**
+:meth:`JobRunner.result` returns the result the job's own execution
+aggregated and keeps: the same bytes a direct run or a cache-hit
+resubmission gives, at the same cost however many entries the store
+holds.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.errors import (
-    CacheError,
     ConfigError,
     SweepCancelled,
     UnknownJobError,
@@ -550,10 +550,10 @@ class JobRunner:
     def result(self, job_id: str) -> ExperimentResult:
         """The typed :class:`ExperimentResult` of a finished job.
 
-        Served through a fresh ``readonly=True`` store — a pure read
-        path that performs zero writes (every point of a done job is
-        already content-addressed in the store), falling back to the
-        in-memory result only when this runner has no store.
+        This is the result the job's execution aggregated and kept, so
+        a fetch reads and writes nothing: neither the store nor any
+        point is touched again, and an experiment that computes inline
+        is not recomputed.
         """
         job = self.get(job_id)
         if job.state != JobState.DONE:
@@ -561,19 +561,8 @@ class JobRunner:
                 f"job {job_id!r} is {job.state}, not done — no result "
                 f"to fetch"
             )
-        if self._store is None:
-            assert job.result is not None  # DONE implies a result
-            return job.result
-        store = ResultStore(self.cache_dir, readonly=True)
-        engine = SweepEngine(workers=1, cache=store)
-        try:
-            return job._experiment.run(job._scale, engine)
-        except CacheError:
-            # The store was mutated underneath us (gc'd entry …); the
-            # in-memory copy is still authoritative for this job.
-            if job.result is not None:
-                return job.result
-            raise
+        assert job.result is not None  # DONE implies a result
+        return job.result
 
     # -- execution -------------------------------------------------------
 

@@ -23,9 +23,9 @@ Routes
     Job status documents (state, progress counters, error).
 ``GET /jobs/{id}/result``
     The finished job's typed
-    :class:`~repro.experiments.api.ExperimentResult` as JSON, served
-    through a ``readonly=True`` store (zero writes); ``409`` while the
-    job is not done.
+    :class:`~repro.experiments.api.ExperimentResult` as JSON: the
+    result the job's execution kept, served with no store reads and
+    no writes; ``409`` while the job is not done.
 ``DELETE /jobs/{id}``
     Cooperative cancel; returns the (possibly already terminal) status
     document.

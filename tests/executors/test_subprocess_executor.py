@@ -13,6 +13,8 @@ serial reference.
 
 from __future__ import annotations
 
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import pytest
 
 from repro.errors import ExecutorError, ExecutorTaskError, ValidationError
 from repro.executors import SubprocessExecutor
+from repro.executors.worker import main as worker_main
 from repro.experiments.parallel import SweepEngine, SweepSpec, execute_point
 from repro.experiments.store import ResultStore
 
@@ -171,6 +174,127 @@ class TestWorkerDeath:
         ).run(spec)
         assert computed == []
         assert warm.payloads == result.payloads
+
+
+def _record_sweeps(executor: SubprocessExecutor) -> list[tuple[int, int]]:
+    """Spy on ``executor``'s transport: the returned list fills with
+    ``(worker token, sid)`` for every ``sweep`` message it sends."""
+    sent: list[tuple[int, int]] = []
+    send = executor._send
+
+    def spy(worker, message):
+        if message["op"] == "sweep":
+            sent.append((worker.token, message["sid"]))
+        return send(worker, message)
+
+    executor._send = spy
+    return sent
+
+
+class TestSpecReuse:
+    def test_cancellable_sweep_sends_each_worker_the_spec_once(
+        self, runner_module, tmp_path
+    ):
+        # The job path: a cancellable engine hands the executor one
+        # batch of `workers` points at a time, four batches here.
+        spec = _spec(tmp_path, n=8)
+        with _make_executor(runner_module, workers=2) as executor:
+            sent = _record_sweeps(executor)
+            result = SweepEngine(
+                executor=executor, should_cancel=lambda: False
+            ).run(spec)
+            assert executor.spawn_count == 2
+        tokens = [token for token, _ in sent]
+        assert 1 <= len(tokens) <= 2
+        assert len(set(tokens)) == len(tokens)  # one per worker
+        assert len({sid for _, sid in sent}) == 1
+        assert list(enumerate(result.payloads)) == _serial_reference(
+            tmp_path, n=8
+        )
+
+    def test_a_changed_spec_is_sent_afresh(self, runner_module, tmp_path):
+        first = _spec(tmp_path, n=4)
+        second = SweepSpec(
+            kind="exec-test",
+            seed=first.seed + 1,
+            points=first.points,
+            params=first.params,
+        )
+        with _make_executor(runner_module, workers=1) as executor:
+            sent = _record_sweeps(executor)
+            a = executor.run_points(first, [0, 1])
+            a += executor.run_points(first, [2, 3])
+            b = executor.run_points(second, [0, 1, 2, 3])
+            again = executor.run_points(first, [0, 1, 2, 3])
+        assert [sid for _, sid in sent] == [1, 2, 3]
+        assert a == again == _serial_reference(tmp_path, n=4)
+        assert b == [(i, execute_point(second, i)) for i in range(4)]
+        assert b != a  # so a worker computing on a stale spec would show
+
+    def test_equal_values_that_encode_differently_are_distinct_specs(
+        self, runner_module, tmp_path
+    ):
+        # 1 == 1.0, but a point runner can tell them apart, so the
+        # worker must be sent the second spec.
+        with _make_executor(runner_module, workers=1) as executor:
+            sent = _record_sweeps(executor)
+            for scale in (1, 1.0):
+                spec = SweepSpec(
+                    kind="exec-test",
+                    seed=4242,
+                    points=({"index": 0},),
+                    params={"markers": str(tmp_path), "scale": scale},
+                )
+                executor.run_points(spec, [0])
+        assert [sid for _, sid in sent] == [1, 2]
+
+    def test_a_respawned_worker_is_sent_the_spec_again(
+        self, runner_module, tmp_path
+    ):
+        spec = _spec(tmp_path, mode="kill", target=1, n=4)
+        with _make_executor(runner_module, workers=1) as executor:
+            sent = _record_sweeps(executor)
+            got = SweepEngine(
+                executor=executor, should_cancel=lambda: False
+            ).run(spec)
+            assert executor.spawn_count == 2
+        # The first worker died on point 1; its replacement got the
+        # spec before it took the retry.
+        assert sent == [(1, 1), (2, 1)]
+        assert list(enumerate(got.payloads)) == _serial_reference(
+            tmp_path, n=4
+        )
+
+    def test_a_worker_holds_only_its_latest_spec(
+        self, runner_module, tmp_path, monkeypatch
+    ):
+        # Driven in-process over in-memory streams: after a second
+        # sweep, a task for the first one has no spec to run on.
+        first = _spec(tmp_path, n=2)
+        second = SweepSpec(
+            kind="exec-test", seed=7, points=first.points,
+            params=first.params,
+        )
+        lines = [
+            {"op": "sweep", "sid": 1, "spec": first.to_dict()},
+            {"op": "task", "id": 1, "sid": 1, "index": 0},
+            {"op": "sweep", "sid": 2, "spec": second.to_dict()},
+            {"op": "task", "id": 2, "sid": 2, "index": 0},
+            {"op": "task", "id": 3, "sid": 1, "index": 1},
+            {"op": "shutdown"},
+        ]
+        stdin = io.StringIO("".join(json.dumps(m) + "\n" for m in lines))
+        stdout = io.StringIO()
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert worker_main(["--heartbeat-interval", "60"]) == 0
+
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        by_id = {r["id"]: r for r in replies if r["op"] in ("result", "error")}
+        assert by_id[1]["payload"] == execute_point(first, 0)
+        assert by_id[2]["payload"] == execute_point(second, 0)
+        assert by_id[3]["op"] == "error"
+        assert by_id[3]["type"] == "KeyError"
 
 
 class TestTimeouts:

@@ -336,10 +336,50 @@ class TestResults:
         direct = experiment.run(scale)
         assert served.to_json() == direct.to_json()
 
-    def test_result_without_store_serves_in_memory_copy(self):
-        with JobRunner() as runner:
+    @pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+    def test_result_is_the_jobs_own_result(self, tmp_path, store):
+        cache = tmp_path / "cache" if store else None
+        with JobRunner(cache_dir=cache) as runner:
             job = runner.run(mini_request())
             assert runner.result(job.id) is job.result
+
+    def test_result_fetch_reads_no_store_file(self, tmp_path, monkeypatch):
+        from repro.experiments.store import _Segment
+
+        with JobRunner(cache_dir=tmp_path / "cache") as runner:
+            job = runner.run(mini_request())
+
+            def no_reads(segment):
+                raise AssertionError(f"fetch read {segment.index_path}")
+
+            monkeypatch.setattr(_Segment, "_load_index", no_reads)
+            served = runner.result(job.id)
+
+        experiment, scale = mini_request().build()
+        assert served.to_json() == experiment.run(scale).to_json()
+
+    def test_inline_experiment_is_not_recomputed_on_fetch(
+        self, tmp_path, monkeypatch
+    ):
+        # ablation-search runs no sweeps: its aggregate is the whole
+        # computation, so a fetch that aggregated again would redo it.
+        request = JobRequest.from_dict(
+            {"experiment": "ablation-search", "scale": "smoke"}
+        )
+        with JobRunner(cache_dir=tmp_path / "cache") as runner:
+            job = runner.run(request)
+            assert job.state == JobState.DONE
+            calls: list[object] = []
+            aggregate = job._experiment.aggregate
+
+            def counted(raw):
+                calls.append(raw)
+                return aggregate(raw)
+
+            monkeypatch.setattr(job._experiment, "aggregate", counted)
+            served = runner.result(job.id)
+        assert calls == []
+        assert served is job.result
 
     def test_result_fetch_performs_zero_writes(self, tmp_path):
         cache = tmp_path / "cache"

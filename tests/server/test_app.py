@@ -7,6 +7,8 @@ is the whole point of splitting the app from the HTTP shell.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.api import ExperimentResult
@@ -96,6 +98,31 @@ class TestSubmission:
         assert status == 200  # already terminal — not merely accepted
         assert second["id"] == first["id"]
         assert second["state"] == "done"
+
+    def test_duplicate_submit_serves_the_cold_bytes_without_store_reads(
+        self, service, monkeypatch
+    ):
+        from repro.experiments.store import _Segment
+
+        body = {"spec": MINI_SPEC, "scale": "smoke"}
+        first = submit_and_wait(service, body)
+        status, cold = service.handle("GET", f"/jobs/{first['id']}/result")
+        assert status == 200
+
+        loads: list[object] = []
+        monkeypatch.setattr(
+            _Segment, "_load_index", lambda segment: loads.append(segment)
+        )
+        status, again = service.handle("POST", "/jobs", body)
+        assert (status, again["id"], again["state"]) == (
+            200, first["id"], "done",
+        )
+        status, replay = service.handle("GET", f"/jobs/{first['id']}/result")
+        assert status == 200
+        assert json.dumps(replay, sort_keys=True) == json.dumps(
+            cold, sort_keys=True
+        )
+        assert loads == []
 
     def test_submit_without_body_is_400(self, service):
         status, payload = service.handle("POST", "/jobs")
