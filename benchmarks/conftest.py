@@ -14,15 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import get_scale
-from repro.experiments.pool import shutdown_shared_pool
 
 
 @pytest.fixture(scope="session")
 def scale():
     return get_scale()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _reap_shared_pool():
-    yield
-    shutdown_shared_pool()

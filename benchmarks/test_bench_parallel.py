@@ -12,7 +12,7 @@ acceptance mini-sweep (one panel's worth of utilisation points):
 * a cache-warm rerun is an order of magnitude faster than computing
   into an empty store (it reads one shard index plus a few records)
   and returns identical payloads — ≥ 5×, gated the same way;
-* reusing one persistent :class:`WorkerPool` across a multi-panel,
+* reusing one persistent :class:`PoolExecutor` across a multi-panel,
   ``repro all --scale smoke``-shaped batch of sweeps beats the old
   fork-a-pool-per-sweep behaviour by ≥ 1.5× on fan-out wall time —
   gated the same way, on any CPU count (the win is eliminated
@@ -32,7 +32,6 @@ import pytest
 from repro.executors import PoolExecutor
 from repro.experiments.fig2 import fig2_grid
 from repro.experiments.parallel import SweepEngine, SweepSpec
-from repro.experiments.pool import WorkerPool
 from repro.experiments.store import ResultStore
 
 #: Workers for the parallel leg (capped by the visible CPU count so
@@ -84,8 +83,7 @@ def test_parallel_sweep_pooled(benchmark, scale, serial_bytes):
     """Ratio-gated fast leg: the same sweep over ``_WORKERS`` pooled
     workers, spawned and warmed by one untimed run."""
     spec = _mini_spec(scale)
-    with WorkerPool(_WORKERS) as pool:
-        executor = PoolExecutor(pool=pool)
+    with PoolExecutor(_WORKERS) as executor:
         engine = SweepEngine(executor=executor)
         warm = engine.run(spec)
         result = benchmark.pedantic(
@@ -123,15 +121,13 @@ def _run_with_fork_per_sweep(specs) -> list:
     own worker pool."""
     results = []
     for spec in specs:
-        with WorkerPool(_FANOUT_WORKERS) as pool:
-            executor = PoolExecutor(pool=pool)
+        with PoolExecutor(_FANOUT_WORKERS) as executor:
             results.append(SweepEngine(executor=executor).run(spec))
     return results
 
 
 def _run_with_persistent_pool(specs) -> list:
-    with WorkerPool(_FANOUT_WORKERS) as pool:
-        executor = PoolExecutor(pool=pool)
+    with PoolExecutor(_FANOUT_WORKERS) as executor:
         engine = SweepEngine(executor=executor)
         return [engine.run(spec) for spec in specs]
 

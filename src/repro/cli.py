@@ -29,11 +29,11 @@ long-lived worker subprocesses, and every backend is byte-identical
 to serial), ``--cache-dir DIR`` caches per-point results on disk so
 re-runs and extended sweeps only compute missing points, and
 ``--resume`` is shorthand for caching in ``.repro-cache``.  One
-invocation forks at most one worker pool: every selected experiment's
-sweeps reuse the shared :class:`repro.experiments.pool.WorkerPool`,
-which is shut down when the run finishes (set ``REPRO_LOG=info`` to
-watch the spawn happen exactly once).  Caches are sharded v2 stores
-(:mod:`repro.experiments.store`), and::
+invocation forks at most one worker pool: every selected experiment
+runs through one :class:`repro.jobs.JobRunner`, whose ``pool``
+executor serves all their sweeps and is closed when the run finishes
+(set ``REPRO_LOG=info`` to watch the spawn happen exactly once).
+Caches are sharded v2 stores (:mod:`repro.experiments.store`), and::
 
     repro-hydra cache stats [--cache-dir DIR]
     repro-hydra cache gc    [--cache-dir DIR]
@@ -47,7 +47,7 @@ accepts sweep-spec submissions (``POST /jobs``), tracks job lifecycle
 and progress, and serves typed results — all through the same
 :class:`repro.jobs.JobRunner` the CLI subcommands use, so a sweep
 submitted over HTTP and one run with ``repro-hydra sweep`` share the
-cache, the worker pool, and byte-identical results.
+cache, the execution path, and byte-identical results.
 
 Runtime failures exit with code 1 and a one-line typed message
 (``repro-hydra: UnknownAllocatorError: …``) — never a traceback;
@@ -227,7 +227,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
             "execution backend for sweep points — 'serial', 'pool', "
             "'subprocess-workers', or any plugin (see 'repro-hydra "
             "executors'); results are byte-identical for every backend "
-            "(default: serial, or the shared pool with --workers)"
+            "(default: serial, or 'pool' with --workers)"
         ),
     )
     parser.add_argument(
@@ -728,22 +728,22 @@ def _run_serve(args) -> int:
         pass
     finally:
         runner.close()
-        from repro.experiments.pool import shutdown_shared_pool
-
-        shutdown_shared_pool()
     return 0
 
 
 def _configure_logging() -> None:
-    """Honour ``REPRO_LOG`` (e.g. ``info``, ``debug``): the pool logs
-    its spawns at INFO, so ``REPRO_LOG=info`` makes reuse observable
-    on stderr without touching normal output."""
-    import logging
+    """Honour ``REPRO_LOG`` (e.g. ``info``, ``debug``): the pool
+    executor logs its spawns at INFO, so ``REPRO_LOG=info`` makes
+    reuse observable on stderr without touching normal output."""
     import os
 
     level_name = os.environ.get("REPRO_LOG")
     if not level_name:
         return
+    # Only now: a serial run imports nothing else that logs, so
+    # without REPRO_LOG it need not load the logging package at all.
+    import logging
+
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         return
@@ -824,9 +824,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Every experiment runs as a job through one JobRunner — the
         # exact path the sweep service serves — so each gets an
         # idempotent job id, shares the content-addressed store, and
-        # attaches to the shared worker pool on first parallel sweep
-        # (one fork for the whole invocation, reaped when the runs
-        # end).
+        # shares the runner's worker pool, spawned at the first
+        # parallel batch (one fork for the whole invocation, ended by
+        # runner.close()).
         for experiment in experiments:
             job = runner.run_experiment(experiment, scale)
             results.append((experiment, job.result))
@@ -837,9 +837,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _typed_error(exc)
     finally:
         runner.close()
-        from repro.experiments.pool import shutdown_shared_pool
-
-        shutdown_shared_pool()
 
     if fmt == "json":
         if len(results) == 1:

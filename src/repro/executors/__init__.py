@@ -18,9 +18,10 @@ Built-ins:
 ``serial``
     In-process, in-order — the golden reference.
 ``pool``
-    The process-wide persistent :class:`~repro.experiments.pool.
-    WorkerPool` — what a ``workers=N`` engine uses when no executor
-    is named.
+    :class:`PoolExecutor`, a fork pool the executor owns, spawned at
+    the first multi-point batch and reused until :meth:`~Executor.
+    close` — what a ``workers=N`` engine or job runner uses when no
+    executor is named.
 ``subprocess-workers``
     Long-lived worker subprocesses speaking newline-delimited JSON,
     with heartbeats, per-task timeouts, and bounded retry of points

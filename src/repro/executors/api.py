@@ -3,9 +3,9 @@
 The :class:`~repro.experiments.parallel.SweepEngine` decides *which*
 points of a :class:`~repro.experiments.parallel.SweepSpec` must be
 computed (cache misses, cancellation batches); an :class:`Executor`
-decides *where* those computations happen — in-process, over the
-process-wide fork pool, or across long-lived worker subprocesses
-speaking a newline-delimited-JSON task protocol.  Because every point
+decides *where* those computations happen — in-process, over a fork
+pool, or across long-lived worker subprocesses speaking a
+newline-delimited-JSON task protocol.  Because every point
 is deterministic (its SeedSequence stream depends only on the spec and
 the point index) and every payload is plain JSON, executors are
 interchangeable: any registered backend must produce byte-identical
@@ -50,8 +50,8 @@ class Executor(ABC):
       identical across backends.
     * :meth:`close` releases any long-lived resources (worker
       processes, sockets) and is idempotent; a closed executor may
-      lazily re-acquire them if used again, mirroring
-      :class:`~repro.experiments.pool.WorkerPool`.
+      lazily re-acquire them if used again (both built-in worker
+      backends do).  Whoever built an executor closes it.
     """
 
     #: Registry spec of the backend (set by the concrete class).

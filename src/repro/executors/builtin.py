@@ -3,27 +3,31 @@
 
 ``serial`` computes points on the calling thread — the golden
 reference every other backend is pinned against.  ``pool`` fans points
-over the process-wide :class:`~repro.experiments.pool.WorkerPool` (or
-an injected one); a ``workers > 1`` engine with no executor uses it.
-``subprocess-workers`` is :class:`~repro.executors.subproc.
-SubprocessExecutor`.
+over a fork pool that the :class:`PoolExecutor` owns; a ``workers > 1``
+engine or job runner with no executor uses it.  ``subprocess-workers``
+is :class:`~repro.executors.subproc.SubprocessExecutor`.
 """
 
 from __future__ import annotations
 
+import logging
 import os
-from itertools import repeat
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.errors import ValidationError
 from repro.executors.api import Executor
 from repro.executors.registry import register_executor
 from repro.executors.subproc import SubprocessExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.parallel import SweepSpec
-    from repro.experiments.pool import WorkerPool
 
 __all__ = ["SerialExecutor", "PoolExecutor"]
+
+log = logging.getLogger("repro.pool")
 
 
 class SerialExecutor(Executor):
@@ -41,54 +45,100 @@ class SerialExecutor(Executor):
 
 
 class PoolExecutor(Executor):
-    """Fan points over a persistent :class:`WorkerPool`.
+    """Fan points over one lazily spawned fork pool that this executor
+    owns.
 
-    Without an injected pool this fetches the process-wide shared pool
-    (:func:`repro.experiments.pool.get_shared_pool`) afresh for each
-    multi-point batch, so a pool grown or shut down between sweeps is
-    never revived as an orphan.  The pool's owner keeps its lifecycle:
-    :meth:`close` never shuts down the shared pool (the CLI/atexit hook
-    reaps it) nor an injected one.
+    ``workers`` is the pool size: ``None`` means the CPU count, and
+    ``0`` and ``1`` mean serial (the engine's convention): points run
+    in-process and nothing is spawned, as for any one-point batch.  The
+    pool spawns at the first multi-point batch (logged as ``spawned
+    worker pool`` at INFO on ``repro.pool`` and counted in
+    :attr:`spawn_count`), serves every later batch, and ends with
+    :meth:`close`; a closed executor respawns if used again.  Whoever
+    built the executor owns its pool: a :class:`~repro.jobs.JobRunner`
+    closes the one it resolves, a bare ``SweepEngine(workers=N)`` keeps
+    its own for its lifetime, and an executor handed to either stays
+    its creator's.
+
+    A pool whose workers died (OOM-killed, say) is respawned once and
+    the batch retried, which determinism makes safe; if it breaks
+    again the batch runs in-process.  A ``^C`` mid-batch reaps the pool
+    before it propagates, so no dead workers are kept for later.
     """
 
     name = "pool"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        pool: "WorkerPool | None" = None,
-    ) -> None:
-        if pool is not None:
-            self.workers = pool.max_workers
-        else:
-            self.workers = max(1, int(workers or (os.cpu_count() or 1)))
-        self._injected_pool = pool
-
-    def _pool(self) -> "WorkerPool":
-        if self._injected_pool is not None:
-            return self._injected_pool
-        from repro.experiments.pool import get_shared_pool
-
-        return get_shared_pool(self.workers)
+    def __init__(self, workers: int | None = None) -> None:
+        if workers is not None and workers < 0:
+            raise ValidationError(f"workers must be >= 0, got {workers}")
+        if workers is None:
+            workers = os.cpu_count() or 1
+        self.workers = max(1, int(workers))
+        self._pool: ProcessPoolExecutor | None = None
+        self._spawn_lock = threading.Lock()  # a runner's threads share it
+        self.spawn_count = 0
 
     def run_points(
         self, spec: "SweepSpec", indices: Sequence[int]
     ) -> list[tuple[int, dict[str, Any]]]:
-        from repro.experiments.parallel import (
-            _execute_point_job,
-            execute_point,
-        )
+        from repro.experiments.parallel import execute_point
 
-        # A one-point batch runs inline without asking for the shared
-        # pool, which would replace a warm pool smaller than requested.
-        pool = None if len(indices) == 1 else self._pool()
-        if pool is None or pool.max_workers == 1:
-            return [(i, execute_point(spec, i)) for i in indices]
-        computed = pool.map(
-            _execute_point_job, repeat(spec.to_dict()), indices,
-            limit=self.workers,
+        if self.workers > 1 and len(indices) > 1:
+            try:
+                try:
+                    return self._dispatch(spec, indices)
+                except BrokenProcessPool as exc:
+                    self._reap("worker pool broke; respawning and "
+                               "retrying once", exc)
+                try:
+                    return self._dispatch(spec, indices)
+                except BrokenProcessPool as exc:
+                    self._reap("respawned worker pool broke too; running "
+                               "this batch serially in-process", exc)
+            except KeyboardInterrupt as exc:
+                # The interrupt usually reached the workers as well
+                # (same process group) and broke the pool.
+                self._reap("interrupted mid-batch; reaping worker pool", exc)
+                raise
+        return [(i, execute_point(spec, i)) for i in indices]
+
+    def _dispatch(
+        self, spec: "SweepSpec", indices: Sequence[int]
+    ) -> list[tuple[int, dict[str, Any]]]:
+        from repro.experiments.parallel import _execute_point_job
+
+        with self._spawn_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self.spawn_count += 1
+                log.info(
+                    "spawned worker pool: %d processes (spawn #%d, pid %d)",
+                    self.workers, self.spawn_count, os.getpid(),
+                )
+            pool = self._pool
+        document = spec.to_dict()
+        futures = [
+            pool.submit(_execute_point_job, document, index)
+            for index in indices
+        ]
+        return [(index, f.result()) for index, f in zip(indices, futures)]
+
+    def _reap(self, why: str, cause: BaseException) -> None:
+        """Log ``why`` and drop a pool that broke or was interrupted,
+        without waiting for its workers."""
+        log.warning(
+            "%s (%d processes; cause: %s)", why, self.workers,
+            " ".join(str(cause).split()) or type(cause).__name__,
         )
-        return list(zip(indices, computed))
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        """End the worker processes (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
 
 @register_executor(
@@ -107,12 +157,12 @@ def _make_serial(workers: int | None = None) -> SerialExecutor:
 
 @register_executor(
     "pool",
-    title="Process-wide persistent fork pool (the default parallel path)",
+    title="Persistent fork pool (the default parallel path)",
     description=(
-        "Fans points over the shared WorkerPool — one lazy fork per "
-        "process, reused by every sweep.  Identical to passing "
-        "--workers N without an --executor: the engine's historic "
-        "parallel behaviour, addressable by name."
+        "Fans points over one fork pool, spawned lazily at the first "
+        "multi-point batch and reused by every later sweep of its "
+        "owner (one CLI invocation, one job service).  Identical to "
+        "passing --workers N without an --executor."
     ),
     tags=("local",),
 )

@@ -4,7 +4,7 @@ tolerance.
 The parent half of the protocol documented in
 :mod:`repro.executors.worker`.  :class:`SubprocessExecutor` spawns N
 worker subprocesses once (lazily, like
-:class:`~repro.experiments.pool.WorkerPool`) and keeps them across
+:class:`~repro.executors.builtin.PoolExecutor`) and keeps them across
 sweeps; each worker runs one task at a time over newline-delimited
 JSON on its stdin/stdout.  Unlike the fork pool this transport has no
 shared memory and no pickling — tasks are addressed as ``(spec,
@@ -79,7 +79,7 @@ _SHUTDOWN_GRACE = 2.0
 _POLL_INTERVAL = 0.05
 
 #: Live executors, closed at interpreter exit so library users cannot
-#: leak worker subprocesses (mirrors the shared pool's atexit hook).
+#: leak worker subprocesses.
 _LIVE: "weakref.WeakSet[SubprocessExecutor]" = weakref.WeakSet()
 _atexit_registered = False
 
@@ -186,7 +186,7 @@ class SubprocessExecutor(Executor):
         self.preload = tuple(preload)
         self.extra_env = dict(env or {})
         #: Workers spawned over this executor's lifetime (initial
-        #: spawns + respawns); observable like the pool's spawn_count.
+        #: spawns + respawns); observable like PoolExecutor.spawn_count.
         self.spawn_count = 0
         self._workers: dict[int, _Worker] = {}
         self._events: SimpleQueue[tuple[int, dict[str, Any]]] = SimpleQueue()
@@ -276,7 +276,7 @@ class SubprocessExecutor(Executor):
 
     def close(self) -> None:
         """Shut the workers down (idempotent).  A later batch simply
-        respawns them, mirroring :class:`WorkerPool.shutdown`."""
+        respawns them, as :meth:`PoolExecutor.close` does."""
         self._closed = True
         workers = list(self._workers.values())
         self._workers.clear()

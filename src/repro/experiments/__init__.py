@@ -26,9 +26,8 @@
 * :mod:`repro.experiments.config` — ``smoke`` / ``default`` / ``paper``
   scaling presets (env var ``REPRO_SCALE``).
 * :mod:`repro.experiments.parallel` — the parallel/cached/resumable
-  :class:`SweepEngine` every experiment runs through.
-* :mod:`repro.experiments.pool` — the persistent :class:`WorkerPool`
-  shared across sweeps (one fork per CLI invocation/pytest session).
+  :class:`SweepEngine` every experiment runs through (its fork pool is
+  the ``pool`` backend of :mod:`repro.executors`).
 * :mod:`repro.experiments.store` — the sharded, append-only
   :class:`ResultStore` (store layout v2, cache key format 3).
 
@@ -63,11 +62,6 @@ from repro.experiments.parallel import (
     SweepSpec,
     SweepStats,
 )
-from repro.experiments.pool import (
-    WorkerPool,
-    get_shared_pool,
-    shutdown_shared_pool,
-)
 from repro.experiments.quality import QualityExperiment
 from repro.experiments.registry import (
     UnknownExperimentError,
@@ -97,7 +91,7 @@ __all__ = [
     "experiment_names",
     "iter_experiments",
     "UnknownExperimentError",
-    # scales + engine + pool + store
+    # scales + engine + store
     "ExperimentScale",
     "SCALES",
     "get_scale",
@@ -106,9 +100,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SweepStats",
-    "WorkerPool",
-    "get_shared_pool",
-    "shutdown_shared_pool",
     # experiment classes
     "Table1Experiment",
     "Fig1Experiment",

@@ -32,6 +32,7 @@ section "Writing a new experiment".
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from abc import ABC, abstractmethod
@@ -154,6 +155,14 @@ class ExperimentResult:
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
+        """The result document.  Each call returns an independent copy,
+        so a caller may change it without changing this result."""
+        document = self._document()
+        document["data"] = copy.deepcopy(self.data)
+        return document
+
+    def _document(self) -> dict[str, Any]:
+        # Shares ``data`` with this result: for serialisation only.
         return {
             "format": self.format,
             "experiment": self.experiment,
@@ -185,7 +194,7 @@ class ExperimentResult:
         )
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self._document(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":

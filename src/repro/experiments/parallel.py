@@ -25,13 +25,13 @@ Experiment kinds are *registered point runners* — top-level functions
 JSON payload.  The figure drivers build :class:`SweepSpec` objects and
 feed them through a shared :class:`SweepEngine`.
 
-The engine owns neither executors nor storage: a serial engine runs
-points inline, a parallel one hands them to an execution backend from
-:mod:`repro.executors` (by default the ``pool`` backend over the
-process-wide :class:`~repro.experiments.pool.WorkerPool`, spawned
-lazily once and reused across every sweep of a CLI invocation or
-pytest session), and cached points are read/written in batches through
-the sharded :class:`~repro.experiments.store.ResultStore`.
+The engine owns no storage: a serial engine runs points inline, a
+parallel one hands them to an execution backend from
+:mod:`repro.executors` (by default the ``pool`` backend, whose fork
+pool spawns lazily once and serves every sweep of its owner: a CLI
+invocation or a job service), and cached points are read/written in
+batches through the sharded
+:class:`~repro.experiments.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -340,15 +340,14 @@ class SweepEngine:
     """Runs :class:`SweepSpec` sweeps — serially or through an execution
     backend, optionally backed by an on-disk :class:`ResultStore`.
 
-    The engine does not own an executor.  A serial engine computes
-    points inline (it never imports :mod:`repro.executors`); a
-    ``workers > 1`` engine without an explicit executor uses the
-    registered ``pool`` backend, which attaches to the process-wide
-    shared :class:`~repro.experiments.pool.WorkerPool`, so chained
-    sweeps — all panels of ``repro-hydra all``, a whole pytest session
-    — fan out over the *same* processes instead of re-forking per
-    sweep.  To control a pool's lifetime, pass
-    ``executor=PoolExecutor(pool=pool)``.
+    A serial engine computes points inline (it never imports
+    :mod:`repro.executors`); a ``workers > 1`` engine without an
+    explicit executor resolves the registered ``pool`` backend once
+    and owns it, so every sweep it runs fans out over the *same*
+    processes, which live as long as the engine.  To share one pool
+    across engines, or to end it at a point of your choosing, build
+    the executor yourself and pass it in:
+    ``with PoolExecutor(8) as executor: SweepEngine(executor=executor)``.
 
     Parameters
     ----------
@@ -384,8 +383,8 @@ class SweepEngine:
         a result byte (and is therefore not part of any cache key).
         The engine never closes an executor it was handed — the
         creator owns its lifecycle (a name is resolved once, and the
-        instance is cleaned up at interpreter exit if nothing closes
-        it earlier).
+        instance ends with the engine, or at interpreter exit if
+        something else still holds it).
     """
 
     def __init__(

@@ -50,11 +50,11 @@ own real-time packing (M−1 cores + a dedicated security core) and the
 runner prepares that system automatically.
 
 Scenario sweeps ride the same execution/storage layer as the paper
-figures: chained ``sweep --config`` runs in one CLI invocation reuse
-the shared persistent :class:`~repro.experiments.pool.WorkerPool`
-(one fork total), and ``--cache-dir`` shards land in the same
-:class:`~repro.experiments.store.ResultStore`, so a grid can be
-extended axis by axis with only the new cells computing.
+figures: with ``--workers N`` every sweep of a grid fans out over the
+invocation's one fork pool (the ``pool`` executor of its
+:class:`~repro.jobs.JobRunner`), and ``--cache-dir`` shards land in
+the same :class:`~repro.experiments.store.ResultStore`, so a grid can
+be extended axis by axis with only the new cells computing.
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ module provides that path:
 * :class:`Job` — one submission's lifecycle record: ``queued →
   running → done | failed | cancelled``, per-point progress counters
   (total/computed/cached) and structured error capture.
-* :class:`JobRunner` — owns the shared execution stack (the process
-  -wide :class:`~repro.experiments.pool.WorkerPool` via the engine,
-  one sharded :class:`~repro.experiments.store.ResultStore`) and
-  executes jobs either asynchronously (:meth:`~JobRunner.submit`, a
-  single background worker thread drains the queue — the *pool*
-  provides the parallelism) or synchronously
-  (:meth:`~JobRunner.run_experiment`, what the CLI uses).
+* :class:`JobRunner` — owns the shared execution stack (one execution
+  backend per name, the ``pool`` fork pool included, and one sharded
+  :class:`~repro.experiments.store.ResultStore`) and executes jobs
+  either asynchronously (:meth:`~JobRunner.submit`, a single
+  background worker thread drains the queue — the *backend* provides
+  the parallelism) or synchronously (:meth:`~JobRunner.run_experiment`,
+  what the CLI uses).  :meth:`~JobRunner.close` ends the backends, so
+  no worker outlives the runner.
 
 **Idempotent job ids.**  A job's id is derived from the experiment's
 ``spec_hash`` — the fingerprint of its spec plus every
@@ -350,7 +351,8 @@ class Job:
         self._terminal.set()
 
     def to_dict(self) -> dict[str, Any]:
-        """The job's status document (what ``GET /jobs/{id}`` serves)."""
+        """The job's status document (what ``GET /jobs/{id}`` serves);
+        a fresh one per call, so changing it never changes the job."""
         return {
             "id": self.id,
             "state": self.state,
@@ -361,7 +363,7 @@ class Job:
                 "computed_points": self.computed_points,
                 "cached_points": self.cached_points,
             },
-            "error": self.error,
+            "error": dict(self.error) if self.error is not None else None,
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
@@ -389,11 +391,11 @@ class JobRunner:
     executor:
         Default execution backend — a registry name or an
         :class:`~repro.executors.Executor` instance — for jobs that
-        do not name one themselves.  ``None`` leaves it to the
-        engine: inline when serial, ``pool`` otherwise.  Name-resolved
-        backends are instantiated once per runner, reused across jobs,
-        and closed by :meth:`close`; an injected instance stays the
-        caller's to close.
+        do not name one themselves.  ``None`` means inline when
+        serial and ``pool`` otherwise.  Name-resolved backends are
+        instantiated once per runner, reused across jobs (so one fork
+        pool serves every job), and closed by :meth:`close`; an
+        injected instance stays the caller's to close.
     store_writer:
         ``writer_id`` for the runner's store: pass one whenever
         another process may write the same ``cache_dir`` concurrently
@@ -642,7 +644,7 @@ class JobRunner:
             job.error = {"type": "SweepCancelled", "message": str(exc)}
             job._finish(JobState.CANCELLED)
         except KeyboardInterrupt:
-            # The pool reaps its own executor on ^C; record the
+            # The pool executor reaps its workers on ^C; record the
             # interruption as a cancellation and let the caller unwind.
             job.error = {
                 "type": "KeyboardInterrupt",
@@ -669,10 +671,13 @@ class JobRunner:
 
     def _resolve_executor(self, spec: str | None) -> "Executor | None":
         """The backend instance for ``spec`` (job's choice, falling
-        back to the runner default; ``None`` → engine's built-in
-        dispatch).  Name-resolved backends are cached per runner so a
+        back to the runner default, then to ``pool`` when
+        ``workers > 1``; ``None`` → inline).  Name-resolved backends
+        are cached per runner, so one fork pool serves every job and a
         subprocess backend keeps its workers warm across jobs."""
         chosen: "str | Executor | None" = spec or self.executor
+        if chosen is None and self.workers is not None and self.workers > 1:
+            chosen = "pool"
         if chosen is None or not isinstance(chosen, str):
             return chosen
         with self._lock:
@@ -691,10 +696,11 @@ class JobRunner:
 
         Jobs still queued stay ``queued``; the runner can be reused —
         the next :meth:`submit` restarts the thread.  Backends this
-        runner instantiated by name are closed (a reused runner simply
-        re-instantiates them); an injected executor instance and the
-        process-wide worker pool are deliberately left alone (their
-        owner — CLI, server, pytest session — reaps them).
+        runner instantiated by name — the ``pool`` fork pool of a
+        ``workers > 1`` runner among them — are closed, so none of
+        their workers outlives the runner (a reused runner simply
+        re-instantiates them); an injected executor instance is left
+        alone, its creator closes it.
         """
         thread = self._thread
         if thread is not None and thread.is_alive():

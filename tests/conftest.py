@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.pool import shutdown_shared_pool
 from repro.model import (
     Partition,
     Platform,
@@ -14,14 +13,6 @@ from repro.model import (
     SystemModel,
     TaskSet,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _reap_shared_pool():
-    """One worker pool serves the whole pytest session (engines with
-    ``workers > 1`` attach to it lazily); reap it at session end."""
-    yield
-    shutdown_shared_pool()
 
 
 @pytest.fixture

@@ -1,16 +1,12 @@
-"""Serial and pool executors: byte-identity and pool etiquette."""
+"""Serial and pool executors: byte-identity and pool ownership."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.executors import PoolExecutor, SerialExecutor, get_executor
 from repro.experiments.parallel import SweepEngine, SweepSpec, execute_point
-from repro.experiments.pool import (
-    WorkerPool,
-    get_shared_pool,
-    shutdown_shared_pool,
-)
 
 
 def _spec(n: int = 6, seed: int = 2024) -> SweepSpec:
@@ -49,38 +45,34 @@ class TestPoolExecutor:
     def test_matches_serial_bytes(self):
         spec = _spec()
         indices = list(range(len(spec.points)))
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
+        with PoolExecutor(2) as executor:
             assert executor.run_points(spec, indices) == _reference(spec)
-            assert pool.spawn_count == 1
+            assert executor.spawn_count == 1
 
     def test_single_point_batch_stays_in_process(self):
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
-            executor.run_points(_spec(), [2])
-            assert pool.spawn_count == 0  # serial shortcut: no fork
+        with PoolExecutor(2) as executor:
+            got = executor.run_points(_spec(), [2])
+            assert got == [(2, execute_point(_spec(), 2))]
+            assert executor.spawn_count == 0  # serial shortcut: no fork
 
-    def test_single_point_batch_keeps_a_warm_shared_pool(self):
-        """A one-point batch runs inline, so asking for more workers
-        than the live shared pool has must not replace (and shut down)
-        that pool."""
-        shutdown_shared_pool()
-        try:
-            warm = get_shared_pool(2)
-            warm.map(abs, [-1, -2])  # spawn it
-            assert warm._executor is not None
-            get_executor("pool", workers=4).run_points(_spec(), [0])
-            assert warm._executor is not None
-            assert get_shared_pool(1) is warm
-        finally:
-            shutdown_shared_pool()
+    def test_single_point_batch_keeps_a_warm_pool(self):
+        """A one-point batch runs inline: it neither respawns nor ends
+        a pool an earlier batch warmed up."""
+        with PoolExecutor(2) as executor:
+            executor.run_points(_spec(), [0, 1])
+            warm = executor._pool
+            assert warm is not None
+            executor.run_points(_spec(), [3])
+            assert executor._pool is warm
+            assert executor.spawn_count == 1
 
-    def test_injected_pool_is_not_shut_down(self):
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
-            executor.run_points(_spec(), [0, 1, 2])
-            executor.close()
-            assert pool._executor is not None  # creator owns the pool's lifecycle
+    def test_close_ends_the_pool(self):
+        executor = PoolExecutor(2)
+        executor.run_points(_spec(), [0, 1, 2])
+        pool = executor._pool
+        executor.close()
+        assert executor._pool is None
+        assert pool._shutdown_thread  # the executor owns its pool
 
 
 class TestEngineIntegration:
@@ -91,8 +83,7 @@ class TestEngineIntegration:
         assert named.payloads == baseline.payloads
 
     def test_engine_accepts_instances_and_defaults_workers(self):
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
+        with PoolExecutor(2) as executor:
             engine = SweepEngine(executor=executor)
             assert engine.workers == executor.workers
             assert engine.run(_spec()).payloads == (
@@ -108,6 +99,8 @@ class TestEngineIntegration:
     def test_get_executor_workers_flow_through(self):
         executor = get_executor("pool", workers=2)
         assert executor.workers == 2
-        # Nonsense counts clamp to serial instead of erroring — the
-        # same forgiving convention as WorkerPool/engine worker counts.
-        assert PoolExecutor(workers=-1).workers == 1
+        # 0 means serial, as for the engine; a negative count is a
+        # typed error, as for the engine.
+        assert get_executor("pool", workers=0).workers == 1
+        with pytest.raises(ValidationError):
+            PoolExecutor(workers=-1)

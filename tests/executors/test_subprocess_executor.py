@@ -136,7 +136,7 @@ class TestHappyPath:
         executor.close()
         executor.close()
         assert not executor._workers
-        # A closed executor lazily respawns, like WorkerPool.
+        # A closed executor lazily respawns, like PoolExecutor.
         got = executor.run_points(_spec(tmp_path), [1])
         assert got == [_serial_reference(tmp_path)[1]]
         executor.close()

@@ -3,6 +3,8 @@ structured results, and their serialisation round trips."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ValidationError
@@ -117,6 +119,22 @@ class TestExperimentResult:
 
     def test_json_round_trip(self, result):
         assert ExperimentResult.from_json(result.to_json()) == result
+
+    def test_to_dict_is_an_independent_copy_of_the_json_document(self):
+        result = Table1Experiment().run(SMOKE)
+        document = result.to_dict()
+        assert json.dumps(document, indent=2, sort_keys=True) == (
+            result.to_json()
+        )
+        before = result.to_json()
+        for value in document["data"].values():
+            if isinstance(value, list):
+                value.clear()
+            elif isinstance(value, dict):
+                value["tampered"] = True
+        document["data"]["tampered"] = True
+        assert result.to_json() == before
+        assert result.to_dict() == json.loads(before)
 
     def test_round_tripped_result_renders_identically(self, result):
         experiment = Table1Experiment()

@@ -1,8 +1,8 @@
 """Crash recovery: broken worker pools, read-only stores, torn tmp files.
 
-Pins the interrupt-safety and cache-store fixes: a pool whose workers
-died (OOM-killed, ^C) is reaped and respawned — or falls back to
-serial — instead of poisoning every later sweep with
+Pins the interrupt-safety and cache-store fixes: a pool executor whose
+workers died (OOM-killed, ^C) reaps its pool and respawns it — or
+falls back to serial — instead of poisoning every later sweep with
 ``BrokenProcessPool``; a ``readonly=True`` store never writes, even
 when it has to rebuild its index on a chmod-0555 cache dir; and
 orphaned ``*.tmp`` files from a crash between tmp-write and
@@ -15,123 +15,157 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
+import time
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import SweepCancelled
-from repro.experiments.parallel import SweepEngine, SweepSpec
-from repro.experiments.pool import (
-    WorkerPool,
-    get_shared_pool,
-    shutdown_shared_pool,
-)
+from repro.executors import PoolExecutor
+from repro.experiments.parallel import SweepEngine, SweepSpec, execute_point
 from repro.experiments.store import _TMP_STALE_SECONDS, ResultStore
 
 
-def _double(x):
-    return x * 2
-
-
-class _BrokenExecutor:
+class _DeadPool:
     """Quacks like a ProcessPoolExecutor whose workers all died."""
-
-    _broken = "A child process terminated abruptly"
 
     def __init__(self):
         self.shutdown_calls = 0
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("A child process terminated abruptly")
 
     def shutdown(self, wait=True):
         self.shutdown_calls += 1
 
 
-@pytest.fixture
-def isolated_shared_pool():
-    """Run a test against a fresh shared pool and reap it after."""
-    shutdown_shared_pool()
-    yield
-    shutdown_shared_pool()
+def _calibration_spec(points: int = 3) -> SweepSpec:
+    return SweepSpec(
+        kind="calibration",
+        seed=11,
+        points=tuple({"index": i} for i in range(points)),
+    )
+
+
+def _reference(spec: SweepSpec) -> list[tuple[int, dict]]:
+    return [(i, execute_point(spec, i)) for i in range(len(spec.points))]
 
 
 class TestBrokenPoolRecovery:
-    def test_reap_if_broken_discards_dead_executor(self):
-        pool = WorkerPool(2)
-        dead = _BrokenExecutor()
-        pool._executor = dead
-        assert pool._reap_if_broken() is True
-        assert pool._executor is None
+    def test_dead_pool_is_reaped_and_replaced(self):
+        executor = PoolExecutor(2)
+        dead = _DeadPool()
+        executor._pool = dead
+        spec = _calibration_spec()
+        assert executor.run_points(spec, [0, 1, 2]) == _reference(spec)
         assert dead.shutdown_calls == 1
-        # Idempotent: nothing left to reap.
-        assert pool._reap_if_broken() is False
+        assert executor._pool is not dead
+        assert executor.spawn_count == 1  # the replacement
+        executor.close()
 
     def test_reap_logs_recovery(self, caplog):
-        pool = WorkerPool(2)
-        pool._executor = _BrokenExecutor()
+        executor = PoolExecutor(2)
+        executor._pool = _DeadPool()
         with caplog.at_level(logging.WARNING, logger="repro.pool"):
-            pool._reap_if_broken()
-        assert any("reaping dead executor" in r.message for r in caplog.records)
+            executor.run_points(_calibration_spec(), [0, 1])
+        executor.close()
+        assert any(
+            "respawning and retrying once" in r.message
+            for r in caplog.records
+        )
 
-    def test_map_respawns_once_after_broken_pool(self, monkeypatch):
-        pool = WorkerPool(2)
+    def test_killed_worker_respawns_the_pool(self):
+        """A real worker death: the pool breaks, the next batch
+        respawns it once and returns the same bytes."""
+        spec = _calibration_spec(points=4)
+        with PoolExecutor(2) as executor:
+            assert executor.run_points(spec, [0, 1, 2, 3]) == _reference(spec)
+            pool = executor._pool
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            assert executor.run_points(spec, [0, 1, 2, 3]) == _reference(spec)
+            assert executor.spawn_count == 2
+
+    def test_respawns_once_after_broken_pool(self, monkeypatch):
+        executor = PoolExecutor(2)
         attempts = []
-        real_dispatch = WorkerPool._dispatch
+        real_dispatch = PoolExecutor._dispatch
 
-        def flaky_dispatch(self, fn, calls, limit):
-            attempts.append(len(calls))
+        def flaky_dispatch(self, spec, indices):
+            attempts.append(len(indices))
             if len(attempts) == 1:
                 raise BrokenProcessPool("workers died")
-            return real_dispatch(self, fn, calls, limit)
+            return real_dispatch(self, spec, indices)
 
-        monkeypatch.setattr(WorkerPool, "_dispatch", flaky_dispatch)
-        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
+        monkeypatch.setattr(PoolExecutor, "_dispatch", flaky_dispatch)
+        spec = _calibration_spec()
+        assert executor.run_points(spec, [0, 1, 2]) == _reference(spec)
         assert len(attempts) == 2  # broke once, respawned, succeeded
-        pool.shutdown()
+        executor.close()
 
-    def test_map_falls_back_to_serial_when_respawn_breaks_too(
+    def test_falls_back_to_serial_when_respawn_breaks_too(
         self, monkeypatch, caplog
     ):
-        pool = WorkerPool(2)
+        executor = PoolExecutor(2)
 
-        def always_broken(self, fn, calls, limit):
+        def always_broken(self, spec, indices):
+            self._pool = _DeadPool()
             raise BrokenProcessPool("workers keep dying")
 
-        monkeypatch.setattr(WorkerPool, "_dispatch", always_broken)
+        monkeypatch.setattr(PoolExecutor, "_dispatch", always_broken)
+        spec = _calibration_spec()
         with caplog.at_level(logging.WARNING, logger="repro.pool"):
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
+            assert executor.run_points(spec, [0, 1, 2]) == _reference(spec)
         messages = [r.message for r in caplog.records]
         assert any("respawning and retrying once" in m for m in messages)
         assert any("serially in-process" in m for m in messages)
-        assert pool._executor is None  # no dead executor left behind
+        assert executor._pool is None  # no dead pool left behind
 
-    def test_map_reaps_pool_on_keyboard_interrupt(self, monkeypatch):
-        pool = WorkerPool(2)
+    def test_reaps_pool_on_keyboard_interrupt(self, monkeypatch, caplog):
+        executor = PoolExecutor(2)
+        dead = _DeadPool()
 
-        def interrupted(self, fn, calls, limit):
-            self._ensure_executor()
+        def interrupted(self, spec, indices):
+            self._pool = dead
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(WorkerPool, "_dispatch", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            pool.map(_double, [1])
-        # The executor was reaped, not left broken for the next sweep.
-        assert pool._executor is None
-
-    def test_get_shared_pool_reaps_broken_executor_on_reuse(
-        self, isolated_shared_pool
-    ):
-        first = get_shared_pool(2)
-        dead = _BrokenExecutor()
-        first._executor = dead
-        again = get_shared_pool(2)
-        assert again is first  # same pool object, not a replacement
-        assert again._executor is None  # …but the dead executor is gone
+        monkeypatch.setattr(PoolExecutor, "_dispatch", interrupted)
+        with caplog.at_level(logging.WARNING, logger="repro.pool"):
+            with pytest.raises(KeyboardInterrupt):
+                executor.run_points(_calibration_spec(), [0, 1])
+        # The pool was reaped, not left broken for the next sweep.
+        assert executor._pool is None
         assert dead.shutdown_calls == 1
+        assert any("interrupted" in r.message for r in caplog.records)
 
-    def test_serial_pool_is_untouched_by_recovery_paths(self):
-        pool = WorkerPool(1)
-        assert pool.map(_double, [4]) == [8]
-        assert pool.spawn_count == 0
-        assert pool._reap_if_broken() is False
+    def test_runner_pool_survives_a_broken_pool(self):
+        """A runner's one pool executor outlives its pool: a job that
+        meets a dead pool respawns it on the same executor."""
+        from repro.experiments import SCALES, get_experiment
+        from repro.jobs import JobRunner
+
+        runner = JobRunner(workers=2)
+        executor = runner._resolve_executor(None)
+        dead = _DeadPool()
+        executor._pool = dead
+        job = runner.run_experiment(get_experiment("fig2"), SCALES["smoke"])
+        assert job.state == "done"
+        assert runner._resolve_executor(None) is executor
+        assert dead.shutdown_calls == 1
+        assert executor.spawn_count == 1
+        runner.close()
+
+    def test_serial_executor_is_untouched_by_recovery_paths(self):
+        executor = PoolExecutor(1)
+        spec = _calibration_spec(points=1)
+        assert executor.run_points(spec, [0]) == _reference(spec)
+        assert executor.spawn_count == 0
+        assert executor._pool is None
 
 
 def _mini_spec(n_points: int = 3) -> SweepSpec:

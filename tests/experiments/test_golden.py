@@ -21,7 +21,6 @@ import pytest
 from repro.executors import PoolExecutor
 from repro.experiments.golden import golden_fixtures, golden_summary
 from repro.experiments.parallel import SweepEngine
-from repro.experiments.pool import WorkerPool
 from repro.experiments.store import ResultStore, cache_key
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,16 +62,15 @@ def test_cached_rerun_reproduces_fixture(tmp_path):
 
 
 def test_shared_persistent_pool_reproduces_fixture():
-    """One injected pool across several fixtures: reuse (a single
+    """One pool executor across several fixtures: reuse (a single
     spawn) must not disturb a single byte."""
-    with WorkerPool(2) as pool:
-        executor = PoolExecutor(pool=pool)
+    with PoolExecutor(2) as executor:
         engine = SweepEngine(executor=executor)
         for name in _NAMES:
             assert golden_summary(name, engine) == _fixture(name)
         # fig2/fig3 minis are multi-point, so the pool really was used —
         # and exactly one spawn served every fixture.
-        assert pool.spawn_count == 1
+        assert executor.spawn_count == 1
 
 
 def test_subprocess_executor_reproduces_fixture():

@@ -1,39 +1,28 @@
-"""Unit tests for the persistent worker pool and its engine plumbing.
+"""Unit tests for the pool executor's fork pool and its owners.
 
 The pool's contract: spawning is lazy and logged, one pool serves any
-number of sweeps/engines, shutdown is explicit and survivable, and
-none of it affects result bytes (per-point SeedSequence streams).
+number of sweeps of its owner (a :class:`PoolExecutor` handed to
+engines, a bare ``SweepEngine(workers=N)``, a :class:`JobRunner`),
+closing is explicit, idempotent and survivable, no worker outlives its
+owner, and none of it affects result bytes (per-point SeedSequence
+streams).
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import multiprocessing
+import os
+import sys
+import threading
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.executors import PoolExecutor
-from repro.experiments import pool as pool_module
-from repro.experiments.parallel import SweepEngine, SweepSpec
-from repro.experiments.pool import (
-    WorkerPool,
-    get_shared_pool,
-    shutdown_shared_pool,
-)
-
-pytestmark = pytest.mark.usefixtures("_isolated_shared_pool")
-
-
-@pytest.fixture
-def _isolated_shared_pool():
-    """Each test starts and ends with no process-wide pool."""
-    shutdown_shared_pool()
-    yield
-    shutdown_shared_pool()
-
-
-def _square(x: int) -> int:
-    return x * x
+from repro.experiments.parallel import SweepEngine, SweepSpec, execute_point
+from repro.jobs import JobRunner
 
 
 def _calibration_spec(points: int = 4, seed: int = 7) -> SweepSpec:
@@ -44,177 +33,241 @@ def _calibration_spec(points: int = 4, seed: int = 7) -> SweepSpec:
     )
 
 
+def _reference(spec: SweepSpec, indices) -> list[tuple[int, dict]]:
+    return [(i, execute_point(spec, i)) for i in indices]
+
+
 def _bytes(result) -> bytes:
     return json.dumps(result.payloads, sort_keys=True).encode()
 
 
-class TestWorkerPool:
+class TestPoolExecutor:
     def test_spawn_is_lazy(self):
-        with WorkerPool(2) as pool:
-            assert pool._executor is None
-            assert pool.spawn_count == 0
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert pool._executor is not None
-            assert pool.spawn_count == 1
+        with PoolExecutor(2) as executor:
+            assert executor._pool is None
+            assert executor.spawn_count == 0
+            spec = _calibration_spec(points=3)
+            assert executor.run_points(spec, [0, 1, 2]) == _reference(
+                spec, [0, 1, 2]
+            )
+            assert executor._pool is not None
+            assert executor.spawn_count == 1
+
+    def test_spawn_is_logged(self, caplog):
+        with PoolExecutor(2) as executor:
+            with caplog.at_level(logging.INFO, logger="repro.pool"):
+                executor.run_points(_calibration_spec(), [0, 1])
+        spawns = [
+            r for r in caplog.records
+            if r.message.startswith("spawned worker pool: 2 processes")
+        ]
+        assert len(spawns) == 1
 
     def test_reuse_does_not_respawn(self):
-        with WorkerPool(2) as pool:
-            for _ in range(3):
-                assert pool.map(_square, [2]) == [4]
-            assert pool.spawn_count == 1
+        with PoolExecutor(2) as executor:
+            for seed in range(3):
+                executor.run_points(_calibration_spec(seed=seed), [0, 1])
+            assert executor.spawn_count == 1
 
-    def test_serial_pool_never_spawns(self):
-        pool = WorkerPool(1)
-        assert pool.map(_square, [1, 2]) == [1, 4]
-        assert pool._executor is None
-        assert pool.spawn_count == 0
+    def test_serial_executor_never_spawns(self):
+        executor = PoolExecutor(1)
+        spec = _calibration_spec(points=2)
+        assert executor.run_points(spec, [0, 1]) == _reference(spec, [0, 1])
+        assert executor._pool is None
+        assert executor.spawn_count == 0
 
-    def test_map_supports_infinite_companion_iterables(self):
-        from itertools import repeat
+    def test_any_index_sequence_is_accepted(self):
+        spec = _calibration_spec(points=5)
+        with PoolExecutor(2) as executor:
+            assert executor.run_points(spec, range(5)) == _reference(
+                spec, range(5)
+            )
+            assert executor.run_points(spec, (3, 4)) == _reference(
+                spec, (3, 4)
+            )
 
-        pool = WorkerPool(1)
-        assert pool.map(pow, repeat(2), [1, 2, 3]) == [2, 4, 8]
+    def test_close_is_idempotent_and_survivable(self):
+        executor = PoolExecutor(2)
+        spec = _calibration_spec()
+        executor.run_points(spec, [0, 1])
+        executor.close()
+        executor.close()
+        assert executor._pool is None
+        # Using a closed executor simply respawns its pool.
+        assert executor.run_points(spec, [2, 3]) == _reference(spec, [2, 3])
+        assert executor.spawn_count == 2
+        executor.close()
 
-    def test_shutdown_is_idempotent_and_survivable(self):
-        pool = WorkerPool(2)
-        pool.map(_square, [1])
-        pool.shutdown()
-        pool.shutdown()
-        assert pool._executor is None
-        # Using a shut-down pool simply respawns it.
-        assert pool.map(_square, [3]) == [9]
-        assert pool.spawn_count == 2
-        pool.shutdown()
+    def test_close_without_a_pool_is_a_noop(self):
+        executor = PoolExecutor(2)
+        executor.close()
+        executor.close()
+        assert executor.spawn_count == 0
 
     def test_default_size_is_cpu_count(self):
-        assert WorkerPool().max_workers >= 1
+        assert PoolExecutor().workers == max(1, os.cpu_count() or 1)
 
     def test_zero_means_serial_like_the_engine(self):
-        pool = WorkerPool(0)
-        assert pool.max_workers == 1
-        assert pool.map(_square, [3]) == [9]
-        assert pool.spawn_count == 0
+        executor = PoolExecutor(0)
+        assert executor.workers == 1
+        spec = _calibration_spec(points=3)
+        assert executor.run_points(spec, [0, 1, 2]) == _reference(
+            spec, [0, 1, 2]
+        )
+        assert executor.spawn_count == 0
 
-    def test_limit_one_runs_inline(self):
-        pool = WorkerPool(2)
-        assert pool.map(_square, [1, 2, 3], limit=1) == [1, 4, 9]
-        assert pool.spawn_count == 0
-
-    def test_limit_caps_in_flight_but_keeps_order(self):
-        with WorkerPool(3) as pool:
-            assert pool.map(_square, list(range(7)), limit=2) == [
-                i * i for i in range(7)
-            ]
+    def test_multi_point_batch_keeps_the_requested_order(self):
+        spec = _calibration_spec(points=7)
+        order = [5, 0, 6, 2, 1]
+        with PoolExecutor(3) as executor:
+            assert executor.run_points(spec, order) == _reference(
+                spec, order
+            )
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValidationError):
-            WorkerPool(-2)
+            PoolExecutor(-2)
+
+    def test_threads_sharing_an_executor_spawn_one_pool(self):
+        """A job runner's threads share its executor: concurrent first
+        batches must not fork a pool each."""
+        spec = _calibration_spec(points=4)
+        executor = PoolExecutor(2)
+        start = threading.Barrier(6)
+        results: list = []
+
+        def batch():
+            start.wait(timeout=30)
+            results.append(executor.run_points(spec, [0, 1, 2, 3]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=batch) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+        assert results == [_reference(spec, range(4))] * 6
+        assert executor.spawn_count == 1
 
 
-class TestSharedPool:
-    def test_shared_pool_is_a_singleton(self):
-        first = get_shared_pool(2)
-        assert get_shared_pool(2) is first
-        assert get_shared_pool(1) is first  # smaller asks reuse it
+class TestEngineOwnership:
+    def test_engines_sharing_an_executor_share_one_spawn(self):
+        """N sweeps through M engines over one executor: one fork."""
+        with PoolExecutor(2) as executor:
+            engines = [SweepEngine(executor=executor) for _ in range(3)]
+            for engine in engines:
+                engine.run(_calibration_spec())
+                engine.run(_calibration_spec(seed=8))
+            assert executor.spawn_count == 1
 
-    def test_growth_replaces_the_pool(self):
-        small = get_shared_pool(1)
-        grown = get_shared_pool(2)
-        assert grown is not small
-        assert grown.max_workers == 2
-        assert get_shared_pool(1) is grown
-
-    def test_shutdown_forgets_the_pool(self):
-        first = get_shared_pool(2)
-        shutdown_shared_pool()
-        assert pool_module._shared_pool is None
-        assert get_shared_pool(2) is not first
-
-    def test_shutdown_without_pool_is_a_noop(self):
-        shutdown_shared_pool()
-        shutdown_shared_pool()
-
-
-class TestEnginePlumbing:
-    def test_engines_share_one_spawn_across_sweeps(self):
-        """The whole point: N sweeps through M engines, one fork."""
-        engines = [SweepEngine(workers=2) for _ in range(3)]
-        for engine in engines:
-            engine.run(_calibration_spec())
-            engine.run(_calibration_spec(seed=8))
-        shared = get_shared_pool(2)
-        assert shared.spawn_count == 1
-
-    def test_serial_engine_never_touches_the_pool(self):
-        SweepEngine(workers=1).run(_calibration_spec())
-        assert pool_module._shared_pool is None
+    def test_serial_engine_never_builds_a_pool(self):
+        engine = SweepEngine(workers=1)
+        engine.run(_calibration_spec())
+        assert engine.executor is None
 
     def test_single_pending_point_runs_inline(self):
-        SweepEngine(workers=4).run(_calibration_spec(points=1))
-        assert pool_module._shared_pool is None
+        engine = SweepEngine(workers=4)
+        engine.run(_calibration_spec(points=1))
+        assert engine.executor.spawn_count == 0
 
-    def test_explicit_pool_is_used_and_not_shut_down(self):
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
+    def test_explicit_executor_is_used_and_not_closed(self):
+        with PoolExecutor(2) as executor:
             engine = SweepEngine(executor=executor)
             assert engine.workers == 2
             engine.run(_calibration_spec())
-            assert pool.spawn_count == 1
-            assert pool._executor is not None  # engine must not reap it
-            assert pool_module._shared_pool is None
+            assert executor.spawn_count == 1
+            assert executor._pool is not None  # engine must not reap it
 
-    def test_explicit_serial_pool_runs_inline(self):
-        pool = WorkerPool(1)
-        executor = PoolExecutor(pool=pool)
+    def test_explicit_serial_executor_runs_inline(self):
+        executor = PoolExecutor(1)
         SweepEngine(executor=executor).run(_calibration_spec())
-        assert pool.spawn_count == 0
+        assert executor.spawn_count == 0
 
     def test_pooled_run_is_byte_identical_to_serial(self):
         spec = _calibration_spec(points=6)
         serial = SweepEngine(workers=1).run(spec)
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
+        with PoolExecutor(2) as executor:
             pooled = SweepEngine(executor=executor).run(spec)
         assert _bytes(serial) == _bytes(pooled)
 
-    def test_grown_shared_pool_is_not_revived_as_an_orphan(self):
-        """After get_shared_pool grows the pool, an engine that had
-        attached to the old one must pick up the replacement instead of
-        respawning the shut-down pool privately."""
-        engine = SweepEngine(workers=2)
-        engine.run(_calibration_spec())
-        old = get_shared_pool(2)
-        grown = get_shared_pool(4)
-        assert grown is not old and old._executor is None
-        engine.run(_calibration_spec(seed=9))
-        assert grown.spawn_count == 1  # the replacement served the run
-        assert old._executor is None  # the orphan was never respawned
-        assert old.spawn_count == 1
-
-    def test_default_parallel_engine_attaches_the_shared_pool_lazily(self):
-        """``workers > 1`` with no executor is the registered ``pool``
-        backend, which fetches the shared pool at the first
-        multi-point batch, not at construction."""
+    def test_bare_parallel_engine_owns_one_lazy_pool(self):
+        """``workers > 1`` with no executor resolves the registered
+        ``pool`` backend once; it spawns at the first multi-point
+        batch, not at construction, and serves every later sweep."""
         engine = SweepEngine(workers=2)
         assert isinstance(engine.executor, PoolExecutor)
-        assert pool_module._shared_pool is None
+        assert engine.executor.spawn_count == 0
         engine.run(_calibration_spec())
-        assert get_shared_pool(2).spawn_count == 1
+        engine.run(_calibration_spec(seed=9))
+        assert engine.executor.spawn_count == 1
+        engine.executor.close()
 
-    def test_run_domain_threads_an_injected_pool_through(self):
-        """An experiment run through ``PoolExecutor(pool=...)`` computes
-        on that pool and leaves its lifecycle to the caller."""
+    def test_run_domain_threads_an_explicit_executor_through(self):
+        """An experiment run through an explicit ``PoolExecutor``
+        computes on its pool and leaves its lifecycle to the caller."""
         from repro.experiments import SCALES, get_experiment
 
         experiment = get_experiment("fig2")
-        with WorkerPool(2) as pool:
-            executor = PoolExecutor(pool=pool)
+        with PoolExecutor(2) as executor:
             engine = SweepEngine(executor=executor)
             pooled = experiment.run_domain(SCALES["smoke"], engine=engine)
-            assert pool.spawn_count == 1
-            assert pool._executor is not None
+            assert executor.spawn_count == 1
+            assert executor._pool is not None
+        assert executor._pool is None
         assert pooled == experiment.run_domain(SCALES["smoke"])
-        assert pool_module._shared_pool is None
+
+
+class TestRunnerOwnership:
+    def test_runner_resolves_one_pool(self):
+        runner = JobRunner(workers=2)
+        first = runner._resolve_executor(None)
+        assert isinstance(first, PoolExecutor)
+        assert first.workers == 2
+        assert runner._resolve_executor(None) is first
+        assert runner._resolve_executor("pool") is first
+        runner.close()
+
+    def test_serial_runner_resolves_no_pool(self):
+        for workers in (None, 0, 1):
+            runner = JobRunner(workers=workers)
+            assert runner._resolve_executor(None) is None
+            runner.close()
+
+    def test_close_forgets_the_pool(self):
+        runner = JobRunner(workers=2)
+        first = runner._resolve_executor(None)
+        runner.close()
+        assert first._pool is None
+        assert runner._resolve_executor(None) is not first
+        runner.close()
+
+    def test_close_without_a_job_is_a_noop(self):
+        runner = JobRunner(workers=2)
+        runner.close()
+        runner.close()
+
+    def test_one_spawn_for_two_experiments_and_no_worker_outlives_close(
+        self,
+    ):
+        """The in-process mirror of CI's ``repro all --workers 2``
+        step: a runner's jobs share one pool, and ``close`` ends it."""
+        from repro.experiments import SCALES, get_experiment
+
+        before = set(multiprocessing.active_children())
+        runner = JobRunner(workers=2)
+        for name in ("fig2", "fig3"):
+            job = runner.run_experiment(get_experiment(name), SCALES["smoke"])
+            assert job.computed_points > 1  # multi-point: the pool ran
+        executor = runner._resolve_executor(None)
+        assert executor.spawn_count == 1
+        runner.close()
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestCalibrationRunner:

@@ -168,20 +168,19 @@ class TestSubmission:
         assert service.handle("DELETE", "/jobs")[0] == 405
 
 
-class TestResultAndCancel:
-    def _park_queued_job(self, service) -> Job:
-        """A job frozen in ``queued`` (never handed to the worker
-        thread), for pinning the not-done paths deterministically."""
-        request = JobRequest.from_dict(
-            {"spec": MINI_SPEC, "scale": "smoke"}
-        )
-        experiment, scale = request.build()
-        job = Job("f" * 64, experiment, scale, request)
-        service.runner._jobs[job.id] = job
-        return job
+def park_queued_job(service) -> Job:
+    """A job frozen in ``queued`` (never handed to the worker thread),
+    for pinning the not-done paths deterministically."""
+    request = JobRequest.from_dict({"spec": MINI_SPEC, "scale": "smoke"})
+    experiment, scale = request.build()
+    job = Job("f" * 64, experiment, scale, request)
+    service.runner._jobs[job.id] = job
+    return job
 
+
+class TestResultAndCancel:
     def test_result_before_done_is_409(self, service):
-        job = self._park_queued_job(service)
+        job = park_queued_job(service)
         status, payload = service.handle(
             "GET", f"/jobs/{job.id}/result"
         )
@@ -190,7 +189,7 @@ class TestResultAndCancel:
         assert "queued" in payload["error"]["message"]
 
     def test_delete_cancels_queued_job(self, service):
-        job = self._park_queued_job(service)
+        job = park_queued_job(service)
         status, payload = service.handle("DELETE", f"/jobs/{job.id}")
         assert status == 200
         assert payload["state"] == "cancelled"
@@ -203,3 +202,49 @@ class TestResultAndCancel:
         status, payload = service.handle("DELETE", f"/jobs/{done['id']}")
         assert status == 200
         assert payload["state"] == "done"
+
+
+class TestFetchedDocumentsAreIndependent:
+    """A fetched document is the caller's: changing it, at the top
+    level or nested, never changes what the next fetch serves."""
+
+    def test_result_fetch(self, service):
+        done = submit_and_wait(
+            service, {"spec": MINI_SPEC, "scale": "smoke"}
+        )
+        path = f"/jobs/{done['id']}/result"
+        status, body = service.handle("GET", path)
+        assert status == 200
+        served = json.dumps(body, sort_keys=True)
+        job = service.runner.get(done["id"])
+
+        body["experiment"] = "tampered"
+        body["rows"].clear()
+        body["data"]["name"] = "tampered"
+        body["data"]["panels"][0]["cores"] = -1
+        body["data"]["panels"][0]["comparison"].clear()
+
+        status, again = service.handle("GET", path)
+        assert status == 200
+        assert json.dumps(again, sort_keys=True) == served
+        # Still the job's own result, only never handed out by reference.
+        assert service.runner.result(done["id"]) is job.result
+
+    def test_status_fetch(self, service):
+        job = park_queued_job(service)
+        status, body = service.handle("DELETE", f"/jobs/{job.id}")
+        assert status == 200
+        served = json.dumps(body, sort_keys=True)
+
+        body["state"] = "done"
+        body["progress"]["total_points"] = -1
+        body["error"]["type"] = "tampered"
+
+        for method in ("GET", "DELETE"):
+            status, again = service.handle(method, f"/jobs/{job.id}")
+            assert status == 200
+            assert json.dumps(again, sort_keys=True) == served
+        status, listing = service.handle("GET", "/jobs")
+        listing["jobs"][0]["error"]["message"] = "tampered"
+        status, again = service.handle("GET", f"/jobs/{job.id}")
+        assert json.dumps(again, sort_keys=True) == served

@@ -396,12 +396,19 @@ class TestCacheCommand:
 
 
 class TestPoolLifecycle:
-    def test_run_reaps_the_shared_pool(self, capsys):
-        from repro.experiments import pool as pool_module
+    def test_no_worker_outlives_main(self, capsys, caplog):
+        import logging
+        import multiprocessing
 
-        assert main(["fig2", "--scale", "smoke", "--workers", "2"]) == 0
+        before = set(multiprocessing.active_children())
+        with caplog.at_level(logging.INFO, logger="repro.pool"):
+            assert main(["fig2", "--scale", "smoke", "--workers", "2"]) == 0
         capsys.readouterr()
-        assert pool_module._shared_pool is None
+        spawns = [r for r in caplog.records if "spawned worker pool" in r.message]
+        assert len(spawns) == 1  # the run really forked
+        # Children alive before the call (a pool another test still
+        # holds) are not main()'s; on their own this set is empty.
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestScalePrecedence:
