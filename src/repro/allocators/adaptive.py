@@ -38,6 +38,7 @@ import math
 from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.core.hydra import period_solver
+from repro.errors import ValidationError
 from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.system import SystemModel
 from repro.model.task import RealTimeTask
@@ -57,9 +58,12 @@ class AdaptiveAllocator(Allocator):
         mode_factor: float | None = None,
     ) -> None:
         self._solve = period_solver(solver)
-        if mode_factor is not None and mode_factor < 1.0:
-            raise ValueError(
-                f"mode_factor must be ≥ 1 (WCET inflation), got {mode_factor}"
+        if mode_factor is not None and not (
+            math.isfinite(mode_factor) and mode_factor >= 1.0
+        ):
+            raise ValidationError(
+                f"mode_factor must be finite and ≥ 1 (WCET inflation), "
+                f"got {mode_factor}"
             )
         self.inner = inner
         self.solver_name = solver

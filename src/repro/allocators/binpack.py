@@ -9,42 +9,70 @@ rules onto the common :class:`~repro.core.allocator.Allocator`
 protocol, so a TOML grid can sweep ``allocator = ["hydra",
 "binpack-best-fit", ...]`` and reproduce that comparison directly.
 
-The walk reuses the HYDRA-style greedy skeleton
-(:class:`repro.core.variants._GreedyCoreAllocator`): security tasks in
-priority order, each core probed with the Eq. (7) period solve, only
-the *choice rule* differs.  Cores are ranked by their utilisation
-before the candidate task is placed — the core's real-time tasks plus
-the security tasks already committed there (at their frozen periods) —
+The walk is HYDRA's own (:class:`repro.core.hydra.HydraAllocator`):
+security tasks in priority order, each core probed with the Eq. (7)
+period solve; each rule below is only the core rule that picks among
+the feasible cores.  Cores are ranked by their utilisation before the
+candidate task is placed — the core's real-time tasks plus the
+security tasks already committed there (at their frozen periods) —
 exactly the quantity the real-time heuristics in
 :mod:`repro.partition.heuristics` rank by:
 
 ==============  ========================================================
-first-fit       lowest-indexed feasible core (same placements as the
-                registered ``first-feasible`` ablation rule)
+first-fit       lowest-indexed feasible core (the core rule of
+                ``first-feasible``, so the two place identically)
 best-fit        feasible core with the *least* remaining utilisation
                 (pack tightly, keep cores free)
 worst-fit       feasible core with the *most* remaining utilisation
-                (spread the load; same ranking as ``slackiest-core``)
-next-fit        moving pointer, never revisit earlier cores
+                (spread the load; ``slackiest-core`` ranks by ``1 − U``
+                instead, which can round two loads to one slack)
+next-fit        the first feasible core at or after the last task's
+                core, never revisiting earlier cores; the task fails
+                when only cores behind it are feasible
 ==============  ========================================================
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.core.variants import _GreedyCoreAllocator
+from repro.core.hydra import Candidate, CoreRule, HydraAllocator
+from repro.core.variants import first_feasible
 from repro.errors import ConfigError
-from repro.model.allocation import Allocation
-from repro.model.system import SystemModel
+from repro.model.allocation import SecurityAssignment
 
 __all__ = ["BIN_PACKING_RULES", "BinPackingAllocator"]
 
+
+def _best_fit(
+    candidates: list[Candidate], placed: list[SecurityAssignment]
+) -> Candidate:
+    return max(candidates, key=lambda c: (c[2].utilization, -c[0]))
+
+
+def _worst_fit(
+    candidates: list[Candidate], placed: list[SecurityAssignment]
+) -> Candidate:
+    return min(candidates, key=lambda c: (c[2].utilization, c[0]))
+
+
+def _next_fit(
+    candidates: list[Candidate], placed: list[SecurityAssignment]
+) -> Candidate | None:
+    pointer = placed[-1].core if placed else 0
+    return next((c for c in candidates if c[0] >= pointer), None)
+
+
+_RULES: dict[str, CoreRule] = {
+    "first-fit": first_feasible,
+    "best-fit": _best_fit,
+    "worst-fit": _worst_fit,
+    "next-fit": _next_fit,
+}
+
 #: Known security-side packing rules.
-BIN_PACKING_RULES = ("first-fit", "best-fit", "worst-fit", "next-fit")
+BIN_PACKING_RULES = tuple(_RULES)
 
 
-class BinPackingAllocator(_GreedyCoreAllocator):
+class BinPackingAllocator(HydraAllocator):
     """Allocate security tasks with a classic bin-packing rule.
 
     Parameters
@@ -69,39 +97,10 @@ class BinPackingAllocator(_GreedyCoreAllocator):
             )
         super().__init__(solver=solver)
         self.rule = rule
+        self._choose = _RULES[rule]
         self.name = f"binpack-{rule}"
         if solver != "closed-form":
             self.name = f"binpack-{rule}[{solver}]"
-        self._next_fit_pointer = 0
 
-    def allocate(self, system: SystemModel) -> Allocation:
-        self._next_fit_pointer = 0  # each allocation walks afresh
-        allocation = super().allocate(system)
-        if not allocation.schedulable:
-            return allocation
-        return dataclasses.replace(
-            allocation,
-            info={"rule": self.rule, "solver": self.solver_name},
-        )
-
-    def _choose(self, candidates):
-        if self.rule == "first-fit":
-            core, solution, _env = candidates[0]
-            return core, solution
-        if self.rule == "next-fit":
-            for core, solution, _env in candidates:
-                if core >= self._next_fit_pointer:
-                    self._next_fit_pointer = core
-                    return core, solution
-            return None  # only cores behind the pointer were feasible
-        # env.utilization is the core's load *before* placing the task
-        # (RT tasks + already-committed security tasks).
-        if self.rule == "best-fit":
-            core, solution, _env = max(
-                candidates, key=lambda c: (c[2].utilization, -c[0])
-            )
-        else:  # worst-fit
-            core, solution, _env = min(
-                candidates, key=lambda c: (c[2].utilization, c[0])
-            )
-        return core, solution
+    def _info(self, cores: dict[int, float]) -> dict[str, object]:
+        return {"rule": self.rule, "solver": self.solver_name}

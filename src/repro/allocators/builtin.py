@@ -11,7 +11,10 @@ greedy (with its solver variants exercising :mod:`repro.opt.period` and
 :mod:`repro.opt.exhaustive` / :mod:`repro.opt.branch_bound`, each
 assignment scored by the :mod:`repro.opt.joint` LP), the LP-refined
 extension, the cheap greedy ablation rules, and the classic
-bin-packing family of :mod:`repro.allocators.binpack`.
+bin-packing family of :mod:`repro.allocators.binpack`.  Every greedy
+entry — HYDRA, ``hydra[np]``, SingleCore, the two ablation rules and
+the four bin-packing rules — is HYDRA's one walk with its own core
+rule or core filter.
 """
 
 from __future__ import annotations
@@ -19,15 +22,23 @@ from __future__ import annotations
 from repro.allocators.adaptive import AdaptiveAllocator
 from repro.allocators.binpack import BIN_PACKING_RULES, BinPackingAllocator
 from repro.allocators.registry import register_allocator
-from repro.core.hydra import HydraAllocator
+from repro.core.hydra import CoreRule, HydraAllocator
 from repro.core.nonpreemptive import NonPreemptiveHydraAllocator
 from repro.core.optimal import OptimalAllocator
 from repro.core.singlecore import SingleCoreAllocator
 from repro.core.variants import (
-    FirstFeasibleAllocator,
     LpRefinedHydraAllocator,
-    SlackiestCoreAllocator,
+    first_feasible,
+    slackiest_core,
 )
+
+
+def _core_rule(spec: str, rule: CoreRule) -> HydraAllocator:
+    """HYDRA's walk under the core ``rule``, named ``spec``."""
+    walk = HydraAllocator()
+    walk.name, walk._choose = spec, rule
+    return walk
+
 
 register_allocator(
     "hydra",
@@ -159,19 +170,21 @@ register_allocator(
     description="Cheapest possible core choice; isolates what HYDRA's "
     "argmax rule buys.",
     tags=("ablation", "greedy"),
-)(FirstFeasibleAllocator)
+)(lambda: _core_rule("first-feasible", first_feasible))
 
 register_allocator(
     "slackiest-core",
     title="Ablation: feasible core with the most utilisation slack",
     description="A worst-fit flavour that spreads the security load.",
     tags=("ablation", "greedy"),
-)(SlackiestCoreAllocator)
+)(lambda: _core_rule("slackiest-core", slackiest_core))
 
 _BINPACK_NOTES = {
-    "first-fit": " Places identically to 'first-feasible'; registered "
-    "under both names so packing grids and ablation grids read naturally.",
-    "worst-fit": " Ranks cores like the 'slackiest-core' ablation rule.",
+    "first-fit": " The core rule of 'first-feasible', so the two place "
+    "identically; registered under both names so packing grids and "
+    "ablation grids read naturally.",
+    "worst-fit": " Ranks cores by utilisation; the 'slackiest-core' "
+    "ablation rule ranks by 1 − U, which can tie where this does not.",
 }
 
 for _rule in BIN_PACKING_RULES:

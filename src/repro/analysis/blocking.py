@@ -34,6 +34,7 @@ import math
 from typing import Iterable, Sequence
 
 from repro.analysis.rta import _schedulable_with_blocking
+from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
 __all__ = [
@@ -49,7 +50,7 @@ def rt_schedulable_with_blocking(
     of them can be blocked for up to ``blocking`` time units by a
     non-preemptive lower-priority job?"""
     if blocking < 0:
-        raise ValueError(f"blocking must be ≥ 0, got {blocking}")
+        raise ValidationError(f"blocking must be ≥ 0, got {blocking}")
     return _schedulable_with_blocking(rt_tasks, blocking)
 
 

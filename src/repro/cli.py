@@ -168,9 +168,11 @@ _LISTINGS = {
 }
 
 
-def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
-    """Argparse type for an integer >= ``minimum``: anything else is a
-    usage error at parse time, before anything runs."""
+def _int_in(
+    minimum: int, what: str, maximum: int | None = None
+) -> Callable[[str], int]:
+    """Argparse type for an integer in ``[minimum, maximum]``: anything
+    else is a usage error at parse time, before anything runs."""
 
     def parse(value: str) -> int:
         try:
@@ -179,7 +181,7 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {value!r}"
             ) from None
-        if number < minimum:
+        if number < minimum or (maximum is not None and number > maximum):
             raise argparse.ArgumentTypeError(
                 f"must be a {what}, got {number}"
             )
@@ -189,9 +191,11 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
 
 
 #: ``--workers``: a worker *count* must be at least 1.
-_positive_int = _int_at_least(1, "positive worker count")
+_positive_int = _int_in(1, "positive worker count")
 #: ``--seed``: numpy's SeedSequence takes no negative entropy.
-_seed = _int_at_least(0, "non-negative seed")
+_seed = _int_in(0, "non-negative seed")
+#: ``--port``: what a socket can bind (0 asks the OS for a free port).
+_port = _int_in(0, "port in 0-65535", maximum=65535)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -455,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8177,
-        help="bind port (default: 8177)",
+        help="bind port, 0-65535 (default: 8177)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -555,11 +559,14 @@ def _selected_experiments(args) -> list["Experiment"]:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
-    else:
-        target = Path(output)
+        return
+    target = Path(output)
+    try:
         if target.parent != Path(""):
             target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:  # a directory, an uncreatable parent, …
+        _typed_error(exc)
 
 
 def _one_line(text: str, limit: int = 72) -> str:

@@ -1,11 +1,17 @@
 """Security-task allocation schemes — the paper's core contribution.
 
-* :class:`~repro.core.hydra.HydraAllocator` — Algorithm 1.
+* :class:`~repro.core.hydra.HydraAllocator` — Algorithm 1, and the one
+  greedy walk every core-by-core allocator runs: each variant swaps in
+  only the cores a task may probe or the rule that picks one.
 * :class:`~repro.core.singlecore.SingleCoreAllocator` — the dedicated-
-  core baseline (plus :func:`~repro.core.singlecore.build_singlecore_system`).
+  core baseline (plus :func:`~repro.core.singlecore.build_singlecore_system`):
+  the walk on the dedicated core alone.
+* :class:`~repro.core.nonpreemptive.NonPreemptiveHydraAllocator` — the
+  walk over the cores whose blocking budget admits each task.
 * :class:`~repro.core.optimal.OptimalAllocator` — the exhaustive /
   branch-and-bound optimum.
-* Ablation variants in :mod:`repro.core.variants`.
+* :mod:`repro.core.variants` — the ``first-feasible`` and
+  ``slackiest-core`` core rules and the LP-refined HYDRA.
 """
 
 from repro.core.advice import (
@@ -24,11 +30,7 @@ from repro.core.verify import (
     Violation,
     verify_allocation,
 )
-from repro.core.variants import (
-    FirstFeasibleAllocator,
-    LpRefinedHydraAllocator,
-    SlackiestCoreAllocator,
-)
+from repro.core.variants import LpRefinedHydraAllocator
 from repro.model.allocation import (
     Allocation,
     AllocationResult,
@@ -48,8 +50,6 @@ __all__ = [
     "build_singlecore_system",
     "OptimalAllocator",
     "NonPreemptiveHydraAllocator",
-    "FirstFeasibleAllocator",
-    "SlackiestCoreAllocator",
     "LpRefinedHydraAllocator",
     "DesignHint",
     "DesignReport",

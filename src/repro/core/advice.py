@@ -4,7 +4,7 @@ Algorithm 1 returns *Unschedulable* when some security task fits no
 core, and the paper notes that "this unschedulability result will
 provide hints to the designers to update the parameters of security
 tasks (and/or the real-time tasks, if possible)".  This module turns
-that remark into an API: :func:`diagnose` replays HYDRA up to the
+that remark into an API: :func:`diagnose` runs HYDRA's walk up to the
 failure point and computes, per remedy, the smallest parameter change
 that would let the failing task through:
 
@@ -25,10 +25,11 @@ the allocator's verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from repro.analysis.interference import Interferer, InterferenceEnv
+from repro.analysis.interference import InterferenceEnv
 from repro.core.allocator import Allocator
 from repro.core.hydra import HydraAllocator
 from repro.model.priority import security_priority_order
@@ -39,7 +40,6 @@ from repro.model.transform import (
     with_extra_cores,
     with_period_max,
 )
-from repro.opt.period import adapt_period
 
 __all__ = ["DesignHint", "DesignReport", "diagnose", "max_security_scale"]
 
@@ -81,30 +81,14 @@ class DesignReport:
 def _failure_environments(
     system: SystemModel, failed: SecurityTask
 ) -> dict[int, InterferenceEnv]:
-    """Replay HYDRA's greedy placements up to (excluding) ``failed`` and
-    return each core's interference environment at that instant."""
-    envs = {
-        core: InterferenceEnv.on_core(system.rt_partition.tasks_on(core))
-        for core in system.platform
-    }
-    for task in security_priority_order(system.security_tasks):
-        if task.name == failed.name:
-            break
-        best_core, best = None, None
-        for core in system.platform:
-            solution = adapt_period(task, envs[core])
-            if solution is not None and (
-                best is None or solution.tightness > best.tightness + 1e-12
-            ):
-                best, best_core = solution, core
-        if best is None or best_core is None:
-            # An earlier task already fails; environments up to here
-            # still describe the failure point faithfully.
-            break
-        envs[best_core] = envs[best_core].extended(
-            [Interferer.from_security(task, best.period)]
-        )
-    return envs
+    """Each core's interference environment when HYDRA's walk reaches
+    ``failed`` (or an earlier task no core takes, whose environments
+    still describe the failure point faithfully)."""
+    earlier = itertools.takewhile(
+        lambda task: task.name != failed.name,
+        security_priority_order(system.security_tasks),
+    )
+    return HydraAllocator()._walk(system, earlier)[1]
 
 
 def diagnose(

@@ -4,8 +4,9 @@ An alternative design point: partition the real-time tasks onto ``M−1``
 cores and dedicate the remaining core to *all* security tasks.  The
 dedicated core sees no real-time interference (the first term of Eq. (5)
 vanishes) but low-priority security tasks still interfere with each
-other, so periods are adapted sequentially in priority order exactly as
-in HYDRA's inner loop — only the core choice disappears.
+other, so periods are adapted sequentially in priority order by HYDRA's
+own walk, with the dedicated core the only one a task may probe — only
+the core choice disappears.
 
 :func:`build_singlecore_system` prepares the companion
 :class:`~repro.model.system.SystemModel`: same platform, real-time tasks
@@ -21,18 +22,15 @@ scenario runner reads it off HYDRA's partition.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from repro.analysis.interference import Interferer, InterferenceEnv
 from repro.analysis.schedulability import AdmissionTest
-from repro.core.allocator import Allocator
+from repro.core.hydra import PERIOD_SOLVERS, HydraAllocator
 from repro.errors import AllocationError, ConfigError
-from repro.model.allocation import Allocation, SecurityAssignment
 from repro.model.platform import Platform
-from repro.model.priority import security_priority_order
 from repro.model.system import Partition, SystemModel
 from repro.model.task import RealTimeTask, SecurityTask, TaskSet
-from repro.opt.period import adapt_period, adapt_period_exact
 from repro.partition.heuristics import try_partition_tasks
 
 __all__ = ["SingleCoreAllocator", "build_singlecore_system"]
@@ -78,7 +76,7 @@ def build_singlecore_system(
     )
 
 
-class SingleCoreAllocator(Allocator):
+class SingleCoreAllocator(HydraAllocator):
     """Allocate every security task to one dedicated core.
 
     Parameters
@@ -103,49 +101,28 @@ class SingleCoreAllocator(Allocator):
             )
         self.dedicated_core = dedicated_core
         self.solver_name = solver
-        self._solve = (
-            adapt_period if solver == "closed-form" else adapt_period_exact
-        )
+        self._solve = PERIOD_SOLVERS[solver]
 
-    def _resolve_core(self, system: SystemModel) -> int:
-        if self.dedicated_core is not None:
-            system.platform.validate_core(self.dedicated_core)
-            return self.dedicated_core
-        for core in reversed(list(system.platform)):
-            if not system.rt_partition.tasks_on(core):
-                return core
-        raise AllocationError(
-            "SingleCore needs a core free of real-time tasks; use "
-            "build_singlecore_system() to prepare the partition"
-        )
-
-    def allocate(self, system: SystemModel) -> Allocation:
-        core = self._resolve_core(system)
+    def _cores(self, system: SystemModel) -> dict[int, float]:
+        """The dedicated core alone, without a limit."""
+        core = self.dedicated_core
+        if core is None:
+            partition = system.rt_partition
+            free = [c for c in system.platform if not partition.tasks_on(c)]
+            if not free:
+                raise AllocationError(
+                    "SingleCore needs a core free of real-time tasks; use "
+                    "build_singlecore_system() to prepare the partition"
+                )
+            core = free[-1]
         rt_on_core = system.rt_partition.tasks_on(core)
         if rt_on_core:
             raise AllocationError(
                 f"dedicated core {core} still hosts real-time tasks "
                 f"{[t.name for t in rt_on_core]!r}"
             )
-        env = InterferenceEnv()
-        assignments: list[SecurityAssignment] = []
-        for task in security_priority_order(system.security_tasks):
-            solution = self._solve(task, env)
-            if solution is None:
-                return Allocation(
-                    scheme=self.name,
-                    schedulable=False,
-                    failed_task=task.name,
-                )
-            env = env.extended(
-                [Interferer.from_security(task, solution.period)]
-            )
-            assignments.append(
-                SecurityAssignment(task=task, core=core, period=solution.period)
-            )
-        return Allocation(
-            scheme=self.name,
-            schedulable=True,
-            assignments=tuple(assignments),
-            info={"dedicated_core": core, "solver": self.solver_name},
-        )
+        return {core: math.inf}
+
+    def _info(self, cores: dict[int, float]) -> dict[str, object]:
+        (core,) = cores
+        return {"dedicated_core": core, "solver": self.solver_name}

@@ -377,13 +377,13 @@ class Experiment(ABC):
 class GoldenFixture:
     """A small fixed-seed sweep whose summary is pinned on disk.
 
-    ``build_spec`` returns the (deliberately tiny) sweep spec;
-    ``summarize`` folds the per-point payloads into the
-    human-reviewable ``points`` list stored in the fixture JSON (the
-    full payloads are additionally pinned via sha256 — see
-    :mod:`repro.experiments.golden`).
+    ``build_spec`` returns the (deliberately tiny) sweep spec, or a
+    list of specs run in order; ``summarize`` folds the per-point
+    payloads into the human-reviewable ``points`` list stored in the
+    fixture JSON (the full payloads are additionally pinned via sha256
+    — see :mod:`repro.experiments.golden`).
     """
 
     name: str
-    build_spec: Any  # Callable[[], SweepSpec]
-    summarize: Any  # Callable[[SweepSpec, Sequence[Mapping]], list]
+    build_spec: Any  # Callable[[], SweepSpec | list[SweepSpec]]
+    summarize: Any  # Callable[[what build_spec returned, payloads], list]

@@ -45,6 +45,8 @@ __all__ = [
     "table1_mini_aggregate",
     "workload_mini_spec",
     "workload_mini_aggregate",
+    "allocator_mini_spec",
+    "allocator_mini_aggregate",
 ]
 
 
@@ -122,6 +124,37 @@ def workload_mini_spec() -> SweepSpec:
     return spec
 
 
+def allocator_mini_spec() -> list[SweepSpec]:
+    """Every greedy allocator on shared task sets: an allocator-axis
+    scenario grid at 2 and 4 cores (one spec each), 3 points × 8 task
+    sets.  All of them run HYDRA's walk, each with its own core rule
+    or core filter; ``hydra[gp]`` places as the closed form does, at
+    about a second per task set, so it is left out."""
+    from repro.experiments.scenario import ScenarioExperiment, parse_scenario
+
+    allocators = [
+        "hydra", "hydra[exact-rta]", "hydra[np]", "singlecore",
+        "first-feasible", "slackiest-core", "binpack-first-fit",
+        "binpack-best-fit", "binpack-worst-fit", "binpack-next-fit",
+    ]
+    document = {
+        "sweep": {
+            "name": "allocator-mini",
+            "seed": 2018,
+            "tasksets_per_point": 8,
+            "utilization": {"start": 0.5, "stop": 0.9, "step": 0.2},
+        },
+        "grid": {
+            "cores": [2, 4],
+            "allocator": allocators,
+            "heuristic": ["best-fit"],
+            "ordering": ["utilization"],
+            "admission": ["rta"],
+        },
+    }
+    return ScenarioExperiment(parse_scenario(document)).sweeps(SCALES["smoke"])
+
+
 # -- the aggregate summarisers -----------------------------------------------
 
 
@@ -168,17 +201,36 @@ def table1_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
     return list(payload["rows"])
 
 
-def workload_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
+def _cell_counts(payload) -> dict[str, dict[str, int]]:
+    """Accepted and total task sets per scenario cell label."""
     from repro.experiments.scenario import cell_tallies
 
-    points = []
-    for point, payload in zip(spec.points, payloads):
-        cells = {}
-        for label in sorted(payload["cells"]):
-            (tally,) = cell_tallies(payload, label)
-            cells[label] = {"accepted": tally.accepted, "total": tally.total}
-        points.append({"utilization": point["utilization"], "cells": cells})
-    return points
+    counts = {}
+    for label in sorted(payload["cells"]):
+        (tally,) = cell_tallies(payload, label)
+        counts[label] = {"accepted": tally.accepted, "total": tally.total}
+    return counts
+
+
+def workload_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
+    return [
+        {"utilization": point["utilization"], "cells": _cell_counts(payload)}
+        for point, payload in zip(spec.points, payloads)
+    ]
+
+
+def allocator_mini_aggregate(
+    specs: list[SweepSpec], payloads
+) -> list[dict[str, Any]]:
+    points = ((s, p) for s in specs for p in s.points)
+    return [
+        {
+            "cores": spec.params["cores"],
+            "utilization": point["utilization"],
+            "cells": _cell_counts(payload),
+        }
+        for (spec, point), payload in zip(points, payloads)
+    ]
 
 
 # -- registry-driven fixture collection --------------------------------------
@@ -194,13 +246,19 @@ def _extra_fixtures() -> dict[str, GoldenFixture]:
             build_spec=workload_mini_spec,
             summarize=workload_mini_aggregate,
         ),
+        "allocator_mini": GoldenFixture(
+            name="allocator_mini",
+            build_spec=allocator_mini_spec,
+            summarize=allocator_mini_aggregate,
+        ),
     }
 
 
 def golden_fixtures() -> dict[str, GoldenFixture]:
     """Every registered experiment's golden fixture, keyed by fixture
     name (one JSON file each under ``tests/experiments/golden/``),
-    plus the scenario-sweep extras (:func:`workload_mini_spec`)."""
+    plus the scenario-sweep extras (:func:`workload_mini_spec`,
+    :func:`allocator_mini_spec`)."""
     from repro.experiments.registry import iter_experiments
 
     fixtures: dict[str, GoldenFixture] = {}
@@ -216,14 +274,21 @@ def golden_summary(
     name: str, engine: SweepEngine | None = None
 ) -> dict[str, Any]:
     """Run the named golden experiment and summarise it for comparison
-    against (or regeneration of) its checked-in fixture."""
+    against (or regeneration of) its checked-in fixture.
+
+    A fixture whose ``build_spec`` returns a list of specs (one per
+    core count) runs them in order; ``kind`` and ``seed`` are the first
+    spec's, and its payloads hash as one sequence.
+    """
     fixture = golden_fixtures()[name]
-    spec = fixture.build_spec()
-    result = (engine or SweepEngine()).run(spec)
+    built = fixture.build_spec()
+    specs = built if isinstance(built, list) else [built]
+    engine = engine or SweepEngine()
+    payloads = [p for spec in specs for p in engine.run(spec).payloads]
     return {
         "name": name,
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "points": fixture.summarize(spec, result.payloads),
-        "payload_sha256": _payload_sha256(result.payloads),
+        "kind": specs[0].kind,
+        "seed": specs[0].seed,
+        "points": fixture.summarize(built, payloads),
+        "payload_sha256": _payload_sha256(payloads),
     }

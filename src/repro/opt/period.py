@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.analysis.interference import InterferenceEnv, min_feasible_period
 from repro.analysis.rta import response_time
+from repro.errors import ValidationError
 from repro.model.task import SecurityTask
 
 __all__ = ["PeriodSolution", "adapt_period", "adapt_period_exact"]
@@ -52,7 +53,7 @@ class PeriodSolution:
 
     def __post_init__(self) -> None:
         if self.period <= 0 or not math.isfinite(self.period):
-            raise ValueError(f"invalid period {self.period!r}")
+            raise ValidationError(f"invalid period {self.period!r}")
 
 
 def adapt_period(

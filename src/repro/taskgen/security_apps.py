@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ValidationError
 from repro.model.task import SecurityTask, TaskSet
 
 __all__ = [
@@ -125,5 +126,5 @@ def table1_security_tasks(wcet_scale: float = 1.0) -> TaskSet:
     board) without altering the period structure.
     """
     if wcet_scale <= 0:
-        raise ValueError(f"wcet_scale must be positive, got {wcet_scale}")
+        raise ValidationError(f"wcet_scale must be positive, got {wcet_scale}")
     return TaskSet(spec.to_task(wcet_scale) for spec in TABLE1_SPECS)

@@ -20,6 +20,7 @@ available and every experiment continues to work unchanged.
 
 from __future__ import annotations
 
+from repro.errors import ValidationError
 from repro.model.task import RealTimeTask, TaskSet
 
 __all__ = ["uav_rt_tasks", "UAV_TASK_TABLE"]
@@ -45,7 +46,7 @@ def uav_rt_tasks(scale: float = 1.0) -> TaskSet:
         (``scale > 1``) or relax it without touching the rate structure.
     """
     if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+        raise ValidationError(f"scale must be positive, got {scale}")
     return TaskSet(
         RealTimeTask(name=name, wcet=wcet * scale, period=period)
         for name, (wcet, period) in UAV_TASK_TABLE.items()

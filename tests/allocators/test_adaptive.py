@@ -16,6 +16,7 @@ from repro.allocators import allocator_names, get_allocator
 from repro.allocators.adaptive import AdaptiveAllocator
 from repro.core.hydra import HydraAllocator
 from repro.core.verify import verify_allocation
+from repro.errors import ValidationError
 from repro.model import (
     Partition,
     Platform,
@@ -75,8 +76,15 @@ class TestConstruction:
             AdaptiveAllocator(solver="magic")
 
     def test_rejects_deflating_mode_factor(self):
-        with pytest.raises(ValueError, match="mode_factor"):
+        with pytest.raises(ValidationError, match="mode_factor"):
             AdaptiveAllocator(mode_factor=0.5)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_rejects_a_non_finite_mode_factor(self, factor):
+        # nan used to fail only inside allocate, with an untyped
+        # ValueError; inf used to revert cores silently.
+        with pytest.raises(ValidationError, match="mode_factor"):
+            AdaptiveAllocator(mode_factor=factor)
 
     def test_names_encode_variant(self):
         assert AdaptiveAllocator().name == "adaptive"

@@ -11,6 +11,7 @@ from repro.analysis.blocking import (
     max_tolerable_blocking,
     rt_schedulable_with_blocking,
 )
+from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
 
@@ -43,7 +44,7 @@ class TestRtSchedulableWithBlocking:
         assert verdicts == sorted(verdicts, reverse=True)
 
     def test_negative_blocking_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             rt_schedulable_with_blocking([rt("a", 1, 4)], -0.5)
 
     def test_empty_core_always_fine(self):

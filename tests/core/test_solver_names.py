@@ -13,11 +13,7 @@ from repro.core import (
     SingleCoreAllocator,
 )
 from repro.core.hydra import PERIOD_SOLVERS
-from repro.core.variants import (
-    FirstFeasibleAllocator,
-    LpRefinedHydraAllocator,
-    SlackiestCoreAllocator,
-)
+from repro.core.variants import LpRefinedHydraAllocator
 from repro.errors import ConfigError
 
 _PERIOD = sorted(PERIOD_SOLVERS)
@@ -28,8 +24,6 @@ _PERIOD = sorted(PERIOD_SOLVERS)
     [
         (lambda: HydraAllocator(solver="magic"), _PERIOD),
         (lambda: NonPreemptiveHydraAllocator(solver="magic"), _PERIOD),
-        (lambda: FirstFeasibleAllocator(solver="magic"), _PERIOD),
-        (lambda: SlackiestCoreAllocator(solver="magic"), _PERIOD),
         (lambda: LpRefinedHydraAllocator(solver="magic"), _PERIOD),
         (lambda: AdaptiveAllocator(solver="magic"), _PERIOD),
         (lambda: BinPackingAllocator(solver="magic"), _PERIOD),
@@ -43,8 +37,8 @@ _PERIOD = sorted(PERIOD_SOLVERS)
         ),
     ],
     ids=[
-        "hydra", "hydra-np", "first-feasible", "slackiest-core",
-        "hydra+lp", "adaptive", "binpack", "singlecore", "optimal",
+        "hydra", "hydra-np", "hydra+lp", "adaptive", "binpack",
+        "singlecore", "optimal",
     ],
 )
 def test_unknown_name_is_a_config_error_listing_known_names(build, accepted):

@@ -1,25 +1,26 @@
-"""Unit tests for the ablation allocator variants."""
+"""Unit tests for the ablation allocator variants.
+
+``first-feasible`` and ``slackiest-core`` are core rules of HYDRA's
+walk, built through the registry.
+"""
 
 from __future__ import annotations
 
+from repro.allocators import get_allocator
 from repro.core.hydra import HydraAllocator
-from repro.core.variants import (
-    FirstFeasibleAllocator,
-    LpRefinedHydraAllocator,
-    SlackiestCoreAllocator,
-)
+from repro.core.variants import LpRefinedHydraAllocator
 
 
 class TestFirstFeasible:
     def test_takes_lowest_feasible_core(self, loaded_system):
-        allocation = FirstFeasibleAllocator().allocate(loaded_system)
+        allocation = get_allocator("first-feasible").allocate(loaded_system)
         assert allocation.schedulable
         # Core 0 is feasible for s0, so first-feasible must pick it.
         assert allocation.assignment_for("s0").core == 0
 
     def test_never_tighter_than_hydra(self, loaded_system):
         hydra = HydraAllocator().allocate(loaded_system)
-        first = FirstFeasibleAllocator().allocate(loaded_system)
+        first = get_allocator("first-feasible").allocate(loaded_system)
         assert first.schedulable
         assert first.cumulative_tightness() <= (
             hydra.cumulative_tightness() + 1e-9
@@ -37,7 +38,7 @@ class TestFirstFeasible:
             ]
         )
         system = replace(loaded_system, security_tasks=impossible, weights={})
-        allocation = FirstFeasibleAllocator().allocate(system)
+        allocation = get_allocator("first-feasible").allocate(system)
         assert not allocation.schedulable
         assert allocation.failed_task == "x"
 
@@ -46,12 +47,12 @@ class TestSlackiestCore:
     def test_prefers_lighter_core(self, loaded_system):
         # Core 0: U = .7; core 1: U = .55 → slackiest picks core 1 for
         # the first task.
-        allocation = SlackiestCoreAllocator().allocate(loaded_system)
+        allocation = get_allocator("slackiest-core").allocate(loaded_system)
         assert allocation.schedulable
         assert allocation.assignment_for("s0").core == 1
 
     def test_accounts_for_placed_security_load(self, two_core_system):
-        allocation = SlackiestCoreAllocator().allocate(two_core_system)
+        allocation = get_allocator("slackiest-core").allocate(two_core_system)
         assert allocation.schedulable
         cores = allocation.cores()
         # First task goes to the idle core 1; the second task then sees

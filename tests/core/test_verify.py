@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.allocators import get_allocator
 from repro.core.hydra import HydraAllocator
 from repro.core.nonpreemptive import NonPreemptiveHydraAllocator
 from repro.core.optimal import OptimalAllocator
 from repro.core.singlecore import SingleCoreAllocator
-from repro.core.variants import (
-    FirstFeasibleAllocator,
-    LpRefinedHydraAllocator,
-    SlackiestCoreAllocator,
-)
+from repro.core.variants import LpRefinedHydraAllocator
 from repro.core.verify import verify_allocation
 from repro.model.allocation import Allocation, SecurityAssignment
 
@@ -23,8 +20,8 @@ class TestVerifierAcceptsAllAllocators:
         [
             HydraAllocator(),
             HydraAllocator(solver="gp"),
-            FirstFeasibleAllocator(),
-            SlackiestCoreAllocator(),
+            get_allocator("first-feasible"),
+            get_allocator("slackiest-core"),
             LpRefinedHydraAllocator(),
             OptimalAllocator(),
             OptimalAllocator(search="branch-bound"),

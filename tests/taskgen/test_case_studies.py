@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.rta import rta_schedulable
+from repro.errors import ValidationError
 from repro.taskgen.security_apps import (
     TABLE1_SPECS,
     TRIPWIRE_PRECEDENCE,
@@ -37,7 +38,7 @@ class TestUavTasks:
             assert scaled[name].period == base[name].period
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             uav_rt_tasks(scale=0.0)
 
     def test_rate_hierarchy(self):
@@ -82,7 +83,7 @@ class TestTable1Suite:
             assert scaled[name].wcet == pytest.approx(0.5 * base[name].wcet)
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             table1_security_tasks(wcet_scale=-1.0)
 
     def test_precedence_names_exist(self):

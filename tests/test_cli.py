@@ -709,6 +709,46 @@ class TestTypedErrorsAndWorkersValidation:
         finally:
             blocker.close()
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_out_of_range_is_a_usage_error(
+        self, port, tmp_path, capsys, monkeypatch
+    ):
+        import repro.server
+
+        def never_bind(*args, **kwargs):
+            raise AssertionError("an out-of-range port reached the socket")
+
+        monkeypatch.setattr(repro.server, "run_server", never_bind)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--port", port,
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert excinfo.value.code == 2  # argparse usage error
+        err = capsys.readouterr().err
+        assert "port in 0-65535" in err
+        assert "listening" not in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_unwritable_output_is_one_typed_line_exit_1(
+        self, where, tmp_path, capsys
+    ):
+        target = tmp_path
+        if where == "under-a-file":
+            (tmp_path / "file").write_text("not a directory")
+            target = tmp_path / "file" / "out.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--output", str(target)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("repro-hydra: ")
+        assert "Error: " in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_allocator_is_one_typed_line_exit_1(
         self, tmp_path, capsys
     ):

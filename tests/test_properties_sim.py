@@ -164,13 +164,10 @@ class TestVerifierOracle:
     def test_all_allocators_verify_on_random_systems(
         self, seed, utilization
     ):
+        from repro.allocators import get_allocator
         from repro.core.hydra import HydraAllocator
         from repro.core.optimal import OptimalAllocator
-        from repro.core.variants import (
-            FirstFeasibleAllocator,
-            LpRefinedHydraAllocator,
-            SlackiestCoreAllocator,
-        )
+        from repro.core.variants import LpRefinedHydraAllocator
         from repro.core.verify import verify_allocation
         from repro.experiments.runner import build_hydra_system
         from repro.taskgen.synthetic import SyntheticConfig, generate_workload
@@ -184,8 +181,8 @@ class TestVerifierOracle:
             return
         allocators = [
             HydraAllocator(),
-            FirstFeasibleAllocator(),
-            SlackiestCoreAllocator(),
+            get_allocator("first-feasible"),
+            get_allocator("slackiest-core"),
             LpRefinedHydraAllocator(),
             OptimalAllocator(search="branch-bound"),
         ]
