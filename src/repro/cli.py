@@ -33,7 +33,9 @@ invocation forks at most one worker pool: every selected experiment
 runs through one :class:`repro.jobs.JobRunner`, whose ``pool``
 executor serves all their sweeps and is closed when the run finishes
 (set ``REPRO_LOG=info`` to watch the spawn happen exactly once).
-Caches are sharded v2 stores (:mod:`repro.experiments.store`), and::
+Caches are sharded v2 stores (:mod:`repro.experiments.store`), which
+concurrent runs, ``serve`` and ``cache gc`` may share (they take turns
+under the store's lock), and::
 
     repro-hydra cache stats [--cache-dir DIR]
     repro-hydra cache gc    [--cache-dir DIR]
@@ -74,7 +76,9 @@ registered with :mod:`repro.workloads`.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Maintain a sweep result store: 'stats' reports shards, "
             "entry counts and bytes (without mutating anything), "
             "'gc' compacts shards by dropping superseded and torn "
-            "records and merges per-writer segments."
+            "records."
         ),
     )
     cache.add_argument(
@@ -556,16 +560,31 @@ def _selected_experiments(args) -> list["Experiment"]:
     return [get_experiment(args.experiment)]
 
 
-def _emit(text: str, output: str | None) -> None:
+def _check_output(output: str | None) -> None:
+    """Fail before anything computes when ``--output`` names a
+    directory or a parent ``mkdir`` cannot create: one typed line,
+    exit 1."""
     if output is None:
-        print(text)
         return
     target = Path(output)
     try:
         if target.parent != Path(""):
             target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:  # a directory, an uncreatable parent, …
+        if target.is_dir():
+            raise IsADirectoryError(
+                errno.EISDIR, os.strerror(errno.EISDIR), output
+            )
+    except OSError as exc:
+        _typed_error(exc)
+
+
+def _emit(text: str, output: str | None) -> None:
+    if output is None:
+        print(text)
+        return
+    try:
+        Path(output).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:  # e.g. the parent was removed mid-run
         _typed_error(exc)
 
 
@@ -668,17 +687,6 @@ def _run_cache(args) -> int:
                 f"  {kind:<24} {shard['entries']:>8} entries "
                 f"{shard['data_bytes']:>12} bytes"
             )
-            for writer, seg in sorted(shard.get("segments", {}).items()):
-                print(
-                    f"    writer {writer:<17} {seg['entries']:>8} entries "
-                    f"{seg['data_bytes']:>12} bytes"
-                )
-        if stats["segment_files"]:
-            print(
-                f"  {stats['segment_files']} writer segment file(s), "
-                f"{stats['segment_bytes']} bytes — run 'repro-hydra "
-                f"cache gc' to merge them into the primary log"
-            )
         return 0
     # gc refuses to conjure a store out of thin air — a typoed
     # --cache-dir must error, not report success on a fresh empty
@@ -689,13 +697,6 @@ def _run_cache(args) -> int:
             f"{args.action}"
         )
     summary = ResultStore(directory).gc()
-    if summary["merged_segments"]:
-        print(
-            f"gc {directory}: merged {summary['merged_segments']} "
-            f"writer segment(s) ({summary['merged_entries']} "
-            f"entr{'y' if summary['merged_entries'] == 1 else 'ies'}) "
-            f"into the primary log"
-        )
     print(
         f"gc {directory}: {summary['entries']} live entries across "
         f"{len(summary['shards'])} shard(s), "
@@ -705,8 +706,6 @@ def _run_cache(args) -> int:
 
 
 def _run_serve(args) -> int:
-    import os
-
     from repro.jobs import JobRunner
     from repro.server import JobServiceApp, run_server
 
@@ -714,14 +713,13 @@ def _run_serve(args) -> int:
         from repro.executors import get_executor_info
 
         get_executor_info(args.executor)  # typed error before binding
-    # The service routinely shares its cache with CLI runs, so it
-    # appends to a pid-suffixed writer segment instead of the primary
-    # log — two live writers can never interleave ('cache gc' merges).
+    # The service routinely shares its cache with CLI runs: the
+    # store's lock makes them take turns appending to one log per
+    # shard, so neither can tear or drop the other's records.
     runner = JobRunner(
         cache_dir=args.cache_dir,
         workers=args.workers,
         executor=args.executor,
-        store_writer=f"serve{os.getpid()}",
     )
     app = JobServiceApp(runner)
     print(
@@ -742,8 +740,6 @@ def _configure_logging() -> None:
     """Honour ``REPRO_LOG`` (e.g. ``info``, ``debug``): the pool
     executor logs its spawns at INFO, so ``REPRO_LOG=info`` makes
     reuse observable on stderr without touching normal output."""
-    import os
-
     level_name = os.environ.get("REPRO_LOG")
     if not level_name:
         return
@@ -807,6 +803,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     scale = get_scale(args.scale)
     if args.seed is not None:
         scale = scale.with_overrides(seed=args.seed)
+    _check_output(args.output)
     try:
         runner = _build_runner(args)
     except (CacheError, ConfigError) as exc:

@@ -8,10 +8,9 @@ costs one index load and a run of ``seek``/``read`` pairs instead of
 10⁵ ``open``/``stat`` calls::
 
     <root>/store.json              # format marker ({"format": 2})
-    <root>/<kind>/data.jsonl       # append-only record log (primary)
+    <root>/store.lock              # the store's write lock (empty)
+    <root>/<kind>/data.jsonl       # append-only record log
     <root>/<kind>/index.jsonl      # append-only hash → (offset, length)
-    <root>/<kind>/data.<w>.jsonl   # writer <w>'s segment (optional)
-    <root>/<kind>/index.<w>.jsonl  # writer <w>'s segment index
 
 Each ``data.jsonl`` record is the canonical JSON
 ``{"key": <key payload>, "payload": <result>}`` on one line — the
@@ -27,35 +26,39 @@ run can leave at most a torn *trailing* line in either file — torn
 data is unreferenced, torn index lines are skipped on load, and a
 missing or stale index is rebuilt by scanning the data log.
 
-Appending is still single-writer — but *per file pair*, not per root.
-A process that may share the root with other live writers (the job
-service next to a CLI run, several CLI runs against one network
-mount) opens the store with a ``writer_id`` and appends to its own
-*segment* (``data.<writer>.jsonl``/``index.<writer>.jsonl``) instead
-of the primary log; no two well-behaved writers ever append to the
-same file, so concurrent runs cannot interleave or tear each other's
-records.  Reads always merge the primary log with every segment —
-entries are content-addressed, so merge order is irrelevant — and
-``repro-hydra cache gc`` folds segments back into the primary log
-(deduplicating by digest) and deletes them.  Readers are unrestricted
-throughout.
+Concurrent writers (CLI runs sharing ``--resume``'s directory, the job
+service next to a CLI run, ``cache gc``) share one log per shard and
+take turns under one exclusive lock per store: ``fcntl.flock`` on
+``store.lock``, a root-level file that is created by a writable open
+and never replaced or deleted.  Every append (at the log's real end,
+read while the lock is held), every persisted index rebuild (the scan
+and the write) and every compaction (which also decides whether a
+shard is empty) holds it, so no writer can interleave with, overwrite
+or drop another's records.  Reads take no lock: an index line is
+written only after its record, and a read that races a compaction
+finds at worst a stale offset, which the stored-key check turns into
+a miss that recomputes.
 
 A writable open stamps the format marker when the root has none, so
 a later build with a different layout refuses the directory instead
 of misreading it.  Files of the retired JSON-per-point layout
-(``<kind>/<sha256>.json``) are neither read nor deleted.
+(``<kind>/<sha256>.json``) and the per-writer segment files that older
+builds wrote beside a shard's log are neither read nor deleted.
 ``repro-hydra cache stats|gc`` inspects and compacts a store from the
 command line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
+import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CacheError, ValidationError
 
@@ -86,6 +89,7 @@ CACHE_FORMAT = 5
 STORE_FORMAT = 2
 
 _MARKER_NAME = "store.json"
+_LOCK_NAME = "store.lock"
 _DATA_NAME = "data.jsonl"
 _INDEX_NAME = "index.jsonl"
 
@@ -106,26 +110,43 @@ def cache_key(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-class _Segment:
-    """One append-only data/index file pair plus its in-memory index.
+def _index_line(digest: str, offset: int, length: int) -> bytes:
+    return (
+        _canonical({"h": digest, "o": offset, "n": length}).encode() + b"\n"
+    )
 
-    A shard's *primary* segment is ``data.jsonl``/``index.jsonl``;
-    writer segments are ``data.<writer>.jsonl``/``index.<writer>.
-    jsonl``.  Every append-ordering crash-safety invariant lives at
-    this level — a segment is exactly what the whole shard used to be
-    before multi-writer support."""
 
-    def __init__(
-        self,
-        directory: Path,
-        data_path: Path,
-        index_path: Path,
-        readonly: bool = False,
-    ) -> None:
+@contextlib.contextmanager
+def _locked(path: Path) -> Iterator[None]:
+    """Hold the store's exclusive lock: ``flock`` on ``path``.
+
+    Every acquisition opens its own file description, and ``flock``
+    locks conflict between descriptions, so the lock excludes other
+    threads of this process (a job runner's drain thread next to a
+    synchronous run on the same store) as well as other processes.
+    Closing the description releases it, also when the holder dies."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
+class _Shard:
+    """One experiment kind's record log and index, plus the index in
+    memory.  Every append-ordering crash-safety invariant lives here.
+
+    ``lock_path`` is the store's lock file, ``None`` for a readonly
+    store, which then never writes: a lost or stale index is rebuilt
+    in memory only."""
+
+    def __init__(self, directory: Path, lock_path: Path | None) -> None:
         self.directory = directory
-        self.readonly = readonly
-        self.data_path = data_path
-        self.index_path = index_path
+        self.lock_path = lock_path
+        self.readonly = lock_path is None
+        self.data_path = directory / _DATA_NAME
+        self.index_path = directory / _INDEX_NAME
         self._index: dict[str, tuple[int, int]] | None = None
 
     # -- index ---------------------------------------------------------
@@ -144,9 +165,7 @@ class _Segment:
 
     def _tmp_path(self, target: Path) -> Path:
         """The atomic-write temporary for ``target``, unique per
-        process — concurrent writers sharing one cache dir (the serve
-        process plus a CLI run) must never clobber each other's
-        in-flight temporary."""
+        process."""
         return target.with_suffix(f".jsonl.{os.getpid()}.tmp")
 
     def _clean_stale_tmp(self) -> None:
@@ -178,17 +197,34 @@ class _Segment:
 
     def _load_index(self) -> dict[str, tuple[int, int]]:
         self._clean_stale_tmp()
+        index = self._read_index()
+        if index is not None:
+            return index
+        if self.readonly:
+            return self._scan()
+        # Persist the rebuilt index.  The scan and the write both hold
+        # the lock: an append between them would be missing from the
+        # written index, and the next compaction would drop it.
+        try:
+            with _locked(self.lock_path):
+                index = self._scan()
+                self._write_index(index)
+            return index
+        except OSError:  # read paths must not fail on an unwritable dir
+            return self._scan()
+
+    def _read_index(self) -> dict[str, tuple[int, int]] | None:
+        """The index on disk, or ``None`` when it must be rebuilt: it
+        is missing, holds a torn or out-of-range line, or stops short
+        of the data log."""
         data_size = self._data_size()
         if data_size == 0:
             return {}
-        if not self.index_path.exists():
-            return self._rebuild_index()
-        index: dict[str, tuple[int, int]] = {}
-        damaged = False
         try:
             lines = self.index_path.read_bytes().splitlines()
         except OSError:
-            return self._rebuild_index()
+            return None
+        index: dict[str, tuple[int, int]] = {}
         for line in lines:
             try:
                 entry = json.loads(line)
@@ -197,11 +233,9 @@ class _Segment:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 # Torn trailing line from a killed run: the record it
                 # pointed at (if complete) is recovered by a rebuild.
-                damaged = True
-                continue
+                return None
             if offset < 0 or length <= 0 or offset + length > data_size:
-                damaged = True
-                continue
+                return None
             index[digest] = (offset, length)
         # The index must also *cover* the data log: a crash between a
         # batch's data flush and its index append leaves well-formed
@@ -212,22 +246,11 @@ class _Segment:
             (offset + length + 1 for offset, length in index.values()),
             default=0,
         )
-        if damaged or covered < data_size:
-            return self._rebuild_index()
-        return index
+        return index if covered >= data_size else None
 
-    def _rebuild_index(self) -> dict[str, tuple[int, int]]:
+    def _scan(self) -> dict[str, tuple[int, int]]:
         """Re-derive the index by scanning the data log (recovers from
-        a lost, torn, or stale ``index.jsonl``).
-
-        The rebuilt index is persisted *best-effort* and never from a
-        readonly handle: rebuilding happens on read paths (``get_many``,
-        ``stats``), which must stay pure reads — writing from a
-        readonly store is a write-on-read bug, and fails outright on a
-        read-only filesystem.  A writable store whose directory turns
-        out to be unwritable keeps the rebuilt index in memory; the
-        next successful writer persists it.
-        """
+        a lost, torn, or stale ``index.jsonl``)."""
         index: dict[str, tuple[int, int]] = {}
         if not self.data_path.exists():
             return index
@@ -245,21 +268,17 @@ class _Segment:
                     except (json.JSONDecodeError, KeyError, TypeError):
                         pass  # torn or foreign line: unreferenced
                 offset += length
-        if not self.readonly:
-            try:
-                self._write_index(index)
-            except OSError:
-                pass  # read paths must not fail on an unwritable dir
         return index
 
     def _write_index(self, index: Mapping[str, tuple[int, int]]) -> None:
         tmp = self._tmp_path(self.index_path)
-        with tmp.open("w") as handle:
-            for digest, (offset, length) in index.items():
-                handle.write(
-                    _canonical({"h": digest, "o": offset, "n": length})
-                    + "\n"
+        with tmp.open("wb") as handle:
+            handle.write(
+                b"".join(
+                    _index_line(digest, offset, length)
+                    for digest, (offset, length) in index.items()
                 )
+            )
         os.replace(tmp, self.index_path)
 
     # -- access ----------------------------------------------------------
@@ -293,7 +312,8 @@ class _Segment:
                 if (
                     not isinstance(record, dict)
                     or "payload" not in record
-                    # sha256 collision or hand-edited log: recompute.
+                    # sha256 collision, hand-edited log, or an offset a
+                    # concurrent compaction moved: recompute.
                     or record.get("key") != json.loads(
                         _canonical(key_payload)
                     )
@@ -306,264 +326,104 @@ class _Segment:
         self,
         entries: Sequence[tuple[str, Mapping[str, Any], Mapping[str, Any]]],
     ) -> None:
-        """Append ``(digest, key_payload, payload)`` records.  Data
-        lines land (and are flushed) before their index lines, so a
-        crash never leaves the index pointing at torn data."""
+        """Append ``(digest, key_payload, payload)`` records under the
+        store lock, at the real end of the log.  Data lines land (and
+        are flushed) before their index lines, so a crash never leaves
+        the index pointing at torn data."""
         if not entries:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        index = self.index
-        positions: list[tuple[str, int, int]] = []
-        repair = b""
-        if self._data_size() > 0:
-            # A torn tail (killed mid-write) must not concatenate with
-            # the next record into one unparsable line — terminate it
-            # so the line-based index rebuild keeps both readable.
-            with self.data_path.open("rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    repair = b"\n"
-        with self.data_path.open("ab") as handle:
-            if repair:
-                handle.write(repair)
-            for digest, key_payload, payload in entries:
-                line = _canonical(
+        # Load the index first, rebuilding it if it stops short of the
+        # log: once this batch's index lines land after a tail that a
+        # crashed writer left unindexed, the index would look complete.
+        if self._index is None:
+            self._index = self._load_index()
+        lines = [
+            (
+                digest,
+                _canonical(
                     {
                         "key": json.loads(_canonical(key_payload)),
                         "payload": payload,
                     }
-                ).encode() + b"\n"
-                offset = handle.tell()
-                handle.write(line)
-                positions.append((digest, offset, len(line) - 1))
-            handle.flush()
-        with self.index_path.open("ab") as handle:
+                ).encode() + b"\n",
+            )
+            for digest, key_payload, payload in entries
+        ]
+        positions: list[tuple[str, int, int]] = []
+        with _locked(self.lock_path):
+            # gc may have removed an emptied shard's directory.
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with self.data_path.open("a+b") as handle:
+                end = handle.seek(0, os.SEEK_END)
+                if end and os.pread(handle.fileno(), 1, end - 1) != b"\n":
+                    # A torn tail (killed mid-write) must not
+                    # concatenate with the next record into one
+                    # unparsable line — terminate it so the line-based
+                    # index rebuild keeps both readable.
+                    handle.write(b"\n")
+                    end += 1
+                for digest, line in lines:
+                    positions.append((digest, end, len(line) - 1))
+                    end += len(line)
+                handle.write(b"".join(line for _, line in lines))
+            with self.index_path.open("ab") as handle:
+                handle.write(b"".join(_index_line(*at) for at in positions))
             for digest, offset, length in positions:
-                handle.write(
-                    _canonical({"h": digest, "o": offset, "n": length})
-                    .encode() + b"\n"
-                )
-                index[digest] = (offset, length)
+                self._index[digest] = (offset, length)
 
     # -- maintenance -------------------------------------------------------
 
-    def compact(self) -> dict[str, int]:
-        """Rewrite the log keeping only the live (indexed) records:
-        drops superseded duplicates and torn tails.  Returns counts."""
-        index = self.index
-        old_bytes = self._data_size() + (
-            self.index_path.stat().st_size
-            if self.index_path.exists() else 0
-        )
-        records: list[tuple[str, bytes]] = []
-        with self.data_path.open("rb") as handle:
-            for digest, (offset, length) in index.items():
-                handle.seek(offset)
-                raw = handle.read(length)
-                try:
-                    json.loads(raw)
-                except json.JSONDecodeError:
-                    continue
-                records.append((digest, raw))
-        tmp = self._tmp_path(self.data_path)
-        new_index: dict[str, tuple[int, int]] = {}
-        offset = 0
-        with tmp.open("wb") as handle:
-            for digest, raw in records:
-                handle.write(raw + b"\n")
-                new_index[digest] = (offset, len(raw))
-                offset += len(raw) + 1
-        os.replace(tmp, self.data_path)
-        self._write_index(new_index)
-        self._index = new_index
-        new_bytes = self._data_size() + self.index_path.stat().st_size
+    def compact(self) -> dict[str, int] | None:
+        """Rewrite the log keeping only the live records: drops
+        superseded duplicates and torn tails.  Returns counts, or
+        ``None`` when the shard held no live record and was removed
+        (its directory too, unless other files remain in it).
+
+        All of it holds the store lock, and the live records are read
+        from the index on disk, not from memory, so records that other
+        writers appended since this shard was loaded are kept."""
+        with _locked(self.lock_path):
+            index = self._read_index()
+            if index is None:
+                index = self._scan()
+            if not index:
+                for path in (self.data_path, self.index_path):
+                    with contextlib.suppress(OSError):
+                        path.unlink()
+                with contextlib.suppress(OSError):
+                    self.directory.rmdir()
+                self._index = {}
+                return None
+            old_bytes = self._data_size() + (
+                self.index_path.stat().st_size
+                if self.index_path.exists() else 0
+            )
+            records: list[tuple[str, bytes]] = []
+            with self.data_path.open("rb") as handle:
+                for digest, (offset, length) in index.items():
+                    handle.seek(offset)
+                    raw = handle.read(length)
+                    try:
+                        json.loads(raw)
+                    except json.JSONDecodeError:
+                        continue
+                    records.append((digest, raw))
+            tmp = self._tmp_path(self.data_path)
+            new_index: dict[str, tuple[int, int]] = {}
+            offset = 0
+            with tmp.open("wb") as handle:
+                for digest, raw in records:
+                    handle.write(raw + b"\n")
+                    new_index[digest] = (offset, len(raw))
+                    offset += len(raw) + 1
+            os.replace(tmp, self.data_path)
+            self._write_index(new_index)
+            self._index = new_index
+            new_bytes = self._data_size() + self.index_path.stat().st_size
         return {
             "entries": len(new_index),
             "reclaimed_bytes": max(0, old_bytes - new_bytes),
         }
-
-    def clear(self) -> int:
-        removed = len(self.index)
-        for path in (self.data_path, self.index_path):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self._index = {}
-        return removed
-
-
-_WRITER_ID_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
-)
-
-
-def _valid_writer_id(writer_id: str) -> bool:
-    """Writer ids become filename infixes (``data.<writer>.jsonl``),
-    so they must be non-empty and dot/slash-free."""
-    return bool(writer_id) and set(writer_id) <= _WRITER_ID_CHARS
-
-
-class _Shard:
-    """One experiment kind's record logs, merged into a single key
-    space.
-
-    A shard is a primary segment plus zero or more per-writer
-    segments.  Appends go to exactly one segment — the primary when
-    the store has no ``writer_id``, that writer's own file pair
-    otherwise — while reads merge all of them (content addressing
-    makes the merge order irrelevant: two segments holding the same
-    digest hold the same record).  :meth:`merge_segments` (run by
-    ``cache gc``) folds the writer segments back into the primary
-    log and deletes them."""
-
-    def __init__(
-        self,
-        directory: Path,
-        readonly: bool = False,
-        writer_id: str | None = None,
-    ) -> None:
-        self.directory = directory
-        self.readonly = readonly
-        self.writer_id = writer_id
-        self._segments: dict[str | None, _Segment] = {}
-
-    def _segment(self, writer: str | None) -> _Segment:
-        if writer not in self._segments:
-            if writer is None:
-                data = self.directory / _DATA_NAME
-                index = self.directory / _INDEX_NAME
-            else:
-                data = self.directory / f"data.{writer}.jsonl"
-                index = self.directory / f"index.{writer}.jsonl"
-            self._segments[writer] = _Segment(
-                self.directory, data, index, readonly=self.readonly
-            )
-        return self._segments[writer]
-
-    @property
-    def _write_segment(self) -> _Segment:
-        return self._segment(self.writer_id)
-
-    def writer_ids(self) -> list[str]:
-        """Writer segments present on disk or opened in memory."""
-        ids = {writer for writer in self._segments if writer is not None}
-        try:
-            for path in self.directory.glob("data.*.jsonl"):
-                writer = path.name[len("data.") : -len(".jsonl")]
-                if _valid_writer_id(writer):
-                    ids.add(writer)
-        except OSError:
-            pass
-        return sorted(ids)
-
-    def segments(self) -> list[_Segment]:
-        """Primary first, then writer segments in sorted-id order."""
-        return [self._segment(None)] + [
-            self._segment(writer) for writer in self.writer_ids()
-        ]
-
-    def has_data(self) -> bool:
-        return any(seg.data_path.exists() for seg in self.segments())
-
-    def distinct_count(self) -> int:
-        """Distinct digests across all segments (duplicates across
-        writers are one logical entry)."""
-        digests: set[str] = set()
-        for seg in self.segments():
-            digests.update(seg.index)
-        return len(digests)
-
-    def data_size(self) -> int:
-        return sum(seg._data_size() for seg in self.segments())
-
-    def get_many(
-        self, requests: Sequence[tuple[str, Mapping[str, Any]]]
-    ) -> list[dict[str, Any] | None]:
-        """Merged lookup: each segment serves the keys the previous
-        ones missed."""
-        results: list[dict[str, Any] | None] = [None] * len(requests)
-        for seg in self.segments():
-            pending = [i for i, found in enumerate(results) if found is None]
-            if not pending:
-                break
-            if not seg.data_path.exists():
-                continue
-            found = seg.get_many([requests[i] for i in pending])
-            for i, payload in zip(pending, found):
-                if payload is not None:
-                    results[i] = payload
-        return results
-
-    def append_many(
-        self,
-        entries: Sequence[tuple[str, Mapping[str, Any], Mapping[str, Any]]],
-    ) -> None:
-        self._write_segment.append_many(entries)
-
-    # -- maintenance -------------------------------------------------------
-
-    def merge_segments(self) -> dict[str, int]:
-        """Fold every writer segment into the primary log and delete
-        the segment files.
-
-        Records whose digest the primary (or an earlier segment)
-        already holds are dropped — content addressing guarantees they
-        are byte-identical payloads, so deduplication loses nothing.
-        Crash-tolerant by the same append ordering as any write: a
-        kill mid-merge leaves the copied records live in the primary
-        and the not-yet-deleted segment still intact; the next gc
-        simply dedupes them again."""
-        primary = self._segment(None)
-        merged_entries = 0
-        writers = self.writer_ids()
-        for writer in writers:
-            seg = self._segment(writer)
-            records: list[
-                tuple[str, Mapping[str, Any], Mapping[str, Any]]
-            ] = []
-            if seg.index and seg.data_path.exists():
-                with seg.data_path.open("rb") as handle:
-                    for digest, (offset, length) in seg.index.items():
-                        if digest in primary.index:
-                            continue
-                        handle.seek(offset)
-                        raw = handle.read(length)
-                        try:
-                            record = json.loads(raw)
-                        except json.JSONDecodeError:
-                            continue  # corrupt region: nothing to keep
-                        if (
-                            not isinstance(record, dict)
-                            or "key" not in record
-                            or "payload" not in record
-                        ):
-                            continue
-                        records.append(
-                            (digest, record["key"], record["payload"])
-                        )
-            if records:
-                primary.append_many(records)
-                merged_entries += len(records)
-            seg.clear()
-            self._segments.pop(writer, None)
-        return {
-            "merged_segments": len(writers),
-            "merged_entries": merged_entries,
-        }
-
-    def compact(self) -> dict[str, int]:
-        """Merge writer segments into the primary, then compact it."""
-        summary = self.merge_segments()
-        summary.update(self._segment(None).compact())
-        return summary
-
-    def clear(self) -> int:
-        removed = self.distinct_count()
-        for seg in self.segments():
-            seg.clear()
-        self._segments = {}
-        return removed
 
 
 class ResultStore:
@@ -571,67 +431,52 @@ class ResultStore:
 
     Surface: :meth:`get_many`/:meth:`put_many` (what the engine uses),
     ``hits``/``misses`` counters, and the :meth:`gc`/:meth:`stats`
-    maintenance verbs behind ``repro-hydra cache``.
+    maintenance verbs behind ``repro-hydra cache``.  Any number of
+    processes and threads may write one root at once (see the module
+    docstring).
 
     Parameters
     ----------
     directory:
-        Store root; created immediately, and its format marker stamped
-        if absent.  An unusable location raises
-        :class:`repro.errors.CacheError` before any point computes.
+        Store root; created immediately, with its format marker
+        stamped if absent and its lock file.  An unusable location
+        raises :class:`repro.errors.CacheError` before any point
+        computes.
     readonly:
         Open for inspection only (``cache stats`` does): nothing is
-        created or written — no root mkdir, no marker, no stale-tmp
-        cleanup, and writes raise :class:`CacheError`.  A missing root
-        reads as an empty store.  Readonly stores **never persist
-        rebuilt indexes**: a missing or stale ``index.jsonl`` is
-        rebuilt in-memory only, so reads work even from a read-only
-        filesystem (e.g. a ``chmod 0555`` cache directory).
-    writer_id:
-        Append to a private per-writer segment
-        (``data.<writer_id>.jsonl``) instead of the primary log.
-        Pass one whenever another live process may write the same
-        root concurrently — each process picks a distinct id (the job
-        service uses ``serve<pid>``) and their appends can never
-        interleave.  Reads are unaffected (every handle merges all
-        segments), and ``gc`` later folds segments back into the
-        primary log.  Must be non-empty ``[A-Za-z0-9_-]`` and is
-        incompatible with ``readonly``.
+        created, locked or written — no root mkdir, no marker, no lock
+        file, no stale-tmp cleanup, and writes raise
+        :class:`CacheError`.  A missing root reads as an empty store.
+        Readonly stores **never persist rebuilt indexes**: a missing or
+        stale ``index.jsonl`` is rebuilt in-memory only, so reads work
+        even from a read-only filesystem (e.g. a ``chmod 0555`` cache
+        directory).
     """
 
     def __init__(
-        self,
-        directory: str | Path,
-        *,
-        readonly: bool = False,
-        writer_id: str | None = None,
+        self, directory: str | Path, *, readonly: bool = False
     ) -> None:
         self.directory = Path(directory)
         self.readonly = readonly
-        if writer_id is not None:
-            if readonly:
-                raise ValidationError(
-                    "writer_id is meaningless on a readonly store"
-                )
-            if not _valid_writer_id(writer_id):
-                raise ValidationError(
-                    f"invalid writer_id {writer_id!r}: need non-empty "
-                    f"[A-Za-z0-9_-]"
-                )
-        self.writer_id = writer_id
-        if not readonly:
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise CacheError(
-                    f"cache root {str(self.directory)!r} is unusable: {exc}"
-                ) from exc
         self.hits = 0
         self.misses = 0
         self._shards: dict[str, _Shard] = {}
-        self._check_marker()
-        if not readonly and not self._marker_path.exists():
-            self._write_marker()
+        self._lock_path = None if readonly else self.directory / _LOCK_NAME
+        if readonly:
+            self._check_marker()
+            return
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            if not self._marker_path.exists():
+                self._write_marker()
+            self._check_marker()
+            os.close(os.open(self._lock_path, os.O_RDWR | os.O_CREAT, 0o644))
+        except CacheError:
+            raise  # a foreign or damaged marker, reported as such
+        except OSError as exc:
+            raise CacheError(
+                f"cache root {str(self.directory)!r} is unusable: {exc}"
+            ) from exc
 
     # -- format marker ---------------------------------------------------
 
@@ -657,14 +502,14 @@ class ResultStore:
             )
 
     def _write_marker(self) -> None:
-        try:
-            self._marker_path.write_text(
-                json.dumps({"format": STORE_FORMAT}) + "\n"
-            )
-        except OSError as exc:
-            raise CacheError(
-                f"cache root {str(self.directory)!r} is unusable: {exc}"
-            ) from exc
+        """Stamp the marker through a temporary and ``os.replace``, so
+        a concurrent first open reads no marker or a whole one, never
+        an empty file."""
+        tmp = self.directory / (
+            f"{_MARKER_NAME}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        tmp.write_text(json.dumps({"format": STORE_FORMAT}) + "\n")
+        os.replace(tmp, self._marker_path)
 
     # -- shards ----------------------------------------------------------
 
@@ -673,9 +518,7 @@ class ResultStore:
             if not kind or "/" in kind or kind.startswith("."):
                 raise ValidationError(f"invalid experiment kind {kind!r}")
             self._shards[kind] = _Shard(
-                self.directory / kind,
-                readonly=self.readonly,
-                writer_id=self.writer_id,
+                self.directory / kind, self._lock_path
             )
         return self._shards[kind]
 
@@ -690,12 +533,7 @@ class ResultStore:
         kinds = set(self._shards)
         if self.directory.is_dir():
             for child in self.directory.iterdir():
-                if child.is_dir() and (
-                    (child / _DATA_NAME).exists()
-                    # A kind dir holding only writer segments (its
-                    # primary log never materialised) is still a shard.
-                    or any(child.glob("data.*.jsonl"))
-                ):
+                if child.is_dir() and (child / _DATA_NAME).exists():
                     kinds.add(child.name)
         return sorted(kinds)
 
@@ -709,7 +547,7 @@ class ResultStore:
         if not key_payloads:
             return []
         shard = self._shard(kind)
-        if not shard.has_data():
+        if not shard.data_path.exists():
             self.misses += len(key_payloads)
             return [None] * len(key_payloads)
         results = shard.get_many(
@@ -729,7 +567,7 @@ class ResultStore:
     ) -> int:
         """Persist each ``(key_payload, payload)``; returns the number of
         records written.  The whole batch is appended through one file
-        handle."""
+        handle, under one hold of the store lock."""
         batch = [
             (cache_key(key_payload), key_payload, payload)
             for key_payload, payload in entries
@@ -749,72 +587,36 @@ class ResultStore:
     # -- maintenance -----------------------------------------------------------
 
     def gc(self) -> dict[str, Any]:
-        """Compact every shard: fold per-writer segments back into the
-        primary log (deduplicating by digest), drop superseded
-        duplicates, torn tails, and leftover empty shard directories.
-        Returns a summary."""
+        """Compact every shard under the store lock: drop superseded
+        duplicates and torn tails, and remove shards left with no live
+        record.  Returns a summary."""
         self._require_writable("gc")
         shards: dict[str, dict[str, int]] = {}
-        reclaimed = 0
         for kind in self._shard_kinds():
-            shard = self._shard(kind)
-            if shard.distinct_count() == 0:
-                shard.clear()
-                try:
-                    shard.directory.rmdir()
-                except OSError:
-                    pass
-                continue
-            summary = shard.compact()
-            shards[kind] = summary
-            reclaimed += summary["reclaimed_bytes"]
+            summary = self._shard(kind).compact()
+            if summary is not None:
+                shards[kind] = summary
         return {
             "shards": shards,
             "entries": sum(s["entries"] for s in shards.values()),
-            "reclaimed_bytes": reclaimed,
-            "merged_segments": sum(
-                s["merged_segments"] for s in shards.values()
-            ),
-            "merged_entries": sum(
-                s["merged_entries"] for s in shards.values()
+            "reclaimed_bytes": sum(
+                s["reclaimed_bytes"] for s in shards.values()
             ),
         }
 
     def stats(self) -> dict[str, Any]:
-        """Shape and size of the store (``repro-hydra cache stats``).
-
-        ``entries`` counts *distinct* digests (a record present in the
-        primary log and in a writer segment is one logical entry);
-        ``segment_files``/``segment_bytes`` total the per-writer
-        segment data files awaiting a ``gc`` merge."""
+        """Shape and size of the store (``repro-hydra cache stats``)."""
         shards = {}
-        segment_files = 0
-        segment_bytes = 0
         for kind in self._shard_kinds():
             shard = self._shard(kind)
-            segments = {}
-            for writer in shard.writer_ids():
-                seg = shard._segment(writer)
-                if not seg.data_path.exists():
-                    continue
-                size = seg._data_size()
-                segments[writer] = {
-                    "entries": len(seg.index),
-                    "data_bytes": size,
-                }
-                segment_files += 1
-                segment_bytes += size
             shards[kind] = {
-                "entries": shard.distinct_count(),
-                "data_bytes": shard.data_size(),
-                "segments": segments,
+                "entries": len(shard.index),
+                "data_bytes": shard._data_size(),
             }
         return {
             "directory": str(self.directory),
             "format": STORE_FORMAT,
             "entries": sum(s["entries"] for s in shards.values()),
             "data_bytes": sum(s["data_bytes"] for s in shards.values()),
-            "segment_files": segment_files,
-            "segment_bytes": segment_bytes,
             "shards": shards,
         }

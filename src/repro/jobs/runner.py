@@ -379,7 +379,10 @@ class JobRunner:
         Root of the sharded :class:`ResultStore` job results are
         content-addressed into.  ``None`` disables persistence (jobs
         still run; idempotent resubmission then only helps within this
-        runner's lifetime).
+        runner's lifetime).  Other processes (CLI runs, another
+        ``serve``) may write the same root while this runner's drain
+        thread and synchronous runs share its one store: the store's
+        lock makes every writer take turns on one log per shard.
     workers:
         Worker-process fan-out per job, with the engine's usual
         semantics (``None``/``1`` → serial).  Never part of the job
@@ -396,12 +399,6 @@ class JobRunner:
         instantiated once per runner, reused across jobs (so one fork
         pool serves every job), and closed by :meth:`close`; an
         injected instance stays the caller's to close.
-    store_writer:
-        ``writer_id`` for the runner's store: pass one whenever
-        another process may write the same ``cache_dir`` concurrently
-        (the job service does — ``serve<pid>``) so each process
-        appends to its own segment.  ``repro-hydra cache gc`` merges
-        segments back into the primary log.
     """
 
     def __init__(
@@ -410,17 +407,15 @@ class JobRunner:
         workers: int | None = None,
         on_progress: Callable[[Job], None] | None = None,
         executor: "str | Executor | None" = None,
-        store_writer: str | None = None,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.workers = workers
         self.on_progress = on_progress
         self.executor = executor
-        self.store_writer = store_writer
         # Fails fast (typed CacheError) on an unusable root, before
         # any job is accepted.
         self._store = (
-            ResultStore(self.cache_dir, writer_id=store_writer)
+            ResultStore(self.cache_dir)
             if self.cache_dir is not None
             else None
         )

@@ -130,6 +130,19 @@ class TestCrashTolerance:
         assert reopened.stats()["entries"] == 4
         assert reopened.get_many("demo", [_key(7)])[0] == _payload(7)
 
+    def test_first_append_keeps_unindexed_records(self, tmp_path):
+        """A store whose first act is an append must not bury records a
+        crashed writer left unindexed: its own index lines would make
+        the index cover the log again."""
+        _fill(ResultStore(tmp_path), 3)
+        record = {"key": _key(7), "payload": _payload(7)}
+        with (tmp_path / "demo" / "data.jsonl").open("a") as handle:
+            handle.write(json.dumps(record) + "\n")  # its index line lost
+        ResultStore(tmp_path).put_many("demo", [(_key(8), _payload(8))])
+        reopened = ResultStore(tmp_path)
+        assert reopened.stats()["entries"] == 5
+        assert reopened.get_many("demo", [_key(7)])[0] == _payload(7)
+
     def test_append_after_torn_tail_stays_rebuildable(self, tmp_path):
         """A new record appended after a torn tail must not fuse with
         it into one unparsable line."""
@@ -160,7 +173,7 @@ class TestCrashTolerance:
         store.put_many("demo", [(_key(0), _payload(0))])
         shard = store._shard("demo")
         digest = cache_key(_key(1))  # alias key 1's bucket at key 0's data
-        index = shard._write_segment.index
+        index = shard.index
         index[digest] = next(iter(index.values()))
         assert store.get_many("demo", [_key(1)])[0] is None
 

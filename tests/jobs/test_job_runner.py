@@ -170,6 +170,25 @@ class TestSubmitLifecycle:
             assert rerun.computed_points == 0
             assert rerun.cached_points == rerun.total_points
 
+    def test_drain_thread_and_a_synchronous_run_share_one_store(
+        self, tmp_path
+    ):
+        """The drain thread and a synchronous run write through the
+        runner's one store at once; a fresh runner serves every point
+        of both."""
+        cache = tmp_path / "cache"
+        requests = [mini_request(seed=seed) for seed in (1, 2)]
+        with JobRunner(cache_dir=cache) as runner:
+            background = runner.submit(requests[0])
+            runner.run(requests[1])
+            assert background.wait(timeout=120)
+            assert background.state == JobState.DONE
+        with JobRunner(cache_dir=cache) as fresh:
+            for request in requests:
+                rerun = fresh.run(request)
+                assert rerun.computed_points == 0
+                assert rerun.cached_points == rerun.total_points > 0
+
     def test_cancel_queued_job_is_immediate(self, tmp_path):
         runner = JobRunner(cache_dir=tmp_path / "cache")
         job = runner.submit(mini_request())
@@ -344,15 +363,15 @@ class TestResults:
             assert runner.result(job.id) is job.result
 
     def test_result_fetch_reads_no_store_file(self, tmp_path, monkeypatch):
-        from repro.experiments.store import _Segment
+        from repro.experiments.store import _Shard
 
         with JobRunner(cache_dir=tmp_path / "cache") as runner:
             job = runner.run(mini_request())
 
-            def no_reads(segment):
-                raise AssertionError(f"fetch read {segment.index_path}")
+            def no_reads(shard):
+                raise AssertionError(f"fetch read {shard.index_path}")
 
-            monkeypatch.setattr(_Segment, "_load_index", no_reads)
+            monkeypatch.setattr(_Shard, "_load_index", no_reads)
             served = runner.result(job.id)
 
         experiment, scale = mini_request().build()

@@ -102,7 +102,7 @@ class TestSubmission:
     def test_duplicate_submit_serves_the_cold_bytes_without_store_reads(
         self, service, monkeypatch
     ):
-        from repro.experiments.store import _Segment
+        from repro.experiments.store import _Shard
 
         body = {"spec": MINI_SPEC, "scale": "smoke"}
         first = submit_and_wait(service, body)
@@ -111,7 +111,7 @@ class TestSubmission:
 
         loads: list[object] = []
         monkeypatch.setattr(
-            _Segment, "_load_index", lambda segment: loads.append(segment)
+            _Shard, "_load_index", lambda shard: loads.append(shard)
         )
         status, again = service.handle("POST", "/jobs", body)
         assert (status, again["id"], again["state"]) == (

@@ -329,6 +329,27 @@ class TestCacheCommand:
         assert leftover.exists()
         assert not (tmp_path / "store.json").exists()
 
+    def test_older_writer_segments_are_inert(self, tmp_path, capsys):
+        """Segment files an older ``serve`` wrote
+        (``data.<writer>.jsonl``) are not counted, not reported and not
+        deleted."""
+        from repro.experiments.store import ResultStore
+
+        ResultStore(tmp_path).put_many("demo", [({"k": 0}, {"v": 0})])
+        segment = tmp_path / "demo" / "data.serve123.jsonl"
+        segment.write_text('{"key":{"k":1},"payload":{"v":1}}\n')
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and ": 1 entries," in lines[0]
+        assert lines[1].split() == ["demo", "1", "entries", "34", "bytes"]
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"gc {tmp_path}: 1 live entries across 1 shard(s), "
+            f"0 bytes reclaimed"
+        ]
+        assert segment.exists()
+
     def test_gc_reports_summary(self, tmp_path, capsys):
         from repro.experiments.store import ResultStore
 
@@ -749,6 +770,32 @@ class TestTypedErrorsAndWorkersValidation:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_unwritable_output_fails_before_anything_computes(
+        self, where, tmp_path, capsys
+    ):
+        from repro.experiments.store import ResultStore
+
+        target = tmp_path / "out"
+        target.mkdir()
+        if where == "under-a-file":
+            (tmp_path / "file").write_text("not a directory")
+            target = tmp_path / "file" / "out.json"
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fig2", "--scale", "smoke", "--format", "json",
+                "--cache-dir", str(cache), "--output", str(target),
+            ])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        expected = "IsADirectoryError" if where == "directory" else "Error"
+        assert captured.err.startswith("repro-hydra: ")
+        assert f"{expected}: " in captured.err
+        assert ResultStore(cache, readonly=True).stats()["entries"] == 0
+
     def test_unknown_allocator_is_one_typed_line_exit_1(
         self, tmp_path, capsys
     ):
@@ -887,39 +934,3 @@ class TestExecutorFlag:
             main(["serve", "--executor", "warp-drive", "--port", "0"])
         assert excinfo.value.code == 1
         assert "unknown executor" in capsys.readouterr().err
-
-
-class TestCacheSegmentReporting:
-    def _fill_segments(self, root):
-        from repro.experiments.store import ResultStore
-
-        primary = ResultStore(root)
-        primary.put_many("demo", [({"k": 0}, {"v": 0})])
-        writer = ResultStore(root, writer_id="serve123")
-        writer.put_many("demo", [({"k": 1}, {"v": 1})])
-        writer.put_many("demo", [({"k": 2}, {"v": 2})])
-
-    def test_stats_report_writer_segments(self, tmp_path, capsys):
-        self._fill_segments(tmp_path)
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "3 entries" in out
-        assert "writer serve123" in out
-        assert "1 writer segment file(s)" in out
-        assert "cache gc" in out  # points at the merge verb
-
-    def test_gc_reports_the_merge_and_unifies_the_log(
-        self, tmp_path, capsys
-    ):
-        self._fill_segments(tmp_path)
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "merged 1 writer segment(s) (2 entries)" in out
-        assert "3 live entries" in out
-        assert not list((tmp_path / "demo").glob("data.*.jsonl"))
-
-        # A second gc has nothing to merge and stays quiet about it.
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "merged" not in out
-        assert "3 live entries" in out

@@ -14,8 +14,10 @@ The entry points are:
 * ``ablations``; ``fig2 --workers 2 --seed``; a sweep with
   ``--executor serial`` and one with ``--executor subprocess-workers``;
   two commands that fail with a typed error;
-* ``sweep`` on every ``examples/*.toml`` scenario, plus one
-  ``--allocator 'hydra[gp]'`` and one ``--workload`` override;
+* ``sweep`` on every ``examples/*.toml`` scenario, plus a one-point
+  sweep with ``--allocator 'hydra[gp]'``, the same with
+  ``--allocator binpack-worst-fit --allocator binpack-next-fit``, and
+  one ``--workload`` override;
 * ``ablate`` on every ``examples/*.toml`` ablation document, also
   with ``--axis``;
 * ``cache stats`` and ``cache gc`` on the populated store, and ``cache
@@ -276,9 +278,15 @@ def run_entry_points(workdir: Path) -> None:
             _cli(command, "--config", str(config), *smoke, "--axis", "ordering")
     # hydra[gp] solves a geometric program per probe (~1 s per task set
     # at smoke scale): one task set at one point is enough to reach it.
+    # The same point reaches the two bin-packing rules that no example
+    # allocates with.
     one_point = workdir / "one_point.toml"
     one_point.write_text(_ONE_POINT)
     _cli("sweep", "--config", str(one_point), *smoke, "--allocator", "hydra[gp]")
+    _cli(
+        "sweep", "--config", str(one_point), *smoke,
+        "--allocator", "binpack-worst-fit", "--allocator", "binpack-next-fit",
+    )
     _cli("sweep", "--config", custom, *smoke, "--workload", "uunifast")
     _cli("cache", "stats", "--cache-dir", store)
     _cli("cache", "gc", "--cache-dir", store)
