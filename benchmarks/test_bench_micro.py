@@ -86,7 +86,8 @@ def test_randfixedsum(benchmark):
 
 
 def test_randfixedsum_single(benchmark):
-    """The one-vector draw every synthetic task set makes (the walk on
+    """The one-vector draw every synthetic task set makes (the band
+    walk, which builds only columns 0..k+1 of Stafford's table on
     Python floats); unpinned, a tripwire next to the calibration."""
     rng = np.random.default_rng(5)
     out = benchmark(randfixedsum, 40, 6.0, 1, rng)

@@ -37,7 +37,10 @@ shard is empty) holds it, so no writer can interleave with, overwrite
 or drop another's records.  Reads take no lock: an index line is
 written only after its record, and a read that races a compaction
 finds at worst a stale offset, which the stored-key check turns into
-a miss that recomputes.
+a miss.  A shard remembers the inode and size of the log its index
+covers, so a miss on a log that another writer has since appended to
+or compacted reloads the index once and reads again; a store that is
+its log's only writer never reloads.
 
 A writable open stamps the format marker when the root has none, so
 a later build with a different layout refuses the directory instead
@@ -148,20 +151,35 @@ class _Shard:
         self.data_path = directory / _DATA_NAME
         self.index_path = directory / _INDEX_NAME
         self._index: dict[str, tuple[int, int]] | None = None
+        #: ``(st_ino, st_size)`` of the log that ``_index`` covers
+        #: (``None``: no log): a log that differs holds records another
+        #: writer appended or moved since.
+        self._covers: tuple[int, int] | None = None
+        #: Guards ``_index`` and ``_covers`` between the threads that
+        #: share a store (a job runner's drain thread and a synchronous
+        #: run), so the two always change together.  Taken before the
+        #: store lock, never while holding it.
+        self._mutex = threading.Lock()
 
     # -- index ---------------------------------------------------------
 
     @property
     def index(self) -> dict[str, tuple[int, int]]:
         if self._index is None:
-            self._index = self._load_index()
+            self._load_index()
         return self._index
 
-    def _data_size(self) -> int:
+    def _log_state(self) -> tuple[int, int] | None:
+        """``(st_ino, st_size)`` of the data log, ``None`` if absent."""
         try:
-            return self.data_path.stat().st_size
+            stat = self.data_path.stat()
         except OSError:
-            return 0
+            return None
+        return stat.st_ino, stat.st_size
+
+    def _data_size(self) -> int:
+        state = self._log_state()
+        return state[1] if state else 0
 
     def _tmp_path(self, target: Path) -> Path:
         """The atomic-write temporary for ``target``, unique per
@@ -195,23 +213,30 @@ class _Shard:
             except OSError:
                 pass  # e.g. an unwritable directory: harmless leftover
 
-    def _load_index(self) -> dict[str, tuple[int, int]]:
-        self._clean_stale_tmp()
-        index = self._read_index()
-        if index is not None:
-            return index
-        if self.readonly:
-            return self._scan()
-        # Persist the rebuilt index.  The scan and the write both hold
-        # the lock: an append between them would be missing from the
-        # written index, and the next compaction would drop it.
-        try:
-            with _locked(self.lock_path):
+    def _load_index(self) -> None:
+        """Load the index and the log state it covers, rebuilding a
+        lost or stale index from the log."""
+        with self._mutex:
+            self._clean_stale_tmp()
+            # Taken before the read: an append in between costs at
+            # most one needless reload, never a record.
+            covers = self._log_state()
+            index = self._read_index()
+            if index is None and self.readonly:
                 index = self._scan()
-                self._write_index(index)
-            return index
-        except OSError:  # read paths must not fail on an unwritable dir
-            return self._scan()
+            elif index is None:
+                # Persist the rebuilt index.  The scan and the write
+                # both hold the lock: an append between them would be
+                # missing from the written index, and the next
+                # compaction would drop it.
+                try:
+                    with _locked(self.lock_path):
+                        covers = self._log_state()
+                        index = self._scan()
+                        self._write_index(index)
+                except OSError:  # reads must not fail on an unwritable dir
+                    index = self._scan()
+            self._index, self._covers = index, covers
 
     def _read_index(self) -> dict[str, tuple[int, int]] | None:
         """The index on disk, or ``None`` when it must be rebuilt: it
@@ -287,7 +312,24 @@ class _Shard:
         self, requests: Sequence[tuple[str, Mapping[str, Any]]]
     ) -> list[dict[str, Any] | None]:
         """Payloads for ``(digest, key_payload)`` requests (``None`` per
-        miss).  One file handle serves the whole batch."""
+        miss).  One file handle serves the whole batch.
+
+        When a request misses and the log is no longer the one the
+        index covers, another writer appended to it or compacted it:
+        the index is reloaded once and only the misses are read again.
+        A store that is the log's only writer never reloads."""
+        results = self._read(requests)
+        missed = [i for i, payload in enumerate(results) if payload is None]
+        if missed and self._log_state() != self._covers:
+            self._load_index()
+            retried = self._read([requests[i] for i in missed])
+            for i, payload in zip(missed, retried):
+                results[i] = payload
+        return results
+
+    def _read(
+        self, requests: Sequence[tuple[str, Mapping[str, Any]]]
+    ) -> list[dict[str, Any] | None]:
         results: list[dict[str, Any] | None] = [None] * len(requests)
         index = self.index
         located = [
@@ -336,7 +378,7 @@ class _Shard:
         # log: once this batch's index lines land after a tail that a
         # crashed writer left unindexed, the index would look complete.
         if self._index is None:
-            self._index = self._load_index()
+            self._load_index()
         lines = [
             (
                 digest,
@@ -350,11 +392,18 @@ class _Shard:
             for digest, key_payload, payload in entries
         ]
         positions: list[tuple[str, int, int]] = []
-        with _locked(self.lock_path):
+        with self._mutex, _locked(self.lock_path):
             # gc may have removed an emptied shard's directory.
             self.directory.mkdir(parents=True, exist_ok=True)
             with self.data_path.open("a+b") as handle:
                 end = handle.seek(0, os.SEEK_END)
+                inode = os.fstat(handle.fileno()).st_ino
+                held_records = end > 0
+                # The index still covers the log if no other writer
+                # has appended to it or compacted it since it loaded.
+                covered = self._covers == (inode, end) or (
+                    self._covers is None and not held_records
+                )
                 if end and os.pread(handle.fileno(), 1, end - 1) != b"\n":
                     # A torn tail (killed mid-write) must not
                     # concatenate with the next record into one
@@ -366,10 +415,22 @@ class _Shard:
                     positions.append((digest, end, len(line) - 1))
                     end += len(line)
                 handle.write(b"".join(line for _, line in lines))
-            with self.index_path.open("ab") as handle:
-                handle.write(b"".join(_index_line(*at) for at in positions))
-            for digest, offset, length in positions:
-                self._index[digest] = (offset, length)
+            if held_records and not self.index_path.exists():
+                # The index was lost after this store loaded it.  This
+                # batch's lines alone would read as a complete index
+                # and hide every earlier record, so rebuild it whole.
+                self._index = self._scan()
+                self._write_index(self._index)
+                covered = True
+            else:
+                with self.index_path.open("ab") as handle:
+                    handle.write(
+                        b"".join(_index_line(*at) for at in positions)
+                    )
+                for digest, offset, length in positions:
+                    self._index[digest] = (offset, length)
+            if covered:
+                self._covers = (inode, end)
 
     # -- maintenance -------------------------------------------------------
 
@@ -382,7 +443,7 @@ class _Shard:
         All of it holds the store lock, and the live records are read
         from the index on disk, not from memory, so records that other
         writers appended since this shard was loaded are kept."""
-        with _locked(self.lock_path):
+        with self._mutex, _locked(self.lock_path):
             index = self._read_index()
             if index is None:
                 index = self._scan()
@@ -392,7 +453,7 @@ class _Shard:
                         path.unlink()
                 with contextlib.suppress(OSError):
                     self.directory.rmdir()
-                self._index = {}
+                self._index, self._covers = {}, None
                 return None
             old_bytes = self._data_size() + (
                 self.index_path.stat().st_size
@@ -418,7 +479,7 @@ class _Shard:
                     offset += len(raw) + 1
             os.replace(tmp, self.data_path)
             self._write_index(new_index)
-            self._index = new_index
+            self._index, self._covers = new_index, self._log_state()
             new_bytes = self._data_size() + self.index_path.stat().st_size
         return {
             "entries": len(new_index),

@@ -13,9 +13,27 @@ This is a from-scratch implementation of J. Stafford's dynamic-
 programming construction (the same algorithm Emberson's ``taskgen``
 tool uses), extended with an affine transform for general per-component
 bounds ``[lo, hi]``.
+
+The construction is a table of simplex volumes ``w`` (``n`` rows,
+``n + 1`` columns), the transition probabilities ``t`` derived from
+it, and a walk that reads one ``t`` per component.  A draw of
+``nsets > 1`` vectors builds the whole table in numpy, ``O(n²)``, and
+walks every column at once.  A draw of one vector, which every
+synthetic task set makes, builds only the *band* of columns
+``0..k+1`` of ``w`` on Python floats, where ``k = min(⌊u⌋, n−1)``:
+``O(n·(k+2))``.  The band is exact, not an approximation: the walk
+starts at column ``k`` of ``t`` and only moves left; ``t[r, c]`` reads
+only ``w[r, c]``, ``w[r, c+1]`` and ``w[r+1, c+1]``; and ``w[r, c]``
+depends only on columns ``≤ c`` of row ``r−1``.  A negative column is
+reachable only after a decision uniform of exactly 0.0, and the whole
+table never fills the cell it then reads, so that cell holds 0.0.
+With the table's float operations in its order, the one-vector draw is
+bitwise the ``nsets > 1`` route run on one column.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -76,34 +94,55 @@ def _walk_vectors(
     return x
 
 
-def _walk_one(
-    k: int, s: float, t: np.ndarray, rt: np.ndarray, rs: np.ndarray
+def _walk_band(
+    n: int, u: float, rt: np.ndarray, rs: np.ndarray
 ) -> list[float]:
-    """:func:`_walk_vectors` for one column (``rt``/``rs`` of length
-    ``n−1``), on Python floats.
-
-    Every step does the vector walk's float operations in its order, so
-    the draw is bitwise the same; only the power stays a numpy array
-    operation, on a length-1 slice as in the walk over one column,
-    because Python's ``**`` (libm) rounds differently in a few percent
-    of draws.
+    """The sampling walk for one vector (``rt``/``rs`` of length
+    ``n−1``) on Python floats, over the band of the volume table that
+    the module docstring describes, with :func:`_simplex_table`'s float
+    operations in its order: bitwise :func:`_walk_vectors` on one
+    column.  Each step's power stays numpy's array power on a length-1
+    slice, because Python's ``**`` (libm) rounds differently in a few
+    percent of draws.
     """
-    n = len(rt) + 1
+    k = min(int(u), n - 1)
+    s = float(u)
+    s1 = [s - (k - c) for c in range(k + 1)]
+    s2 = [(k + n - c) - s for c in range(n)]
+    tiny = sys.float_info.min
+    w = [[0.0] * (k + 2) for _ in range(n)]
+    w[0][1] = sys.float_info.max
+    for i in range(2, n + 1):
+        above, row = w[i - 2], w[i - 1]
+        for c in range(min(i, k + 1)):
+            tmp1 = above[c + 1] * s1[c] / i
+            tmp2 = above[c] * s2[n - i + c] / i
+            row[c + 1] = tmp1 + tmp2
+
     decisions = rt.tolist()
     x = [0.0] * n
     sums = s
-    j = k + 1
+    c = k  # the column of t the next decision reads
     sm = 0.0
     pr = 1.0
     for i in range(n - 1, 0, -1):
-        row = n - i - 1
-        e = 1.0 if decisions[row] <= t.item(i - 1, j - 1) else 0.0
-        sx = (rs[row : row + 1] ** (1.0 / i)).item()
+        step = n - i - 1
+        if c < 0:
+            t = 0.0
+        else:
+            # t[i−1, c], which _simplex_table fills at its step i + 1
+            tmp1 = w[i - 1][c + 1] * s1[c] / (i + 1)
+            tmp2 = w[i - 1][c] * s2[step + c] / (i + 1)
+            tmp3 = w[i][c + 1] + tiny
+            tmp4 = 1.0 if s2[step + c] > s1[c] else 0.0
+            t = (tmp2 / tmp3) * tmp4 + (1.0 - tmp1 / tmp3) * (1.0 - tmp4)
+        e = 1.0 if decisions[step] <= t else 0.0
+        sx = (rs[step : step + 1] ** (1.0 / i)).item()
         sm = sm + (1.0 - sx) * pr * sums / (i + 1)
         pr = sx * pr
-        x[row] = sm + pr * e
+        x[step] = sm + pr * e
         sums = sums - e
-        j -= int(e)
+        c -= int(e)
     x[n - 1] = sm + pr * sums
     return x
 
@@ -115,16 +154,21 @@ def _randfixedsum_unit(
     ``[0,1]^n`` each summing to ``u`` (requires ``0 ≤ u ≤ n``)."""
     if n == 1:
         return np.full((nsets, 1), u)
-    k, s, t = _simplex_table(n, u)
     rt = rng.uniform(size=(n - 1, nsets))  # simplex-type decisions
     rs = rng.uniform(size=(n - 1, nsets))  # position inside the simplex
 
     # The walk fills dimensions in a fixed order; permute each sample
     # so every coordinate is exchangeable.  Every task set of a sweep
-    # draws one vector, which the walk on Python floats serves.
+    # draws one vector, which the band walk serves: it builds only
+    # columns 0..k+1 of Stafford's table, O(n·(k+2)) against O(n²).
+    # That is exact: a walk from column k only moves left, column c of
+    # t reads columns c and c+1 of the volumes, each of which needs no
+    # column right of it, and a negative column (after a decision of
+    # exactly 0.0) reads 0.0 from either table.
     if nsets == 1:
-        x = np.array(_walk_one(k, s, t, rt[:, 0], rs[:, 0]))
+        x = np.array(_walk_band(n, u, rt[:, 0], rs[:, 0]))
         return x[rng.permutation(n)][np.newaxis, :]
+    k, s, t = _simplex_table(n, u)
     x = _walk_vectors(k, s, t, rt, rs)
     for col in range(nsets):
         x[:, col] = x[rng.permutation(n), col]

@@ -2,10 +2,11 @@
 
 UUniFast [Bini & Buttazzo, RTSJ 2005] draws a utilisation vector
 summing to ``u`` by peeling the remaining sum with order-statistic
-factors — ``O(n)`` per vector, against Randfixedsum's ``O(n²)`` table
-build — but its components are unbounded above, so on multicore
-targets (``u > 1``) a draw can demand more than one core from a single
-task.  UUniFast-Discard [Emberson et al., WATERS 2010] repairs that by
+factors — ``O(n)`` per vector, against the ``O(n·(k+2))`` band
+(``k = ⌊u⌋``) of Randfixedsum's table that its one-vector draw builds —
+but its components are unbounded above, so on multicore targets
+(``u > 1``) a draw can demand more than one core from a single task.
+UUniFast-Discard [Emberson et al., WATERS 2010] repairs that by
 resampling vectors containing any component above 1 until one is
 admissible.
 

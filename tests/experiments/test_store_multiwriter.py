@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.experiments.store import ResultStore, _locked
+from repro.experiments.store import ResultStore, _locked, _Shard
 
 KIND = "demo"
 #: Records per ``put_many`` call in the concurrency tests.
@@ -125,6 +125,47 @@ class TestConcurrentWriters:
         assert not any(thread.is_alive() for thread in threads)
         _assert_all_readable(tmp_path, 2 * n)
 
+    def test_a_store_reading_while_others_append_ends_up_hitting_all(
+        self, tmp_path
+    ):
+        """One thread reads through a store (each miss on a moved log
+        reloads its index) while another appends through it and a
+        second store appends beside them: afterwards the shared store
+        hits every record without a stale index."""
+        store = ResultStore(tmp_path)
+        n = 200
+        keys = [_key(i) for i in range(2 * n)]
+        done = threading.Event()
+
+        def read() -> None:
+            while not done.is_set():
+                store.get_many(KIND, keys)
+
+        threads = [
+            threading.Thread(target=_append, args=(store, 0, n)),
+            threading.Thread(
+                target=_append, args=(ResultStore(tmp_path), n, n)
+            ),
+        ]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [reader, *threads])
+        assert store.get_many(KIND, keys) == [
+            _payload(i) for i in range(2 * n)
+        ]
+        _assert_all_readable(tmp_path, 2 * n)
+
     def test_gc_during_appends_keeps_every_record(self, tmp_path):
         ResultStore(tmp_path)
         n = 400
@@ -213,6 +254,62 @@ class TestOneLog:
         assert ResultStore(tmp_path).gc()["reclaimed_bytes"] > 0
         _append(early, BATCH, BATCH)
         _assert_all_readable(tmp_path, 2 * BATCH)
+
+    def test_an_append_after_a_lost_index_keeps_earlier_records(
+        self, tmp_path
+    ):
+        """An index deleted after a store loaded it is rebuilt whole by
+        that store's next append, not recreated with the batch alone."""
+        store = ResultStore(tmp_path)
+        _append(store, 0, BATCH)
+        (tmp_path / KIND / "index.jsonl").unlink()
+        _append(store, BATCH, BATCH)
+        _assert_all_readable(tmp_path, 2 * BATCH)
+        assert ResultStore(tmp_path).gc()["entries"] == 2 * BATCH
+        _assert_all_readable(tmp_path, 2 * BATCH)
+
+    def test_a_loaded_store_hits_records_another_stores_gc_moved(
+        self, tmp_path
+    ):
+        _append(ResultStore(tmp_path), 0, 10)
+        _append(ResultStore(tmp_path), 0, 5)  # duplicates for gc to drop
+        reader = ResultStore(tmp_path)
+        keys = [_key(i) for i in range(10)]
+        assert reader.get_many(KIND, keys) == [_payload(i) for i in range(10)]
+        assert ResultStore(tmp_path).gc()["entries"] == 10
+        assert reader.get_many(KIND, keys) == [_payload(i) for i in range(10)]
+        assert (reader.hits, reader.misses) == (20, 0)
+
+    def test_a_loaded_store_hits_records_appended_after_its_load(
+        self, tmp_path
+    ):
+        reader = ResultStore(tmp_path)
+        _append(reader, 0, BATCH)
+        assert reader.get_many(KIND, [_key(BATCH)]) == [None]
+        _append(ResultStore(tmp_path), BATCH, BATCH)
+        # the reader's own append must not pass for a reload
+        _append(reader, 2 * BATCH, BATCH)
+        keys = [_key(i) for i in range(3 * BATCH)]
+        assert reader.get_many(KIND, keys) == [
+            _payload(i) for i in range(3 * BATCH)
+        ]
+
+    def test_the_only_writer_never_reloads(self, tmp_path, monkeypatch):
+        loads: list[_Shard] = []
+        load = _Shard._load_index
+
+        def counted(shard: _Shard) -> None:
+            loads.append(shard)
+            load(shard)
+
+        monkeypatch.setattr(_Shard, "_load_index", counted)
+        store = ResultStore(tmp_path)
+        for start in range(0, 4 * BATCH, BATCH):
+            keys = [_key(i) for i in range(start + BATCH)]
+            assert store.get_many(KIND, keys).count(None) == BATCH
+            _append(store, start, BATCH)
+        assert store.get_many(KIND, [_key(-1)]) == [None]
+        assert len(loads) == 1
 
     def test_an_append_recreates_a_shard_gc_removed(self, tmp_path):
         torn = tmp_path / KIND / "data.jsonl"

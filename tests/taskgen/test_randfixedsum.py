@@ -11,6 +11,7 @@ from repro.errors import ValidationError
 from repro.taskgen.randfixedsum import (
     _randfixedsum_unit,
     _simplex_table,
+    _walk_band,
     _walk_vectors,
     randfixedsum,
 )
@@ -210,6 +211,52 @@ class TestSingleVectorWalk:
         assert single.tobytes() == vector.tobytes()
         # both routes leave the stream at the same place
         assert single_rng.random() == vector_rng.random()
+
+
+def _columns(n, k, t, rt):
+    """The columns of ``t`` that the walk over ``rt`` reads, as
+    :func:`_walk_vectors` moves through them."""
+    j, columns = k + 1, []
+    for i in range(n - 1, 0, -1):
+        columns.append(j - 1)
+        j -= int(rt[n - i - 1] <= t[i - 1, j - 1])
+    return columns
+
+
+class TestBandWalk:
+    """The one-vector walk builds only columns 0..k+1 of Stafford's
+    table; every draw must still be bitwise the whole table's."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 25])
+    @pytest.mark.parametrize("u", [0.0, 0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("below", [1, 2])
+    def test_zero_decisions_reach_negative_columns(self, n, u, below):
+        u = min(u, float(n))
+        k, s, t = _simplex_table(n, u)
+        rng = np.random.default_rng(n)
+        rt = rng.uniform(size=n - 1)
+        rs = rng.uniform(size=n - 1)
+        # each exact 0.0 moves the walk one column left; the positive
+        # decisions after them read column −below
+        rt[: k + below] = 0.0
+        if n > k + below + 1:
+            assert min(_columns(n, k, t, rt)) == -below
+        band = np.array(_walk_band(n, u, rt, rs))
+        vector = _walk_vectors(k, s, t, rt[:, np.newaxis], rs[:, np.newaxis])
+        assert band.tobytes() == vector[:, 0].tobytes()
+
+    def test_every_shelf_up_to_forty_components(self):
+        # every integer and half-integer u in [0, n]: every k = ⌊u⌋
+        # from 0 to n − 1, with the top corner u = n capped at n − 1
+        for n in range(1, 41):
+            for twice_u in range(2 * n + 1):
+                u = twice_u / 2
+                seed = 1000 * n + twice_u
+                single = _randfixedsum_unit(
+                    n, u, 1, np.random.default_rng(seed)
+                )
+                vector = _vector_route(n, u, np.random.default_rng(seed))
+                assert single.tobytes() == vector.tobytes(), (n, u)
 
 
 class TestProperties:

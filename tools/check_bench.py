@@ -59,11 +59,11 @@ recorded on one box, CI runs on another), so every pinned mean is
 accident).  The gate fails when a pinned benchmark's normalised mean
 regresses more than ``--tolerance`` (default 30%) past the baseline.
 The calibration draws ``nsets = 50`` vectors on purpose: that is the
-vector route, which the one-vector walk on Python floats every task
-set takes (``test_randfixedsum_single``, unpinned) leaves alone.  It
-draws one fixed ``(n, u)`` every round, so no cache may ever serve it:
-a cache would shrink its mean and so inflate every normalised mean the
-gate checks.
+vector route, which keeps the full numpy table and which the one-vector
+band walk every task set takes (``test_randfixedsum_single``, unpinned)
+leaves alone.  It draws one fixed ``(n, u)`` every round, so no cache
+may ever serve it: a cache would shrink its mean and so inflate every
+normalised mean the gate checks.
 
 Regenerate the baseline after an *intended* perf change::
 
