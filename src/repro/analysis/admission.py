@@ -11,11 +11,17 @@ probe only pays for what the candidate can actually change:
 * **Divergence cut-off.**  When the *higher-priority* utilisation seen
   by the lowest-priority task reaches 1, its fixed point diverges and
   the reference test rejects, so such probes are rejected in O(1)
-  without touching any fixed point.  (Total utilisation > 1 alone is
-  *not* used: the reference checks first-job response times only, and
-  those can all pass even on an overloaded core.)  The comparison
-  carries a ``1e-7`` safety margin so it can only fire where the
-  reference's own exact-sum precheck provably also diverges.
+  without touching any fixed point.  The comparison carries a ``1e-7``
+  safety margin so it can only fire where the reference's own
+  exact-sum precheck provably also diverges.  (Total utilisation above
+  1 is not used.  With constrained deadlines ``D ≤ T`` the
+  lowest-priority task responds no sooner than ``C/(1 − U_hp)``, which
+  passes its period once the total exceeds 1, so the reference does
+  reject such a core — up to its fixed point's absolute ``1e-12``
+  convergence step, which can stop the iteration short and pass a core
+  whose total exceeds 1 by up to about ``1e-12/T``.  On small enough
+  time scales that exceeds any fixed margin, while ``Σ_hp U ≥ 1``
+  makes the reference's own precheck diverge at every scale.)
 * **Higher-priority invariance.**  A task's response time depends only
   on its *higher-priority* interferers, and every resident task was
   verified when it was admitted.  Adding a candidate therefore leaves
@@ -37,8 +43,15 @@ probe only pays for what the candidate can actually change:
   resident its previous cached response, the candidate the cold-start
   iterate ``C + Σ_hp C_j``.  Responses only grow as tasks are added,
   so the cache stays a valid warm start for every later solve.
+* **Lowest-priority resident first.**  The core's last resident sees
+  every other task as interference, so it is the task most likely to
+  miss once a candidate joins above it.  A probe checks it before the
+  candidate and the residents in between, and a rejection usually
+  costs that one fixed point.  Its interferers and bound sums are the
+  ones the top-down walk would give it, so the verdict and every
+  response are unchanged.
 
-All four properties are decision-preserving, so the verdict is
+All five properties are decision-preserving, so the verdict is
 identical to calling :func:`repro.analysis.schedulability.rta_test` on
 the rebuilt task list at every core size — pinned by an equivalence
 property suite (including deadlines within an ulp of the response
@@ -50,6 +63,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable
 
@@ -116,13 +130,10 @@ def _rm_key(task: RealTimeTask) -> tuple[float, float, str]:
     return (task.period, -task.wcet, task.name)
 
 
-def _insertion_point(
-    entries: list[tuple], key: tuple[float, float, str]
-) -> int:
-    """Where a task with RM ``key`` joins the RM-sorted ``entries``:
-    after every resident with an equal key, as the stable sort in
-    ``rate_monotonic_order`` places a task appended to the residents."""
-    return bisect_right(entries, key, key=itemgetter(0))
+def _resum(prefix: list[float], terms: Iterable[float], pos: int) -> None:
+    """Rebuild the running sums ``prefix`` from index ``pos`` on, adding
+    ``terms`` (the summands from ``pos`` on) left to right."""
+    prefix[pos:] = accumulate(terms, initial=prefix[pos])
 
 
 def _fixed_point(
@@ -185,19 +196,19 @@ class ExactAdmissionCore:
     """Mutable admission state of one core under exact RM analysis.
 
     :meth:`admits` is a pure query (would the core accept this task?);
-    :meth:`add` commits a placement.  Residents are kept as plain
-    ``(C, T)`` pairs in rate-monotonic order alongside the terms of the
-    response-time bound and cached lower bounds on their response
-    times, ready to feed the bound and the fixed-point loop without
-    building intermediate objects.
+    :meth:`add` commits a placement.  Residents are kept as parallel
+    lists in rate-monotonic order — plain RM keys, ``(C, T)`` pairs,
+    deadlines, the bound's terms ``U`` and ``C(1 − U)``, prefix sums of
+    ``C``, ``U`` and ``C(1 − U)``, and cached lower bounds on their
+    response times — so a probe reads its candidate's interference sums
+    off the prefixes and slices its interferers, with no loop over the
+    residents above it.
     """
 
     __slots__ = (
-        "_entries",
-        "_responses",
-        "_utilization",
-        "_pending",
-        "_feasible",
+        "_keys", "_pairs", "_deadlines", "_utils", "_slacks",
+        "_prefix_wcet", "_prefix_util", "_prefix_slack",
+        "_responses", "_utilization", "_pending", "_feasible",
     )
 
     def __init__(self, tasks: Iterable[RealTimeTask] = ()) -> None:
@@ -210,23 +221,27 @@ class ExactAdmissionCore:
         subsequent probe (exactly as the from-scratch reference test
         would, since response times are monotone in the task set).
         """
-        # One entry per resident, RM-sorted: (rm_key, (wcet, period),
-        # deadline, U, C(1 − U)); the last two feed the response-time
-        # bound of every task below it.
-        self._entries: list[
-            tuple[
-                tuple[float, float, str],
-                tuple[float, float],
-                float,
-                float,
-                float,
-            ]
-        ] = []
-        # Cached lower bound on each resident's response time, parallel
-        # to ``_entries``: the exact response where a fixed point ran,
-        # an earlier value where the bound decided (``inf`` = past
-        # deadline).
+        # One entry per resident in each, RM-sorted: the RM key (for
+        # ``bisect_right``), ``(C, T)``, the deadline, and ``U`` and
+        # ``C(1 − U)``, which feed the response-time bound of every
+        # task below it.
+        self._keys: list[tuple[float, float, str]] = []
+        self._pairs: list[tuple[float, float]] = []
+        self._deadlines: list[float] = []
+        self._utils: list[float] = []
+        self._slacks: list[float] = []
+        # Σ C, Σ U and Σ C(1 − U) over the first i residents at index i,
+        # added left to right from 0.0: the very floats a loop over the
+        # residents above an insertion point accumulates, so Σ C is the
+        # sum ``_fixed_point`` starts from.
+        self._prefix_wcet = [0.0]
+        self._prefix_util = [0.0]
+        self._prefix_slack = [0.0]
+        # Cached lower bound on each resident's response time: the exact
+        # response where a fixed point ran, an earlier value where the
+        # bound decided (``inf`` = past deadline).
         self._responses: list[float] = []
+        # Σ U in add order, for the divergence cut-off.
         self._utilization = 0.0
         # Responses computed by the last *accepting* probe, keyed by
         # (rm_key, deadline) so a matching ``add`` can splice them in
@@ -245,36 +260,41 @@ class ExactAdmissionCore:
     def add(self, task: RealTimeTask) -> None:
         """Commit ``task`` to the core (no admission check)."""
         key = _rm_key(task)
-        pos = _insertion_point(self._entries, key)
-        if self._pending is not None and self._pending[0] == (
+        pos = bisect_right(self._keys, key)
+        # The heuristics always commit the task their accepting probe
+        # just verified — reuse that probe's responses, which it found
+        # all within their deadlines.
+        reuse = self._pending is not None and self._pending[0] == (
             key,
             task.deadline,
-        ):
-            # The heuristics always commit the task their accepting
-            # probe just verified — reuse that probe's responses.
-            responses = self._pending[1]
-        else:
-            responses = self._solve_with_inserted(pos, task)
+        )
+        responses = (
+            self._pending[1] if reuse else self._solve_with_inserted(pos, task)
+        )
         wcet, period = task.wcet, task.period
         util = wcet / period
-        self._entries.insert(
-            pos,
-            (key, (wcet, period), task.deadline, util, wcet * (1.0 - util)),
-        )
+        self._keys.insert(pos, key)
+        self._pairs.insert(pos, (wcet, period))
+        self._deadlines.insert(pos, task.deadline)
+        self._utils.insert(pos, util)
+        self._slacks.insert(pos, wcet * (1.0 - util))
+        _resum(self._prefix_wcet, map(itemgetter(0), self._pairs[pos:]), pos)
+        _resum(self._prefix_util, self._utils[pos:], pos)
+        _resum(self._prefix_slack, self._slacks[pos:], pos)
         self._responses = responses
         self._utilization += util
         self._pending = None
-        self._feasible = all(
-            r <= entry[2] + 1e-9
-            for r, entry in zip(responses, self._entries)
-        )
+        if not reuse:
+            self._feasible = all(
+                r <= d + 1e-9 for r, d in zip(responses, self._deadlines)
+            )
 
     def _solve_with_inserted(
         self, pos: int, task: RealTimeTask, stop_at_miss: bool = False
     ) -> list[float] | None:
         """Lower bounds on the response times of all current residents
         plus ``task`` inserted at ``pos`` — computed against the
-        *pre-insert* ``_entries``/``_responses`` state.
+        *pre-insert* state.
 
         Residents above ``pos`` keep their cached responses.  For the
         candidate and each resident below it, the response-time bound
@@ -282,45 +302,56 @@ class ExactAdmissionCore:
         its cold-start iterate ``C + Σ_hp C`` and a resident keeps its
         cached response.  Otherwise the task runs the exact fixed
         point, a resident warm-started from its cached response, over
-        an interferer list that grows in RM order so each fixed point
-        matches the from-scratch evaluation.  With ``stop_at_miss`` the
-        solve returns ``None`` at the first task past its deadline.
+        its interferers in RM order, with the bound's sums added in RM
+        order too, so each fixed point matches the from-scratch
+        evaluation.  The lowest-priority resident is solved first, then
+        the candidate and the residents in between; with
+        ``stop_at_miss`` the solve returns ``None`` at the first task
+        past its deadline.
         """
-        entries = self._entries
-        cached = self._responses
-        hp_pairs: list[tuple[float, float]] = []
-        # Σ C, Σ U and Σ C(1 − U) over ``hp_pairs``, left to right from
-        # 0.0, so Σ C is the very sum ``_fixed_point`` starts from.
-        hp_wcet = hp_util = hp_slack = 0.0
-        for _, pair, _, util, slack in entries[:pos]:
-            hp_pairs.append(pair)
-            hp_wcet += pair[0]
-            hp_util += util
-            hp_slack += slack
+        pairs, deadlines, cached = self._pairs, self._deadlines, self._responses
         wcet, period, deadline = task.wcet, task.period, task.deadline
+        last = len(pairs) - 1
+        if pos <= last:
+            # Every lower resident's interferers, Σ U and Σ C(1 − U): the
+            # candidate's prefix sums, then the candidate, then the
+            # residents in between, in RM order.
+            util = wcet / period
+            hp_pairs = pairs[:last]
+            hp_pairs.insert(pos, (wcet, period))
+            hp_utils = list(accumulate(
+                self._utils[pos:last], initial=self._prefix_util[pos] + util
+            ))
+            hp_slacks = list(accumulate(
+                self._slacks[pos:last],
+                initial=self._prefix_slack[pos] + wcet * (1.0 - util),
+            ))
+            lowest, limit = cached[last], deadlines[last]
+            c = pairs[last][0]
+            if _bound(c, hp_utils[-1], hp_slacks[-1]) > limit * _BOUND_SCALE:
+                lowest = _fixed_point(c, hp_pairs, limit, start=lowest)
+                if stop_at_miss and not lowest <= limit + 1e-9:
+                    return None
+        hp_util, hp_slack = self._prefix_util[pos], self._prefix_slack[pos]
         if _bound(wcet, hp_util, hp_slack) <= deadline * _BOUND_SCALE:
-            cand = wcet + hp_wcet
+            cand = wcet + self._prefix_wcet[pos]
         else:
-            cand = _fixed_point(wcet, hp_pairs, deadline)
+            cand = _fixed_point(wcet, pairs[:pos], deadline)
             if stop_at_miss and not cand <= deadline + 1e-9:
                 return None
         responses = cached[:pos]
         responses.append(cand)
-        hp_pairs.append((wcet, period))
-        util = wcet / period
-        hp_util += util
-        hp_slack += wcet * (1.0 - util)
-        for idx in range(pos, len(entries)):
-            _, pair, deadline, util, slack = entries[idx]
-            r = cached[idx]
-            if _bound(pair[0], hp_util, hp_slack) > deadline * _BOUND_SCALE:
-                r = _fixed_point(pair[0], hp_pairs, deadline, start=r)
-                if stop_at_miss and not r <= deadline + 1e-9:
+        if pos > last:
+            return responses
+        for idx in range(pos, last):
+            r, limit, c = cached[idx], deadlines[idx], pairs[idx][0]
+            hp = idx - pos
+            if _bound(c, hp_utils[hp], hp_slacks[hp]) > limit * _BOUND_SCALE:
+                r = _fixed_point(c, hp_pairs[: idx + 1], limit, start=r)
+                if stop_at_miss and not r <= limit + 1e-9:
                     return None
             responses.append(r)
-            hp_pairs.append(pair)
-            hp_util += util
-            hp_slack += slack
+        responses.append(lowest)
         return responses
 
     def admits(self, task: RealTimeTask) -> bool:
@@ -336,24 +367,20 @@ class ExactAdmissionCore:
             # same failing resident.
             return False
         key = _rm_key(task)
-        pos = _insertion_point(self._entries, key)
+        pos = bisect_right(self._keys, key)
         # O(1) divergence cut-off: the lowest-priority task after
         # insertion sees every other task as higher priority.  If that
         # higher-priority utilisation reaches 1 its fixed point
-        # diverges, so the reference test rejects too.  (Total
-        # utilisation > 1 alone is NOT sufficient — rta_test checks
-        # first-job response times only, and those can all pass on an
-        # overloaded core as long as each task's own hp-utilisation
-        # stays below 1.)
-        if self._entries and pos == len(self._entries):
-            lowest_util = task.wcet / task.period
-        elif self._entries:
-            last_pair = self._entries[-1][1]
-            lowest_util = last_pair[0] / last_pair[1]
-        else:
-            lowest_util = task.wcet / task.period
+        # diverges, so the reference test rejects too.  (A total
+        # utilisation above 1 is not a safe cut-off: the reference's
+        # fixed point stops once an iterate grows by at most an
+        # absolute 1e-12, which on small enough time scales passes a
+        # constrained-deadline core whose total exceeds 1 — see the
+        # module docstring.)
+        util = task.wcet / task.period
+        lowest_util = self._utils[-1] if pos < len(self._utils) else util
         if (
-            self._utilization + task.wcet / task.period - lowest_util
+            self._utilization + util - lowest_util
             >= 1.0 + _UTILIZATION_MARGIN
         ):
             return False

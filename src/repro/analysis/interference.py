@@ -83,11 +83,19 @@ class InterferenceEnv:
     __slots__ = ("_interferers", "_total_wcet", "_utilization")
 
     def __init__(self, interferers: Iterable[Interferer] = ()) -> None:
-        self._interferers = tuple(interferers)
-        total_wcet = utilization = 0.0
-        for interferer in self._interferers:
+        self._interferers: tuple[Interferer, ...] = ()
+        self._total_wcet = self._utilization = 0.0
+        self._append(interferers)
+
+    def _append(self, extra: Iterable[Interferer]) -> None:
+        """Append ``extra``, continuing both sums over it from the
+        current totals, left to right."""
+        extra = tuple(extra)
+        total_wcet, utilization = self._total_wcet, self._utilization
+        for interferer in extra:
             total_wcet += interferer.wcet
             utilization += interferer.utilization
+        self._interferers += extra
         self._total_wcet = total_wcet
         self._utilization = utilization
 
@@ -124,11 +132,18 @@ class InterferenceEnv:
     def extended(self, extra: Iterable[Interferer]) -> "InterferenceEnv":
         """Environment with additional interferers appended.
 
-        The sums are recomputed over the whole tuple in order, so a
-        chain of ``extended`` calls gives the very floats of one
-        :meth:`on_core` call over the same interferers.
+        The sums continue from this environment's totals over ``extra``
+        alone.  A left-to-right sum with the new terms last is exactly
+        the old total plus those terms, so a chain of ``extended`` calls
+        gives the very floats of one :meth:`on_core` call over the same
+        interferers.
         """
-        return InterferenceEnv((*self._interferers, *extra))
+        env = InterferenceEnv.__new__(InterferenceEnv)
+        env._interferers = self._interferers
+        env._total_wcet = self._total_wcet
+        env._utilization = self._utilization
+        env._append(extra)
+        return env
 
     def interference(self, period: float) -> float:
         """Eq. (5): linearised interference in a window of length

@@ -47,6 +47,7 @@ __all__ = [
     "workload_mini_aggregate",
     "allocator_mini_spec",
     "allocator_mini_aggregate",
+    "partition_mini_spec",
 ]
 
 
@@ -155,6 +156,33 @@ def allocator_mini_spec() -> list[SweepSpec]:
     return ScenarioExperiment(parse_scenario(document)).sweeps(SCALES["smoke"])
 
 
+def partition_mini_spec() -> list[SweepSpec]:
+    """Every partitioning heuristic under every task ordering: a
+    scenario grid at 2, 4 and 8 cores (one spec each), 3 points × 6
+    task sets, with HYDRA and SingleCore on the exact-RTA partitions.
+    The points reach near saturation, where probes are rejected and
+    the heuristics' core orders decide which core a task lands on."""
+    from repro.experiments.scenario import ScenarioExperiment, parse_scenario
+    from repro.partition.heuristics import HEURISTICS, ORDERINGS
+
+    document = {
+        "sweep": {
+            "name": "partition-mini",
+            "seed": 2018,
+            "tasksets_per_point": 6,
+            "utilization": {"start": 0.6, "stop": 0.9, "step": 0.15},
+        },
+        "grid": {
+            "cores": [2, 4, 8],
+            "allocator": ["hydra", "singlecore"],
+            "heuristic": list(HEURISTICS),
+            "ordering": list(ORDERINGS),
+            "admission": ["rta"],
+        },
+    }
+    return ScenarioExperiment(parse_scenario(document)).sweeps(SCALES["smoke"])
+
+
 # -- the aggregate summarisers -----------------------------------------------
 
 
@@ -222,6 +250,8 @@ def workload_mini_aggregate(spec: SweepSpec, payloads) -> list[dict[str, Any]]:
 def allocator_mini_aggregate(
     specs: list[SweepSpec], payloads
 ) -> list[dict[str, Any]]:
+    """Cell counts per core count and point; also the ``partition_mini``
+    fixture's summariser."""
     points = ((s, p) for s in specs for p in s.points)
     return [
         {
@@ -251,6 +281,11 @@ def _extra_fixtures() -> dict[str, GoldenFixture]:
             build_spec=allocator_mini_spec,
             summarize=allocator_mini_aggregate,
         ),
+        "partition_mini": GoldenFixture(
+            name="partition_mini",
+            build_spec=partition_mini_spec,
+            summarize=allocator_mini_aggregate,
+        ),
     }
 
 
@@ -258,7 +293,7 @@ def golden_fixtures() -> dict[str, GoldenFixture]:
     """Every registered experiment's golden fixture, keyed by fixture
     name (one JSON file each under ``tests/experiments/golden/``),
     plus the scenario-sweep extras (:func:`workload_mini_spec`,
-    :func:`allocator_mini_spec`)."""
+    :func:`allocator_mini_spec`, :func:`partition_mini_spec`)."""
     from repro.experiments.registry import iter_experiments
 
     fixtures: dict[str, GoldenFixture] = {}

@@ -35,6 +35,7 @@ empty cores first, so it gets no such shortcut.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Sequence
 
 from repro.analysis.admission import ExactAdmissionCore
@@ -82,6 +83,23 @@ def _ordered_tasks(
     )
 
 
+class _RebuildCore:
+    """A core admitted through an opaque test: each probe tests the
+    core's task list rebuilt with the candidate appended."""
+
+    __slots__ = ("_test", "_tasks")
+
+    def __init__(self, test: AdmissionTest) -> None:
+        self._test = test
+        self._tasks: list[RealTimeTask] = []
+
+    def admits(self, task: RealTimeTask) -> bool:
+        return self._test([*self._tasks, task])
+
+    def add(self, task: RealTimeTask) -> None:
+        self._tasks.append(task)
+
+
 def try_partition_tasks(
     tasks: Iterable[RealTimeTask],
     platform: Platform,
@@ -118,58 +136,51 @@ def try_partition_tasks(
     task_list = list(tasks)
     ordered = _ordered_tasks(task_list, ordering)
 
-    per_core: dict[int, list[RealTimeTask]] = {m: [] for m in platform}
-    # Running utilisation per core: the best/worst-fit sort keys would
-    # otherwise re-sum every core's tasks for every candidate of every
-    # placement — a hot path under the Monte-Carlo sweeps.
-    core_util: dict[int, float] = {m: 0.0 for m in platform}
-    assignment: dict[str, int] = {}
-    next_fit_pointer = 0
-
     # The default exact-RTA admission keeps incremental per-core state
     # (higher-priority response times cannot change when a task is
     # added below them), which answers each probe at a fraction of the
     # from-scratch cost with a bit-identical verdict.  Any other test —
-    # a different name or a caller-supplied callable — takes the
-    # generic rebuild-and-test path.
-    states: dict[int, ExactAdmissionCore] | None = (
-        {m: ExactAdmissionCore() for m in platform}
-        if test is rta_test
-        else None
-    )
-
-    def admits(core: int, task: RealTimeTask) -> bool:
-        if states is not None:
-            return states[core].admits(task)
-        return test([*per_core[core], task])
+    # a different name or a caller-supplied callable — rebuilds and
+    # tests the core's task list on every probe.
+    cores = [
+        ExactAdmissionCore() if test is rta_test else _RebuildCore(test)
+        for _ in platform
+    ]
+    # Running utilisation per core, and the cores in probe order as
+    # sorted (key, core) pairs: best-fit ranks the fullest core first
+    # and worst-fit the emptiest, ties broken by index; first-fit keeps
+    # index order.  A placement moves only the chosen core's key, so
+    # only that core is re-inserted instead of re-sorting every core
+    # for every task.
+    core_util = [0.0] * platform.num_cores
+    order = [(0.0, m) for m in platform]
+    assignment: dict[str, int] = {}
+    next_fit_pointer = 0
 
     for task in ordered:
         if heuristic == "next-fit":
-            core = next_fit_pointer
-            while core < platform.num_cores and not admits(core, task):
-                core += 1
-            if core >= platform.num_cores:
-                return None
-            next_fit_pointer = core
-            chosen = core
+            chosen = next_fit_pointer
+            while not cores[chosen].admits(task):
+                chosen += 1
+                if chosen == len(cores):
+                    return None
+            next_fit_pointer = chosen
         else:
-            if heuristic == "best-fit":
-                order = sorted(platform, key=lambda m: (-core_util[m], m))
-            elif heuristic == "worst-fit":
-                order = sorted(platform, key=lambda m: (core_util[m], m))
-            else:  # first-fit: keep core-index order.
-                order = list(platform)
             # Probing cores in key order means the first admitting core
-            # is the one the old sort-then-pick would have chosen, and
-            # no admission test runs past it.
-            chosen = next((m for m in order if admits(m, task)), None)
-            if chosen is None:
+            # is the one a sort-then-pick would choose, and no admission
+            # test runs past it.
+            for rank, (_, chosen) in enumerate(order):
+                if cores[chosen].admits(task):
+                    break
+            else:
                 return None
-        per_core[chosen].append(task)
+        cores[chosen].add(task)
         core_util[chosen] += task.utilization
-        if states is not None:
-            states[chosen].add(task)
         assignment[task.name] = chosen
+        if heuristic == "best-fit" or heuristic == "worst-fit":
+            util = core_util[chosen]
+            del order[rank]
+            insort(order, (-util if heuristic == "best-fit" else util, chosen))
 
     return Partition(platform, TaskSet(task_list), assignment)
 

@@ -15,6 +15,9 @@ list would:
   deadline at or above ``R`` passes, one below ``R`` fails.  The same
   holds after light residents were admitted through the bound, whose
   cached responses are then stale lower bounds;
+* a probe checks the core's lowest-priority resident first, so a miss
+  there rejects after that one fixed point, and probes that join above
+  every resident keep the cached responses lower bounds;
 * fig2's smoke grid partitions identically through the core and
   through the rebuild-and-test path.
 """
@@ -328,6 +331,75 @@ def test_bound_admissions_cache_stale_lower_bounds():
     mid = RealTimeTask(name="mid", wcet=40.0, period=50.0)
     assert rta_test([low, high, mid])
     assert state.admits(mid)
+
+
+#: Three residents whose bounds fail once the probe joins above them but
+#: whose exact responses fit (2.5 ≤ 2.6, 7 ≤ 7.5, 18 ≤ 19), above a
+#: lowest-priority resident that responds at 34 alone and at 38 with the
+#: probe; the probe itself has the top priority, so its bound decides.
+_STACKED = [
+    RealTimeTask(name="r1", wcet=2.0, period=10.0, deadline=2.6),
+    RealTimeTask(name="r2", wcet=4.0, period=20.0, deadline=7.5),
+    RealTimeTask(name="r3", wcet=8.0, period=40.0, deadline=19.0),
+]
+_TOP_PROBE = RealTimeTask(name="p", wcet=0.5, period=5.0)
+
+
+def _counting_fixed_point(calls: list[tuple[float, int]]):
+    """``_fixed_point`` that records each call's ``(wcet, len(pairs))``."""
+    fixed_point = admission._fixed_point
+
+    def counted(wcet, pairs, limit, start=None):
+        calls.append((wcet, len(pairs)))
+        return fixed_point(wcet, pairs, limit, start)
+
+    return counted
+
+
+def test_a_missing_lowest_priority_resident_rejects_after_one_fixed_point():
+    """The lowest-priority resident misses once the probe joins, so the
+    probe is settled by its fixed point alone; a top-down walk would
+    first solve the three residents in between."""
+    lowest = RealTimeTask(name="low", wcet=10.0, period=80.0, deadline=36.0)
+    residents = [*_STACKED, lowest]
+    assert rta_test(residents) and not rta_test([*residents, _TOP_PROBE])
+    state = ExactAdmissionCore(residents)
+    calls: list[tuple[float, int]] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "_fixed_point", _counting_fixed_point(calls))
+        assert not state.admits(_TOP_PROBE)
+    assert calls == [(lowest.wcet, 4)]
+
+
+def test_an_accepted_probe_solves_the_lowest_priority_resident_first():
+    """With the lowest resident's deadline at its response (38), the
+    probe is accepted: the lowest resident is solved first, then the
+    three in between, and the committed responses are lower bounds."""
+    lowest = RealTimeTask(name="low", wcet=10.0, period=80.0, deadline=38.0)
+    residents = [*_STACKED, lowest]
+    assert rta_test([*residents, _TOP_PROBE])
+    state = ExactAdmissionCore(residents)
+    calls: list[tuple[float, int]] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "_fixed_point", _counting_fixed_point(calls))
+        assert state.admits(_TOP_PROBE)
+        state.add(_TOP_PROBE)
+    assert calls == [(10.0, 4), (2.0, 1), (4.0, 2), (8.0, 3)]
+    assert state._responses == [0.5, 2.5, 7.0, 18.0, 38.0]
+    _assert_cached_lower_bounds(state, [*residents, _TOP_PROBE])
+
+
+@settings(max_examples=30, deadline=None)
+@given(stream=large_cores)
+def test_probes_above_every_resident_keep_lower_bounds(stream):
+    """A stream in reverse RM order joins every probe above the whole
+    core, so each one solves the lowest-priority resident first: every
+    boundary probe gets the reference verdict, and the cached responses
+    stay lower bounds after every ``add``."""
+    stream = sorted(
+        stream, key=lambda t: (t.period, -t.wcet, t.name), reverse=True
+    )
+    _walk_boundaries(ExactAdmissionCore(), [], stream)
 
 
 def test_tied_rm_keys_follow_the_reference_order():

@@ -103,6 +103,32 @@ class TestInterferenceEnv:
         assert env.total_wcet == 0.6000000000000001
         assert env.utilization == 0.6000000000000001
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chain=st.lists(
+            st.lists(
+                st.builds(
+                    Interferer,
+                    st.floats(min_value=1e-3, max_value=50.0),
+                    st.floats(min_value=1.0, max_value=1000.0),
+                ),
+                max_size=4,
+            ),
+            max_size=8,
+        )
+    )
+    def test_extended_chain_equals_one_env(self, chain):
+        """Any chain of ``extended`` calls, empty and multi-interferer
+        extensions included, gives the interferers and the very floats
+        of one environment over the concatenated interferers."""
+        env = InterferenceEnv()
+        for extra in chain:
+            env = env.extended(extra)
+        whole = InterferenceEnv([i for extra in chain for i in extra])
+        assert env.interferers == whole.interferers
+        assert env.total_wcet == whole.total_wcet
+        assert env.utilization == whole.utilization
+
 
 class TestLinearHelpers:
     def test_linear_bound_met_true_and_false(self):

@@ -10,7 +10,12 @@ Structural facts the allocators and the batched solver rely on:
   to ``max(T_des, R)``;
 * :func:`core_response_times`'s entry for the lowest-priority task
   equals a direct :func:`response_time` call over all higher-priority
-  tasks as interferers.
+  tasks as interferers;
+* with constrained deadlines and periods of at least 1, a core whose
+  total utilisation exceeds 1 by ``1e-9`` or more fails ``rta_test``:
+  the lowest-priority task responds no sooner than ``C/(1 − U_hp)``,
+  past its period, and the fixed point's absolute ``1e-12``
+  convergence step is far too small to hide that.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.analysis.rta import (
     response_time,
     response_times_batch,
 )
+from repro.analysis.schedulability import rta_test
 from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
@@ -161,3 +167,41 @@ def test_batch_agrees_with_scalar_everywhere(data):
             assert math.isinf(b)
         else:
             assert abs(scalar[task.name] - b) <= 1e-9
+
+
+@st.composite
+def _overloaded_cores(draw):
+    """2 to 8 tasks with periods ≥ 1 (arbitrary or harmonic), deadlines
+    between C and T, and utilisations summing to 1 + 1e-9 … 1.05."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    total = draw(st.floats(min_value=1.0 + 1e-9, max_value=1.05))
+    shares = [draw(st.floats(min_value=0.1, max_value=1.0)) for _ in range(n)]
+    harmonic = draw(st.booleans())
+    base = draw(st.floats(min_value=1.0, max_value=100.0))
+    tasks = []
+    for i, share in enumerate(shares):
+        if harmonic:
+            period = base * draw(st.sampled_from((1, 2, 4, 8)))
+        else:
+            period = draw(st.floats(min_value=1.0, max_value=1000.0))
+        wcet = period * total * share / sum(shares)
+        deadline = wcet + (period - wcet) * draw(st.floats(0.0, 1.0))
+        tasks.append(
+            RealTimeTask(
+                name=f"t{i:02d}", wcet=wcet, period=period,
+                deadline=min(period, deadline),
+            )
+        )
+    assume(math.fsum(t.utilization for t in tasks) >= 1.0 + 1e-9)
+    return tasks
+
+
+@settings(max_examples=300, deadline=None)
+@given(tasks=_overloaded_cores())
+def test_total_utilization_above_one_fails_rta(tasks):
+    """The fact behind the admission core's divergence cut-off:
+    ``rta_test`` rejects every such core here.  Only on time scales
+    small enough for the ``1e-12`` convergence step to matter (WCETs
+    near ``1e-12``) does one pass, so the cut-off leaves the total
+    alone and compares the higher-priority utilisation instead."""
+    assert not rta_test(tasks)

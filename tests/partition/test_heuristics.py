@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.schedulability import rta_test
 from repro.errors import PartitioningError
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
-from repro.partition.heuristics import partition_tasks, try_partition_tasks
+from repro.partition.heuristics import (
+    HEURISTICS,
+    ORDERINGS,
+    partition_tasks,
+    try_partition_tasks,
+)
 
 
 def rt(name: str, util: float, period: float = 100.0) -> RealTimeTask:
@@ -182,3 +189,84 @@ class TestFailureModes:
             t.name for m in wl.platform for t in partition.tasks_on(m)
         ]
         assert sorted(assigned) == sorted(wl.rt_tasks.names)
+
+
+#: Each ordering's task key (``None``: input order) and each
+#: heuristic's core key, as the module docstring states them.
+_TASK_KEYS = {
+    "utilization": lambda t: (-t.utilization, t.name),
+    "rm": lambda t: (t.period, -t.wcet, t.name),
+    "input": None,
+}
+_CORE_KEYS = {
+    "best-fit": lambda util, m: (-util, m),
+    "worst-fit": lambda util, m: (util, m),
+    "first-fit": lambda util, m: m,
+}
+
+
+def _reference_partition(tasks, cores, heuristic, ordering):
+    """The heuristics written out: for every task, re-sort the cores by
+    the heuristic's key (next-fit: the cores from its pointer on) and
+    admit through ``rta_test`` on the rebuilt core."""
+    key = _TASK_KEYS[ordering]
+    placed = [[] for _ in range(cores)]
+    util = [0.0] * cores
+    assignment, pointer = {}, 0
+    for task in sorted(tasks, key=key) if key else tasks:
+        if heuristic == "next-fit":
+            order = range(pointer, cores)
+        else:
+            core_key = _CORE_KEYS[heuristic]
+            order = sorted(range(cores), key=lambda m: core_key(util[m], m))
+        chosen = next((m for m in order if rta_test([*placed[m], task])), None)
+        if chosen is None:
+            return None
+        placed[chosen].append(task)
+        util[chosen] += task.utilization
+        assignment[task.name] = pointer = chosen
+    return assignment
+
+
+@st.composite
+def saturated_workloads(draw):
+    """2 to 8 cores and 2 to 4 tasks per core whose utilisations sum to
+    0.75–1.0 per core, some with constrained deadlines: enough load that
+    probes are rejected and some partitions fail."""
+    cores = draw(st.integers(min_value=2, max_value=8))
+    n = cores * draw(st.integers(min_value=2, max_value=4))
+    share = cores * draw(st.floats(min_value=0.75, max_value=1.0)) / n
+    tasks = []
+    for i in range(n):
+        period = draw(st.sampled_from((10.0, 20.0, 25.0, 50.0, 100.0)))
+        period *= draw(st.floats(min_value=1.0, max_value=3.0))
+        wcet = period * min(0.95, share * draw(st.floats(0.2, 1.8)))
+        deadline = period
+        if draw(st.booleans()):
+            deadline = wcet + (period - wcet) * draw(st.floats(0.5, 1.0))
+        tasks.append(
+            RealTimeTask(
+                name=f"t{i:02d}", wcet=wcet, period=period,
+                deadline=min(period, deadline),
+            )
+        )
+    return tasks, cores
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@settings(max_examples=20, deadline=None)
+@given(workload=saturated_workloads())
+def test_rta_partitions_match_the_reference_partitioner(
+    heuristic, ordering, workload
+):
+    """The kept probe order and the incremental admission place every
+    task where the per-task re-sort with ``rta_test`` places it, and
+    fail exactly where it fails."""
+    tasks, cores = workload
+    partition = try_partition_tasks(
+        tasks, Platform(cores), heuristic=heuristic, admission="rta",
+        ordering=ordering,
+    )
+    expected = _reference_partition(tasks, cores, heuristic, ordering)
+    assert (None if partition is None else partition.as_mapping()) == expected
