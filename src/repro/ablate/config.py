@@ -38,13 +38,16 @@ reimplemented.
 from __future__ import annotations
 
 import dataclasses
-import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ValidationError
-from repro.experiments.scenario import ScenarioConfig, parse_scenario
+from repro.experiments.scenario import (
+    ScenarioConfig,
+    parse_scenario,
+    read_toml,
+)
 
 __all__ = [
     "AXES",
@@ -267,13 +270,4 @@ def parse_ablation(document: Mapping[str, Any]) -> AblationConfig:
 
 def load_ablation(path: str | Path) -> AblationConfig:
     """Parse and validate an ablation TOML file."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"cannot read ablation config: {exc}") from None
-    try:
-        document = tomllib.loads(raw.decode())
-    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path} is not valid TOML: {exc}") from None
-    return parse_ablation(document)
+    return parse_ablation(read_toml(path, "ablation"))

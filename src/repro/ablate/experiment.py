@@ -13,18 +13,19 @@ registered by name (like
 service builds one from a ``POST /jobs`` ablation document.
 
 The domain result is :class:`AblationResult` — typed, versioned, with
-an exact JSON round trip (``encode_data``/``decode_data``) and a flat
-CSV view — holding the baseline summary, the per-component importance
-reports *ranked most-important-first*, explicit ``harmful`` verdicts
-(swapping the baseline component out improves the metric), and any
-skipped variants with reasons.  The scoring arithmetic itself lives in
-:mod:`repro.metrics.importance`.
+an exact JSON round trip through the experiment protocol's generic
+codec (the result's JSON ``data`` has its field names and shape) and a
+flat CSV view — holding the baseline summary, the per-component
+importance reports *ranked most-important-first*, explicit
+``harmful`` verdicts (swapping the baseline component out improves the
+metric), and any skipped variants with reasons.  The scoring
+arithmetic itself lives in :mod:`repro.metrics.importance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.ablate.config import AblationConfig
 from repro.ablate.runset import AblationRun, SkippedVariant, run_id, run_set
@@ -86,13 +87,17 @@ class RunSummary:
 @dataclass(frozen=True)
 class ComponentReport:
     """One swap's scored outcome: the variant run, its per-metric
-    deltas against the baseline, and the verdict."""
+    ``(metric, variant − baseline)`` deltas, and the verdict."""
 
     axis: str
     component: str
     run: RunSummary
-    score: ImportanceScore
+    deltas: tuple[tuple[str, float], ...]
     verdict: str
+
+    @property
+    def score(self) -> ImportanceScore:
+        return ImportanceScore(self.axis, self.component, self.deltas)
 
 
 @dataclass(frozen=True)
@@ -135,26 +140,6 @@ def _summarize_run(
         accepted=accepted,
         total=total,
         tightness_sum=tightness_sum,
-    )
-
-
-def _summary_to_data(summary: RunSummary) -> dict[str, Any]:
-    return {
-        "run_id": summary.run_id,
-        "label": summary.label,
-        "accepted": summary.accepted,
-        "total": summary.total,
-        "tightness_sum": summary.tightness_sum,
-    }
-
-
-def _summary_from_data(data: Mapping[str, Any]) -> RunSummary:
-    return RunSummary(
-        run_id=str(data["run_id"]),
-        label=str(data["label"]),
-        accepted=int(data["accepted"]),
-        total=int(data["total"]),
-        tightness_sum=float(data["tightness_sum"]),
     )
 
 
@@ -212,7 +197,7 @@ class AblationExperiment(Experiment):
                 axis=run.axis,
                 component=run.component,
                 run=summary,
-                score=score,
+                deltas=score.deltas,
                 verdict=swap_verdict(score),
             )
         ranked = rank_scores(r.score for r in reports.values())
@@ -236,78 +221,6 @@ class AblationExperiment(Experiment):
                 reports[(s.axis, s.component)] for s in ranked
             ),
             skipped=skipped,
-        )
-
-    # -- serialisation ----------------------------------------------------
-
-    def encode_data(self, domain: AblationResult) -> dict[str, Any]:
-        return {
-            "name": domain.name,
-            "scale": domain.scale,
-            "cores": list(domain.cores),
-            "tasksets_per_point": domain.tasksets_per_point,
-            "axes": list(domain.axes),
-            "baseline_components": [
-                [axis, component]
-                for axis, component in domain.baseline_components
-            ],
-            "baseline": _summary_to_data(domain.baseline),
-            "components": [
-                {
-                    "axis": report.axis,
-                    "component": report.component,
-                    "run": _summary_to_data(report.run),
-                    "deltas": [
-                        [metric, delta]
-                        for metric, delta in report.score.deltas
-                    ],
-                    "verdict": report.verdict,
-                }
-                for report in domain.components
-            ],
-            "skipped": [
-                {"axis": s.axis, "component": s.component, "reason": s.reason}
-                for s in domain.skipped
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> AblationResult:
-        return AblationResult(
-            name=str(data["name"]),
-            scale=str(data["scale"]),
-            cores=tuple(int(c) for c in data["cores"]),
-            tasksets_per_point=int(data["tasksets_per_point"]),
-            axes=tuple(str(a) for a in data["axes"]),
-            baseline_components=tuple(
-                (str(axis), str(component))
-                for axis, component in data["baseline_components"]
-            ),
-            baseline=_summary_from_data(data["baseline"]),
-            components=tuple(
-                ComponentReport(
-                    axis=str(c["axis"]),
-                    component=str(c["component"]),
-                    run=_summary_from_data(c["run"]),
-                    score=ImportanceScore(
-                        axis=str(c["axis"]),
-                        component=str(c["component"]),
-                        deltas=tuple(
-                            (str(metric), float(delta))
-                            for metric, delta in c["deltas"]
-                        ),
-                    ),
-                    verdict=str(c["verdict"]),
-                )
-                for c in data["components"]
-            ),
-            skipped=tuple(
-                SkippedVariant(
-                    axis=str(s["axis"]),
-                    component=str(s["component"]),
-                    reason=str(s["reason"]),
-                )
-                for s in data["skipped"]
-            ),
         )
 
     # -- reporting --------------------------------------------------------

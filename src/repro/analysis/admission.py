@@ -16,12 +16,12 @@ probe only pays for what the candidate can actually change:
   exact-sum precheck provably also diverges.  (Total utilisation above
   1 is not used.  With constrained deadlines ``D ≤ T`` the
   lowest-priority task responds no sooner than ``C/(1 − U_hp)``, which
-  passes its period once the total exceeds 1, so the reference does
-  reject such a core — up to its fixed point's absolute ``1e-12``
-  convergence step, which can stop the iteration short and pass a core
-  whose total exceeds 1 by up to about ``1e-12/T``.  On small enough
-  time scales that exceeds any fixed margin, while ``Σ_hp U ≥ 1``
-  makes the reference's own precheck diverge at every scale.)
+  passes its period once the total exceeds 1, so the reference rejects
+  such a core too, at every time scale: its fixed point stops on a
+  ``1e-12`` step relative to the iterate, which can hide an excess of
+  a few ``1e-12`` at most.  The higher-priority sum needs no such
+  argument: ``Σ_hp U ≥ 1`` makes the reference's own precheck
+  diverge.)
 * **Higher-priority invariance.**  A task's response time depends only
   on its *higher-priority* interferers, and every resident task was
   verified when it was admitted.  Adding a candidate therefore leaves
@@ -145,8 +145,8 @@ def _fixed_point(
     """Lean twin of :func:`repro.analysis.rta.response_time`.
 
     Identical numerics — same left-to-right accumulation order, same
-    divergence precheck, same ``1e-12`` ceiling guard and convergence
-    tolerance — with the per-call validation stripped: the admission
+    divergence precheck, same ``1e-12`` ceiling guard and relative
+    convergence step — with the per-call validation stripped: the admission
     state only ever feeds it ``(C, T)`` pairs it has already validated
     on :meth:`ExactAdmissionCore.add`, and this runs tens of thousands
     of times per utilisation sweep.
@@ -183,7 +183,7 @@ def _fixed_point(
         for c, t in pairs:
             acc += ceil(current / t - 1e-12) * c
         nxt = wcet + acc
-        if nxt <= current + 1e-12:
+        if nxt <= current * (1.0 + 1e-12):
             return current
         current = nxt
     raise ValidationError(
@@ -371,12 +371,11 @@ class ExactAdmissionCore:
         # O(1) divergence cut-off: the lowest-priority task after
         # insertion sees every other task as higher priority.  If that
         # higher-priority utilisation reaches 1 its fixed point
-        # diverges, so the reference test rejects too.  (A total
-        # utilisation above 1 is not a safe cut-off: the reference's
-        # fixed point stops once an iterate grows by at most an
-        # absolute 1e-12, which on small enough time scales passes a
-        # constrained-deadline core whose total exceeds 1 — see the
-        # module docstring.)
+        # diverges, so the reference test rejects too.  (The total
+        # utilisation is not compared: the reference's fixed point
+        # stops once an iterate grows by at most a relative 1e-12, so
+        # a total just above 1 would need a margin argument that this
+        # cut-off does not — see the module docstring.)
         util = task.wcet / task.period
         lowest_util = self._utils[-1] if pos < len(self._utils) else util
         if (

@@ -101,7 +101,7 @@ def response_time(
         for c, t in pairs:
             acc += math.ceil(current / t - 1e-12) * c
         nxt = wcet + blocking + acc
-        if nxt <= current + 1e-12:
+        if nxt <= current * (1.0 + 1e-12):
             return current
         current = nxt
     raise ValidationError(
@@ -125,11 +125,12 @@ def response_times_batch(
     fixed-point loops — and returns the response-time vector with
     ``inf`` marking tasks whose fixed point exceeds their deadline (or
     diverges).  It follows :func:`response_time`'s rules (same
-    initialisation, same ``1e-12`` ceiling guard, same divergence
-    precheck on the interferer utilisation), but numpy's row sum adds
-    the interference terms in a different order, so a response time
-    can differ from the scalar one by a few ulp — enough to flip a
-    verdict whose deadline lies that close to the response time.
+    initialisation, same ``1e-12`` ceiling guard and relative
+    convergence step, same divergence precheck on the interferer
+    utilisation), but numpy's row sum adds the interference terms in a
+    different order, so a response time can differ from the scalar one
+    by a few ulp — enough to flip a verdict whose deadline lies that
+    close to the response time.
 
     ``deadlines`` defaults to no limit (``inf`` everywhere); pass the
     deadline vector to reproduce the ``limit`` behaviour of the scalar
@@ -199,7 +200,7 @@ def response_times_batch(
                 break
         ceil_terms = np.ceil(cur[:, None] / period_vec[None, :] - 1e-12)
         nxt = w + blocking + (ceil_terms * mw).sum(axis=1)
-        settled = nxt <= cur + 1e-12
+        settled = nxt <= cur * (1.0 + 1e-12)
         if settled.any():
             result[rows[settled]] = cur[settled]
             keep = ~settled

@@ -56,6 +56,7 @@ __all__ = [
     "SearchAblationResult",
     "search_ablation",
     "ExtensionCell",
+    "ExtensionAblationResult",
     "extension_ablation",
     "format_search_ablation",
     "format_extension_ablation",
@@ -233,6 +234,13 @@ class ExtensionCell:
     missed_deadlines: int
 
 
+@dataclass(frozen=True)
+class ExtensionAblationResult:
+    """One :class:`ExtensionCell` per simulator mode."""
+
+    cells: tuple[ExtensionCell, ...]
+
+
 def extension_ablation(
     scale: ExperimentScale | None = None,
     cores: int = 4,
@@ -305,10 +313,6 @@ def _finite(value: float) -> float | None:
     return None if math.isinf(value) else value
 
 
-def _optional_float(value: Any) -> float | None:
-    return None if value is None else float(value)
-
-
 # -- formatting --------------------------------------------------------------
 
 
@@ -358,24 +362,6 @@ class SearchAblationExperiment(Experiment):
     def aggregate_domain(self, raw: RawRun) -> SearchAblationResult:
         return search_ablation(raw.scale)
 
-    def encode_data(self, domain: SearchAblationResult) -> dict[str, Any]:
-        return {
-            "systems": domain.systems,
-            "agreements": domain.agreements,
-            "exhaustive_lp_solves": domain.exhaustive_lp_solves,
-            "bnb_lp_solves": domain.bnb_lp_solves,
-            "bnb_nodes": domain.bnb_nodes,
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> SearchAblationResult:
-        return SearchAblationResult(
-            systems=int(data["systems"]),
-            agreements=int(data["agreements"]),
-            exhaustive_lp_solves=int(data["exhaustive_lp_solves"]),
-            bnb_lp_solves=int(data["bnb_lp_solves"]),
-            bnb_nodes=int(data["bnb_nodes"]),
-        )
-
     def render_domain(self, domain: SearchAblationResult) -> str:
         return format_search_ablation(domain)
 
@@ -410,44 +396,24 @@ class ExtensionAblationExperiment(Experiment):
     def sweeps(self, scale: ExperimentScale) -> list["SweepSpec"]:
         return []
 
-    def aggregate_domain(self, raw: RawRun) -> list[ExtensionCell]:
-        return extension_ablation(raw.scale, cores=self.cores)
+    def aggregate_domain(self, raw: RawRun) -> ExtensionAblationResult:
+        return ExtensionAblationResult(
+            tuple(extension_ablation(raw.scale, cores=self.cores))
+        )
 
-    def encode_data(self, domain: list[ExtensionCell]) -> dict[str, Any]:
-        return {
-            "cells": [
-                {
-                    "mode": c.mode,
-                    "mean_detection": c.mean_detection,
-                    "p90_detection": c.p90_detection,
-                    "missed_deadlines": c.missed_deadlines,
-                }
-                for c in domain
-            ],
-        }
+    def render_domain(self, domain: ExtensionAblationResult) -> str:
+        return format_extension_ablation(domain.cells)
 
-    def decode_data(self, data: Mapping[str, Any]) -> list[ExtensionCell]:
-        return [
-            ExtensionCell(
-                mode=str(c["mode"]),
-                mean_detection=_optional_float(c["mean_detection"]),
-                p90_detection=_optional_float(c["p90_detection"]),
-                missed_deadlines=int(c["missed_deadlines"]),
-            )
-            for c in data["cells"]
-        ]
-
-    def render_domain(self, domain: list[ExtensionCell]) -> str:
-        return format_extension_ablation(domain)
-
-    def table_rows(self, domain: list[ExtensionCell]) -> list[Sequence[Any]]:
+    def table_rows(
+        self, domain: ExtensionAblationResult
+    ) -> list[Sequence[Any]]:
         return [
             (c.mode, c.mean_detection, c.p90_detection, c.missed_deadlines)
-            for c in domain
+            for c in domain.cells
         ]
 
 
-def format_extension_ablation(cells: list[ExtensionCell]) -> str:
+def format_extension_ablation(cells: Sequence[ExtensionCell]) -> str:
     def ms(value: float | None) -> str:
         return "n/a" if value is None else f"{value:.0f}"
 

@@ -12,6 +12,10 @@ cache, golden-fixture machinery) speaks:
   the unit of cached, parallel work), ``aggregate(raw)`` (payloads →
   :class:`ExperimentResult`) and
   ``render(result)`` (result → report text).
+* One typed codec between a driver's domain result — a frozen
+  dataclass — and the result's JSON ``data``: ``encode_data`` writes
+  the fields by name, ``decode_data`` rebuilds them from the field
+  annotations, starting at ``aggregate_domain``'s return annotation.
 * :class:`ExperimentSpec` — declarative identity: name, title,
   description, schema version, tags.
 * :class:`ExperimentResult` — a typed, versioned result container with
@@ -33,11 +37,15 @@ section "Writing a new experiment".
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.experiments.config import ExperimentScale, get_scale
@@ -61,6 +69,90 @@ RESULT_FORMAT = 1
 
 def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: A field's (encode, decode) pair: domain value ↔ plain-JSON value.
+_Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
+#: Field types the codec writes as they are and reads back by calling
+#: the type (``float(3)`` is ``3.0``, as the JSON round trip needs).
+_SCALARS = (str, int, float, bool)
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _codec(annotation: Any) -> _Codec:
+    """The codec of one field annotation: a scalar, a frozen dataclass,
+    ``X | None``, ``tuple[X, ...]`` or ``tuple[X, Y, …]``.  Tuples are
+    written as lists; a tuple of scalars is copied in one step."""
+    if annotation in _SCALARS:
+        return _same, annotation
+    if dataclasses.is_dataclass(annotation):
+        return _dataclass_codec(annotation)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (types.UnionType, typing.Union) and (
+        len(args) == 2 and type(None) in args
+    ):
+        (inner,) = set(args) - {type(None)}
+        encode, decode = _codec(inner)
+        return (
+            lambda value: None if value is None else encode(value),
+            lambda value: None if value is None else decode(value),
+        )
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if args[0] in _SCALARS:
+            return list, lambda value: tuple(map(args[0], value))
+        encode, decode = _codec(args[0])
+        return (
+            lambda value: [encode(item) for item in value],
+            lambda value: tuple(decode(item) for item in value),
+        )
+    if origin is tuple and args and Ellipsis not in args:
+        encoders, decoders = zip(*map(_codec, args))
+        return (
+            lambda value: [f(x) for f, x in zip(encoders, value, strict=True)],
+            lambda value: tuple(
+                f(x) for f, x in zip(decoders, value, strict=True)
+            ),
+        )
+    raise ValidationError(f"unsupported annotation {annotation!r}")
+
+
+@functools.cache
+def _dataclass_codec(cls: type) -> _Codec:
+    """A dataclass as a JSON object keyed by its field names."""
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for field in dataclasses.fields(cls):
+        try:
+            fields.append((field.name, *_codec(hints[field.name])))
+        except ValidationError as exc:
+            raise ValidationError(
+                f"{cls.__name__}.{field.name}: {exc}"
+            ) from None
+
+    def encode(value: Any) -> dict[str, Any]:
+        return {name: enc(getattr(value, name)) for name, enc, _ in fields}
+
+    def decode(data: Mapping[str, Any]) -> Any:
+        return cls(**{name: dec(data[name]) for name, _, dec in fields})
+
+    return encode, decode
+
+
+@functools.cache
+def _domain_codec(experiment: type) -> _Codec:
+    """The codec of ``experiment``'s domain result: the dataclass its
+    ``aggregate_domain`` is annotated to return."""
+    domain = typing.get_type_hints(experiment.aggregate_domain).get("return")
+    if not (isinstance(domain, type) and dataclasses.is_dataclass(domain)):
+        raise ValidationError(
+            f"aggregate_domain must be annotated to return a dataclass, "
+            f"not {domain!r}"
+        )
+    return _dataclass_codec(domain)
 
 
 def _json_scalar(value: Any) -> Any:
@@ -224,18 +316,21 @@ class Experiment(ABC):
 
     Subclasses declare identity via class attributes (``name``,
     ``title``, ``description``, ``version``, ``tags``) and implement
-    the hooks marked abstract below.  Everything else — running the
-    whole experiment through a :class:`SweepEngine`, encoding the
+    the three hooks marked abstract below.  Everything else — running
+    the whole experiment through a :class:`SweepEngine`, encoding the
     result — is provided generically so the CLI, cache, and golden
     machinery never special-case an experiment.
 
-    The split between ``aggregate_domain``/``encode_data``/
-    ``decode_data`` keeps the domain dataclasses (``Fig2Result`` …) as
-    the primary objects: ``aggregate`` wraps them into a serialisable
-    :class:`ExperimentResult` and ``render`` decodes back before
+    The domain result (``Fig2Result`` …) stays the primary object:
+    ``aggregate`` encodes it into a serialisable
+    :class:`ExperimentResult` and ``render`` decodes it back before
     formatting, so a result loaded with
     :meth:`ExperimentResult.from_json` renders identically to a fresh
-    run.
+    run.  The codec is generic: the domain is the frozen dataclass
+    ``aggregate_domain`` is annotated to return, and its fields may be
+    ``str``, ``int``, ``float``, ``bool``, nested dataclasses,
+    ``tuple[X, ...]``, ``tuple[X, Y]`` and ``X | None``.  A domain of
+    any other shape overrides ``encode_data`` and ``decode_data``.
     """
 
     #: Registry name; also the CLI subcommand.
@@ -266,7 +361,7 @@ class Experiment(ABC):
             tags=tuple(self.tags),
         )
 
-    # -- the four experiment-specific hooks -------------------------------
+    # -- the three experiment-specific hooks ------------------------------
 
     @abstractmethod
     def sweeps(self, scale: ExperimentScale) -> Sequence[SweepSpec]:
@@ -277,22 +372,33 @@ class Experiment(ABC):
     @abstractmethod
     def aggregate_domain(self, raw: RawRun) -> Any:
         """Fold the raw per-point payloads into the experiment's domain
-        result object (``Fig2Result``, ``ScenarioResult``, …)."""
-
-    @abstractmethod
-    def encode_data(self, domain: Any) -> dict[str, Any]:
-        """Domain result → plain-JSON ``data`` payload (lists, dicts,
-        scalars only — it must survive a JSON round trip unchanged)."""
-
-    @abstractmethod
-    def decode_data(self, data: Mapping[str, Any]) -> Any:
-        """Inverse of :meth:`encode_data`."""
+        result object (``Fig2Result``, ``ScenarioResult``, …).  The
+        default codec reads the domain's dataclass from this method's
+        return annotation."""
 
     @abstractmethod
     def render_domain(self, domain: Any) -> str:
         """Domain result → the report text the CLI prints."""
 
     # -- optional hooks ----------------------------------------------------
+
+    def encode_data(self, domain: Any) -> dict[str, Any]:
+        """Domain result → plain-JSON ``data`` payload: a JSON object
+        per dataclass, keyed by field name, and a list per tuple."""
+        return self._result_codec()[0](domain)
+
+    def decode_data(self, data: Mapping[str, Any]) -> Any:
+        """Inverse of :meth:`encode_data`."""
+        return self._result_codec()[1](data)
+
+    def _result_codec(self) -> _Codec:
+        try:
+            return _domain_codec(type(self))
+        except (ValidationError, NameError) as exc:
+            raise ValidationError(
+                f"experiment {self.name!r} cannot use the default result "
+                f"codec ({exc}); override encode_data and decode_data"
+            ) from None
 
     def table_rows(self, domain: Any) -> Iterable[Sequence[Any]]:
         """Rows of the flat tabular (CSV) view; pairs with ``columns``."""

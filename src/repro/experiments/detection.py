@@ -389,54 +389,6 @@ class DetectionScenarioExperiment(ScenarioExperiment):
             panels=tuple(panels),
         )
 
-    def encode_data(self, domain: DetectionResult) -> dict[str, Any]:
-        return {
-            "name": domain.name,
-            "scale": domain.scale,
-            "panels": [
-                {
-                    "cores": panel.cores,
-                    "cells": [
-                        {
-                            "utilization": cell.utilization,
-                            "scheme": cell.scheme,
-                            "times": list(cell.times),
-                            "censored": cell.censored,
-                            "undetectable": cell.undetectable,
-                            "allocated": cell.allocated,
-                            "total": cell.total,
-                        }
-                        for cell in panel.cells
-                    ],
-                }
-                for panel in domain.panels
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> DetectionResult:
-        return DetectionResult(
-            name=str(data["name"]),
-            scale=str(data["scale"]),
-            panels=tuple(
-                DetectionPanel(
-                    cores=int(p["cores"]),
-                    cells=tuple(
-                        DetectionCell(
-                            utilization=float(c["utilization"]),
-                            scheme=str(c["scheme"]),
-                            times=tuple(float(t) for t in c["times"]),
-                            censored=int(c["censored"]),
-                            undetectable=int(c["undetectable"]),
-                            allocated=int(c["allocated"]),
-                            total=int(c["total"]),
-                        )
-                        for c in p["cells"]
-                    ),
-                )
-                for p in data["panels"]
-            ),
-        )
-
     def _row(self, cell: DetectionCell) -> tuple:
         if cell.times:
             p95 = EmpiricalCDF(cell.times).quantile(0.95)

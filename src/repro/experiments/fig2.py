@@ -11,7 +11,7 @@ security task through one core starves the low-priority ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.experiments.api import Experiment, GoldenFixture, RawRun
 from repro.experiments.config import ExperimentScale
@@ -143,36 +143,6 @@ class Fig2Experiment(Experiment):
                     )
                 )
         return Fig2Result(points=tuple(points), scale=raw.scale.name)
-
-    def encode_data(self, domain: Fig2Result) -> dict[str, Any]:
-        return {
-            "scale": domain.scale,
-            "points": [
-                {
-                    "cores": p.cores,
-                    "utilization": p.utilization,
-                    "ratio_hydra": p.ratio_hydra,
-                    "ratio_single": p.ratio_single,
-                    "tasksets": p.tasksets,
-                }
-                for p in domain.points
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> Fig2Result:
-        return Fig2Result(
-            points=tuple(
-                Fig2Point(
-                    cores=int(p["cores"]),
-                    utilization=float(p["utilization"]),
-                    ratio_hydra=float(p["ratio_hydra"]),
-                    ratio_single=float(p["ratio_single"]),
-                    tasksets=int(p["tasksets"]),
-                )
-                for p in data["points"]
-            ),
-            scale=str(data["scale"]),
-        )
 
     def render_domain(self, domain: Fig2Result) -> str:
         return format_fig2(domain)

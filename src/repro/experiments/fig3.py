@@ -15,7 +15,7 @@ and are skipped; task sets where only HYDRA fails score Δη = 100 %
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.experiments.api import Experiment, GoldenFixture, RawRun
 from repro.experiments.config import ExperimentScale
@@ -134,38 +134,6 @@ class Fig3Experiment(Experiment):
             )
         return Fig3Result(
             points=tuple(points), scale=raw.scale.name, search=self.search
-        )
-
-    def encode_data(self, domain: Fig3Result) -> dict[str, Any]:
-        return {
-            "scale": domain.scale,
-            "search": domain.search,
-            "points": [
-                {
-                    "utilization": p.utilization,
-                    "mean_gap": p.mean_gap,
-                    "max_gap": p.max_gap,
-                    "compared": p.compared,
-                    "hydra_failures": p.hydra_failures,
-                }
-                for p in domain.points
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> Fig3Result:
-        return Fig3Result(
-            points=tuple(
-                Fig3Point(
-                    utilization=float(p["utilization"]),
-                    mean_gap=float(p["mean_gap"]),
-                    max_gap=float(p["max_gap"]),
-                    compared=int(p["compared"]),
-                    hydra_failures=int(p["hydra_failures"]),
-                )
-                for p in data["points"]
-            ),
-            scale=str(data["scale"]),
-            search=str(data["search"]),
         )
 
     def render_domain(self, domain: Fig3Result) -> str:

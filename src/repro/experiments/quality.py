@@ -16,7 +16,7 @@ stops accepting anything at all (where Fig. 2 takes over the story).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.experiments.api import Experiment, RawRun
 from repro.experiments.config import ExperimentScale
@@ -109,40 +109,6 @@ class QualityExperiment(Experiment):
             )
         return QualityResult(
             points=tuple(points), scale=raw.scale.name, cores=self.cores
-        )
-
-    def encode_data(self, domain: QualityResult) -> dict[str, Any]:
-        return {
-            "scale": domain.scale,
-            "cores": domain.cores,
-            "points": [
-                {
-                    "cores": p.cores,
-                    "utilization": p.utilization,
-                    "both_accepted": p.both_accepted,
-                    "tasksets": p.tasksets,
-                    "mean_tightness_hydra": p.mean_tightness_hydra,
-                    "mean_tightness_single": p.mean_tightness_single,
-                }
-                for p in domain.points
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> QualityResult:
-        return QualityResult(
-            points=tuple(
-                QualityPoint(
-                    cores=int(p["cores"]),
-                    utilization=float(p["utilization"]),
-                    both_accepted=int(p["both_accepted"]),
-                    tasksets=int(p["tasksets"]),
-                    mean_tightness_hydra=float(p["mean_tightness_hydra"]),
-                    mean_tightness_single=float(p["mean_tightness_single"]),
-                )
-                for p in data["points"]
-            ),
-            scale=str(data["scale"]),
-            cores=int(data["cores"]),
         )
 
     def render_domain(self, domain: QualityResult) -> str:

@@ -64,7 +64,7 @@ import math
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -233,48 +233,51 @@ class ScenarioConfig:
     def with_allocators(self, allocators: Sequence[str]) -> "ScenarioConfig":
         """A copy sweeping ``allocators`` (the ``--allocator`` override).
 
-        Validates like the TOML axis: every spec must be registered
-        (unknown names raise the registry's typed error listing what is
-        known) and duplicates are rejected, not silently double-counted.
+        Validates like the TOML axis (see :func:`_override_specs`).
         """
         from repro.allocators import get_allocator_info
 
-        seen: set[str] = set()
-        for spec in allocators:
-            get_allocator_info(spec)
-            if spec in seen:
-                raise ValidationError(
-                    f"invalid scenario config: --allocator {spec!r} "
-                    f"given more than once"
-                )
-            seen.add(spec)
         return dataclasses.replace(
-            self, allocators=tuple(allocators), allocator_axis=True
+            self,
+            allocators=_override_specs(
+                allocators, "--allocator", get_allocator_info
+            ),
+            allocator_axis=True,
         )
 
     def with_workloads(self, workloads: Sequence[str]) -> "ScenarioConfig":
         """A copy sweeping ``workloads`` (the ``--workload`` override).
 
-        Validates like the TOML axis: every spec must be registered
-        (unknown names raise the registry's typed
-        :class:`~repro.workloads.UnknownWorkloadError` listing what is
-        known) and duplicates are rejected, not silently
-        double-counted.
+        Validates like the TOML axis (see :func:`_override_specs`).
         """
         from repro.workloads import get_workload_info
 
-        seen: set[str] = set()
-        for spec in workloads:
-            get_workload_info(spec)
-            if spec in seen:
-                raise ValidationError(
-                    f"invalid scenario config: --workload {spec!r} "
-                    f"given more than once"
-                )
-            seen.add(spec)
         return dataclasses.replace(
-            self, workloads=tuple(workloads), workload_axis=True
+            self,
+            workloads=_override_specs(
+                workloads, "--workload", get_workload_info
+            ),
+            workload_axis=True,
         )
+
+
+def _override_specs(
+    specs: Sequence[str], flag: str, lookup: Callable[[str], Any]
+) -> tuple[str, ...]:
+    """The specs of one command-line axis override, validated like the
+    TOML axis: ``lookup`` raises its registry's typed error (listing
+    what is known) on an unknown spec, and duplicates are rejected, not
+    silently double-counted."""
+    seen: set[str] = set()
+    for spec in specs:
+        lookup(spec)
+        if spec in seen:
+            raise ValidationError(
+                f"invalid scenario config: {flag} {spec!r} "
+                f"given more than once"
+            )
+        seen.add(spec)
+    return tuple(specs)
 
 
 def _require(
@@ -505,20 +508,23 @@ def parse_scenario(document: Mapping[str, Any]) -> ScenarioConfig:
     )
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario TOML file."""
+def read_toml(path: str | Path, noun: str) -> dict[str, Any]:
+    """The TOML document at ``path``.  A file that cannot be read, or
+    is not UTF-8 TOML, is a typed error naming the ``noun`` config."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ValidationError(f"cannot read scenario config: {exc}") from None
+        raise ValidationError(f"cannot read {noun} config: {exc}") from None
     try:
-        document = tomllib.loads(raw.decode())
+        return tomllib.loads(raw.decode())
     except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(
-            f"{path} is not valid TOML: {exc}"
-        ) from None
-    return parse_scenario(document)
+        raise ValidationError(f"{path} is not valid TOML: {exc}") from None
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Parse and validate a scenario TOML file."""
+    return parse_scenario(read_toml(path, "scenario"))
 
 
 # -- point runner ------------------------------------------------------------
@@ -786,38 +792,6 @@ def _cells_from_payloads(
     return tuple(cells)
 
 
-def _comparison_to_data(domain: AllocatorComparison) -> dict[str, Any]:
-    return {
-        "cores": domain.cores,
-        "tasksets_per_point": domain.tasksets_per_point,
-        "cells": [
-            {
-                "scheme": c.scheme,
-                "utilization": c.utilization,
-                "acceptance": c.acceptance,
-                "mean_tightness": c.mean_tightness,
-            }
-            for c in domain.cells
-        ],
-    }
-
-
-def _comparison_from_data(data: Mapping[str, Any]) -> AllocatorComparison:
-    return AllocatorComparison(
-        cells=tuple(
-            AllocatorCell(
-                scheme=str(c["scheme"]),
-                utilization=float(c["utilization"]),
-                acceptance=float(c["acceptance"]),
-                mean_tightness=float(c["mean_tightness"]),
-            )
-            for c in data["cells"]
-        ),
-        cores=int(data["cores"]),
-        tasksets_per_point=int(data["tasksets_per_point"]),
-    )
-
-
 def format_allocator_comparison(
     comparison: AllocatorComparison, title: str
 ) -> str:
@@ -975,32 +949,6 @@ class ScenarioExperiment(Experiment):
             name=self.config.name,
             scale=raw.scale.name,
             panels=tuple(panels),
-        )
-
-    def encode_data(self, domain: ScenarioResult) -> dict[str, Any]:
-        return {
-            "name": domain.name,
-            "scale": domain.scale,
-            "panels": [
-                {
-                    "cores": panel.cores,
-                    "comparison": _comparison_to_data(panel.comparison),
-                }
-                for panel in domain.panels
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> ScenarioResult:
-        return ScenarioResult(
-            name=str(data["name"]),
-            scale=str(data["scale"]),
-            panels=tuple(
-                ScenarioPanel(
-                    cores=int(p["cores"]),
-                    comparison=_comparison_from_data(p["comparison"]),
-                )
-                for p in data["panels"]
-            ),
         )
 
     def render_domain(self, domain: ScenarioResult) -> str:

@@ -11,14 +11,9 @@ each task receives under HYDRA and SingleCore on the UAV platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.experiments.api import (
-    Experiment,
-    ExperimentResult,
-    GoldenFixture,
-    RawRun,
-)
+from repro.experiments.api import Experiment, GoldenFixture, RawRun
 from repro.experiments.registry import register_experiment
 from repro.experiments.reporting import format_table
 
@@ -28,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Table1Row",
+    "Table1Result",
     "Table1Experiment",
     "table1_sweep_spec",
     "format_table1",
@@ -48,6 +44,14 @@ class Table1Row:
     single_period: float
 
 
+@dataclass(frozen=True)
+class Table1Result:
+    """Table I on one UAV platform size."""
+
+    cores: int
+    rows: tuple[Table1Row, ...]
+
+
 def table1_sweep_spec(cores: int = 2) -> "SweepSpec":
     """Table I as a single-point sweep (cacheable like the others)."""
     from repro.experiments.parallel import SweepSpec
@@ -56,21 +60,6 @@ def table1_sweep_spec(cores: int = 2) -> "SweepSpec":
         kind="table1",
         seed=0,  # the case study is deterministic; no randomness drawn
         points=({"cores": cores},),
-    )
-
-
-def _row_from_dict(row: Mapping[str, Any]) -> Table1Row:
-    return Table1Row(
-        name=row["name"],
-        application=row["application"],
-        function=row["function"],
-        surface=row["surface"],
-        wcet=float(row["wcet"]),
-        period_des=float(row["period_des"]),
-        period_max=float(row["period_max"]),
-        hydra_core=int(row["hydra_core"]),
-        hydra_period=float(row["hydra_period"]),
-        single_period=float(row["single_period"]),
     )
 
 
@@ -103,50 +92,19 @@ class Table1Experiment(Experiment):
     def sweeps(self, scale: "ExperimentScale") -> list["SweepSpec"]:
         return [table1_sweep_spec(self.cores)]
 
-    def aggregate_domain(self, raw: RawRun) -> list[Table1Row]:
-        return [_row_from_dict(row) for row in raw.payloads[0]["rows"]]
-
-    def encode_data(self, domain: list[Table1Row]) -> dict[str, Any]:
-        return {
-            "cores": self.cores,
-            "rows": [
-                {
-                    "name": r.name,
-                    "application": r.application,
-                    "function": r.function,
-                    "surface": r.surface,
-                    "wcet": r.wcet,
-                    "period_des": r.period_des,
-                    "period_max": r.period_max,
-                    "hydra_core": r.hydra_core,
-                    "hydra_period": r.hydra_period,
-                    "single_period": r.single_period,
-                }
-                for r in domain
-            ],
-        }
-
-    def decode_data(self, data: Mapping[str, Any]) -> list[Table1Row]:
-        return [_row_from_dict(row) for row in data["rows"]]
-
-    def render(self, result: ExperimentResult) -> str:
-        # The platform size lives in the result, not this instance: a
-        # 4-core result loaded from JSON must render as 4 cores even
-        # through a default-constructed (2-core) experiment.
-        self.check_result(result)
-        return format_table1(
-            self.decode_data(result.data),
-            cores=int(result.data.get("cores", self.cores)),
+    def aggregate_domain(self, raw: RawRun) -> Table1Result:
+        return self.decode_data(
+            {"cores": self.cores, "rows": raw.payloads[0]["rows"]}
         )
 
-    def render_domain(self, domain: list[Table1Row]) -> str:
-        return format_table1(domain, cores=self.cores)
+    def render_domain(self, domain: Table1Result) -> str:
+        return format_table1(domain)
 
-    def table_rows(self, domain: list[Table1Row]) -> list[Sequence[Any]]:
+    def table_rows(self, domain: Table1Result) -> list[Sequence[Any]]:
         return [
             (r.name, r.application, r.surface, r.wcet, r.period_des,
              r.period_max, r.hydra_core, r.hydra_period, r.single_period)
-            for r in domain
+            for r in domain.rows
         ]
 
     def golden_fixture(self) -> GoldenFixture:
@@ -162,7 +120,7 @@ class Table1Experiment(Experiment):
         )
 
 
-def format_table1(rows: list[Table1Row], cores: int = 2) -> str:
+def format_table1(result: Table1Result) -> str:
     return format_table(
         [
             "task", "app", "surface", "C (ms)", "T_des", "T_max",
@@ -180,7 +138,9 @@ def format_table1(rows: list[Table1Row], cores: int = 2) -> str:
                 f"{r.hydra_period:.0f}",
                 f"{r.single_period:.0f}",
             )
-            for r in rows
+            for r in result.rows
         ],
-        title=f"Table I — security tasks (UAV platform, {cores} cores)",
+        title=(
+            f"Table I — security tasks (UAV platform, {result.cores} cores)"
+        ),
     )

@@ -14,8 +14,11 @@ Structural facts the allocators and the batched solver rely on:
 * with constrained deadlines and periods of at least 1, a core whose
   total utilisation exceeds 1 by ``1e-9`` or more fails ``rta_test``:
   the lowest-priority task responds no sooner than ``C/(1 − U_hp)``,
-  past its period, and the fixed point's absolute ``1e-12``
-  convergence step is far too small to hide that.
+  past its period, and the fixed point's relative ``1e-12``
+  convergence step is far too small to hide that;
+* an overloaded pair fails ``rta_test``, ``rta-batch`` and the
+  admission core alike at every time scale down to ``1e-12`` s, where
+  an absolute convergence step would stop the iteration short.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from repro.analysis.rta import (
     response_time,
     response_times_batch,
 )
-from repro.analysis.schedulability import rta_test
+from repro.analysis.admission import ExactAdmissionCore
+from repro.analysis.schedulability import rta_batch_test, rta_test
 from repro.model.priority import rate_monotonic_order
 from repro.model.task import RealTimeTask
 
@@ -199,9 +203,21 @@ def _overloaded_cores(draw):
 @settings(max_examples=300, deadline=None)
 @given(tasks=_overloaded_cores())
 def test_total_utilization_above_one_fails_rta(tasks):
-    """The fact behind the admission core's divergence cut-off:
-    ``rta_test`` rejects every such core here.  Only on time scales
-    small enough for the ``1e-12`` convergence step to matter (WCETs
-    near ``1e-12``) does one pass, so the cut-off leaves the total
-    alone and compares the higher-priority utilisation instead."""
+    """``rta_test`` rejects every such core: the lowest-priority
+    task's response passes its deadline by far more than the relative
+    convergence step."""
     assert not rta_test(tasks)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-11, 1e-9, 1.0])
+def test_an_overloaded_pair_fails_at_every_time_scale(scale):
+    """``(C, T) = (0.5, 1)`` and ``(1.001, 2)``, total utilisation
+    1.0005, in units of ``scale`` seconds.  The fixed point stops once
+    an iterate grows by at most a relative ``1e-12``; an absolute
+    ``1e-12`` step stopped it short at ``scale = 1e-12`` and passed
+    the pair."""
+    high = RealTimeTask(name="high", wcet=0.5 * scale, period=scale)
+    low = RealTimeTask(name="low", wcet=1.001 * scale, period=2.0 * scale)
+    assert not rta_test([high, low])
+    assert not rta_batch_test([high, low])
+    assert not ExactAdmissionCore([high]).admits(low)

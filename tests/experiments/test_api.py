@@ -4,6 +4,7 @@ structured results, and their serialisation round trips."""
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -167,10 +168,10 @@ class TestExperimentResult:
         loaded = ExperimentResult.from_json(result.to_json())
         assert "4 cores" in get_experiment("table1").render(loaded)
 
-    @pytest.mark.parametrize("name", PAPER_SET)
+    @pytest.mark.parametrize("name", experiment_names())
     def test_every_paper_experiment_round_trips(self, name):
-        # table1 is scale-independent but cheap either way; the rest
-        # run at smoke scale.  fig3/quality are the slowest — shrink.
+        # Every registered experiment, not only the paper's, at smoke
+        # scale, shrunk: each one runs twice.
         scale = SMOKE.with_overrides(
             tasksets_per_point=2, fig3_tasksets_per_point=1, sim_trials=4
         )
@@ -179,6 +180,8 @@ class TestExperimentResult:
         loaded = ExperimentResult.from_json(result.to_json())
         assert loaded == result
         assert experiment.render(loaded) == experiment.render(result)
+        data = json.loads(result.to_json())["data"]
+        assert experiment.decode_data(data) == experiment.run_domain(scale)
 
 
 class TestEmptySweepExperiments:
@@ -204,3 +207,134 @@ class TestRawRun:
 def test_experiment_is_abstract():
     with pytest.raises(TypeError):
         Experiment()  # the protocol's hooks are abstract
+    assert Experiment.__abstractmethods__ == {
+        "sweeps", "aggregate_domain", "render_domain",
+    }
+
+
+# -- the default result codec ---------------------------------------------
+#
+# Module level: the codec resolves annotations in their module.
+
+
+@dataclass(frozen=True)
+class _Inner:
+    label: str
+    weight: float | None
+
+
+@dataclass(frozen=True)
+class _EveryField:
+    flag: bool
+    count: int
+    pair: tuple[str, float]
+    values: tuple[float, ...]
+    inners: tuple[_Inner, ...]
+    inner: _Inner | None
+
+
+@dataclass(frozen=True)
+class _DictDomain:
+    counts: dict[str, int]
+
+
+@dataclass(frozen=True)
+class _ListDomain:
+    values: list[float]
+
+
+@dataclass(frozen=True)
+class _UnionDomain:
+    value: int | str | None
+
+
+class _Plugin(Experiment):
+    """An unregistered inline experiment (no sweeps)."""
+
+    name = "codec-plugin"
+
+    def sweeps(self, scale):
+        return []
+
+    def render_domain(self, domain):
+        return repr(domain)
+
+
+class _EveryFieldPlugin(_Plugin):
+    def aggregate_domain(self, raw: RawRun) -> _EveryField:
+        return _EveryField(
+            flag=True,
+            count=3,
+            pair=("delta", -0.25),
+            values=(1.0, 2.5),
+            inners=(_Inner("a", None), _Inner("b", 0.5)),
+            inner=None,
+        )
+
+
+class _DictPlugin(_Plugin):
+    def aggregate_domain(self, raw: RawRun) -> _DictDomain:
+        return _DictDomain({"a": 1})
+
+
+class _ListPlugin(_Plugin):
+    def aggregate_domain(self, raw: RawRun) -> _ListDomain:
+        return _ListDomain([1.0])
+
+
+class _UnionPlugin(_Plugin):
+    def aggregate_domain(self, raw: RawRun) -> _UnionDomain:
+        return _UnionDomain(None)
+
+
+class _UnannotatedPlugin(_Plugin):
+    def aggregate_domain(self, raw):
+        return _ListDomain([1.0])
+
+
+class _OwnCodecPlugin(_Plugin):
+    """A domain the default codec cannot read, with its own hooks."""
+
+    def aggregate_domain(self, raw):
+        return {"counts": {"a": 1}}
+
+    def encode_data(self, domain):
+        return {"pairs": sorted(domain["counts"].items())}
+
+    def decode_data(self, data):
+        return {"counts": dict(data["pairs"])}
+
+
+class TestDefaultCodec:
+    def test_every_supported_field_type_round_trips(self):
+        experiment = _EveryFieldPlugin()
+        result = experiment.run(SMOKE)
+        assert result.data == {
+            "flag": True,
+            "count": 3,
+            "pair": ["delta", -0.25],
+            "values": [1.0, 2.5],
+            "inners": [
+                {"label": "a", "weight": None},
+                {"label": "b", "weight": 0.5},
+            ],
+            "inner": None,
+        }
+        data = json.loads(result.to_json())["data"]
+        assert experiment.decode_data(data) == experiment.run_domain(SMOKE)
+
+    @pytest.mark.parametrize(
+        "plugin",
+        [_DictPlugin, _ListPlugin, _UnionPlugin, _UnannotatedPlugin],
+    )
+    def test_an_unreadable_domain_is_a_typed_error(self, plugin):
+        with pytest.raises(ValidationError, match="'codec-plugin'"):
+            plugin().run(SMOKE)
+        with pytest.raises(ValidationError, match="'codec-plugin'"):
+            plugin().decode_data({"values": [1.0]})
+
+    def test_overriding_the_hooks_keeps_working(self):
+        experiment = _OwnCodecPlugin()
+        loaded = ExperimentResult.from_json(experiment.run(SMOKE).to_json())
+        assert loaded.data == {"pairs": [["a", 1]]}
+        assert experiment.render(loaded) == "{'counts': {'a': 1}}"

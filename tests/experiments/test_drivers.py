@@ -30,14 +30,14 @@ def smoke():
 
 class TestTable1:
     def test_rows_cover_table1(self):
-        rows = get_experiment("table1").run_domain()
+        rows = get_experiment("table1").run_domain().rows
         assert len(rows) == 6
         apps = [r.application for r in rows]
         assert apps.count("tripwire") == 5
         assert apps.count("bro") == 1
 
     def test_periods_within_bounds(self):
-        for row in get_experiment("table1").run_domain():
+        for row in get_experiment("table1").run_domain().rows:
             assert row.period_des <= row.hydra_period <= row.period_max
             assert row.period_des <= row.single_period <= row.period_max
 
